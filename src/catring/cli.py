@@ -1,10 +1,18 @@
 """Command line interface.
 
 Subcommands: `ring build|verify|info`, `group cosets|induce|restrict`,
-`module check`, `ext`, `uct`, `pd`, `resolve`.  Exit codes are a stable
-contract: 0 success, 1 mathematical failure (no stabilization, failing
-verification), 2 usage or file errors.  All output is deterministic:
-identical inputs give byte-identical output.
+`module check`, `ext`, `uct`, `pd`, `resolve`.  All output is
+deterministic: identical inputs give byte-identical output.
+
+Exit codes are a stable contract, one per error class:
+
+- 0: success.
+- 1: mathematical failure.  Completion does not stabilize, a ring fails
+  verification, or a module file's content is not a valid module (it
+  fails `GradedModule.validate`); the last prints `error: <path>: <reason>`.
+- 2: usage or file error.  A file cannot be read, is malformed
+  (`FormatError`) or names a different ring; a flag is out of range
+  (`--cap` < 1, `--length` < 0, `--degree` < 0, `--window` < 1).
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
+
+# least value each integer flag accepts
+FLAG_MINIMUM = {"cap": 1, "length": 0, "degree": 0, "window": 1}
 
 
 class CliError(Exception):
@@ -403,10 +414,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, least in FLAG_MINIMUM.items():
+            if getattr(args, dest, least) < least:
+                raise CliError(f"--{dest} must be at least {least}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH
 
 
 if __name__ == "__main__":

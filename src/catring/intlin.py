@@ -131,13 +131,6 @@ def hnf(rows, ncols: int) -> list[list[int]]:
     return lat.basis()
 
 
-def lattice_contains(rows, ncols: int, vec) -> bool:
-    lat = Lattice(ncols)
-    for row in rows:
-        lat.add(row)
-    return vec in lat
-
-
 def _augmented_echelon(rows, ncols: int) -> Lattice:
     # Echelon of [A | I]; integer row ops act on both halves, so the right
     # half records the combination producing each echelon row.
@@ -285,13 +278,3 @@ def mat_mul(A, B, ncols_b: int) -> list[list[int]]:
 def mat_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-
-def mats_equal_mod(A, B, lattice_rows, ncols: int) -> bool:
-    """Are A and B equal as maps into Z^ncols / rowspan(lattice_rows)?"""
-    lat = Lattice(ncols)
-    for row in lattice_rows:
-        lat.add(row)
-    for ra, rb in zip(A, B):
-        if [a - b for a, b in zip(ra, rb)] not in lat:
-            return False
-    return True

@@ -16,6 +16,11 @@ would need a shifted action table, which is deliberately not guessed at.
 
 The zero module is a first-class citizen: every operation accepts empty
 generator lists, and matrices keep explicit (possibly zero) shapes.
+
+A module map M -> N is solved for as one integer vector: the entry at
+row p, column q of its matrix at slot s (generator p of M(s) to generator
+q of N(s)) is variable var_off[s] + p * gn + q, where gn = N.ngens(s) and
+var_off lays the slots out one after another in `M.slots` order.
 """
 
 from __future__ import annotations
@@ -88,9 +93,25 @@ class GradedModule:
         for fb in range(len(ring.flat)):
             for e in (0, 1):
                 self.act[(fb, e)] = tuple(tuple(r) for r in act.get((fb, e), ()))
+        self._rel_lattices = {}
 
     def ngens(self, slot: Slot) -> int:
         return len(self.gens[slot])
+
+    def relation_lattice(self, slot: Slot) -> Lattice:
+        """Span of the relations at `slot`, built on first use and shared
+        by every caller: read it, or mutate a copy."""
+        lat = self._rel_lattices.get(slot)
+        if lat is None:
+            lat = self._rel_lattices[slot] = Lattice(self.ngens(slot))
+            for row in self.rels[slot]:
+                lat.add(row)
+        return lat
+
+    def agree(self, slot: Slot, A, B) -> bool:
+        """Are the row lists A and B equal modulo the relations at `slot`?"""
+        lat = self.relation_lattice(slot)
+        return all([a - b for a, b in zip(ra, rb)] in lat for ra, rb in zip(A, B))
 
     def value_invariants(self, slot: Slot) -> AbInvariants:
         free, tors = group_invariants(self.rels[slot], self.ngens(slot))
@@ -112,9 +133,7 @@ class GradedModule:
                 mat = self.act[(fb, e)]
                 _shape_check(mat, self.ngens((y, e)), self.ngens((x, e)), f"action of basis {fb} deg {e}")
                 # well-defined on the quotient
-                lat = Lattice(self.ngens((x, e)))
-                for row in self.rels[(x, e)]:
-                    lat.add(row)
+                lat = self.relation_lattice((x, e))
                 for row in self.rels[(y, e)]:
                     img = mat_mul([row], mat, self.ngens((x, e)))[0]
                     if img not in lat:
@@ -122,14 +141,8 @@ class GradedModule:
         for x in ring.objects:
             fb = ring.offset[(x, x)] + ring.unit_pos[x]
             for e in (0, 1):
-                n = self.ngens((x, e))
-                lat = Lattice(n)
-                for row in self.rels[(x, e)]:
-                    lat.add(row)
-                ident = mat_identity(n)
-                for row_a, row_i in zip(self.act[(fb, e)], ident):
-                    if [a - b for a, b in zip(row_a, row_i)] not in lat:
-                        raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
+                if not self.agree((x, e), self.act[(fb, e)], mat_identity(self.ngens((x, e)))):
+                    raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
         # functoriality through the structure constants
         for fu, (x, y, _) in enumerate(ring.flat):
             for fv, (y2, z, _) in enumerate(ring.flat):
@@ -146,14 +159,10 @@ class GradedModule:
                             for i, row in enumerate(self.act[(off + t, e)]):
                                 for j, vv in enumerate(row):
                                     rhs[i][j] += c * vv
-                    lat = Lattice(n)
-                    for row in self.rels[(x, e)]:
-                        lat.add(row)
-                    for ra, rb in zip(lhs, rhs):
-                        if [a - b for a, b in zip(ra, rb)] not in lat:
-                            raise ValueError(
-                                f"action is not functorial on basis pair ({fu}, {fv}) at degree {e}"
-                            )
+                    if not self.agree((x, e), lhs, rhs):
+                        raise ValueError(
+                            f"action is not functorial on basis pair ({fu}, {fv}) at degree {e}"
+                        )
 
 
 def zero_module(ring: CategoryRing) -> GradedModule:
@@ -248,29 +257,18 @@ def trivial_group_module(ring: CategoryRing, degree0=(), degree1=()) -> GradedMo
     return GradedModule(ring, gens, rels, act)
 
 
-def submodule_lattices(module: GradedModule, slot: Slot, vector) -> dict:
-    """Per-slot lattices of the submodule generated by one element."""
+def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModule:
+    """Quotient by the submodule generated by one element of one slot."""
     ring = module.ring
     x0, e0 = slot
-    out = {}
+    rels = {}
     for s in module.slots:
-        lat = Lattice(module.ngens(s))
         w, e = s
+        rows = [list(r) for r in module.rels[s]]
         if e == e0:
             for fu in range(len(ring.basis[(w, x0)])):
                 fb = ring.offset[(w, x0)] + fu
-                img = mat_mul([list(vector)], module.act[(fb, e0)], module.ngens((w, e0)))[0]
-                lat.add(img)
-        out[s] = lat
-    return out
-
-
-def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModule:
-    """Quotient by the submodule generated by one element of one slot."""
-    lats = submodule_lattices(module, slot, vector)
-    rels = {}
-    for s in module.slots:
-        rows = [list(r) for r in module.rels[s]] + lats[s].basis()
+                rows.append(mat_mul([list(vector)], module.act[(fb, e0)], module.ngens(s))[0])
         rels[s] = hnf(rows, module.ngens(s))
     return GradedModule(module.ring, module.gens, rels, module.act)
 
@@ -309,9 +307,7 @@ class ModuleMap:
         """Assert well-definedness and equivariance; raises on failure."""
         M, N = self.source, self.target
         for s in M.slots:
-            lat = Lattice(N.ngens(s))
-            for row in N.rels[s]:
-                lat.add(row)
+            lat = N.relation_lattice(s)
             for row in M.rels[s]:
                 if mat_mul([list(row)], self.mats[s], N.ngens(s))[0] not in lat:
                     raise ValueError(f"map not well-defined at {s}")
@@ -319,12 +315,8 @@ class ModuleMap:
             for e in (0, 1):
                 lhs = mat_mul(M.act[(fb, e)], self.mats[(x, e)], N.ngens((x, e)))
                 rhs = mat_mul(self.mats[(y, e)], N.act[(fb, e)], N.ngens((x, e)))
-                lat = Lattice(N.ngens((x, e)))
-                for row in N.rels[(x, e)]:
-                    lat.add(row)
-                for ra, rb in zip(lhs, rhs):
-                    if [a - b for a, b in zip(ra, rb)] not in lat:
-                        raise ValueError(f"map does not commute with basis {fb} at degree {e}")
+                if not N.agree((x, e), lhs, rhs):
+                    raise ValueError(f"map does not commute with basis {fb} at degree {e}")
 
 
 def compose_maps(first: ModuleMap, second: ModuleMap) -> ModuleMap:
@@ -370,83 +362,100 @@ class HomGroup:
         return solve_left(self._lattice, self._nvars, vec)
 
 
-def _hom_solution_lattice(M: GradedModule, N: GradedModule):
-    """HNF basis of the lattice of module maps M -> N, as flat vectors."""
-    slots = M.slots
-    var_off = {}
-    nvars = 0
-    for s in slots:
-        var_off[s] = nvars
-        nvars += M.ngens(s) * N.ngens(s)
+class _MapSystem:
+    """The integer system whose solutions are the module maps M -> N.
 
-    equations = []  # each a dict var -> coeff
-    slack_blocks = []  # (first equation index of the block, relation rows)
+    Variables follow the layout in the module docstring.  Equations come in
+    blocks: a block asks that one row over the generators of some slot lie
+    in a relation lattice, and each relation row of that lattice becomes a
+    slack row.  The system is solved for x with x * rows() equal to the
+    target; the slack part of x is dropped.
+    """
 
-    def add_membership(exprs, slot):
-        # exprs: list over columns q of N(slot) of var-coeff dicts
-        base = len(equations)
-        equations.extend(exprs)
-        rel = N.rels[slot]
-        if rel:
-            slack_blocks.append((base, rel))
+    def __init__(self, M: GradedModule, N: GradedModule):
+        self.var_off = {}
+        self.nvars = 0
+        for s in M.slots:
+            self.var_off[s] = self.nvars
+            self.nvars += M.ngens(s) * N.ngens(s)
+        self.equations = []  # each a dict var -> coeff
+        self.slack_blocks = []  # (first equation index of the block, relation rows)
 
-    for s in slots:
-        gm, gn = M.ngens(s), N.ngens(s)
-        for rrow in M.rels[s]:
-            exprs = []
-            for q in range(gn):
-                expr = {}
-                for p in range(gm):
-                    if rrow[p]:
-                        expr[var_off[s] + p * gn + q] = rrow[p]
-                exprs.append(expr)
-            add_membership(exprs, s)
-
-    ring = M.ring
-    for fb, (x, y, _) in enumerate(ring.flat):
-        for e in (0, 1):
-            sx, sy = (x, e), (y, e)
-            gmx, gnx = M.ngens(sx), N.ngens(sx)
-            gmy, gny = M.ngens(sy), N.ngens(sy)
-            amat = M.act[(fb, e)]  # gmy x gmx
-            nmat = N.act[(fb, e)]  # gny x gnx
-            for gy in range(gmy):
+        # well-defined: each relation of M maps into the relations of N
+        for s in M.slots:
+            gm, gn = M.ngens(s), N.ngens(s)
+            for rrow in M.rels[s]:
                 exprs = []
-                for q in range(gnx):
+                for q in range(gn):
                     expr = {}
-                    for p in range(gmx):
-                        c = amat[gy][p]
-                        if c:
-                            key = var_off[sx] + p * gnx + q
-                            expr[key] = expr.get(key, 0) + c
-                    for qq in range(gny):
-                        c = nmat[qq][q]
-                        if c:
-                            key = var_off[sy] + gy * gny + qq
-                            expr[key] = expr.get(key, 0) - c
+                    for p in range(gm):
+                        if rrow[p]:
+                            expr[self.var_off[s] + p * gn + q] = rrow[p]
                     exprs.append(expr)
-                add_membership(exprs, sx)
+                self.add(exprs, N.rels[s])
 
-    neq = len(equations)
-    nslack = sum(len(rel) for _, rel in slack_blocks)
-    rows = []
-    for v in range(nvars):
-        rows.append([0] * neq)
-    for eq_idx, expr in enumerate(equations):
-        for v, c in expr.items():
-            rows[v][eq_idx] = c
-    for base, rel in slack_blocks:
-        width = len(rel[0]) if rel else 0
-        for t, rrow in enumerate(rel):
-            srow = [0] * neq
-            for q in range(width):
-                if rrow[q]:
-                    srow[base + q] = rrow[q]
-            rows.append(srow)
+        # commutes with the action of every basis monomial
+        for fb, (x, y, _) in enumerate(M.ring.flat):
+            for e in (0, 1):
+                sx, sy = (x, e), (y, e)
+                gmx, gnx = M.ngens(sx), N.ngens(sx)
+                gmy, gny = M.ngens(sy), N.ngens(sy)
+                amat = M.act[(fb, e)]  # gmy x gmx
+                nmat = N.act[(fb, e)]  # gny x gnx
+                for gy in range(gmy):
+                    exprs = []
+                    for q in range(gnx):
+                        expr = {}
+                        for p in range(gmx):
+                            c = amat[gy][p]
+                            if c:
+                                key = self.var_off[sx] + p * gnx + q
+                                expr[key] = expr.get(key, 0) + c
+                        for qq in range(gny):
+                            c = nmat[qq][q]
+                            if c:
+                                key = self.var_off[sy] + gy * gny + qq
+                                expr[key] = expr.get(key, 0) - c
+                        exprs.append(expr)
+                    self.add(exprs, N.rels[sx])
 
-    kernel = left_kernel(rows, neq)
-    sols = hnf([k[:nvars] for k in kernel], nvars)
-    return sols, var_off, nvars
+    def add(self, exprs, rels) -> None:
+        """Append one block of equations, taken modulo the span of `rels`."""
+        if rels:
+            self.slack_blocks.append((len(self.equations), rels))
+        self.equations.extend(exprs)
+
+    def rows(self) -> list:
+        """Dense matrix: one row per variable, then the slack rows."""
+        neq = len(self.equations)
+        rows = [[0] * neq for _ in range(self.nvars)]
+        for idx, expr in enumerate(self.equations):
+            for v, c in expr.items():
+                rows[v][idx] = c
+        for base, rel in self.slack_blocks:
+            for rrow in rel:
+                srow = [0] * neq
+                for q, c in enumerate(rrow):
+                    if c:
+                        srow[base + q] = c
+                rows.append(srow)
+        return rows
+
+
+def _kernel_head(rows, ncols: int, keep: int) -> list:
+    """HNF basis of the x with x * rows[:keep] in the span of rows[keep:]:
+    the left kernel of `rows`, cut to its first `keep` columns."""
+    return hnf([k[:keep] for k in left_kernel(rows, ncols)], keep)
+
+
+def _coordinates(basis, ncols: int, rows, what: str) -> list:
+    """Coordinates of each row over `basis`; every row must lie in its span."""
+    coords = []
+    for row in rows:
+        c = solve_left(basis, ncols, row)
+        assert c is not None, what
+        coords.append(c)
+    return coords
 
 
 def _vector_to_map(M, N, vec, var_off) -> ModuleMap:
@@ -478,7 +487,9 @@ def hom_module(M: GradedModule, N: GradedModule) -> HomGroup:
     """
     if M.ring is not N.ring:
         raise ValueError("modules live over different rings")
-    sols, var_off, nvars = _hom_solution_lattice(M, N)
+    system = _MapSystem(M, N)
+    var_off, nvars = system.var_off, system.nvars
+    sols = _kernel_head(system.rows(), len(system.equations), nvars)
 
     null_vecs = []
     for s in M.slots:
@@ -491,11 +502,7 @@ def hom_module(M: GradedModule, N: GradedModule) -> HomGroup:
                     vec[off + p * gn + q] = rrow[q]
                 null_vecs.append(vec)
 
-    coords = []
-    for z in null_vecs:
-        c = solve_left(sols, nvars, z)
-        assert c is not None, "null map outside the solution lattice"
-        coords.append(c)
+    coords = _coordinates(sols, nvars, null_vecs, "null map outside the solution lattice")
     free, tors = group_invariants(coords, len(sols))
     maps = [_vector_to_map(M, N, v, var_off) for v in sols]
     return HomGroup(AbInvariants(free, tors), maps, sols, var_off, nvars)
@@ -572,13 +579,8 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
         listed = [listed[i] for i in order]
 
     def fresh_lattices():
-        covered = {}
-        for s in module.slots:
-            lat = Lattice(module.ngens(s))
-            for row in module.rels[s]:
-                lat.add(row)
-            covered[s] = lat
-        return covered
+        # copies, since engulf grows them
+        return {s: module.relation_lattice(s).copy() for s in module.slots}
 
     def engulf(covered, s, p):
         x0, e0 = s
@@ -632,30 +634,19 @@ def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     ring = M.ring
     basis_rows = {}
     for s in M.slots:
-        gm, gn = M.ngens(s), N.ngens(s)
-        stacked = [list(r) for r in f.mats[s]] + [list(r) for r in N.rels[s]]
-        ker = left_kernel(stacked, gn)
-        basis_rows[s] = hnf([k[:gm] for k in ker], gm)
+        basis_rows[s] = _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s))
 
     gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
-    rels = {}
-    for s in M.slots:
-        rows = []
-        for r in M.rels[s]:
-            c = solve_left(basis_rows[s], M.ngens(s), list(r))
-            assert c is not None, "module relations must lie in the kernel"
-            rows.append(c)
-        rels[s] = rows
+    rels = {
+        s: _coordinates(basis_rows[s], M.ngens(s), M.rels[s], "module relations must lie in the kernel")
+        for s in M.slots
+    }
     act = {}
     for fb, (x, y, _) in enumerate(ring.flat):
         for e in (0, 1):
-            rows = []
-            for v in basis_rows[(y, e)]:
-                img = mat_mul([v], M.act[(fb, e)], M.ngens((x, e)))[0]
-                c = solve_left(basis_rows[(x, e)], M.ngens((x, e)), img)
-                assert c is not None, "kernel is not action-stable"
-                rows.append(c)
-            act[(fb, e)] = rows
+            n = M.ngens((x, e))
+            imgs = (mat_mul([v], M.act[(fb, e)], n)[0] for v in basis_rows[(y, e)])
+            act[(fb, e)] = _coordinates(basis_rows[(x, e)], n, imgs, "kernel is not action-stable")
     kernel = GradedModule(ring, gens, rels, act)
     incl = ModuleMap(kernel, M, {s: basis_rows[s] for s in M.slots})
     return kernel, incl
@@ -781,15 +772,8 @@ def _induced_matrix(d: ModuleMap, N: GradedModule, shift: int):
 
 def _cohomology(ngens_b, rels_b, g_mat, ngens_c, rels_c, f_rows):
     """ker(g)/im(f) inside the presented group (ngens_b, rels_b)."""
-    stacked = [list(r) for r in g_mat] + [list(r) for r in rels_c]
-    ker = left_kernel(stacked, ngens_c)
-    lattice = hnf([k[:ngens_b] for k in ker], ngens_b)
-    image = [list(r) for r in f_rows] + [list(r) for r in rels_b]
-    coords = []
-    for row in image:
-        c = solve_left(lattice, ngens_b, row)
-        assert c is not None, "image does not lie in the kernel"
-        coords.append(c)
+    lattice = _kernel_head([*g_mat, *rels_c], ngens_c, ngens_b)
+    coords = _coordinates(lattice, ngens_b, [*f_rows, *rels_b], "image does not lie in the kernel")
     free, tors = group_invariants(coords, len(lattice))
     return AbInvariants(free, tors)
 
@@ -847,86 +831,28 @@ def is_projective(module: GradedModule) -> bool:
         if module.value_invariants(s).torsion:
             return False
     cover = free_cover(module)
-    F = cover.source
-    M = module
-
-    var_off = {}
-    nvars = 0
-    for s in M.slots:
-        var_off[s] = nvars
-        nvars += M.ngens(s) * F.ngens(s)
-
-    equations = []  # dict var->coeff
-    targets = []
-    slack_cols = []  # (equation index base, relation rows) for split eqs
-
-    # sigma is a module map into a free module: strict equations.
-    for s in M.slots:
-        gm, gf = M.ngens(s), F.ngens(s)
-        for rrow in M.rels[s]:
-            for q in range(gf):
-                expr = {}
-                for p in range(gm):
-                    if rrow[p]:
-                        expr[var_off[s] + p * gf + q] = rrow[p]
-                equations.append(expr)
-                targets.append(0)
-    ring = M.ring
-    for fb, (x, y, _) in enumerate(ring.flat):
-        for e in (0, 1):
-            sx, sy = (x, e), (y, e)
-            amat = M.act[(fb, e)]
-            fmat = F.act[(fb, e)]
-            gfx, gfy = F.ngens(sx), F.ngens(sy)
-            for gy in range(M.ngens(sy)):
-                for q in range(gfx):
-                    expr = {}
-                    for p in range(M.ngens(sx)):
-                        c = amat[gy][p]
-                        if c:
-                            key = var_off[sx] + p * gfx + q
-                            expr[key] = expr.get(key, 0) + c
-                    for qq in range(gfy):
-                        c = fmat[qq][q]
-                        if c:
-                            key = var_off[sy] + gy * gfy + qq
-                            expr[key] = expr.get(key, 0) - c
-                    equations.append(expr)
-                    targets.append(0)
+    M, F = module, cover.source
+    # sigma: M -> F is a module map into a free module, so no slack rows
+    system = _MapSystem(M, F)
+    targets = [0] * len(system.equations)
 
     # splitting: sigma then cover = identity modulo relations.
-    slack_specs = []
     for s in M.slots:
         gm, gf = M.ngens(s), F.ngens(s)
         pim = cover.mats[s]
         for p in range(gm):
-            base = len(equations)
+            exprs = []
             for q in range(gm):
                 expr = {}
                 for t in range(gf):
                     c = pim[t][q]
                     if c:
-                        key = var_off[s] + p * gf + t
-                        expr[key] = expr.get(key, 0) + c
-                equations.append(expr)
+                        expr[system.var_off[s] + p * gf + t] = c
+                exprs.append(expr)
                 targets.append(1 if p == q else 0)
-            if M.rels[s]:
-                slack_specs.append((base, M.rels[s]))
+            system.add(exprs, M.rels[s])
 
-    neq = len(equations)
-    rows = [[0] * neq for _ in range(nvars)]
-    for idx, expr in enumerate(equations):
-        for v, c in expr.items():
-            rows[v][idx] = c
-    for base, rel in slack_specs:
-        for rrow in rel:
-            srow = [0] * neq
-            for q, c in enumerate(rrow):
-                if c:
-                    srow[base + q] = c
-            rows.append(srow)
-
-    return solve_left(rows, neq, targets) is not None
+    return solve_left(system.rows(), len(targets), targets) is not None
 
 
 def projective_dimension(module: GradedModule, cap: int):

@@ -194,7 +194,10 @@ def ring_from_dict(data: dict) -> CategoryRing:
         off += len(basis[pair])
 
     table = {}
-    for u, v, vec in data["table"]:
+    for entry in data["table"]:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise FormatError("table entry must be [u, v, vector]")
+        u, v, vec = entry
         if not (0 <= u < nflat and 0 <= v < nflat):
             raise FormatError("table index out of range")
         table[(u, v)] = tuple(vec)
@@ -210,6 +213,8 @@ def ring_from_dict(data: dict) -> CategoryRing:
     arrow_forms = {}
     for rec in data["arrow_forms"]:
         gi = rec["generator"]
+        if not 0 <= gi < len(pres.generators):
+            raise FormatError(f"arrow normal form for unknown generator {gi}")
         g = pres.generators[gi]
         arrow_forms[gi] = (g.source, g.target, tuple(rec["coefficients"]))
     if sorted(arrow_forms) != sorted(pres.arrows):
@@ -267,15 +272,25 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
             "module file references a different ring "
             f"({data.get('ring_hash')!r} != {ring_hash!r})"
         )
-    gens = {}
-    rels = {}
-    for rec in data["values"]:
-        slot = (rec["object"], rec["degree"])
-        gens[slot] = tuple(rec["generators"])
-        rels[slot] = tuple(tuple(r) for r in rec["relations"])
-    act = {}
-    for rec in data["actions"]:
-        act[(rec["basis"], rec["degree"])] = tuple(tuple(r) for r in rec["matrix"])
+    slots = {(x, e) for x in ring.objects for e in (0, 1)}
+    keys = {(fb, e) for fb in range(len(ring.flat)) for e in (0, 1)}
+    gens, rels, act = {}, {}, {}
+    try:
+        for rec in data["values"]:
+            slot = (rec["object"], rec["degree"])
+            if slot not in slots or slot in gens:
+                raise FormatError(f"value record for an unknown or repeated slot {slot}")
+            gens[slot] = tuple(rec["generators"])
+            rels[slot] = tuple(tuple(r) for r in rec["relations"])
+        for rec in data["actions"]:
+            key = (rec["basis"], rec["degree"])
+            if key not in keys or key in act:
+                raise FormatError(f"action record for an unknown or repeated (basis, degree) {key}")
+            act[key] = tuple(tuple(r) for r in rec["matrix"])
+    except KeyError as exc:
+        raise FormatError(f"missing field {exc}") from exc
+    except TypeError as exc:
+        raise FormatError(f"malformed record: {exc}") from exc
     module = GradedModule(ring, gens, rels, act)
     module.validate()
     return module

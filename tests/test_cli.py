@@ -7,7 +7,7 @@ import pytest
 
 from catring import trivial_group_module, yoneda, yoneda_cyclic_quotient
 from catring.cli import main
-from catring.serialize import load_json, module_to_dict, ring_from_dict, save_json
+from catring.serialize import content_hash, load_json, module_to_dict, ring_from_dict, save_json
 
 
 def run_cli(args, capsys):
@@ -265,3 +265,87 @@ def test_console_entry_point(workdir):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "e, a"
+
+
+def test_invalid_module_content_exits_1(workdir, tmp_path, capsys):
+    # corrupt the action of the unit of object 2, where the witness is nonzero
+    ring = ring_from_dict(load_json(workdir / "ring4.json"))
+    unit = ring.offset[(2, 2)] + ring.unit_pos[2]
+    data = load_json(workdir / "witness.json")
+    rec = next(r for r in data["actions"] if r["basis"] == unit and r["degree"] == 0)
+    rec["matrix"][0][0] += 1
+    bad = tmp_path / "bad_witness.json"
+    save_json(bad, data)
+    code, _, err = run_cli(["module", "check", "--ring", str(workdir / "ring4.json"), str(bad)], capsys)
+    assert code == 1
+    assert err == f"error: {bad}: action of basis {unit} not well-defined at degree 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["pd", "-M", "witness.json", "--cap", "0"], "--cap"),
+        (["resolve", "-M", "witness.json", "--length", "-1"], "--length"),
+        (["ext", "-M", "witness.json", "-N", "yoneda.json", "--degree", "-1"], "--degree"),
+        (["ring", "build", "--order", "2", "-o", "r2.json", "--window", "0"], "--window"),
+    ],
+)
+def test_out_of_range_flags_exit_2(workdir, tmp_path, capsys, argv, flag):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    if argv[0] != "ring":
+        argv[1:1] = ["--ring", str(workdir / "ring4.json")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert flag in err
+
+
+def _drop_values(data):
+    del data["values"]
+
+
+def _unknown_object(data):
+    data["values"].append(dict(data["values"][0], object=3))
+
+
+def _duplicate_slot(data):
+    data["values"].append(dict(data["values"][0], generators=[], relations=[]))
+
+
+def _action_out_of_range(data):
+    data["actions"].append(dict(data["actions"][0], basis=len(data["actions"])))
+
+
+def _two_field_table_entry(data):
+    data["table"][0] = data["table"][0][:2]
+
+
+def _arrow_form_out_of_range(data):
+    data["arrow_forms"][0]["generator"] = len(data["presentation"]["generators"])
+
+
+@pytest.mark.parametrize(
+    "base, corrupt",
+    [
+        ("yoneda.json", _drop_values),
+        ("yoneda.json", _unknown_object),
+        ("yoneda.json", _duplicate_slot),
+        ("yoneda.json", _action_out_of_range),
+        ("ring4.json", _two_field_table_entry),
+        ("ring4.json", _arrow_form_out_of_range),
+    ],
+)
+def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):
+    data = load_json(workdir / base)
+    corrupt(data)
+    bad = tmp_path / f"bad_{base}"
+    if base == "ring4.json":
+        data["ring_hash"] = content_hash(data)
+        save_json(bad, data)
+        argv = ["ring", "info", str(bad)]
+    else:
+        save_json(bad, data)
+        argv = ["module", "check", "--ring", str(workdir / "ring4.json"), str(bad)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert str(bad) in err
+    assert "module ok" not in out

@@ -381,3 +381,28 @@ def test_functoriality_property_on_corpus(ring2):
                             for j, v in enumerate(row):
                                 rhs[i][j] += c * v
                 assert lhs == rhs
+
+
+def test_is_projective_matches_ext_oracle(ring1, ring2, ring4):
+    # M is projective exactly when its cover F -> M splits, i.e. when the
+    # extension 0 -> K -> F -> M -> 0 vanishes in Ext^1(M, K); ext does not
+    # use the module-map constraint system, so it is an independent oracle
+    rng = random.Random(19)
+    seen = set()
+    for ring in (ring1, ring2, ring4):
+        for m in build_corpus(ring, rng, size=6, max_gens=14):
+            k, _ = kernel_of(free_cover(m))
+            projective = is_projective(m)
+            assert projective == ext(m, k, 1).is_zero()
+            seen.add(projective)
+    assert seen == {True, False}
+
+
+def test_free_cover_leaves_relation_lattice_intact(ring4):
+    m = yoneda_cyclic_quotient(ring4, 4, 0, 2, 0)
+    before = {s: m.relation_lattice(s).basis() for s in m.slots}
+    first = free_cover(m)
+    second = free_cover(m)
+    assert {s: m.relation_lattice(s).basis() for s in m.slots} == before
+    assert first.source.entries == second.source.entries
+    assert first.mats == second.mats

@@ -1,0 +1,66 @@
+"""The benchmark's tracer must still find every name it wraps.
+
+perfbench/tracing.py rebinds the `intlin` functions inside `catring.modules`
+and the public functions inside `catring.cli`.  A refactor that drops one of
+those bindings, or stops calling through it, breaks the traced benchmark
+run; this test catches that in the ordinary suite.
+"""
+
+import importlib.util
+import pathlib
+
+from catring import cli, modules, yoneda_cyclic_quotient
+from catring.serialize import module_to_dict, ring_to_dict, save_json
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_counts_modules_and_cli_calls(ring2, tmp_path, capsys):
+    tracing = load_tracing()
+    data = ring_to_dict(ring2)
+    save_json(tmp_path / "ring2.json", data)
+    m = yoneda_cyclic_quotient(ring2, 2, 0, 1, 0)
+    save_json(tmp_path / "m.json", module_to_dict(m, data["ring_hash"]))
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        modules.hom_module(m, m)
+        assert not modules.is_projective(m)
+        code = cli.main(
+            ["pd", "--ring", str(tmp_path / "ring2.json"), "-M", str(tmp_path / "m.json"), "--cap", "1"]
+        )
+    finally:
+        tracer.uninstall()
+    tracing.assert_clean()
+    assert code == 0
+    capsys.readouterr()
+
+    _, calls = tracer.self_times()
+    for name in (
+        "modules.hom_module",
+        "modules.is_projective",
+        "modules.free_cover",
+        "modules.kernel_of",
+        "modules.projective_dimension",
+        "modules.GradedModule.validate",
+        "intlin.solve_left",
+        "intlin.left_kernel",
+        "intlin.hnf",
+        "intlin.group_invariants",
+        "intlin.mat_mul",
+        "serialize.load_json",
+        "serialize.ring_from_dict",
+        "serialize.module_from_dict",
+        "cli.main",
+    ):
+        assert calls.get(name, 0) > 0, name
+    for name in ("intlin.cells", "intlin.Lattice.add"):
+        assert tracer.counts.get(name, 0) > 0, name
