@@ -1,14 +1,20 @@
 """Exact integer linear algebra on row vectors.
 
 Everything here works over Z with arbitrary-precision ints; there is no
-floating point anywhere.  Matrices are lists of row lists, and the number
-of columns is always passed explicitly so that empty matrices keep their
-shape.  The convention throughout the package is that maps act on row
-vectors from the right: v |-> v * A.
+floating point anywhere.  A matrix is a list of rows.  A row is either a
+dense list (or tuple) of ints or a sparse dict {column: value}; a sparse
+row given as input may hold zero entries, but none is ever stored.  The
+number of columns is always passed explicitly so that empty matrices keep
+their shape.  `Lattice` keeps its echelon rows sparse, so elimination
+costs scale with the nonzero entries; `Lattice.basis()`, `hnf` and
+`left_kernel` return dense rows, the canonical HNF.  The convention
+throughout the package is that maps act on row vectors from the right:
+v |-> v * A.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 
 
@@ -27,9 +33,28 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+def _sparse(vec, n: int) -> dict[int, int]:
+    """A fresh {column: value} copy of a dense or dict row, without zeros."""
+    if isinstance(vec, dict):
+        return {j: c for j, c in vec.items() if c}
+    assert len(vec) == n
+    return {j: c for j, c in enumerate(vec) if c}
+
+
+def _axpy(vec: dict, q: int, row: dict) -> None:
+    # vec += q * row in place, for q != 0, dropping the entries that cancel.
+    for j, c in row.items():
+        v = vec.get(j, 0) + q * c
+        if v:
+            vec[j] = v
+        else:
+            del vec[j]
+
+
 class Lattice:
     """A subgroup of Z^n stored as an integer row-echelon basis.
 
+    Rows are kept sparse, as {column: value} dicts with no zero entries.
     Pivots are the leftmost nonzero entries, one per row, in strictly
     increasing column order.  `add` keeps the echelon shape using gcd row
     operations, so membership tests and reductions are exact.
@@ -39,59 +64,82 @@ class Lattice:
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[list[int]] = []
+        self.rows: list[dict[int, int]] = []
         self.pivot_col: list[int] = []
 
     def copy(self) -> "Lattice":
         other = object.__new__(Lattice)
         other.n = self.n
-        other.rows = [row[:] for row in self.rows]
+        other.rows = [dict(row) for row in self.rows]
         other.pivot_col = self.pivot_col[:]
         return other
 
     def add(self, vec0) -> None:
-        assert len(vec0) == self.n
-        vec = list(vec0)
+        vec = _sparse(vec0, self.n)
         rows, piv = self.rows, self.pivot_col
-        i = 0
-        for j in range(self.n):
-            if not vec[j]:
-                continue
-            while i < len(rows) and piv[i] < j:
-                i += 1
-            if i == len(rows) or piv[i] > j:
+        while vec:
+            j = min(vec)
+            i = bisect_left(piv, j)
+            if i == len(piv) or piv[i] != j:
                 rows.insert(i, vec)
                 piv.insert(i, j)
                 return
             row = rows[i]
             a, b = row[j], vec[j]
             if b % a == 0:
-                q = b // a
-                for jj in range(j, self.n):
-                    vec[jj] -= q * row[jj]
+                _axpy(vec, -(b // a), row)
             else:
                 x, y, g = xgcd(a, b)
                 ag, mbg = a // g, -(b // g)
-                for jj in range(j, self.n):
-                    aa, bb = row[jj], vec[jj]
-                    row[jj] = x * aa + y * bb
-                    vec[jj] = mbg * aa + ag * bb
+                new_row, new_vec = {}, {}
+                for jj in row.keys() | vec.keys():
+                    aa, bb = row.get(jj, 0), vec.get(jj, 0)
+                    c = x * aa + y * bb
+                    if c:
+                        new_row[jj] = c
+                    c = mbg * aa + ag * bb
+                    if c:
+                        new_vec[jj] = c
+                rows[i] = new_row
+                vec = new_vec
         # vec reduced to zero: nothing new.
 
-    def reduce(self, vec0) -> list[int]:
-        """Subtract row multiples to shrink vec; the residue is zero iff
-        vec is in the lattice."""
-        vec = list(vec0)
+    def reduce(self, vec0) -> dict[int, int]:
+        """Subtract row multiples to shrink vec; the sparse residue is empty
+        iff vec is in the lattice."""
+        vec = _sparse(vec0, self.n)
         for row, j in zip(self.rows, self.pivot_col):
-            if vec[j] % row[j] == 0:
-                q = vec[j] // row[j]
-                if q:
-                    for jj in range(j, self.n):
-                        vec[jj] -= q * row[jj]
+            if not vec:
+                break
+            b = vec.get(j)
+            if b and b % row[j] == 0:
+                _axpy(vec, -(b // row[j]), row)
         return vec
 
     def __contains__(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
+
+    def coordinates(self, vec0) -> list[int] | None:
+        """The x with x * rows == vec over this lattice's own echelon rows,
+        or None if vec is not in the lattice.
+
+        The rows are independent, so x is unique, and back-substitution
+        along the pivots finds it: each pivot entry of what is left of vec
+        fixes one coefficient.
+        """
+        vec = _sparse(vec0, self.n)
+        coords = [0] * len(self.rows)
+        for i, (row, j) in enumerate(zip(self.rows, self.pivot_col)):
+            if not vec:
+                break
+            b = vec.get(j)
+            if b:
+                q, r = divmod(b, row[j])
+                if r:
+                    return None
+                coords[i] = q
+                _axpy(vec, -q, row)
+        return None if vec else coords
 
     def canonicalize(self) -> None:
         """Make the basis the unique HNF: positive pivots, entries above a
@@ -106,16 +154,21 @@ class Lattice:
             row = rows[i]
             j = piv[i]
             if row[j] < 0:
-                rows[i] = row = [-x for x in row]
-            for ii in range(i):
-                q = rows[ii][j] // row[j]
+                rows[i] = row = {jj: -c for jj, c in row.items()}
+            for upper in rows[:i]:
+                q = upper.get(j, 0) // row[j]
                 if q:
-                    upper = rows[ii]
-                    for jj in range(j, self.n):
-                        upper[jj] -= q * row[jj]
+                    _axpy(upper, -q, row)
 
     def basis(self) -> list[list[int]]:
-        return [row[:] for row in self.rows]
+        """The echelon rows as dense lists (the HNF after `canonicalize`)."""
+        out = []
+        for row in self.rows:
+            dense = [0] * self.n
+            for j, c in row.items():
+                dense[j] = c
+            out.append(dense)
+        return out
 
     @property
     def rank(self) -> int:
@@ -137,8 +190,7 @@ def _augmented_echelon(rows, ncols: int) -> Lattice:
     m = len(rows)
     lat = Lattice(ncols + m)
     for i, row in enumerate(rows):
-        assert len(row) == ncols
-        aug = list(row) + [0] * m
+        aug = _sparse(row, ncols)
         aug[ncols + i] = 1
         lat.add(aug)
     return lat
@@ -147,28 +199,30 @@ def _augmented_echelon(rows, ncols: int) -> Lattice:
 def left_kernel(rows, ncols: int) -> list[list[int]]:
     """Basis of {x : x * A == 0}, in HNF."""
     lat = _augmented_echelon(rows, ncols)
-    m = len(rows)
-    ker = [row[ncols:] for row, j in zip(lat.rows, lat.pivot_col) if j >= ncols]
-    return hnf(ker, m)
+    ker = [
+        {jj - ncols: c for jj, c in row.items()}
+        for row, j in zip(lat.rows, lat.pivot_col)
+        if j >= ncols
+    ]
+    return hnf(ker, len(rows))
 
 
 def solve_left(rows, ncols: int, target) -> list[int] | None:
     """Some x with x * A == target, or None if no integer solution exists."""
-    assert len(target) == ncols
-    m = len(rows)
     lat = _augmented_echelon(rows, ncols)
-    vec = list(target) + [0] * m
+    vec = _sparse(target, ncols)
     for row, j in zip(lat.rows, lat.pivot_col):
         if j >= ncols:
             break
-        if vec[j] % row[j] == 0:
-            q = vec[j] // row[j]
-            if q:
-                for jj in range(j, ncols + m):
-                    vec[jj] -= q * row[jj]
-    if any(vec[:ncols]):
-        return None
-    return [-x for x in vec[ncols:]]
+        b = vec.get(j)
+        if b and b % row[j] == 0:
+            _axpy(vec, -(b // row[j]), row)
+    x = [0] * len(rows)
+    for j, c in vec.items():
+        if j < ncols:
+            return None
+        x[j - ncols] = -c
+    return x
 
 
 def snf_diagonal(rows, ncols: int) -> list[int]:

@@ -359,7 +359,7 @@ class HomGroup:
         """Integer coordinates of a map over `maps`, or None if the map
         is not a module map M -> N at all."""
         vec = _map_to_vector(f, self._var_off, self._nvars)
-        return solve_left(self._lattice, self._nvars, vec)
+        return _echelon_lattice(self._lattice, self._nvars).coordinates(vec)
 
 
 class _MapSystem:
@@ -398,24 +398,21 @@ class _MapSystem:
         for fb, (x, y, _) in enumerate(M.ring.flat):
             for e in (0, 1):
                 sx, sy = (x, e), (y, e)
-                gmx, gnx = M.ngens(sx), N.ngens(sx)
+                gnx = N.ngens(sx)
                 gmy, gny = M.ngens(sy), N.ngens(sy)
                 amat = M.act[(fb, e)]  # gmy x gmx
                 nmat = N.act[(fb, e)]  # gny x gnx
+                # the nonzero entries of each column of nmat
+                ncol = [[(qq, row[q]) for qq, row in enumerate(nmat) if row[q]] for q in range(gnx)]
                 for gy in range(gmy):
+                    arow = [(p, c) for p, c in enumerate(amat[gy]) if c]
+                    ybase = self.var_off[sy] + gy * gny
                     exprs = []
                     for q in range(gnx):
-                        expr = {}
-                        for p in range(gmx):
-                            c = amat[gy][p]
-                            if c:
-                                key = self.var_off[sx] + p * gnx + q
-                                expr[key] = expr.get(key, 0) + c
-                        for qq in range(gny):
-                            c = nmat[qq][q]
-                            if c:
-                                key = self.var_off[sy] + gy * gny + qq
-                                expr[key] = expr.get(key, 0) - c
+                        expr = {self.var_off[sx] + p * gnx + q: c for p, c in arow}
+                        for qq, c in ncol[q]:
+                            key = ybase + qq
+                            expr[key] = expr.get(key, 0) - c
                         exprs.append(expr)
                     self.add(exprs, N.rels[sx])
 
@@ -426,19 +423,21 @@ class _MapSystem:
         self.equations.extend(exprs)
 
     def rows(self) -> list:
-        """Dense matrix: one row per variable, then the slack rows."""
-        neq = len(self.equations)
-        rows = [[0] * neq for _ in range(self.nvars)]
+        """Sparse matrix: one row per variable, then the slack rows.
+
+        Each row is a dict {equation index: coefficient} over the
+        len(self.equations) columns and holds no zero entry; the
+        commutation equations can cancel a variable to an explicit zero
+        (on the unit, say), which is dropped here.
+        """
+        rows = [{} for _ in range(self.nvars)]
         for idx, expr in enumerate(self.equations):
             for v, c in expr.items():
-                rows[v][idx] = c
+                if c:
+                    rows[v][idx] = c
         for base, rel in self.slack_blocks:
             for rrow in rel:
-                srow = [0] * neq
-                for q, c in enumerate(rrow):
-                    if c:
-                        srow[base + q] = c
-                rows.append(srow)
+                rows.append({base + q: c for q, c in enumerate(rrow) if c})
         return rows
 
 
@@ -448,11 +447,33 @@ def _kernel_head(rows, ncols: int, keep: int) -> list:
     return hnf([k[:keep] for k in left_kernel(rows, ncols)], keep)
 
 
-def _coordinates(basis, ncols: int, rows, what: str) -> list:
-    """Coordinates of each row over `basis`; every row must lie in its span."""
+def _echelon_lattice(basis, ncols: int) -> Lattice:
+    """The lattice whose own rows are exactly the rows of `basis`.
+
+    `basis` must be in row-echelon form, as every HNF from `_kernel_head`
+    is; otherwise `add` would rewrite its rows, and coordinates over the
+    lattice would not be coordinates over `basis`, so that raises.
+    """
+    lat = Lattice(ncols)
+    for row in basis:
+        lat.add(row)
+    # adding echelon rows in order leaves each one untouched
+    assert lat.basis() == basis, "coordinates need an echelon basis"
+    return lat
+
+
+def _coordinates(lat: Lattice, rows, what: str) -> list:
+    """Coordinates of each row over the rows of `lat`, which must come from
+    `_echelon_lattice`; every row must lie in its span.
+
+    The basis is echelon, so its rows are independent and the coordinates
+    of a row are unique: back-substitution along the pivots
+    (`Lattice.coordinates`) finds them without any elimination, and one
+    lattice serves every row.
+    """
     coords = []
     for row in rows:
-        c = solve_left(basis, ncols, row)
+        c = lat.coordinates(row)
         assert c is not None, what
         coords.append(c)
     return coords
@@ -497,12 +518,10 @@ def hom_module(M: GradedModule, N: GradedModule) -> HomGroup:
         off = var_off[s]
         for p in range(gm):
             for rrow in N.rels[s]:
-                vec = [0] * nvars
-                for q in range(gn):
-                    vec[off + p * gn + q] = rrow[q]
-                null_vecs.append(vec)
+                null_vecs.append({off + p * gn + q: c for q, c in enumerate(rrow) if c})
 
-    coords = _coordinates(sols, nvars, null_vecs, "null map outside the solution lattice")
+    lat = _echelon_lattice(sols, nvars)
+    coords = _coordinates(lat, null_vecs, "null map outside the solution lattice")
     free, tors = group_invariants(coords, len(sols))
     maps = [_vector_to_map(M, N, v, var_off) for v in sols]
     return HomGroup(AbInvariants(free, tors), maps, sols, var_off, nvars)
@@ -578,39 +597,37 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
             raise ValueError("order must permute the generator list")
         listed = [listed[i] for i in order]
 
-    def fresh_lattices():
-        # copies, since engulf grows them
-        return {s: module.relation_lattice(s).copy() for s in module.slots}
+    def images(entry, slot):
+        # the images at `slot` of the Yoneda entry on generator p of s
+        (x0, e0), p = entry
+        w, e = slot
+        if e != e0:
+            return
+        for fu in range(len(ring.basis[(w, x0)])):
+            yield module.act[(ring.offset[(w, x0)] + fu, e0)][p]
 
-    def engulf(covered, s, p):
-        x0, e0 = s
-        for w in ring.objects:
-            tgt = (w, e0)
-            for fu in range(len(ring.basis[(w, x0)])):
-                fb = ring.offset[(w, x0)] + fu
-                covered[tgt].add(list(module.act[(fb, e0)][p]))
-
-    covered = fresh_lattices()
+    # copies, since the scan grows them
+    covered = {s: module.relation_lattice(s).copy() for s in module.slots}
     chosen = []
     for (s, p) in listed:
-        vec = [0] * module.ngens(s)
-        vec[p] = 1
-        if vec in covered[s]:
+        if {p: 1} in covered[s]:
             continue
         chosen.append((s, p))
-        engulf(covered, s, p)
+        for w in ring.objects:
+            slot = (w, s[1])
+            for row in images((s, p), slot):
+                covered[slot].add(row)
 
-    # prune entries covered by the others, in scan order
+    # prune entries covered by the others, in scan order; whether entry
+    # (s, p) is covered reads only the lattice at s
     i = 0
     while i < len(chosen):
-        rest = chosen[:i] + chosen[i + 1 :]
-        covered = fresh_lattices()
-        for (s, p) in rest:
-            engulf(covered, s, p)
         s, p = chosen[i]
-        vec = [0] * module.ngens(s)
-        vec[p] = 1
-        if vec in covered[s]:
+        lat = module.relation_lattice(s).copy()
+        for other in chosen[:i] + chosen[i + 1 :]:
+            for row in images(other, s):
+                lat.add(row)
+        if {p: 1} in lat:
             chosen.pop(i)
         else:
             i += 1
@@ -637,8 +654,9 @@ def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
         basis_rows[s] = _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s))
 
     gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
+    lats = {s: _echelon_lattice(basis_rows[s], M.ngens(s)) for s in M.slots}
     rels = {
-        s: _coordinates(basis_rows[s], M.ngens(s), M.rels[s], "module relations must lie in the kernel")
+        s: _coordinates(lats[s], M.rels[s], "module relations must lie in the kernel")
         for s in M.slots
     }
     act = {}
@@ -646,7 +664,7 @@ def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
         for e in (0, 1):
             n = M.ngens((x, e))
             imgs = (mat_mul([v], M.act[(fb, e)], n)[0] for v in basis_rows[(y, e)])
-            act[(fb, e)] = _coordinates(basis_rows[(x, e)], n, imgs, "kernel is not action-stable")
+            act[(fb, e)] = _coordinates(lats[(x, e)], imgs, "kernel is not action-stable")
     kernel = GradedModule(ring, gens, rels, act)
     incl = ModuleMap(kernel, M, {s: basis_rows[s] for s in M.slots})
     return kernel, incl
@@ -772,9 +790,10 @@ def _induced_matrix(d: ModuleMap, N: GradedModule, shift: int):
 
 def _cohomology(ngens_b, rels_b, g_mat, ngens_c, rels_c, f_rows):
     """ker(g)/im(f) inside the presented group (ngens_b, rels_b)."""
-    lattice = _kernel_head([*g_mat, *rels_c], ngens_c, ngens_b)
-    coords = _coordinates(lattice, ngens_b, [*f_rows, *rels_b], "image does not lie in the kernel")
-    free, tors = group_invariants(coords, len(lattice))
+    basis = _kernel_head([*g_mat, *rels_c], ngens_c, ngens_b)
+    lat = _echelon_lattice(basis, ngens_b)
+    coords = _coordinates(lat, [*f_rows, *rels_b], "image does not lie in the kernel")
+    free, tors = group_invariants(coords, len(basis))
     return AbInvariants(free, tors)
 
 
@@ -830,8 +849,15 @@ def is_projective(module: GradedModule) -> bool:
     for s in module.slots:
         if module.value_invariants(s).torsion:
             return False
-    cover = free_cover(module)
-    M, F = module, cover.source
+    system, targets = _section_system(free_cover(module))
+    return solve_left(system.rows(), len(targets), targets) is not None
+
+
+def _section_system(cover: ModuleMap) -> tuple[_MapSystem, list]:
+    """The system, with its target row, whose solutions x (x * rows() ==
+    targets) are the sections sigma of `cover`: module maps M -> F with
+    sigma then cover equal to the identity of M."""
+    M, F = cover.target, cover.source
     # sigma: M -> F is a module map into a free module, so no slack rows
     system = _MapSystem(M, F)
     targets = [0] * len(system.equations)
@@ -851,8 +877,7 @@ def is_projective(module: GradedModule) -> bool:
                 exprs.append(expr)
                 targets.append(1 if p == q else 0)
             system.add(exprs, M.rels[s])
-
-    return solve_left(system.rows(), len(targets), targets) is not None
+    return system, targets
 
 
 def projective_dimension(module: GradedModule, cap: int):

@@ -121,6 +121,13 @@ def presentation_from_dict(data: dict) -> Presentation:
         )
         for rec in data["relations"]
     ]
+    for rel in rels:
+        for side in rel.sides:
+            for _, word in side:
+                if any(type(gi) is not int or not 0 <= gi < len(gens) for gi in word):
+                    raise FormatError(
+                        f"relation {rel.tag}: word {list(word)} names an unknown generator"
+                    )
     p = Presentation(data["group_order"], gens, rels, data.get("family_counts"))
     if list(p.objects) != data["objects"]:
         raise FormatError("object list does not match the group order")
@@ -265,6 +272,17 @@ def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
     }
 
 
+def _integer_rows(rows, what: str) -> tuple:
+    """Rows of JSON integers as a tuple of tuples; an entry that is not an
+    integer (a string, a float or a bool) raises FormatError."""
+    out = tuple(tuple(r) for r in rows)
+    for row in out:
+        for x in row:
+            if type(x) is not int:
+                raise FormatError(f"{what} has a non-integer entry {x!r}")
+    return out
+
+
 def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedModule:
     _expect(data, "module")
     if data.get("ring_hash") != ring_hash:
@@ -281,12 +299,12 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
             if slot not in slots or slot in gens:
                 raise FormatError(f"value record for an unknown or repeated slot {slot}")
             gens[slot] = tuple(rec["generators"])
-            rels[slot] = tuple(tuple(r) for r in rec["relations"])
+            rels[slot] = _integer_rows(rec["relations"], f"relation at slot {slot}")
         for rec in data["actions"]:
             key = (rec["basis"], rec["degree"])
             if key not in keys or key in act:
                 raise FormatError(f"action record for an unknown or repeated (basis, degree) {key}")
-            act[key] = tuple(tuple(r) for r in rec["matrix"])
+            act[key] = _integer_rows(rec["matrix"], f"action matrix of (basis, degree) {key}")
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from exc
     except TypeError as exc:

@@ -4,6 +4,10 @@ These deliberately avoid the library's completion engine and module
 machinery: the ring oracle is a plain single-pass enumeration and
 elimination at a fixed bound, and the abelian-group oracles work by
 enumerating elements and counting, never by Smith reduction.
+
+The last two sections keep slow predecessors of fast paths instead: the
+dense integer echelon that `catring.intlin` replaced with sparse rows,
+and the quadratic prune of `catring.modules.free_cover`.
 """
 
 from __future__ import annotations
@@ -356,3 +360,205 @@ def merge_two(x, y):
     free = x[0] + y[0]
     _, chain = merge_cyclic(*(list(x[1]) + list(y[1])))
     return free, chain
+
+
+# -- the dense integer echelon -----------------------------------------
+#
+# The row-echelon engine `catring.intlin` used before its rows went
+# sparse: every row a full list, every step a pass over all columns.  It
+# makes the same leftmost-pivot gcd steps, so the sparse engine must give
+# the same HNF, the same left kernel and the same solvability.
+
+
+class DenseLattice:
+    """A subgroup of Z^n as a dense integer row-echelon basis."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = []
+        self.pivot_col = []
+
+    def add(self, vec0):
+        assert len(vec0) == self.n
+        vec = list(vec0)
+        rows, piv = self.rows, self.pivot_col
+        i = 0
+        for j in range(self.n):
+            if not vec[j]:
+                continue
+            while i < len(rows) and piv[i] < j:
+                i += 1
+            if i == len(rows) or piv[i] > j:
+                rows.insert(i, vec)
+                piv.insert(i, j)
+                return
+            row = rows[i]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                q = b // a
+                for jj in range(j, self.n):
+                    vec[jj] -= q * row[jj]
+            else:
+                x, y, g = _xgcd(a, b)
+                ag, mbg = a // g, -(b // g)
+                for jj in range(j, self.n):
+                    aa, bb = row[jj], vec[jj]
+                    row[jj] = x * aa + y * bb
+                    vec[jj] = mbg * aa + ag * bb
+
+    def reduce(self, vec0):
+        vec = list(vec0)
+        for row, j in zip(self.rows, self.pivot_col):
+            if vec[j] % row[j] == 0:
+                q = vec[j] // row[j]
+                if q:
+                    for jj in range(j, self.n):
+                        vec[jj] -= q * row[jj]
+        return vec
+
+    def __contains__(self, vec):
+        return not any(self.reduce(vec))
+
+    def canonicalize(self):
+        rows, piv = self.rows, self.pivot_col
+        for i in range(len(rows)):
+            row = rows[i]
+            j = piv[i]
+            if row[j] < 0:
+                rows[i] = row = [-x for x in row]
+            for ii in range(i):
+                q = rows[ii][j] // row[j]
+                if q:
+                    upper = rows[ii]
+                    for jj in range(j, self.n):
+                        upper[jj] -= q * row[jj]
+
+
+def dense_hnf(rows, ncols):
+    lat = DenseLattice(ncols)
+    for row in rows:
+        lat.add(row)
+    lat.canonicalize()
+    return [row[:] for row in lat.rows]
+
+
+def _dense_augmented_echelon(rows, ncols):
+    m = len(rows)
+    lat = DenseLattice(ncols + m)
+    for i, row in enumerate(rows):
+        assert len(row) == ncols
+        aug = list(row) + [0] * m
+        aug[ncols + i] = 1
+        lat.add(aug)
+    return lat
+
+
+def dense_left_kernel(rows, ncols):
+    lat = _dense_augmented_echelon(rows, ncols)
+    ker = [row[ncols:] for row, j in zip(lat.rows, lat.pivot_col) if j >= ncols]
+    return dense_hnf(ker, len(rows))
+
+
+def dense_solve_left(rows, ncols, target):
+    assert len(target) == ncols
+    m = len(rows)
+    lat = _dense_augmented_echelon(rows, ncols)
+    vec = list(target) + [0] * m
+    for row, j in zip(lat.rows, lat.pivot_col):
+        if j >= ncols:
+            break
+        if vec[j] % row[j] == 0:
+            q = vec[j] // row[j]
+            if q:
+                for jj in range(j, ncols + m):
+                    vec[jj] -= q * row[jj]
+    if any(vec[:ncols]):
+        return None
+    return [-x for x in vec[ncols:]]
+
+
+def dense_map_system_rows(system):
+    """The matrix of a `catring.modules._MapSystem`, built dense from its
+    equations and slack blocks: one row per variable, then the slack rows."""
+    neq = len(system.equations)
+    rows = [[0] * neq for _ in range(system.nvars)]
+    for idx, expr in enumerate(system.equations):
+        for v, c in expr.items():
+            rows[v][idx] = c
+    for base, rel in system.slack_blocks:
+        for rrow in rel:
+            srow = [0] * neq
+            for q, c in enumerate(rrow):
+                srow[base + q] = c
+            rows.append(srow)
+    return rows
+
+
+# -- the quadratic free-cover prune --------------------------------------
+
+
+def oracle_free_cover(module, order=None):
+    """`catring.modules.free_cover` as it first was: the prune rebuilds
+    every slot's covered lattice, on dense lattices, once per entry.
+
+    Returns the cover and the number of entries the scan chose before the
+    prune.
+    """
+    from catring.modules import FreeModule, ModuleMap
+
+    ring = module.ring
+    listed = [(s, p) for s in module.slots for p in range(module.ngens(s))]
+    if order is not None:
+        listed = [listed[i] for i in order]
+
+    def fresh_lattices():
+        covered = {}
+        for s in module.slots:
+            covered[s] = DenseLattice(module.ngens(s))
+            for row in module.rels[s]:
+                covered[s].add(row)
+        return covered
+
+    def engulf(covered, s, p):
+        x0, e0 = s
+        for w in ring.objects:
+            for fu in range(len(ring.basis[(w, x0)])):
+                fb = ring.offset[(w, x0)] + fu
+                covered[(w, e0)].add(list(module.act[(fb, e0)][p]))
+
+    def unit(s, p):
+        vec = [0] * module.ngens(s)
+        vec[p] = 1
+        return vec
+
+    covered = fresh_lattices()
+    chosen = []
+    for (s, p) in listed:
+        if unit(s, p) in covered[s]:
+            continue
+        chosen.append((s, p))
+        engulf(covered, s, p)
+
+    scanned = len(chosen)
+    i = 0
+    while i < len(chosen):
+        covered = fresh_lattices()
+        for (s, p) in chosen[:i] + chosen[i + 1 :]:
+            engulf(covered, s, p)
+        s, p = chosen[i]
+        if unit(s, p) in covered[s]:
+            chosen.pop(i)
+        else:
+            i += 1
+
+    free = FreeModule(ring, [(s[0], s[1]) for s, _ in chosen])
+    mats = {s: [[0] * module.ngens(s) for _ in range(free.ngens(s))] for s in module.slots}
+    for j, (s, p) in enumerate(chosen):
+        x0, e0 = s
+        for w in ring.objects:
+            slot = (w, e0)
+            start, size = free.block_range(slot, j)
+            for fu in range(size):
+                fb = ring.offset[(w, x0)] + fu
+                mats[slot][start + fu] = list(module.act[(fb, e0)][p])
+    return ModuleMap(free, module, mats), scanned

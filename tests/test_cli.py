@@ -315,12 +315,21 @@ def _action_out_of_range(data):
     data["actions"].append(dict(data["actions"][0], basis=len(data["actions"])))
 
 
+def _string_action_entry(data):
+    matrix = next(rec["matrix"] for rec in data["actions"] if rec["matrix"])
+    matrix[0][0] = "x"
+
+
 def _two_field_table_entry(data):
     data["table"][0] = data["table"][0][:2]
 
 
 def _arrow_form_out_of_range(data):
     data["arrow_forms"][0]["generator"] = len(data["presentation"]["generators"])
+
+
+def _relation_word_out_of_range(data):
+    data["presentation"]["relations"][0]["sides"][0][0]["word"] = [99]
 
 
 @pytest.mark.parametrize(
@@ -330,8 +339,10 @@ def _arrow_form_out_of_range(data):
         ("yoneda.json", _unknown_object),
         ("yoneda.json", _duplicate_slot),
         ("yoneda.json", _action_out_of_range),
+        ("yoneda.json", _string_action_entry),
         ("ring4.json", _two_field_table_entry),
         ("ring4.json", _arrow_form_out_of_range),
+        ("ring4.json", _relation_word_out_of_range),
     ],
 )
 def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):

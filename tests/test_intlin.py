@@ -16,6 +16,8 @@ from catring.intlin import (
     xgcd,
 )
 
+from oracles import DenseLattice, dense_hnf, dense_left_kernel, dense_solve_left
+
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
@@ -132,3 +134,83 @@ def test_identity_and_mul_shapes():
     assert mat_identity(0) == []
     assert mat_mul([], [[1]], 1) == []
     assert mat_mul([[1, 2]], [[0], [1]], 1) == [[2]]
+
+
+def sparse_matrix(rng, m, n):
+    """A random m x n matrix, mostly zeros, with small entries."""
+    density = rng.choice([0.2, 0.5, 0.9])
+    return [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+
+
+def as_dicts(rng, rows, zeros):
+    """The rows as {column: value} dicts; with `zeros`, some zero entries
+    are stored explicitly."""
+    out = []
+    for row in rows:
+        d = {j: c for j, c in enumerate(row) if c or (zeros and rng.random() < 0.5)}
+        out.append(dict(rng.sample(list(d.items()), len(d))))  # key order is no promise
+    return out
+
+
+def row_forms(rng, rows):
+    return {"dense": rows, "dict": as_dicts(rng, rows, False), "zeros": as_dicts(rng, rows, True)}
+
+
+def test_sparse_engine_matches_dense_oracle():
+    rng = random.Random(6)
+    for _ in range(150):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        rows = sparse_matrix(rng, m, n)
+        want_hnf = dense_hnf(rows, n)
+        want_ker = dense_left_kernel(rows, n)
+        coeffs = [rng.randint(-3, 3) for _ in range(m)]
+        targets = [mat_mul([coeffs], rows, n)[0]]
+        targets += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+        for form, given in row_forms(rng, rows).items():
+            assert hnf(given, n) == want_hnf, form
+            assert left_kernel(given, n) == want_ker, form
+            for target in targets:
+                for t in (target, as_dicts(rng, [target], True)[0]):
+                    x = solve_left(given, n, t)
+                    assert (x is None) == (dense_solve_left(rows, n, target) is None), form
+                    if x is not None:
+                        assert mat_mul([x], rows, n)[0] == target
+
+
+def test_lattice_membership_matches_dense_oracle():
+    rng = random.Random(7)
+    for _ in range(100):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        rows = sparse_matrix(rng, m, n)
+        dense = DenseLattice(n)
+        for row in rows:
+            dense.add(row)
+        for form, given in row_forms(rng, rows).items():
+            lat = Lattice(n)
+            for row in given:
+                lat.add(row)
+            assert lat.basis() == [r[:] for r in dense.rows], form
+            assert all(all(row.values()) for row in lat.rows), "a stored zero"
+            for _ in range(5):
+                vec = [rng.randint(-2, 2) for _ in range(n)]
+                assert (vec in lat) == (vec in dense)
+                assert (as_dicts(rng, [vec], True)[0] in lat) == (vec in dense)
+                assert (not lat.reduce(vec)) == (vec in dense)
+
+
+def test_coordinates_back_substitute_over_hnf_basis():
+    rng = random.Random(8)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        basis = dense_hnf(sparse_matrix(rng, m, n), n)
+        lat = Lattice(n)
+        for row in basis:
+            lat.add(row)
+        assert lat.basis() == basis  # echelon rows go in untouched
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+        member = mat_mul([coeffs], basis, n)[0]
+        for vec in [member] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(4)]:
+            want = dense_solve_left(basis, n, vec)
+            for given in (vec, as_dicts(rng, [vec], True)[0]):
+                assert lat.coordinates(given) == want
+        assert lat.coordinates(member) == coeffs

@@ -22,11 +22,23 @@ from catring import (
     yoneda_cyclic_quotient,
     zero_module,
 )
-from catring.intlin import mat_mul
-from catring.modules import GradedModule, compose_maps
+from catring.intlin import mat_identity, mat_mul
+from catring.modules import (
+    GradedModule,
+    _echelon_lattice,
+    _MapSystem,
+    _section_system,
+    compose_maps,
+)
 
 from corpus import build_corpus
-from oracles import oracle_ext1, oracle_hom
+from oracles import (
+    dense_map_system_rows,
+    dense_solve_left,
+    oracle_ext1,
+    oracle_free_cover,
+    oracle_hom,
+)
 
 
 def modules_equal(a, b):
@@ -406,3 +418,64 @@ def test_free_cover_leaves_relation_lattice_intact(ring4):
     assert {s: m.relation_lattice(s).basis() for s in m.slots} == before
     assert first.source.entries == second.source.entries
     assert first.mats == second.mats
+
+
+def test_is_projective_matches_dense_solve(ring1, ring2, ring4):
+    # the same section system, built dense from its equations and solved
+    # by the dense echelon, decides the same
+    rng = random.Random(23)
+    seen = set()
+    for ring in (ring1, ring2, ring4):
+        for m in build_corpus(ring, rng, size=8, max_gens=14):
+            if any(m.value_invariants(s).torsion for s in m.slots):
+                continue  # decided before any system is built
+            system, targets = _section_system(free_cover(m))
+            rows = dense_map_system_rows(system)
+            expected = dense_solve_left(rows, len(targets), targets) is not None
+            assert is_projective(m) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_map_system_rows_are_sparse_without_zeros(ring4):
+    # the unit acts as the identity on both sides of Hom(Y, Y), so its
+    # commutation equations cancel a variable to an explicit zero
+    y = yoneda(ring4, 2, 0)
+    cases = [(y, y)] + [(m, y) for m in build_corpus(ring4, random.Random(29), size=5)]
+    zeros = 0
+    for M, N in cases:
+        system = _MapSystem(M, N)
+        zeros += sum(1 for expr in system.equations for c in expr.values() if not c)
+        rows = system.rows()
+        assert all(all(row.values()) for row in rows)
+        dense = [[row.get(j, 0) for j in range(len(system.equations))] for row in rows]
+        assert dense == dense_map_system_rows(system)
+    assert zeros
+
+
+def test_free_cover_matches_quadratic_prune(ring1, ring4):
+    # Z^3 / (y - 2x - 2z): the scan keeps x, y and z, and y is pruned only
+    # because of the relation and of entries on both sides of it
+    obj = ring1.objects[0]
+    skew = GradedModule(
+        ring1, {(obj, 0): ("x", "y", "z")}, {(obj, 0): [(-2, 1, -2)]}, {(0, 0): mat_identity(3)}
+    )
+    assert free_cover(skew, [0, 1, 2]).source.entries == ((obj, 0), (obj, 0))
+    rng = random.Random(31)
+    pruned = 0
+    for m in [skew, *build_corpus(ring4, rng, size=10)]:
+        n = sum(m.ngens(s) for s in m.slots)
+        for _ in range(3):
+            order = list(range(n))
+            rng.shuffle(order)
+            fast, (slow, scanned) = free_cover(m, order), oracle_free_cover(m, order)
+            assert fast.source.entries == slow.source.entries
+            assert fast.mats == slow.mats
+            pruned += scanned - len(slow.source.entries)
+    assert pruned
+
+
+def test_coordinates_need_an_echelon_basis():
+    assert _echelon_lattice([[1, 2], [0, 3]], 2).coordinates([2, 7]) == [2, 1]
+    with pytest.raises(AssertionError, match="echelon"):
+        _echelon_lattice([[2, 0], [3, 1]], 2)

@@ -104,3 +104,22 @@ def test_content_hash_ignores_embedded_hash(ring2):
     d2 = dict(d)
     d2.pop("ring_hash")
     assert content_hash(d2) == d["ring_hash"]
+
+
+@pytest.mark.parametrize("entry", ["x", 1.0, True])
+@pytest.mark.parametrize("field", ["relations", "matrix"])
+def test_module_entries_must_be_integers(ring2, field, entry):
+    m = yoneda_cyclic_quotient(ring2, 2, 0, 1, 0)
+    data = module_to_dict(m, "h")
+    records = data["values"] if field == "relations" else data["actions"]
+    rows = next(rec[field] for rec in records if rec[field] and rec[field][0])
+    rows[0][0] = entry
+    with pytest.raises(FormatError, match="non-integer entry"):
+        module_from_dict(ring2, json.loads(json.dumps(data)), "h")
+
+
+def test_relation_word_generator_must_exist():
+    data = presentation_to_dict(build_presentation(2))
+    data["relations"][0]["sides"][0][0]["word"] = [99]
+    with pytest.raises(FormatError, match=r"word \[99\]"):
+        presentation_from_dict(data)
