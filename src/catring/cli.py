@@ -8,11 +8,14 @@ Exit codes are a stable contract, one per error class:
 
 - 0: success.
 - 1: mathematical failure.  Completion does not stabilize, a ring fails
-  verification, or a module file's content is not a valid module (it
-  fails `GradedModule.validate`); the last prints `error: <path>: <reason>`.
+  verification (a failed completion of the order-4 oracle is reported as
+  one of its named failures), or a module file's
+  content is not a valid module (it fails `GradedModule.validate`); the
+  last prints `error: <path>: <reason>`.
 - 2: usage or file error.  A file cannot be read, is malformed
   (`FormatError`) or names a different ring; a flag is out of range
-  (`--cap` < 1, `--length` < 0, `--degree` < 0, `--window` < 1).
+  (`--cap` < 1, `--length` < 0, `--degree` < 0, `--window` < 1,
+  `--max-len` < 1).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .completion import (
+    CompletionError,
     NotStabilizedError,
     complete,
     normal_form,
@@ -47,7 +51,7 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 # least value each integer flag accepts
-FLAG_MINIMUM = {"cap": 1, "length": 0, "degree": 0, "window": 1}
+FLAG_MINIMUM = {"cap": 1, "length": 0, "degree": 0, "window": 1, "max_len": 1}
 
 
 class CliError(Exception):
@@ -195,7 +199,7 @@ def cmd_ring_verify(args) -> int:
             oracle_checked = True
             if not eq.equivalent:
                 failures.extend(eq.failures)
-        except ValueError as exc:
+        except (ValueError, CompletionError) as exc:
             failures.append(f"hand-transcribed oracle comparison failed: {exc}")
     payload = {
         "ok": not failures,
@@ -416,7 +420,7 @@ def main(argv=None) -> int:
     try:
         for dest, least in FLAG_MINIMUM.items():
             if getattr(args, dest, least) < least:
-                raise CliError(f"--{dest} must be at least {least}")
+                raise CliError(f"--{dest.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

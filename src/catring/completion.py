@@ -185,7 +185,8 @@ class CategoryRing:
     monomial order, `torsion[(X, Y)]` their moduli (None for free slots).
     `table[(u, v)]`, for flat basis indices with target(u) == source(v),
     is the coefficient vector of the composite "u then v" over the basis
-    of (source(u), target(v)).
+    of (source(u), target(v)).  The table must not change once
+    `right_action` has cached rows built from it.
     """
 
     def __init__(self, presentation, basis, torsion, table, arrow_forms, stabilized_at, max_len, window):
@@ -212,6 +213,7 @@ class CategoryRing:
         self.arrow_forms = {
             gi: self.element(src, tgt, coeffs) for gi, (src, tgt, coeffs) in arrow_forms.items()
         }
+        self._right_rows: dict[int, dict[int, dict[int, int]]] = {}
 
     # -- elements ------------------------------------------------------
 
@@ -251,6 +253,25 @@ class CategoryRing:
                         out[t] += ab * c
         return self.element(x.source, y.target, out)
 
+    def right_action(self, arrow: int) -> dict[int, dict[int, int]]:
+        """Sparse rows of "then arrow", built on first use.
+
+        Maps each flat basis index u with target(u) == source(arrow) to
+        the nonzero coefficients {pos: c} of u.then(arrow) over the basis
+        of (source(u), target(arrow)).
+        """
+        rows = self._right_rows.get(arrow)
+        if rows is None:
+            form = self.arrow_forms[arrow]
+            rows = {}
+            for x in self.objects:
+                off = self.offset[(x, form.source)]
+                for pos in range(len(self.basis[(x, form.source)])):
+                    prod = self.compose(self.basis_element(x, form.source, pos), form)
+                    rows[off + pos] = {t: c for t, c in enumerate(prod.coeffs) if c}
+            self._right_rows[arrow] = rows
+        return rows
+
     # -- presentation-facing helpers ------------------------------------
 
     def rank(self, source, target) -> tuple[int, tuple[int, ...]]:
@@ -289,21 +310,20 @@ DEFAULT_MAX_LEN = 12
 DEFAULT_WINDOW = 2
 
 
-def complete(pres: Presentation, max_len: int = DEFAULT_MAX_LEN, window: int = DEFAULT_WINDOW) -> CategoryRing:
-    """Run the graded completion; deterministic in (pres, max_len, window).
+def _echelons(pres: Presentation, max_len: int):
+    """Grow the relation-instance echelon bound by bound.
 
-    Raises NotStabilizedError when the bound is exhausted (carrying the
-    rank trajectory) and InconsistentPresentationError when a unit
-    collapses.
+    Yields `(bound, spaces)` for bound = 1, ..., max_len: after each yield
+    the pair spaces hold every composable word of length at most `bound`
+    and the canonical echelon of every relation instance of padded length
+    at most `bound`.  Word ids never change once assigned, and every
+    echelon row is an integer combination of relation instances.
     """
-    if window < 1:
-        raise ValueError("window must be positive")
     pres.validate()
     gens = pres.generators
     arrows = pres.arrows
     objects = pres.objects
-    pairs = [(x, y) for x in objects for y in objects]
-    spaces = {pair: _PairSpace() for pair in pairs}
+    spaces = {(x, y): _PairSpace() for x in objects for y in objects}
 
     # words_at[len] = list of (source, target, path) in lexicographic order
     words_at: list[list[tuple[int, int, tuple]]] = [[(x, x, ()) for x in objects]]
@@ -314,9 +334,6 @@ def complete(pres: Presentation, max_len: int = DEFAULT_MAX_LEN, window: int = D
     for x in objects:
         by_len_target.setdefault((0, x), []).append((x, x, ()))
         by_len_source.setdefault((0, x), []).append((x, x, ()))
-
-    history: list[tuple] = []
-    trajectory: list[int] = []
 
     def extend_words(length: int) -> None:
         layer = []
@@ -366,7 +383,50 @@ def complete(pres: Presentation, max_len: int = DEFAULT_MAX_LEN, window: int = D
                             if row:
                                 space.insert(row)
 
-    def snapshot(bound: int):
+    for bound in range(1, max_len + 1):
+        extend_words(bound)
+        if bound == 1:
+            insert_instances(0)
+        insert_instances(bound)
+        for space in spaces.values():
+            space.canonicalize()
+        yield bound, spaces
+
+
+class _Stabilization:
+    """The stopping rule of the completion, applied after each bound.
+
+    A bound is certified when its snapshot fits the monomial model and
+    closes under products; the ring is read off once `window` consecutive
+    snapshots are certified and identical.
+    """
+
+    def __init__(self, pres: Presentation, max_len: int, window: int):
+        if window < 1:
+            raise ValueError("window must be positive")
+        self.pres = pres
+        self.max_len = max_len
+        self.window = window
+        self.pairs = [(x, y) for x in pres.objects for y in pres.objects]
+        self.history: list[tuple | None] = []
+        self.trajectory: list[int] = []
+
+    def ring_at(self, bound: int, spaces) -> CategoryRing | None:
+        """The completed ring if `bound` ends a stable window, else None."""
+        self.history.append(self._snapshot(spaces, bound))
+        tail = self.history[-self.window:]
+        if len(tail) == self.window and tail[0] is not None and all(t == tail[0] for t in tail):
+            return _build_ring(self.pres, spaces, tail[0], bound, self.max_len, self.window)
+        return None
+
+    def exhausted(self) -> NotStabilizedError:
+        return NotStabilizedError(
+            f"no stabilization for k={self.pres.group_order} within max_len={self.max_len}",
+            self.trajectory,
+        )
+
+    def _snapshot(self, spaces, bound: int):
+        pairs = self.pairs
         content = {}
         total = 0
         all_monomial = True
@@ -387,7 +447,7 @@ def complete(pres: Presentation, max_len: int = DEFAULT_MAX_LEN, window: int = D
             ]
             content[pair] = kept
             total += len(kept)
-        trajectory.append(total)
+        self.trajectory.append(total)
         if not all_monomial:
             return None
 
@@ -415,21 +475,64 @@ def complete(pres: Presentation, max_len: int = DEFAULT_MAX_LEN, window: int = D
         return (tuple(sorted((pair, tuple(kept)) for pair, kept in content.items())),
                 tuple(sorted(table.items())))
 
-    for bound in range(1, max_len + 1):
-        extend_words(bound)
-        if bound == 1:
-            insert_instances(0)
-        insert_instances(bound)
-        for space in spaces.values():
-            space.canonicalize()
-        history.append(snapshot(bound))
-        tail = history[-window:]
-        if len(tail) == window and tail[0] is not None and all(t == tail[0] for t in tail):
-            return _build_ring(pres, spaces, tail[0], bound, max_len, window)
 
-    raise NotStabilizedError(
-        f"no stabilization for k={pres.group_order} within max_len={max_len}", trajectory
-    )
+def complete(pres: Presentation, max_len: int = DEFAULT_MAX_LEN, window: int = DEFAULT_WINDOW) -> CategoryRing:
+    """Run the graded completion; deterministic in (pres, max_len, window).
+
+    Raises NotStabilizedError when the bound is exhausted (carrying the
+    rank trajectory) and InconsistentPresentationError when a unit
+    collapses.
+    """
+    rule = _Stabilization(pres, max_len, window)
+    for bound, spaces in _echelons(pres, max_len):
+        ring = rule.ring_at(bound, spaces)
+        if ring is not None:
+            return ring
+    raise rule.exhausted()
+
+
+def certify_or_complete(
+    pres: Presentation, combinations, max_len: int = DEFAULT_MAX_LEN, window: int = DEFAULT_WINDOW
+) -> CategoryRing | None:
+    """Certify combinations as members of the relation ideal, or complete.
+
+    Each combination is `(source, target, terms)` with `terms` a tuple of
+    (coefficient, word) pairs over `pres`, all words running source ->
+    target.  The relation-instance echelon of `pres` is grown bound by
+    bound.  A combination is certified at the first bound where it
+    reduces to zero against that echelon; the echelon only grows, so it
+    stays certified.  Returns None at the first bound where every
+    combination is certified.  If instead the completion's stopping rule
+    is met first, on the same echelon, returns the completed ring, exactly
+    as `complete(pres, max_len, window)` would; if neither happens within
+    `max_len`, raises as `complete` does.
+    """
+    pending = []
+    for source, target, terms in combinations:
+        vec: dict[tuple, int] = {}
+        for c, w in terms:
+            vec[w] = vec.get(w, 0) + c
+        vec = {w: c for w, c in vec.items() if c}
+        if vec:
+            pending.append(((source, target), vec, max(len(w) for w in vec)))
+    if not pending:
+        return None
+    rule = _Stabilization(pres, max_len, window)
+    for bound, spaces in _echelons(pres, max_len):
+        left = []
+        for pair, vec, longest in pending:
+            if longest <= bound:
+                space = spaces[pair]
+                if not space.reduce({space.ids[w]: c for w, c in vec.items()}):
+                    continue
+            left.append((pair, vec, longest))
+        pending = left
+        if not pending:
+            return None
+        ring = rule.ring_at(bound, spaces)
+        if ring is not None:
+            return ring
+    raise rule.exhausted()
 
 
 def _build_ring(pres, spaces, snap, bound, max_len, window):
@@ -493,7 +596,7 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
     if source is not None and source != src or target is not None and target != tgt:
         raise ValueError(f"declared endpoints ({source},{target}) do not match words ({src},{tgt})")
 
-    acc = ring.zero(src, tgt)
+    acc = [0] * len(ring.basis[(src, tgt)])
     for c, w in data:
         stripped = []
         cur = src
@@ -501,17 +604,36 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
             g = pres.generators[gi]
             if g.source != cur:
                 raise ValueError(f"word {w} is not composable")
-            cur = g.target
             if g.kind != IDENTITY:
-                stripped.append(gi)
+                stripped.append((gi, cur, g.target))
+            cur = g.target
         if cur != tgt:
             raise ValueError("summands are not parallel")
-        elem = ring.unit(src)
-        for gi in stripped:
-            elem = elem.then(ring.arrow_forms[gi])
-        coeffs = [c * v for v in elem.coeffs]
-        acc = acc + ring.element(src, tgt, coeffs)
-    return acc
+        # one sparse vector x right-action product per letter, reduced into
+        # the torsion slots after each letter as composition does
+        vec = _reduced(ring.torsion[(src, src)], {ring.unit_pos[src]: 1})
+        for gi, mid, end in stripped:
+            rows = ring.right_action(gi)
+            off = ring.offset[(src, mid)]
+            out: dict[int, int] = {}
+            for pos, a in vec.items():
+                for t, b in rows[off + pos].items():
+                    out[t] = out.get(t, 0) + a * b
+            vec = _reduced(ring.torsion[(src, end)], out)
+        for pos, v in vec.items():
+            acc[pos] += c * v
+    return ring.element(src, tgt, acc)
+
+
+def _reduced(mods: list, vec: dict[int, int]) -> dict[int, int]:
+    """Nonzero entries of a sparse vector, torsion slots reduced mod d."""
+    out = {}
+    for pos, v in vec.items():
+        if mods[pos]:
+            v %= mods[pos]
+        if v:
+            out[pos] = v
+    return out
 
 
 @dataclass
@@ -539,13 +661,14 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     gens = pres.generators
     arrows = pres.arrows
     failures = []
+    outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
 
     def random_word(start):
         length = rng.randint(0, max_len)
         path = []
         cur = start
         for _ in range(length):
-            options = [a for a in arrows if gens[a].source == cur]
+            options = outgoing[cur]
             if not options:
                 break
             a = rng.choice(options)

@@ -472,11 +472,26 @@ def presentations_equivalent(
 
     The generator sets must match bijectively by kind and subgroup data
     (otherwise ValueError).  Under that bijection, every relation of p
-    must reduce to zero in the completed ring of q and vice versa;
-    failures are listed in the report.  Pre-completed rings can be passed
-    to avoid recomputing them.
+    must hold in the ring presented by q and vice versa; failures are
+    listed in the report, p's relations first.
+
+    Where the ring of the receiving presentation is passed in, each
+    relation is checked by comparing normal forms in it.  Otherwise
+    `completion.certify_or_complete` grows the receiving presentation's
+    relation-instance echelon bound by bound up to `max_len`, and the
+    direction passes at the first bound where every translated relation
+    reduces to zero against it.  This is sound: each echelon row is an
+    integer combination of padded relation instances, so a relation that
+    reduces to zero lies in the two-sided ideal they generate.  When no
+    bound certifies every relation, the receiving presentation's
+    completion is used instead (its stopping rule runs on the same
+    echelon, so the fallback costs no more than `complete`, and raises
+    as `complete` does) and normal forms are compared, which lists the
+    same failures in the same order as comparing normal forms
+    throughout.  A presentation whose completion never stabilizes can
+    therefore still be certified to contain the other's relations.
     """
-    from .completion import complete, normal_form
+    from .completion import certify_or_complete, normal_form
 
     key_p = {(g.kind, g.H, g.L) for g in p.generators}
     key_q = {(g.kind, g.H, g.L) for g in q.generators}
@@ -485,25 +500,27 @@ def presentations_equivalent(
         extra = sorted(key_p - key_q)
         raise ValueError(f"generator sets are not bijective: missing={missing} extra={extra}")
 
-    if ring_p is None:
-        ring_p = complete(p, max_len=max_len, window=window)
-    if ring_q is None:
-        ring_q = complete(q, max_len=max_len, window=window)
-
     failures: list[str] = []
 
     def check(src_pres, dst_pres, dst_ring, direction):
         translate = {i: dst_pres.gen(g.kind, g.H, g.L) for i, g in enumerate(src_pres.generators)}
-        for rel in src_pres.relations:
-            forms = []
-            for side in rel.sides:
-                moved = tuple((c, tuple(translate[gi] for gi in w)) for c, w in side)
-                forms.append(normal_form(dst_ring, moved, source=rel.source, target=rel.target))
-            base = forms[0]
-            for other in forms[1:]:
-                if other != base:
-                    failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
-                    break
+        moved = [
+            (rel, [tuple((c, tuple(translate[gi] for gi in w)) for c, w in side) for side in rel.sides])
+            for rel in src_pres.relations
+        ]
+        if dst_ring is None:
+            differences = [
+                (rel.source, rel.target, sides[0] + tuple((-c, w) for c, w in other))
+                for rel, sides in moved
+                for other in sides[1:]
+            ]
+            dst_ring = certify_or_complete(dst_pres, differences, max_len, window)
+            if dst_ring is None:
+                return
+        for rel, sides in moved:
+            forms = [normal_form(dst_ring, side, source=rel.source, target=rel.target) for side in sides]
+            if any(other != forms[0] for other in forms[1:]):
+                failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
 
     check(p, q, ring_q, "left-in-right")
     check(q, p, ring_p, "right-in-left")

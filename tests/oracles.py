@@ -5,9 +5,11 @@ machinery: the ring oracle is a plain single-pass enumeration and
 elimination at a fixed bound, and the abelian-group oracles work by
 enumerating elements and counting, never by Smith reduction.
 
-The last two sections keep slow predecessors of fast paths instead: the
+The last sections keep slow predecessors of fast paths instead: the
 dense integer echelon that `catring.intlin` replaced with sparse rows,
-and the quadratic prune of `catring.modules.free_cover`.
+the quadratic prune of `catring.modules.free_cover`, normal forms by
+chained composition, and presentation equivalence by completing both
+presentations.
 """
 
 from __future__ import annotations
@@ -562,3 +564,83 @@ def oracle_free_cover(module, order=None):
                 fb = ring.offset[(w, x0)] + fu
                 mats[slot][start + fu] = list(module.act[(fb, e0)][p])
     return ModuleMap(free, module, mats), scanned
+
+
+# -- normal forms and equivalence through completed rings ----------------
+
+
+def chained_normal_form(ring, data, source=None, target=None):
+    """`catring.completion.normal_form` as it first was: every word's
+    normal form is rebuilt by composing the arrow normal forms one letter
+    at a time, and the summands are added as ring elements."""
+    pres = ring.presentation
+    if data and isinstance(data[0], int):
+        data = ((1, tuple(data)),)
+    elif data == ():
+        data = ((1, ()),)
+
+    endpoints = None
+    for _, w in data:
+        stripped = tuple(gi for gi in w if pres.generators[gi].kind != "identity")
+        if stripped:
+            endpoints = pres.word_endpoints(stripped)
+            break
+    if endpoints is None:
+        if source is None:
+            raise ValueError("combination of identity words needs a source object")
+        endpoints = (source, target if target is not None else source)
+    src, tgt = endpoints
+    if source is not None and source != src or target is not None and target != tgt:
+        raise ValueError(f"declared endpoints ({source},{target}) do not match words ({src},{tgt})")
+
+    acc = ring.zero(src, tgt)
+    for c, w in data:
+        stripped = []
+        cur = src
+        for gi in w:
+            g = pres.generators[gi]
+            if g.source != cur:
+                raise ValueError(f"word {w} is not composable")
+            cur = g.target
+            if g.kind != "identity":
+                stripped.append(gi)
+        if cur != tgt:
+            raise ValueError("summands are not parallel")
+        elem = ring.unit(src)
+        for gi in stripped:
+            elem = elem.then(ring.arrow_forms[gi])
+        acc = acc + ring.element(src, tgt, [c * v for v in elem.coeffs])
+    return acc
+
+
+def completing_presentations_equivalent(p, q, *, max_len=12, window=2, ring_p=None, ring_q=None):
+    """`catring.presentations_equivalent` as it first was: both
+    presentations are completed (unless their rings are passed in) and
+    every translated relation is compared by chained normal forms."""
+    from catring import complete
+    from catring.presentation import EquivalenceReport
+
+    key_p = {(g.kind, g.H, g.L) for g in p.generators}
+    key_q = {(g.kind, g.H, g.L) for g in q.generators}
+    if key_p != key_q:
+        raise ValueError("generator sets are not bijective")
+    if ring_p is None:
+        ring_p = complete(p, max_len=max_len, window=window)
+    if ring_q is None:
+        ring_q = complete(q, max_len=max_len, window=window)
+
+    failures = []
+
+    def check(src_pres, dst_pres, dst_ring, direction):
+        translate = {i: dst_pres.gen(g.kind, g.H, g.L) for i, g in enumerate(src_pres.generators)}
+        for rel in src_pres.relations:
+            forms = []
+            for side in rel.sides:
+                moved = tuple((c, tuple(translate[gi] for gi in w)) for c, w in side)
+                forms.append(chained_normal_form(dst_ring, moved, source=rel.source, target=rel.target))
+            if any(other != forms[0] for other in forms[1:]):
+                failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
+
+    check(p, q, ring_q, "left-in-right")
+    check(q, p, ring_p, "right-in-left")
+    return EquivalenceReport(not failures, failures)

@@ -86,6 +86,27 @@ def test_ring_verify_k2_skips_oracle(tmp_path, capsys):
     assert "hand-transcribed" not in out
 
 
+def test_ring_verify_reports_unstabilized_oracle(workdir, capsys):
+    # below bound 4 the oracle's relations are not certified, and its
+    # completion cannot stabilize: a named failure, not a traceback
+    code, out, err = run_cli(["ring", "verify", str(workdir / "ring4.json"), "--max-len", "3"], capsys)
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "verify: FAILED",
+        "  failure: hand-transcribed oracle comparison failed: "
+        "no stabilization for k=4 within max_len=3; rank trajectory [11, 20, 22]",
+    ]
+    assert "hand-transcribed order-4 presentation" not in out
+    assert err == ""
+
+
+def test_ring_verify_oracle_needs_no_stabilization_window(workdir, capsys):
+    # the certificate settles the comparison without completing the oracle
+    code, out, _ = run_cli(["ring", "verify", str(workdir / "ring4.json"), "--window", "9"], capsys)
+    assert code == 0
+    assert out == "verify: ok\n  checked against the hand-transcribed order-4 presentation\n"
+
+
 def test_group_commands(capsys):
     code, out, _ = run_cli(
         ["group", "cosets", "--order", "4", "--left", "2", "--middle", "4", "--right", "2"], capsys
@@ -288,6 +309,8 @@ def test_invalid_module_content_exits_1(workdir, tmp_path, capsys):
         (["resolve", "-M", "witness.json", "--length", "-1"], "--length"),
         (["ext", "-M", "witness.json", "-N", "yoneda.json", "--degree", "-1"], "--degree"),
         (["ring", "build", "--order", "2", "-o", "r2.json", "--window", "0"], "--window"),
+        (["ring", "build", "--order", "2", "-o", "r2.json", "--max-len", "0"], "--max-len"),
+        (["ring", "verify", "ring4.json", "--max-len", "0"], "--max-len"),
     ],
 )
 def test_out_of_range_flags_exit_2(workdir, tmp_path, capsys, argv, flag):

@@ -22,7 +22,10 @@ from catring.presentation import (
     Relation,
 )
 
-from oracles import oracle_complete
+from catring import completion
+from catring.serialize import content_hash, ring_from_dict, ring_to_dict
+
+from oracles import chained_normal_form, oracle_complete
 
 # Frozen output of the independent brute-force oracle (tests below re-run
 # it at the stabilized bound + 2): total ranks per group order, the rank
@@ -107,6 +110,78 @@ def test_idempotence_and_linearity_of_normal_form(ring4):
     b = normal_form(ring4, (c1,))
     c = normal_form(ring4, (c1,) * 4)
     assert a.coeffs == tuple(2 * x + 3 * y for x, y in zip(b.coeffs, c.coeffs))
+
+
+def seeded_combinations(ring, rng, count):
+    """Random words with identity letters mixed in, and Z-combinations of
+    parallel ones, as (data, source, target)."""
+    pres = ring.presentation
+    gens = pres.generators
+    identity = {x: pres.gen("identity", x) for x in ring.objects}
+    outgoing = {x: [a for a in pres.arrows if gens[a].source == x] for x in ring.objects}
+
+    def walk(start):
+        path, cur = [], start
+        for _ in range(rng.randint(0, 7)):
+            if not outgoing[cur] or rng.random() < 0.25:
+                path.append(identity[cur])
+            else:
+                a = rng.choice(outgoing[cur])
+                path.append(a)
+                cur = gens[a].target
+        return tuple(path), cur
+
+    for _ in range(count):
+        x = rng.choice(ring.objects)
+        w, y = walk(x)
+        yield w, x, y
+        terms = [(rng.randint(-3, 3), w)]
+        for _ in range(6):
+            v, z = walk(x)
+            if z == y:
+                terms.append((rng.randint(-3, 3), v))
+        yield tuple(terms), x, y
+
+
+def with_torsion(ring):
+    """`ring` read back with moduli 2 and 3 imposed on every component's
+    second and third basis slots, so that the table no longer respects
+    them and each reduction step shows in the normal forms."""
+    data = ring_to_dict(ring)
+    for comp in data["components"]:
+        for slot, mod in ((1, 2), (2, 3)):
+            if slot < len(comp["torsion"]):
+                comp["torsion"][slot] = mod
+    data["ring_hash"] = content_hash(data)
+    return ring_from_dict(data)
+
+
+def test_normal_form_matches_chained_oracle(ring1, ring2, ring3, ring4, ring_c4_hand):
+    rng = random.Random(5)
+    for ring in (ring1, ring2, ring3, ring4, ring_c4_hand, with_torsion(ring4)):
+        identities = {ring.presentation.gen("identity", x) for x in ring.objects}
+        for data, x, y in seeded_combinations(ring, rng, 150):
+            fast = normal_form(ring, data, source=x, target=y)
+            assert fast == chained_normal_form(ring, data, source=x, target=y), (data, x, y)
+            if data and isinstance(data[0], int) and not set(data) <= identities:
+                assert normal_form(ring, data) == fast
+
+
+def test_probe_matches_chained_oracle_on_corrupted_ring(ring4, monkeypatch):
+    data = ring_to_dict(ring4)
+    entry = next(e for e in data["table"] if any(e[2]))
+    entry[2][0] += 1
+    data["ring_hash"] = content_hash(data)
+    broken = ring_from_dict(data)
+    fast = {seed: random_associativity_probe(broken, count=1000, max_len=6, seed=seed) for seed in (0, 7)}
+    # frozen output of the probe while normal forms were chained compositions:
+    # the random draws, and so the failing triples, must not change
+    assert len(fast[0]) == 44
+    assert fast[0][0] == "associativity fails on words () (3, 3, 3, 3) (3, 3, 3)"
+    assert fast[0][-1] == "associativity fails on words (5, 4, 7, 3) () ()"
+    monkeypatch.setattr(completion, "normal_form", chained_normal_form)
+    for seed, failures in fast.items():
+        assert random_associativity_probe(broken, count=1000, max_len=6, seed=seed) == failures
 
 
 def test_normal_form_rejects_nonparallel(ring4):

@@ -1,14 +1,29 @@
+import random
+
 import pytest
 
 from catring import (
+    NotStabilizedError,
     build_presentation,
     complete,
+    completion,
     normal_form,
     presentation_c4,
     presentations_equivalent,
     subgroups,
 )
-from catring.presentation import CONJUGATION, IDENTITY, INDUCTION, MULTIPLICATION, RESTRICTION
+from catring.completion import CategoryRing
+from catring.presentation import (
+    CONJUGATION,
+    IDENTITY,
+    INDUCTION,
+    MULTIPLICATION,
+    RESTRICTION,
+    Presentation,
+    Relation,
+)
+
+from oracles import chained_normal_form, completing_presentations_equivalent
 
 
 def covering_pairs(k):
@@ -109,6 +124,115 @@ def test_equivalence_is_reflexive(ring2):
         build_presentation(2), build_presentation(2), ring_p=ring2, ring_q=ring2
     )
     assert rep.equivalent
+
+
+def shuffled(pres, seed):
+    rels = list(pres.relations)
+    random.Random(seed).shuffle(rels)
+    return Presentation(pres.group_order, pres.generators, rels, pres.family_counts)
+
+
+def perturbed(pres, tag, change):
+    """pres with its first `tag` relation dropped, or with the first
+    coefficient of that relation's last side raised by one."""
+    rels = list(pres.relations)
+    i = next(n for n, rel in enumerate(rels) if rel.tag == tag)
+    if change == "drop":
+        del rels[i]
+    else:
+        rel = rels[i]
+        (c, w), *rest = rel.sides[-1]
+        rels[i] = Relation(rel.tag, rel.source, rel.target, rel.sides[:-1] + (((c + 1, w), *rest),))
+    return Presentation(pres.group_order, pres.generators, rels, pres.family_counts)
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """What every `certify_or_complete` call returned: None when the
+    certificate settled it, the completed ring on the fallback."""
+    returned = []
+    real = completion.certify_or_complete
+
+    def spy(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(completion, "certify_or_complete", spy)
+    return returned
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (build_presentation(4), presentation_c4()),
+        lambda: (build_presentation(2), shuffled(build_presentation(2), 3)),
+        lambda: (build_presentation(3), shuffled(build_presentation(3), 4)),
+    ],
+    ids=["build4-c4", "shuffled-k2", "shuffled-k3"],
+)
+def test_equivalence_certified_without_completion(make, certify_calls):
+    p, q = make()
+    fast = presentations_equivalent(p, q)
+    assert certify_calls == [None, None]
+    slow = completing_presentations_equivalent(p, q)
+    assert (fast.equivalent, fast.failures) == (slow.equivalent, slow.failures) == (True, [])
+
+
+def test_equivalence_with_passed_ring_matches_oracle(ring4, ring_c4_hand):
+    p, q = build_presentation(4), presentation_c4()
+    fast = presentations_equivalent(p, q, ring_p=ring4)
+    slow = completing_presentations_equivalent(p, q, ring_p=ring4, ring_q=ring_c4_hand)
+    assert (fast.equivalent, fast.failures) == (slow.equivalent, slow.failures) == (True, [])
+
+
+@pytest.mark.parametrize(
+    "k, tag, change",
+    [(2, "double_coset", "drop"), (3, "conjugation_restriction", "coefficient")],
+)
+def test_equivalence_fallback_lists_oracle_failures(k, tag, change, certify_calls):
+    p = build_presentation(k)
+    q = perturbed(p, tag, change)
+    fast = presentations_equivalent(p, q)
+    assert any(isinstance(r, CategoryRing) for r in certify_calls)
+    slow = completing_presentations_equivalent(p, q)
+    assert fast.failures
+    assert (fast.equivalent, fast.failures) == (slow.equivalent, slow.failures)
+
+
+def test_equivalence_certifies_every_side_of_a_chained_relation(ring4, certify_calls):
+    # c4 with c2^2 = m2 = 1 in place of c2^2 = m2^2 = 1: only the middle
+    # side fails in the built ring, so certifying the first and last sides
+    # alone would pass it.  The completing oracle cannot judge this pair
+    # (the altered presentation never stabilizes); chained normal forms
+    # in the built ring show which relation fails.
+    c4 = presentation_c4()
+    rels = list(c4.relations)
+    i = next(n for n, rel in enumerate(rels) if len(rel.sides) == 3)
+    rel = rels[i]
+    m2 = c4.gen(MULTIPLICATION, 2)
+    rels[i] = Relation(rel.tag, rel.source, rel.target, (rel.sides[0], ((1, (m2,)),), rel.sides[2]))
+    p = Presentation(4, c4.generators, rels, c4.family_counts)
+    q = build_presentation(4)
+    translate = {n: q.gen(g.kind, g.H, g.L) for n, g in enumerate(p.generators)}
+    forms = [
+        chained_normal_form(ring4, tuple((c, tuple(translate[g] for g in w)) for c, w in side), 2, 2)
+        for side in rels[i].sides
+    ]
+    assert forms[0] != forms[1] and forms[0] == forms[2]
+
+    rep = presentations_equivalent(p, q)
+    assert isinstance(certify_calls[0], CategoryRing)
+    assert rep.failures == ["left-in-right: relation power 2->2 does not reduce to zero"]
+
+
+def test_certificate_needs_no_stabilization():
+    # without c^2 = 1 the completion of q never stabilizes, yet the
+    # relation still lies in the ideal of q's other relations
+    p = build_presentation(2)
+    q = perturbed(p, "conjugation_power", "drop")
+    assert presentations_equivalent(p, q).equivalent
+    with pytest.raises(NotStabilizedError):
+        complete(q)
 
 
 def test_equivalence_rejects_generator_mismatch():

@@ -1,9 +1,10 @@
 """The benchmark's tracer must still find every name it wraps.
 
 perfbench/tracing.py rebinds the `intlin` functions inside `catring.modules`
-and the public functions inside `catring.cli`.  A refactor that drops one of
-those bindings, or stops calling through it, breaks the traced benchmark
-run; this test catches that in the ordinary suite.
+and the public functions inside `catring.completion` and `catring.cli`.  A
+refactor that drops one of those bindings, or stops calling through it,
+breaks the traced benchmark run, or leaves a serve layer's metrics reading
+zero; these tests catch that in the ordinary suite.
 """
 
 import importlib.util
@@ -64,3 +65,28 @@ def test_tracer_counts_modules_and_cli_calls(ring2, tmp_path, capsys):
         assert calls.get(name, 0) > 0, name
     for name in ("intlin.cells", "intlin.Lattice.add"):
         assert tracer.counts.get(name, 0) > 0, name
+
+
+def test_tracer_counts_ring_verify(ring4, tmp_path, capsys):
+    tracing = load_tracing()
+    save_json(tmp_path / "ring4.json", ring_to_dict(ring4))
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["ring", "verify", str(tmp_path / "ring4.json")])
+    finally:
+        tracer.uninstall()
+    tracing.assert_clean()
+    assert code == 0
+    capsys.readouterr()
+
+    _, calls = tracer.self_times()
+    for name in (
+        "completion.verify_ring",
+        "completion.random_associativity_probe",
+        "completion.normal_form",
+        "cli.main",
+    ):
+        assert calls.get(name, 0) > 0, name
+    assert tracer.counts.get("completion.compose", 0) > 0
