@@ -12,10 +12,10 @@ Exit codes are a stable contract, one per error class:
   one of its named failures), or a module file's
   content is not a valid module (it fails `GradedModule.validate`); the
   last prints `error: <path>: <reason>`.
-- 2: usage or file error.  A file cannot be read, is malformed
-  (`FormatError`) or names a different ring; a flag is out of range
-  (`--cap` < 1, `--length` < 0, `--degree` < 0, `--window` < 1,
-  `--max-len` < 1).
+- 2: usage or file error.  A file cannot be read or written, is
+  malformed (`FormatError`) or names a different ring; a flag is out of
+  range (`--cap` < 1, `--length` < 0, `--degree` < 0, `--window` < 1,
+  `--max-len` < 1, a `--from` or `--to` that does not divide `--order`).
 """
 
 from __future__ import annotations
@@ -166,7 +166,10 @@ def cmd_ring_build(args) -> int:
         print(f"not stabilized: {exc}", file=sys.stderr)
         return EXIT_MATH
     data = ring_to_dict(ring)
-    save_json(args.output, data)
+    try:
+        save_json(args.output, data)
+    except OSError as exc:
+        raise CliError(f"cannot write ring file {args.output}: {exc}") from exc
     payload = {
         "ring_hash": data["ring_hash"],
         "stabilized_at": ring.stabilized_at,
@@ -249,23 +252,25 @@ def cmd_group_cosets(args) -> int:
 
 
 def cmd_group_induce(args) -> int:
-    chi = _parse_character(args.char, getattr(args, "from"))
-    try:
-        out = groups.induce_character(chi, args.to)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _emit(
-        args,
-        {"subgroup": out.subgroup, "coefficients": list(out.coeffs)},
-        _character_text(out),
-    )
-    return EXIT_OK
+    return _emit_character(args, groups.induce_character)
 
 
 def cmd_group_restrict(args) -> int:
+    return _emit_character(args, groups.restrict_character)
+
+
+def _emit_character(args, along) -> int:
+    # --from and --to must name subgroups of C_order
+    try:
+        orders = groups.subgroups(args.order)
+    except ValueError as exc:
+        raise CliError(f"--order: {exc}") from exc
+    for flag in ("from", "to"):
+        if getattr(args, flag) not in orders:
+            raise CliError(f"--{flag} {getattr(args, flag)} is not a subgroup order of C_{args.order}")
     chi = _parse_character(args.char, getattr(args, "from"))
     try:
-        out = groups.restrict_character(chi, args.to)
+        out = along(chi, args.to)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _emit(

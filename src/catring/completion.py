@@ -7,7 +7,11 @@ quotient off an integer echelon whose pivots are the largest words of
 their rows.  Words are ordered by length, then lexicographically by the
 fixed generator enumeration; this order is compatible with composition,
 so pivot rows are rewrite rules replacing a word by strictly smaller
-ones.
+ones.  The echelon of each object pair is an `intlin.Lattice`, whose
+pivots are leftmost columns; word columns are numbered downward, word
+number i on column -i, so the leftmost pivot of a row is its largest
+word.  After each bound the lattices are canonicalized, and
+`Lattice.reduce` gives the normal form of a word.
 
 A bound B is *certified* when the echelon data fits the monomial model
 (every pivot either has unit coefficient, and is thereby eliminated, or
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlin import xgcd
+from .intlin import Lattice
 from .presentation import IDENTITY, Presentation
 
 
@@ -46,88 +50,30 @@ class InconsistentPresentationError(CompletionError):
     """A unit collapsed to zero: the presented ring is degenerate."""
 
 
-def _addmul(dst: dict, src: dict, c: int) -> None:
-    for i, v in src.items():
-        nv = dst.get(i, 0) + c * v
-        if nv:
-            dst[i] = nv
-        else:
-            dst.pop(i, None)
-
-
 class _PairSpace:
-    """Free Z-module on the words of one object pair, with its echelon."""
+    """Free Z-module on the words of one object pair, with its echelon.
 
-    __slots__ = ["words", "ids", "rows"]
+    Word number i is column -i of `lattice`, so the leftmost pivot of a
+    row is its largest word; `ids` maps each word to its column.
+    """
+
+    __slots__ = ["words", "ids", "lattice"]
 
     def __init__(self):
         self.words: list[tuple] = []
         self.ids: dict[tuple, int] = {}
-        self.rows: dict[int, dict[int, int]] = {}
+        self.lattice = Lattice(0)  # sparse rows only, so no dense width
 
     def add_word(self, path: tuple) -> None:
-        self.ids[path] = len(self.words)
+        self.ids[path] = -len(self.words)
         self.words.append(path)
 
-    def insert(self, row: dict) -> None:
-        rows = self.rows
-        while row:
-            m = max(row)
-            piv = rows.get(m)
-            if piv is None:
-                if row[m] < 0:
-                    row = {i: -v for i, v in row.items()}
-                rows[m] = row
-                return
-            a, b = piv[m], row[m]
-            if b % a == 0:
-                _addmul(row, piv, -(b // a))
-            else:
-                x, y, g = xgcd(a, b)
-                merged: dict[int, int] = {}
-                for i, v in piv.items():
-                    merged[i] = x * v
-                _addmul(merged, row, y)
-                rem = {i: (a // g) * v for i, v in row.items()}
-                _addmul(rem, piv, -(b // g))
-                rows[m] = merged
-                row = rem
-
-    def canonicalize(self) -> None:
-        # Bring every row to the unique reduced form: each entry sitting on
-        # another pivot's column is reduced into [0, that pivot).
-        rows = self.rows
-        for m in sorted(rows):
-            row = rows[m]
-            while True:
-                i = max(
-                    (j for j in row if j != m and j in rows and not 0 <= row[j] < rows[j][j]),
-                    default=None,
-                )
-                if i is None:
-                    break
-                _addmul(row, rows[i], -(row[i] // rows[i][i]))
-
-    def reduce(self, row: dict) -> dict:
-        """Full reduction of a vector: unit pivots eliminated, torsion
-        pivots reduced mod their modulus."""
-        row = dict(row)
-        rows = self.rows
-        while True:
-            i = max(
-                (j for j in row if j in rows and not 0 <= row[j] < rows[j][j]),
-                default=None,
-            )
-            if i is None:
-                return row
-            _addmul(row, rows[i], -(row[i] // rows[i][i]))
-
     def classify(self):
-        """(eliminated ids, {id: modulus}, mixed row count)."""
+        """(eliminated columns, {column: modulus}, mixed row count)."""
         eliminated = set()
         moduli: dict[int, int] = {}
         mixed = 0
-        for m, row in self.rows.items():
+        for m, row in self.lattice.pivots.items():
             if row[m] == 1:
                 eliminated.add(m)
             elif len(row) == 1:
@@ -349,11 +295,16 @@ def _echelons(pres: Presentation, max_len: int):
                 by_len_source.setdefault((length, src), []).append(item)
         words_at.append(layer)
 
-    def insert_instances(bound: int) -> None:
+    # each relation as its differences of consecutive sides: (coefficient, word) terms
+    differences = [
+        (rel, [[*s1, *((-c, w) for c, w in s2)] for s1, s2 in zip(rel.sides, rel.sides[1:])])
+        for rel in pres.relations
+    ]
+
+    def add_instances(bound: int) -> None:
         # all relation instances of total padded length exactly `bound`
-        for rel in pres.relations:
-            lam = rel.max_word_len()
-            pad = bound - lam
+        for rel, diffs in differences:
+            pad = bound - rel.max_word_len()
             if pad < 0:
                 continue
             for lv in range(pad + 1):
@@ -364,32 +315,21 @@ def _echelons(pres: Presentation, max_len: int):
                     for _, utgt, upath in pres_u:
                         space = spaces[(vsrc, utgt)]
                         ids = space.ids
-                        for s1, s2 in zip(rel.sides, rel.sides[1:]):
+                        for terms in diffs:
+                            # cancelled terms leave zeros, which `add` drops
                             row: dict[int, int] = {}
-                            for c, w in s1:
-                                wid = ids[vpath + w + upath]
-                                nv = row.get(wid, 0) + c
-                                if nv:
-                                    row[wid] = nv
-                                else:
-                                    row.pop(wid, None)
-                            for c, w in s2:
-                                wid = ids[vpath + w + upath]
-                                nv = row.get(wid, 0) - c
-                                if nv:
-                                    row[wid] = nv
-                                else:
-                                    row.pop(wid, None)
-                            if row:
-                                space.insert(row)
+                            for c, w in terms:
+                                col = ids[vpath + w + upath]
+                                row[col] = row.get(col, 0) + c
+                            space.lattice.add(row)
 
     for bound in range(1, max_len + 1):
         extend_words(bound)
         if bound == 1:
-            insert_instances(0)
-        insert_instances(bound)
+            add_instances(0)
+        add_instances(bound)
         for space in spaces.values():
-            space.canonicalize()
+            space.lattice.canonicalize()
         yield bound, spaces
 
 
@@ -441,9 +381,9 @@ class _Stabilization:
                     f"the identity of object {pair[0]} collapses; the presentation is inconsistent"
                 )
             kept = [
-                (space.words[i], moduli.get(i))
-                for i in range(len(space.words))
-                if i not in eliminated
+                (w, moduli.get(-i))
+                for i, w in enumerate(space.words)
+                if -i not in eliminated
             ]
             content[pair] = kept
             total += len(kept)
@@ -464,10 +404,10 @@ class _Stabilization:
                         prod = w_u + w_v
                         if len(prod) > bound:
                             return None
-                        red = tgt_space.reduce({tgt_space.ids[prod]: 1})
+                        red = tgt_space.lattice.reduce({tgt_space.ids[prod]: 1})
                         vec = [0] * len(tgt_ids)
-                        for i, c in red.items():
-                            pos = tgt_ids.get(tgt_space.words[i])
+                        for col, c in red.items():
+                            pos = tgt_ids.get(tgt_space.words[-col])
                             if pos is None:
                                 return None
                             vec[pos] = c
@@ -523,7 +463,7 @@ def certify_or_complete(
         for pair, vec, longest in pending:
             if longest <= bound:
                 space = spaces[pair]
-                if not space.reduce({space.ids[w]: c for w, c in vec.items()}):
+                if {space.ids[w]: c for w, c in vec.items()} in space.lattice:
                     continue
             left.append((pair, vec, longest))
         pending = left
@@ -558,11 +498,11 @@ def _build_ring(pres, spaces, snap, bound, max_len, window):
     for a in pres.arrows:
         g = pres.generators[a]
         space = spaces[(g.source, g.target)]
-        red = space.reduce({space.ids[(a,)]: 1})
+        red = space.lattice.reduce({space.ids[(a,)]: 1})
         pos = {w: n for n, w in enumerate(basis[(g.source, g.target)])}
         coeffs = [0] * len(pos)
-        for i, c in red.items():
-            coeffs[pos[space.words[i]]] = c
+        for col, c in red.items():
+            coeffs[pos[space.words[-col]]] = c
         arrow_forms[a] = (g.source, g.target, tuple(coeffs))
 
     return CategoryRing(pres, basis, torsion, ring_table, arrow_forms, bound, max_len, window)

@@ -5,8 +5,12 @@ floating point anywhere.  A matrix is a list of rows.  A row is either a
 dense list (or tuple) of ints or a sparse dict {column: value}; a sparse
 row given as input may hold zero entries, but none is ever stored.  The
 number of columns is always passed explicitly so that empty matrices keep
-their shape.  `Lattice` keeps its echelon rows sparse, so elimination
-costs scale with the nonzero entries; `Lattice.basis()`, `hnf` and
+their shape.  `Lattice` is the package's one integer echelon, used by
+the module algebra and by the ring completion alike.  Its rows are
+sparse, kept in a dict keyed by pivot column, and a row's pivot is its
+leftmost (smallest) column, so elimination costs scale with the nonzero
+entries.  `Lattice.reduce` gives the unique normal form of a coset, which
+the completion reads its rings off; `Lattice.basis()`, `hnf` and
 `left_kernel` return dense rows, the canonical HNF.  The convention
 throughout the package is that maps act on row vectors from the right:
 v |-> v * A.
@@ -14,7 +18,6 @@ v |-> v * A.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd
 
 
@@ -36,7 +39,9 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _sparse(vec, n: int) -> dict[int, int]:
     """A fresh {column: value} copy of a dense or dict row, without zeros."""
     if isinstance(vec, dict):
-        return {j: c for j, c in vec.items() if c}
+        if 0 in vec.values():
+            return {j: c for j, c in vec.items() if c}
+        return dict(vec)
     assert len(vec) == n
     return {j: c for j, c in enumerate(vec) if c}
 
@@ -54,37 +59,42 @@ def _axpy(vec: dict, q: int, row: dict) -> None:
 class Lattice:
     """A subgroup of Z^n stored as an integer row-echelon basis.
 
-    Rows are kept sparse, as {column: value} dicts with no zero entries.
-    Pivots are the leftmost nonzero entries, one per row, in strictly
-    increasing column order.  `add` keeps the echelon shape using gcd row
-    operations, so membership tests and reductions are exact.
+    Rows are kept sparse, as {column: value} dicts with no zero entries,
+    in `pivots`, a dict keyed by the pivot column of each row.  A pivot is
+    the leftmost nonzero entry of its row, so every column is the pivot of
+    at most one row.  `add` keeps the echelon shape using gcd row
+    operations, so membership tests and reductions are exact.  `n` is the
+    width of dense rows; a lattice fed only sparse rows may use any int
+    columns.
     """
 
-    __slots__ = ["n", "rows", "pivot_col"]
+    __slots__ = ["n", "pivots"]
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[dict[int, int]] = []
-        self.pivot_col: list[int] = []
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rows(self) -> list[dict[int, int]]:
+        """The echelon rows in increasing pivot order."""
+        pivots = self.pivots
+        return [pivots[j] for j in sorted(pivots)]
 
     def copy(self) -> "Lattice":
         other = object.__new__(Lattice)
         other.n = self.n
-        other.rows = [dict(row) for row in self.rows]
-        other.pivot_col = self.pivot_col[:]
+        other.pivots = {j: dict(row) for j, row in self.pivots.items()}
         return other
 
     def add(self, vec0) -> None:
         vec = _sparse(vec0, self.n)
-        rows, piv = self.rows, self.pivot_col
+        pivots = self.pivots
         while vec:
             j = min(vec)
-            i = bisect_left(piv, j)
-            if i == len(piv) or piv[i] != j:
-                rows.insert(i, vec)
-                piv.insert(i, j)
+            row = pivots.get(j)
+            if row is None:
+                pivots[j] = vec
                 return
-            row = rows[i]
             a, b = row[j], vec[j]
             if b % a == 0:
                 _axpy(vec, -(b // a), row)
@@ -100,20 +110,31 @@ class Lattice:
                     c = mbg * aa + ag * bb
                     if c:
                         new_vec[jj] = c
-                rows[i] = new_row
+                pivots[j] = new_row
                 vec = new_vec
         # vec reduced to zero: nothing new.
 
     def reduce(self, vec0) -> dict[int, int]:
-        """Subtract row multiples to shrink vec; the sparse residue is empty
-        iff vec is in the lattice."""
+        """The sparse normal form of vec: every entry on a pivot column
+        reduced into [0, |pivot|), leftmost first.
+
+        It is empty iff vec is in the lattice.  The pivot columns and
+        their |pivot| depend only on the lattice, so the normal form of
+        each coset is unique, whether or not the basis is canonical.
+        """
         vec = _sparse(vec0, self.n)
-        for row, j in zip(self.rows, self.pivot_col):
-            if not vec:
+        pivots = self.pivots
+        while vec:
+            # only columns right of the one reduced change, so this ends
+            j = min(
+                (jj for jj in vec if jj in pivots and not 0 <= vec[jj] < abs(pivots[jj][jj])),
+                default=None,
+            )
+            if j is None:
                 break
-            b = vec.get(j)
-            if b and b % row[j] == 0:
-                _axpy(vec, -(b // row[j]), row)
+            row = pivots[j]
+            p = row[j]
+            _axpy(vec, -(vec[j] // p) if p > 0 else vec[j] // -p, row)
         return vec
 
     def __contains__(self, vec) -> bool:
@@ -128,12 +149,15 @@ class Lattice:
         fixes one coefficient.
         """
         vec = _sparse(vec0, self.n)
-        coords = [0] * len(self.rows)
-        for i, (row, j) in enumerate(zip(self.rows, self.pivot_col)):
+        pivots = self.pivots
+        order = sorted(pivots)
+        coords = [0] * len(order)
+        for i, j in enumerate(order):
             if not vec:
                 break
             b = vec.get(j)
             if b:
+                row = pivots[j]
                 q, r = divmod(b, row[j])
                 if r:
                     return None
@@ -142,23 +166,26 @@ class Lattice:
         return None if vec else coords
 
     def canonicalize(self) -> None:
-        """Make the basis the unique HNF: positive pivots, entries above a
-        pivot reduced into [0, pivot).
+        """Make the basis the unique HNF: positive pivots, and every other
+        entry on a pivot column reduced into [0, pivot).
 
-        Pivots are processed left to right: reducing above pivot j only
-        touches columns >= j, so previously canonicalized pivot columns
-        (all < j) stay reduced after one pass.
+        Rows are processed right to left, so the rows right of a pivot are
+        canonical, with positive pivots, when its row is reduced modulo
+        them as `reduce` does.
         """
-        rows, piv = self.rows, self.pivot_col
-        for i in range(len(rows)):
-            row = rows[i]
-            j = piv[i]
-            if row[j] < 0:
-                rows[i] = row = {jj: -c for jj, c in row.items()}
-            for upper in rows[:i]:
-                q = upper.get(j, 0) // row[j]
-                if q:
-                    _axpy(upper, -q, row)
+        pivots = self.pivots
+        for m in sorted(pivots, reverse=True):
+            row = pivots[m]
+            if row[m] < 0:
+                pivots[m] = row = {jj: -c for jj, c in row.items()}
+            while True:
+                j = min(
+                    (jj for jj in row if jj != m and jj in pivots and not 0 <= row[jj] < pivots[jj][jj]),
+                    default=None,
+                )
+                if j is None:
+                    break
+                _axpy(row, -(row[j] // pivots[j][j]), pivots[j])
 
     def basis(self) -> list[list[int]]:
         """The echelon rows as dense lists (the HNF after `canonicalize`)."""
@@ -172,7 +199,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
 
 def hnf(rows, ncols: int) -> list[list[int]]:
@@ -201,7 +228,7 @@ def left_kernel(rows, ncols: int) -> list[list[int]]:
     lat = _augmented_echelon(rows, ncols)
     ker = [
         {jj - ncols: c for jj, c in row.items()}
-        for row, j in zip(lat.rows, lat.pivot_col)
+        for j, row in sorted(lat.pivots.items())
         if j >= ncols
     ]
     return hnf(ker, len(rows))
@@ -211,7 +238,7 @@ def solve_left(rows, ncols: int, target) -> list[int] | None:
     """Some x with x * A == target, or None if no integer solution exists."""
     lat = _augmented_echelon(rows, ncols)
     vec = _sparse(target, ncols)
-    for row, j in zip(lat.rows, lat.pivot_col):
+    for j, row in sorted(lat.pivots.items()):
         if j >= ncols:
             break
         b = vec.get(j)

@@ -536,16 +536,15 @@ class FreeModule(GradedModule):
     def __init__(self, ring: CategoryRing, entries):
         self.entries = tuple(entries)
         gens, act = {}, {}
-        blocks = {}  # slot -> list of (entry index, start, size)
+        blocks = {}  # slot -> {entry index: (start, size)}
         for x in ring.objects:
             for e in (0, 1):
                 names = []
-                blk = []
+                blk = {}
                 for j, (obj, eps) in enumerate(self.entries):
                     if eps != e:
                         continue
-                    size = len(ring.basis[(x, obj)])
-                    blk.append((j, len(names), size))
+                    blk[j] = (len(names), len(ring.basis[(x, obj)]))
                     names.extend(f"e{j}:{ring.word_str(w, x)}" for w in ring.basis[(x, obj)])
                 gens[(x, e)] = tuple(names)
                 blocks[(x, e)] = blk
@@ -553,9 +552,9 @@ class FreeModule(GradedModule):
             for e in (0, 1):
                 gx = len(gens[(x, e)])
                 rows = []
-                for j, start, size in blocks[(y, e)]:
+                for j, (start, size) in blocks[(y, e)].items():
                     obj = self.entries[j][0]
-                    xstart = next(st for (jj, st, _) in blocks[(x, e)] if jj == j)
+                    xstart = blocks[(x, e)][j][0]
                     for fu in range(size):
                         vec = ring.table[(fb, ring.offset[(y, obj)] + fu)]
                         row = [0] * gx
@@ -569,14 +568,12 @@ class FreeModule(GradedModule):
         """Slot and generator position of the Yoneda unit of entry j."""
         obj, eps = self.entries[j]
         slot = (obj, eps)
-        start = next(st for (jj, st, _) in self.blocks[slot] if jj == j)
-        return slot, start + self.ring.unit_pos[obj]
+        return slot, self.blocks[slot][j][0] + self.ring.unit_pos[obj]
 
     def block_range(self, slot: Slot, j: int) -> tuple[int, int]:
-        for jj, start, size in self.blocks[slot]:
-            if jj == j:
-                return start, size
-        return 0, 0
+        """Start and size of entry j's generators at `slot`, a slot of the
+        entry's own degree."""
+        return self.blocks[slot][j]
 
 
 def free_cover(module: GradedModule, order=None) -> ModuleMap:

@@ -7,6 +7,7 @@ enumerating elements and counting, never by Smith reduction.
 
 The last sections keep slow predecessors of fast paths instead: the
 dense integer echelon that `catring.intlin` replaced with sparse rows,
+the completion's own max-pivot echelon that `intlin.Lattice` replaced,
 the quadratic prune of `catring.modules.free_cover`, normal forms by
 chained composition, and presentation equivalence by completing both
 presentations.
@@ -477,6 +478,81 @@ def dense_solve_left(rows, ncols, target):
     if any(vec[:ncols]):
         return None
     return [-x for x in vec[ncols:]]
+
+
+# -- the completion's max-pivot echelon ------------------------------------
+#
+# The echelon `catring.completion` kept per object pair before it moved
+# onto `intlin.Lattice`: rows keyed by their largest word id, pivots made
+# positive on insertion, canonical form and normal forms by reducing the
+# largest out-of-range pivot entry first.  With word i as column -i the
+# lattice must give the same canonical rows and the same normal forms.
+
+
+def _addmul(dst, src, c):
+    for i, v in src.items():
+        nv = dst.get(i, 0) + c * v
+        if nv:
+            dst[i] = nv
+        else:
+            dst.pop(i, None)
+
+
+class MaxPivotEchelon:
+    """A subgroup of the free Z-module on word ids, pivots at the largest id."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def insert(self, row):
+        row = {i: v for i, v in row.items() if v}
+        rows = self.rows
+        while row:
+            m = max(row)
+            piv = rows.get(m)
+            if piv is None:
+                if row[m] < 0:
+                    row = {i: -v for i, v in row.items()}
+                rows[m] = row
+                return
+            a, b = piv[m], row[m]
+            if b % a == 0:
+                _addmul(row, piv, -(b // a))
+            else:
+                x, y, g = _xgcd(a, b)
+                merged = {i: x * v for i, v in piv.items()}
+                _addmul(merged, row, y)
+                rem = {i: (a // g) * v for i, v in row.items()}
+                _addmul(rem, piv, -(b // g))
+                rows[m] = merged
+                row = rem
+
+    def canonicalize(self):
+        # every entry on another pivot's column reduced into [0, that pivot)
+        rows = self.rows
+        for m in sorted(rows):
+            row = rows[m]
+            while True:
+                i = max(
+                    (j for j in row if j != m and j in rows and not 0 <= row[j] < rows[j][j]),
+                    default=None,
+                )
+                if i is None:
+                    break
+                _addmul(row, rows[i], -(row[i] // rows[i][i]))
+
+    def reduce(self, row):
+        """Normal form: every pivot entry reduced into [0, pivot)."""
+        row = {i: v for i, v in row.items() if v}
+        rows = self.rows
+        while True:
+            i = max(
+                (j for j in row if j in rows and not 0 <= row[j] < rows[j][j]),
+                default=None,
+            )
+            if i is None:
+                return row
+            _addmul(row, rows[i], -(row[i] // rows[i][i]))
 
 
 def dense_map_system_rows(system):

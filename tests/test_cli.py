@@ -311,11 +311,16 @@ def test_invalid_module_content_exits_1(workdir, tmp_path, capsys):
         (["ring", "build", "--order", "2", "-o", "r2.json", "--window", "0"], "--window"),
         (["ring", "build", "--order", "2", "-o", "r2.json", "--max-len", "0"], "--max-len"),
         (["ring", "verify", "ring4.json", "--max-len", "0"], "--max-len"),
+        (["group", "induce", "--order", "4", "--from", "3", "--to", "6", "--char", "1,0,0"], "--from"),
+        (["group", "restrict", "--order", "4", "--from", "6", "--to", "3", "--char", "1,0,0,0,0,0"], "--from"),
+        (["group", "induce", "--order", "4", "--from", "2", "--to", "8", "--char", "1,0"], "--to"),
+        (["group", "restrict", "--order", "6", "--from", "6", "--to", "4", "--char", "1,0,0,0,0,0"], "--to"),
+        (["group", "induce", "--order", "0", "--from", "1", "--to", "1", "--char", "1"], "--order"),
     ],
 )
 def test_out_of_range_flags_exit_2(workdir, tmp_path, capsys, argv, flag):
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
-    if argv[0] != "ring":
+    if argv[0] not in ("ring", "group"):
         argv[1:1] = ["--ring", str(workdir / "ring4.json")]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -383,3 +388,11 @@ def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):
     assert code == 2
     assert str(bad) in err
     assert "module ok" not in out
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r2.json"
+    code, stdout, err = run_cli(["ring", "build", "--order", "2", "-o", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write ring file {out}: ")
+    assert stdout == ""

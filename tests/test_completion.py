@@ -23,9 +23,10 @@ from catring.presentation import (
 )
 
 from catring import completion
+from catring.intlin import Lattice
 from catring.serialize import content_hash, ring_from_dict, ring_to_dict
 
-from oracles import chained_normal_form, oracle_complete
+from oracles import MaxPivotEchelon, chained_normal_form, oracle_complete
 
 # Frozen output of the independent brute-force oracle (tests below re-run
 # it at the stabilized bound + 2): total ranks per group order, the rank
@@ -35,6 +36,14 @@ ORACLE_RANKS_K4 = {
     (1, 1): 4, (1, 2): 2, (1, 4): 1,
     (2, 1): 2, (2, 2): 4, (2, 4): 2,
     (4, 1): 1, (4, 2): 2, (4, 4): 4,
+}
+# ring_hash of complete(build_presentation(k)), frozen from the output of
+# the completion's earlier max-pivot echelon: ring files stay byte-identical
+RING_HASHES = {
+    2: "9617057703bbea3ad44e54c205eef6c2055297655c6c482a24df55389f54fb0f",
+    3: "5a38a73bcd67aadfbc306f091213e6f77c1a3be16de2ddcd266754103f44a411",
+    4: "ac278f4ba8660c3a96d7a5d6f7e05c171b352bb37d3794e9fd2729d8462adfe2",
+    6: "524819a0d08940719de3ce2e517d8dc9bb253d15caa81ff8ffef5caafa7e4a29",
 }
 
 
@@ -53,6 +62,42 @@ def test_frozen_oracle_ranks(ring1, ring2, ring3, ring4):
             assert ring.rank(*pair)[1] == ()
     for pair, n in ORACLE_RANKS_K4.items():
         assert ring4.rank(*pair)[0] == n
+
+
+def test_ring_bytes_are_pinned(ring2, ring3, ring4):
+    for k, ring in ((2, ring2), (3, ring3), (4, ring4)):
+        assert ring_to_dict(ring)["ring_hash"] == RING_HASHES[k], k
+
+
+def test_echelons_match_max_pivot_oracle(ring2, ring3, ring4, monkeypatch):
+    """Bound by bound, each pair space's lattice, word i on column -i,
+    holds the canonical rows of the old max-pivot echelon fed the same
+    relation instances, and reduces vectors to the same normal forms."""
+    fed = {}
+    add = Lattice.add
+
+    def recording_add(self, vec):
+        fed.setdefault(self, []).append(dict(vec))
+        add(self, vec)
+
+    monkeypatch.setattr(Lattice, "add", recording_add)
+    rng = random.Random(11)
+    for ring in (ring2, ring3, ring4):
+        k = ring.presentation.group_order
+        oracles = {}
+        for bound, spaces in completion._echelons(build_presentation(k), ring.stabilized_at):
+            for pair, space in spaces.items():
+                oracle = oracles.setdefault(pair, MaxPivotEchelon())
+                for row in fed.pop(space.lattice, []):
+                    oracle.insert({-j: c for j, c in row.items()})
+                oracle.canonicalize()
+                rows = {-m: {-j: c for j, c in row.items()} for m, row in space.lattice.pivots.items()}
+                assert rows == oracle.rows, (k, bound, pair)
+                for _ in range(4 if space.words else 0):
+                    vec = {rng.randrange(len(space.words)): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+                    nf = space.lattice.reduce({-i: c for i, c in vec.items()})
+                    assert {-j: c for j, c in nf.items()} == oracle.reduce(vec), (k, bound, pair, vec)
+        assert not fed
 
 
 def test_oracle_rerun_small():
@@ -259,5 +304,6 @@ def test_unknown_component_rejected(ring2):
 def test_k6_completes_and_verifies():
     ring = complete(build_presentation(6))
     assert ring.total_rank() == 48
+    assert ring_to_dict(ring)["ring_hash"] == RING_HASHES[6]
     report = verify_ring(ring)
     assert report.ok, report.failures

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 import sympy
@@ -214,3 +215,45 @@ def test_coordinates_back_substitute_over_hnf_basis():
             for given in (vec, as_dicts(rng, [vec], True)[0]):
                 assert lat.coordinates(given) == want
         assert lat.coordinates(member) == coeffs
+
+
+def test_reduce_is_the_coset_normal_form():
+    # the normal form depends only on the coset: the same before and after
+    # canonicalize, with every pivot entry in [0, |pivot|)
+    rng = random.Random(9)
+    for _ in range(150):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        lat = Lattice(n)
+        for row in sparse_matrix(rng, m, n):
+            lat.add(row)
+        vecs = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(4)]
+        before = [lat.reduce(vec) for vec in vecs]
+        lat.canonicalize()
+        assert [lat.reduce(vec) for vec in vecs] == before
+        for vec, nf in zip(vecs, before):
+            assert all(0 <= nf.get(j, 0) < row[j] for j, row in lat.pivots.items())
+            diff = [a - nf.get(j, 0) for j, a in enumerate(vec)]
+            assert diff in lat
+
+
+def _finishes(fn, *args, seconds=10.0):
+    """fn(*args), failing instead of hanging if it does not return."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{fn.__name__}{args} did not return"
+    return out[0]
+
+
+def test_reduce_terminates_on_negative_pivots():
+    # relation lattices in catring.modules are never canonicalized, so a
+    # pivot may stay negative
+    lat = Lattice(2)
+    lat.add([-3, 1])
+    assert lat.pivots == {0: {0: -3, 1: 1}}
+    assert _finishes(lat.__contains__, [3, -1])
+    assert not _finishes(lat.__contains__, [1, 0])
+    assert _finishes(lat.reduce, [1, 0]) == {0: 1}
+    assert _finishes(lat.reduce, [-1, 0]) == {0: 2, 1: -1}
+    assert _finishes(lat.reduce, [-6, 2]) == {}
