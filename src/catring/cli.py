@@ -21,6 +21,7 @@ Exit codes are a stable contract, one per error class:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -345,7 +346,10 @@ def cmd_resolve(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing a request
+    leaves no state in it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
     shared.add_argument("--seed", type=int, default=0, help="seed for randomized probes")

@@ -630,7 +630,13 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
 
 
 def verify_ring(ring: CategoryRing) -> VerificationReport:
-    """Check relations, unit laws and associativity on the whole table."""
+    """Check relations, normal basis words, unit laws and associativity
+    on the whole table.
+
+    A basis element must be the normal form of its own word; module
+    validation on letters (`GradedModule.validate`) relies on it, along
+    with the unit laws and associativity.
+    """
     failures: list[str] = []
     warnings: list[str] = []
     pres = ring.presentation
@@ -647,8 +653,10 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
                 break
 
     for (x, y) in ring.pairs:
-        for pos in range(len(ring.basis[(x, y)])):
+        for pos, word in enumerate(ring.basis[(x, y)]):
             b = ring.basis_element(x, y, pos)
+            if normal_form(ring, word, source=x, target=y) != b:
+                failures.append(f"basis {pos} of ({x},{y}) is not the normal form of its word {list(word)}")
             if ring.unit(x).then(b) != b:
                 failures.append(f"left unit fails on basis {pos} of ({x},{y})")
             if b.then(ring.unit(y)) != b:

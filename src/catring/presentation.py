@@ -222,6 +222,8 @@ class Presentation:
     def validate(self) -> None:
         """Check every relation is parallel and built from emitted generators."""
         for rel in self.relations:
+            if rel.source not in self.objects or rel.target not in self.objects:
+                raise ValueError(f"{rel.tag}: runs {rel.source}->{rel.target}, which are not both objects")
             if len(rel.sides) < 2:
                 raise ValueError(f"{rel.tag}: a relation needs at least two sides")
             for side in rel.sides:

@@ -12,6 +12,7 @@ other ring before any computation touches them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 from .completion import CategoryRing
@@ -32,6 +33,10 @@ FORMAT_VERSION = 1
 
 class FormatError(ValueError):
     pass
+
+
+_INT = frozenset({int})  # the type of every integer a file may hold (no bools)
+_MODULUS = frozenset({int, type(None)})  # a torsion modulus, or null for a free slot
 
 
 def canonical_json(data) -> str:
@@ -131,7 +136,10 @@ def presentation_from_dict(data: dict) -> Presentation:
     p = Presentation(data["group_order"], gens, rels, data.get("family_counts"))
     if list(p.objects) != data["objects"]:
         raise FormatError("object list does not match the group order")
-    p.validate()
+    try:
+        p.validate()
+    except ValueError as exc:
+        raise FormatError(f"invalid presentation: {exc}") from exc
     return p
 
 
@@ -185,20 +193,31 @@ def ring_from_dict(data: dict) -> CategoryRing:
         pair = (comp["source"], comp["target"])
         basis[pair] = [tuple(w) for w in comp["basis"]]
         torsion[pair] = [m if m else None for m in comp["torsion"]]
+        if len(torsion[pair]) != len(basis[pair]) or not _MODULUS.issuperset(map(type, torsion[pair])):
+            raise FormatError(f"component {pair} needs one integer or null modulus per basis word")
     pairs = [(x, y) for x in pres.objects for y in pres.objects]
     if sorted(basis) != sorted(pairs):
         raise FormatError("components do not cover the object pairs")
+    # every basis word is a path of arrows through its component
+    arrow_ends = {a: (pres.generators[a].source, pres.generators[a].target) for a in pres.arrows}
+    for (x, y), words in basis.items():
+        for w in words:
+            cur = x
+            for gi in w:
+                ends = arrow_ends.get(gi) if type(gi) is int else None
+                if ends is None or ends[0] != cur:
+                    raise FormatError(
+                        f"basis word {list(w)} of component ({x},{y}) is not a path of arrows from {x}"
+                    )
+                cur = ends[1]
+            if cur != y:
+                raise FormatError(f"basis word {list(w)} of component ({x},{y}) does not end at {y}")
 
-    flat_pair = []
+    blocks = {}
+    nflat = 0
     for pair in pairs:
-        for _ in basis[pair]:
-            flat_pair.append(pair)
-    nflat = len(flat_pair)
-    offsets = {}
-    off = 0
-    for pair in pairs:
-        offsets[pair] = off
-        off += len(basis[pair])
+        blocks[pair] = range(nflat, nflat + len(basis[pair]))
+        nflat += len(basis[pair])
 
     table = {}
     for entry in data["table"]:
@@ -207,15 +226,21 @@ def ring_from_dict(data: dict) -> CategoryRing:
         u, v, vec = entry
         if not (0 <= u < nflat and 0 <= v < nflat):
             raise FormatError("table index out of range")
-        table[(u, v)] = tuple(vec)
-    for u in range(nflat):
-        for v in range(nflat):
-            if flat_pair[u][1] != flat_pair[v][0]:
-                continue
-            tgt = (flat_pair[u][0], flat_pair[v][1])
-            table.setdefault((u, v), tuple([0] * len(basis[tgt])))
-            if len(table[(u, v)]) != len(basis[tgt]):
-                raise FormatError(f"table entry ({u},{v}) has the wrong length")
+        vec = table[(u, v)] = tuple(vec)
+        if not _INT.issuperset(map(type, vec)):
+            raise FormatError(f"table entry ({u},{v}) has a non-integer coefficient")
+    # every composable pair gets a vector over its target component
+    composable = 0
+    for x, y, z in itertools.product(pres.objects, repeat=3):
+        n = len(basis[(x, z)])
+        zero = (0,) * n
+        composable += len(blocks[(x, y)]) * len(blocks[(y, z)])
+        for u in blocks[(x, y)]:
+            for v in blocks[(y, z)]:
+                if len(table.setdefault((u, v), zero)) != n:
+                    raise FormatError(f"table entry ({u},{v}) has the wrong length")
+    if len(table) != composable:
+        raise FormatError("table has an entry for basis elements that do not compose")
 
     arrow_forms = {}
     for rec in data["arrow_forms"]:
@@ -223,7 +248,10 @@ def ring_from_dict(data: dict) -> CategoryRing:
         if not 0 <= gi < len(pres.generators):
             raise FormatError(f"arrow normal form for unknown generator {gi}")
         g = pres.generators[gi]
-        arrow_forms[gi] = (g.source, g.target, tuple(rec["coefficients"]))
+        coeffs = tuple(rec["coefficients"])
+        if len(coeffs) != len(basis[(g.source, g.target)]) or not _INT.issuperset(map(type, coeffs)):
+            raise FormatError(f"arrow normal form of generator {gi} needs one integer per basis word")
+        arrow_forms[gi] = (g.source, g.target, coeffs)
     if sorted(arrow_forms) != sorted(pres.arrows):
         raise FormatError("arrow normal forms do not cover the arrows")
 

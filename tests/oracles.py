@@ -8,8 +8,9 @@ enumerating elements and counting, never by Smith reduction.
 The last sections keep slow predecessors of fast paths instead: the
 dense integer echelon that `catring.intlin` replaced with sparse rows,
 the completion's own max-pivot echelon that `intlin.Lattice` replaced,
-the quadratic prune of `catring.modules.free_cover`, normal forms by
-chained composition, and presentation equivalence by completing both
+the quadratic prune of `catring.modules.free_cover`, module validation
+on every composable pair of basis monomials, normal forms by chained
+composition, and presentation equivalence by completing both
 presentations.
 """
 
@@ -640,6 +641,56 @@ def oracle_free_cover(module, order=None):
                 fb = ring.offset[(w, x0)] + fu
                 mats[slot][start + fu] = list(module.act[(fb, e0)][p])
     return ModuleMap(free, module, mats), scanned
+
+
+# -- module validation on all pairs --------------------------------------
+
+
+def pairwise_validate(module):
+    """`catring.modules.GradedModule.validate` as it first was:
+    functoriality is checked with dense products on every composable pair
+    of basis monomials, not only on (basis, letter) pairs."""
+    from catring.intlin import mat_identity, mat_mul
+    from catring.modules import _shape_check
+
+    ring = module.ring
+    for s in module.slots:
+        _shape_check(module.rels[s], len(module.rels[s]), module.ngens(s), f"relations at {s}")
+    for fb, (x, y, _) in enumerate(ring.flat):
+        for e in (0, 1):
+            mat = module.act[(fb, e)]
+            _shape_check(mat, module.ngens((y, e)), module.ngens((x, e)), f"action of basis {fb} deg {e}")
+            # well-defined on the quotient
+            lat = module.relation_lattice((x, e))
+            for row in module.rels[(y, e)]:
+                img = mat_mul([row], mat, module.ngens((x, e)))[0]
+                if img not in lat:
+                    raise ValueError(f"action of basis {fb} not well-defined at degree {e}")
+    for x in ring.objects:
+        fb = ring.offset[(x, x)] + ring.unit_pos[x]
+        for e in (0, 1):
+            if not module.agree((x, e), module.act[(fb, e)], mat_identity(module.ngens((x, e)))):
+                raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
+    # functoriality through the structure constants
+    for fu, (x, y, _) in enumerate(ring.flat):
+        for fv, (y2, z, _) in enumerate(ring.flat):
+            if y2 != y:
+                continue
+            vec = ring.table[(fu, fv)]
+            off = ring.offset[(x, z)]
+            for e in (0, 1):
+                lhs = mat_mul(module.act[(fv, e)], module.act[(fu, e)], module.ngens((x, e)))
+                n = module.ngens((x, e))
+                rhs = [[0] * n for _ in range(module.ngens((z, e)))]
+                for t, c in enumerate(vec):
+                    if c:
+                        for i, row in enumerate(module.act[(off + t, e)]):
+                            for j, vv in enumerate(row):
+                                rhs[i][j] += c * vv
+                if not module.agree((x, e), lhs, rhs):
+                    raise ValueError(
+                        f"action is not functorial on basis pair ({fu}, {fv}) at degree {e}"
+                    )
 
 
 # -- normal forms and equivalence through completed rings ----------------

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from catring import trivial_group_module, yoneda, yoneda_cyclic_quotient
-from catring.cli import main
+from catring.cli import build_parser, main
 from catring.serialize import content_hash, load_json, module_to_dict, ring_from_dict, save_json
 
 
@@ -77,6 +77,24 @@ def test_ring_verify_detects_corruption(workdir, tmp_path, capsys):
     code, out, _ = run_cli(["ring", "verify", str(tmp_path / "bad.json")], capsys)
     assert code == 1
     assert "FAILED" in out
+
+
+def test_ring_verify_rejects_basis_words_out_of_normal_form(workdir, tmp_path, capsys):
+    # swapping two basis words of one component relabels the basis: the
+    # table stays consistent, but the words no longer name their elements
+    data = load_json(workdir / "ring4.json")
+    comp = _component(data, 1, 1)
+    assert comp["basis"][2:] == [[3, 3], [3, 3, 3]]
+    comp["basis"][2:] = [[3, 3, 3], [3, 3]]
+    data["ring_hash"] = content_hash(data)
+    save_json(tmp_path / "swapped.json", data)
+    code, out, _ = run_cli(["ring", "verify", str(tmp_path / "swapped.json")], capsys)
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "verify: FAILED",
+        "  failure: basis 2 of (1,1) is not the normal form of its word [3, 3, 3]",
+        "  failure: basis 3 of (1,1) is not the normal form of its word [3, 3]",
+    ]
 
 
 def test_ring_verify_k2_skips_oracle(tmp_path, capsys):
@@ -360,6 +378,52 @@ def _relation_word_out_of_range(data):
     data["presentation"]["relations"][0]["sides"][0][0]["word"] = [99]
 
 
+def _relation_source_out_of_range(data):
+    data["presentation"]["relations"][0]["source"] = 99
+
+
+def _string_table_entry(data):
+    data["table"][0][2][0] = "x"
+
+
+def _component(data, source, target):
+    return next(c for c in data["components"] if [c["source"], c["target"]] == [source, target])
+
+
+def _basis_word_ends_elsewhere(data):
+    # arrows 3: 1 -> 1 and 9: 1 -> 2 make a path, but not one to 1
+    _component(data, 1, 1)["basis"][-1] = [3, 9]
+
+
+def _basis_word_not_a_path(data):
+    # arrow 10 runs 2 -> 4, so it cannot start the component 1 -> 4
+    _component(data, 1, 4)["basis"][0] = [10]
+
+
+def _noncomposable_table_entry(data):
+    # flat index 0 is the unit of object 1, and the last one starts at object 4
+    last = sum(len(c["basis"]) for c in data["components"]) - 1
+    data["table"].append([0, last, [1]])
+
+
+def _short_arrow_form(data):
+    data["arrow_forms"][0]["coefficients"].pop()
+
+
+def _string_arrow_form_coefficient(data):
+    data["arrow_forms"][0]["coefficients"][0] = "x"
+
+
+def _short_torsion_list(data):
+    comp = next(c for c in data["components"] if len(c["basis"]) > 1)
+    comp["torsion"] = comp["torsion"][:1]
+
+
+def _basis_word_out_of_range(data):
+    comp = next(c for c in data["components"] if c["basis"])
+    comp["basis"][-1] = [99]
+
+
 @pytest.mark.parametrize(
     "base, corrupt",
     [
@@ -371,6 +435,15 @@ def _relation_word_out_of_range(data):
         ("ring4.json", _two_field_table_entry),
         ("ring4.json", _arrow_form_out_of_range),
         ("ring4.json", _relation_word_out_of_range),
+        ("ring4.json", _relation_source_out_of_range),
+        ("ring4.json", _string_table_entry),
+        ("ring4.json", _basis_word_out_of_range),
+        ("ring4.json", _short_torsion_list),
+        ("ring4.json", _noncomposable_table_entry),
+        ("ring4.json", _short_arrow_form),
+        ("ring4.json", _string_arrow_form_coefficient),
+        ("ring4.json", _basis_word_ends_elsewhere),
+        ("ring4.json", _basis_word_not_a_path),
     ],
 )
 def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):
@@ -396,3 +469,33 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"error: cannot write ring file {out}: ")
     assert stdout == ""
+
+
+def test_parser_is_built_once_without_leaking_state(workdir, capsys):
+    # the parser is cached across calls: a --json call, a bad flag (exit
+    # 2) and a plain call each print what a fresh parser prints
+    ring = str(workdir / "ring4.json")
+    calls = (
+        ["ring", "info", "--json", ring],
+        ["ring", "info", "--no-such-flag", ring],
+        ["ring", "info", ring],
+    )
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    assert json.loads(fresh[0][1])["total_rank"] == 22
+    assert "--no-such-flag" in fresh[1][2]
+    assert fresh[2][1].startswith("ring over C_4")
+    assert build_parser() is build_parser()
+    assert [run(argv) for argv in calls] == fresh

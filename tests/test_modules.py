@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from catring.intlin import mat_identity, mat_mul
 from catring.modules import (
     GradedModule,
     _echelon_lattice,
+    _letters,
     _MapSystem,
     _section_system,
     compose_maps,
@@ -38,6 +40,7 @@ from oracles import (
     oracle_ext1,
     oracle_free_cover,
     oracle_hom,
+    pairwise_validate,
 )
 
 
@@ -374,8 +377,9 @@ def test_uct_flags_long_resolutions(ring4):
 
 
 def test_functoriality_property_on_corpus(ring2):
-    # action(normal_form(b then b')) == action(b) . action(b') is part of
-    # validate(); spot-check it directly on one module and all pairs
+    # action(normal_form(b then b')) == action(b) . action(b') follows from
+    # validate(), which checks it on letters b'; spot-check it directly on
+    # one module and all pairs
     m = yoneda_cyclic_quotient(ring2, 2, 0, 1, 0)
     ring = ring2
     for fu, (x, y, _) in enumerate(ring.flat):
@@ -479,3 +483,118 @@ def test_coordinates_need_an_echelon_basis():
     assert _echelon_lattice([[1, 2], [0, 3]], 2).coordinates([2, 7]) == [2, 1]
     with pytest.raises(AssertionError, match="echelon"):
         _echelon_lattice([[2, 0], [3, 1]], 2)
+
+
+# -- validation on letters against the all-pairs oracle -----------------
+
+
+def _dense_act(module):
+    return {k: [list(r) for r in v] for k, v in module.act.items()}
+
+
+def _accepts(check, module) -> bool:
+    try:
+        check(module)
+    except ValueError:
+        return False
+    return True
+
+
+def _corruptions(module, rng, count):
+    """`count` copies of `module`, each with one action entry moved by a
+    nonzero amount."""
+    keys = sorted(k for k, mat in module.act.items() if mat and mat[0])
+    out = []
+    for _ in range(count if keys else 0):
+        act = _dense_act(module)
+        mat = act[rng.choice(keys)]
+        mat[rng.randrange(len(mat))][rng.randrange(len(mat[0]))] += rng.choice((-2, -1, 1, 2))
+        out.append(GradedModule(module.ring, module.gens, module.rels, act))
+    return out
+
+
+def test_validate_matches_pairwise_oracle(ring1, ring2, ring3, ring4):
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    for ring in (ring1, ring2, ring3, ring4):
+        for m in build_corpus(ring, rng, size=10):
+            for candidate in [m, *_corruptions(m, rng, 8)]:
+                verdict = _accepts(GradedModule.validate, candidate)
+                assert verdict == _accepts(pairwise_validate, candidate)
+                verdicts[verdict] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_validate_rejects_corruption_off_the_letters(ring4):
+    # a basis monomial of word length 2 is never a letter; its action is
+    # only reached through the table products of the pairs checked
+    letters = {fb for fbs in _letters(ring4).values() for fb in fbs}
+    m = yoneda(ring4, 2, 0)
+    fb = next(
+        fb for fb, (_, _, w) in enumerate(ring4.flat) if len(w) >= 2 and m.act[(fb, 0)] and m.act[(fb, 0)][0]
+    )
+    assert fb not in letters
+    act = _dense_act(m)
+    act[(fb, 0)][0][0] += 1
+    broken = GradedModule(ring4, m.gens, m.rels, act)
+    for check in (GradedModule.validate, pairwise_validate):
+        with pytest.raises(ValueError, match="not functorial"):
+            check(broken)
+
+
+def test_validate_checks_pairs_through_an_empty_layer(ring4):
+    # drop the value at object 2 from the representable of object 4: the
+    # action of 9*10 (1 -> 2 -> 4) now factors through zero, yet is kept
+    m = yoneda(ring4, 4, 0)
+    gens = dict(m.gens)
+    gens[(2, 0)] = ()
+    act = _dense_act(m)
+    for fb, (x, y, _) in enumerate(ring4.flat):
+        if y == 2:
+            act[(fb, 0)] = []
+        elif x == 2:
+            act[(fb, 0)] = [[] for _ in act[(fb, 0)]]
+    hollow = GradedModule(ring4, gens, m.rels, act)
+    through = ring4.offset[(1, 4)]
+    assert ring4.flat[through][2] == (9, 10) and any(any(r) for r in act[(through, 0)])
+    for check in (GradedModule.validate, pairwise_validate):
+        with pytest.raises(ValueError, match="not functorial"):
+            check(hollow)
+
+
+def test_validate_accepts_actions_moved_by_relations(ring4):
+    # adding a relation row at the source slot to an action row leaves the
+    # action on the quotient unchanged: both checks accept
+    m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
+    moved_any = 0
+    for fb, (x, _, _) in enumerate(ring4.flat):
+        if not (m.rels[(x, 0)] and m.act[(fb, 0)]):
+            continue
+        act = _dense_act(m)
+        act[(fb, 0)][-1] = [a + r for a, r in zip(act[(fb, 0)][-1], m.rels[(x, 0)][-1])]
+        moved = GradedModule(ring4, m.gens, m.rels, act)
+        assert moved.act != m.act
+        moved.validate()
+        pairwise_validate(moved)
+        moved_any += 1
+    assert moved_any
+
+
+def test_letters_are_the_arrow_form_support(ring4):
+    support = {
+        ring4.offset[(f.source, f.target)] + t
+        for f in ring4.arrow_forms.values()
+        for t, c in enumerate(f.coeffs)
+        if c
+    }
+    letters = _letters(ring4)
+    assert {fb for fbs in letters.values() for fb in fbs} == support
+    assert all(ring4.flat[fb][0] == x for x, fbs in letters.items() for fb in fbs)
+    # torsion breaks the linearity the proof needs: every basis element
+    # becomes a letter, which is the all-pairs check
+    twisted = copy.copy(ring4)
+    twisted.torsion = dict(ring4.torsion)
+    twisted.torsion[(1, 1)] = [None, 2, None, None]
+    assert _letters(twisted) == {
+        x: [fb for fb, (src, _, _) in enumerate(ring4.flat) if src == x] for x in ring4.objects
+    }
