@@ -132,7 +132,7 @@ class CategoryRing:
     `table[(u, v)]`, for flat basis indices with target(u) == source(v),
     is the coefficient vector of the composite "u then v" over the basis
     of (source(u), target(v)).  The table must not change once
-    `right_action` has cached rows built from it.
+    `right_action` or `sparse_table` has cached rows built from it.
     """
 
     def __init__(self, presentation, basis, torsion, table, arrow_forms, stabilized_at, max_len, window):
@@ -160,6 +160,7 @@ class CategoryRing:
             gi: self.element(src, tgt, coeffs) for gi, (src, tgt, coeffs) in arrow_forms.items()
         }
         self._right_rows: dict[int, dict[int, dict[int, int]]] = {}
+        self._sparse_table: dict[tuple[int, int], dict[int, int]] | None = None
 
     # -- elements ------------------------------------------------------
 
@@ -217,6 +218,15 @@ class CategoryRing:
                     rows[off + pos] = {t: c for t, c in enumerate(prod.coeffs) if c}
             self._right_rows[arrow] = rows
         return rows
+
+    def sparse_table(self) -> dict[tuple[int, int], dict[int, int]]:
+        """The table as sparse rows {pos: c} without zeros, built on first
+        use and shared by every caller: read it, never mutate it."""
+        if self._sparse_table is None:
+            self._sparse_table = {
+                key: {t: c for t, c in enumerate(vec) if c} for key, vec in self.table.items()
+            }
+        return self._sparse_table
 
     # -- presentation-facing helpers ------------------------------------
 

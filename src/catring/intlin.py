@@ -4,16 +4,19 @@ Everything here works over Z with arbitrary-precision ints; there is no
 floating point anywhere.  A matrix is a list of rows.  A row is either a
 dense list (or tuple) of ints or a sparse dict {column: value}; a sparse
 row given as input may hold zero entries, but none is ever stored.  The
-number of columns is always passed explicitly so that empty matrices keep
-their shape.  `Lattice` is the package's one integer echelon, used by
-the module algebra and by the ring completion alike.  Its rows are
-sparse, kept in a dict keyed by pivot column, and a row's pivot is its
-leftmost (smallest) column, so elimination costs scale with the nonzero
-entries.  `Lattice.reduce` gives the unique normal form of a coset, which
-the completion reads its rings off; `Lattice.basis()`, `hnf` and
-`left_kernel` return dense rows, the canonical HNF.  The convention
-throughout the package is that maps act on row vectors from the right:
-v |-> v * A.
+number of columns is passed explicitly wherever dense rows go in or come
+out, so that empty matrices keep their shape.  `Lattice` is the
+package's one integer echelon, used by the module algebra and by the
+ring completion alike.  Its rows are sparse, kept in a dict keyed by
+pivot column, and a row's pivot is its leftmost (smallest) column, so
+elimination costs scale with the nonzero entries.  `Lattice.reduce`
+gives the unique normal form of a coset, which the completion reads its
+rings off, and `group_invariants` reads the Smith form off alternating
+echelons.  The sparse rows are also the module algebra's one data
+format, and `mat_mul` is their one product.  Dense rows come out of
+`Lattice.basis()`, `hnf` and `left_kernel` (the canonical HNF), and of
+`Lattice.coordinates` and `solve_left`.  The convention throughout the
+package is that maps act on row vectors from the right: v |-> v * A.
 """
 
 from __future__ import annotations
@@ -44,6 +47,17 @@ def _sparse(vec, n: int) -> dict[int, int]:
         return dict(vec)
     assert len(vec) == n
     return {j: c for j, c in enumerate(vec) if c}
+
+
+def dense_rows(rows, n: int) -> list[list[int]]:
+    """Sparse rows as dense lists of width n."""
+    out = []
+    for row in rows:
+        dense = [0] * n
+        for j, c in row.items():
+            dense[j] = c
+        out.append(dense)
+    return out
 
 
 def _axpy(vec: dict, q: int, row: dict) -> None:
@@ -189,13 +203,7 @@ class Lattice:
 
     def basis(self) -> list[list[int]]:
         """The echelon rows as dense lists (the HNF after `canonicalize`)."""
-        out = []
-        for row in self.rows:
-            dense = [0] * self.n
-            for j, c in row.items():
-                dense[j] = c
-            out.append(dense)
-        return out
+        return dense_rows(self.rows, self.n)
 
     @property
     def rank(self) -> int:
@@ -252,110 +260,57 @@ def solve_left(rows, ncols: int, target) -> list[int] | None:
     return x
 
 
-def snf_diagonal(rows, ncols: int) -> list[int]:
-    """Nonzero invariant factors d1 | d2 | ... of the matrix."""
-    D = [list(row) for row in rows]
-    m, n = len(D), ncols
-    for row in D:
-        assert len(row) == n
+def group_invariants(rel_rows, ngens: int) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion chain) of Z^ngens / rowspan(rel_rows).
 
-    def row_op(i1, i2, j):
-        a, b = D[i1][j], D[i2][j]
-        if b == 0:
-            return
-        if a == 0:
-            D[i1], D[i2] = D[i2], D[i1]
-        elif b % a == 0:
-            q = b // a
-            r1, r2 = D[i1], D[i2]
-            for jj in range(n):
-                r2[jj] -= q * r1[jj]
-        else:
-            x, y, g = xgcd(a, b)
-            ag, mbg = a // g, -(b // g)
-            r1, r2 = D[i1], D[i2]
-            for jj in range(n):
-                aa, bb = r1[jj], r2[jj]
-                r1[jj] = x * aa + y * bb
-                r2[jj] = mbg * aa + ag * bb
-
-    def col_op(j1, j2, i):
-        a, b = D[i][j1], D[i][j2]
-        if b == 0:
-            return
-        if a == 0:
-            for row in D:
-                row[j1], row[j2] = row[j2], row[j1]
-        elif b % a == 0:
-            q = b // a
-            for row in D:
-                row[j2] -= q * row[j1]
-        else:
-            x, y, g = xgcd(a, b)
-            ag, mbg = a // g, -(b // g)
-            for row in D:
-                aa, bb = row[j1], row[j2]
-                row[j1] = x * aa + y * bb
-                row[j2] = mbg * aa + ag * bb
-
-    for k in range(min(m, n)):
-        # Pull a nonzero entry into the (k, k) slot.
-        found = False
-        for i in range(k, m):
-            for j in range(k, n):
-                if D[i][j]:
-                    D[k], D[i] = D[i], D[k]
-                    if j != k:
-                        for row in D:
-                            row[k], row[j] = row[j], row[k]
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            break
-        while True:
-            for i in range(k + 1, m):
-                row_op(k, i, k)
-            if all(D[k][j] == 0 for j in range(k + 1, n)):
-                break
-            for j in range(k + 1, n):
-                col_op(k, j, k)
-            if all(D[i][k] == 0 for i in range(k + 1, m)):
-                break
-
-    diag = [abs(D[i][i]) for i in range(min(m, n)) if D[i][i]]
-    # Enforce the divisibility chain.
+    The Smith form by alternating Hermite forms (Kannan and Bachem, SIAM
+    J. Comput. 8, 1979): the canonical echelon of the rows, then of its
+    columns, until every row has a single entry.  Each round either
+    clears the first row and column of what is left, or replaces its
+    corner by a proper divisor, so the loop ends.  The diagonal is then
+    brought into the divisibility chain by gcd and lcm.
+    """
+    lat = Lattice(ngens)
+    for row in rel_rows:
+        lat.add(row)
+    lat.canonicalize()
+    rows = lat.rows
+    while any(len(row) > 1 for row in rows):
+        cols: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                cols.setdefault(j, {})[i] = c
+        lat = Lattice(len(rows))
+        for col in cols.values():
+            lat.add(col)
+        lat.canonicalize()
+        rows = lat.rows
+    diag = [abs(c) for row in rows for c in row.values()]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = gcd(a, b)
-            diag[i], diag[j] = g, a * b // g
-    return diag
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return ngens - len(diag), tuple(d for d in diag if d != 1)
 
 
-def group_invariants(rel_rows, ngens: int) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion chain) of Z^ngens / rowspan(rel_rows)."""
-    diag = snf_diagonal(rel_rows, ngens)
-    free = ngens - len(diag)
-    torsion = tuple(d for d in diag if d != 1)
-    return free, torsion
+def mat_mul(A, B) -> list[dict[int, int]]:
+    """The product of sparse rows: row i is the sum of c * B[k] over the
+    entries {k: c} of A[i], without zeros.
 
-
-def mat_mul(A, B, ncols_b: int) -> list[list[int]]:
-    """Product of row-major matrices; A is m x k, B is k x ncols_b."""
+    B is any sequence or mapping of sparse rows keyed by the columns of A.
+    A row of A that is a lone 1 at k gives B[k] itself, not a copy, so
+    treat the result as read-only.
+    """
     out = []
     for row in A:
-        acc = [0] * ncols_b
-        for a, brow in zip(row, B):
-            if a:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += a * b
-        out.append(acc)
+        if len(row) == 1:
+            ((k, c),) = row.items()
+            if c == 1:
+                out.append(B[k])
+                continue
+        acc: dict[int, int] = {}
+        for k, c in row.items():
+            for j, v in B[k].items():
+                acc[j] = acc.get(j, 0) + c * v
+        out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def mat_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-

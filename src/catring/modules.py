@@ -8,6 +8,15 @@ modules are functors on the opposite category).  Row-vector convention
 throughout: an element is a row over the slot's generators and a matrix
 acts from the right.
 
+Every matrix here - relations, actions and the matrices of module maps -
+is a tuple of sparse rows {column: value} without zeros, the row format
+of `intlin.Lattice`, and `intlin.mat_mul` is the one product of such
+rows.  `GradedModule` and `ModuleMap` accept dense or dict rows, check
+their shapes and normalize them once.  Dense rows remain only in the
+JSON files (`serialize`) and in the dense outputs of `intlin` (`hnf`,
+`left_kernel`, `Lattice.coordinates`), which are converted where they
+enter a module or a map.
+
 The completed rings in scope are concentrated in degree 0 (every
 presentation generator is an even morphism), so module maps and actions
 preserve the Z/2-degree and suspension simply swaps the two layers; if a
@@ -31,10 +40,10 @@ from dataclasses import dataclass
 from .completion import CategoryRing
 from .intlin import (
     Lattice,
+    _sparse,
     group_invariants,
     hnf,
     left_kernel,
-    mat_identity,
     mat_mul,
     solve_left,
 )
@@ -73,24 +82,34 @@ class AbInvariants:
         return " (+) ".join(parts) if parts else "0"
 
 
-def _shape_check(rows, nrows, ncols, what):
-    if len(rows) != nrows:
-        raise ValueError(f"{what}: expected {nrows} rows, got {len(rows)}")
+def _sparse_rows(rows, nrows, ncols: int, what: str, where) -> tuple:
+    """`rows`, dense or {column: value}, as a tuple of sparse rows without
+    zeros.  A dict row must keep its columns below `ncols`; one without
+    zeros is kept, not copied, so it must not change afterwards.  Raises
+    ValueError naming `what` at `where` unless every dense row has width
+    `ncols` and, when `nrows` is not None, there are `nrows` rows."""
+    out = []
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"{what}: expected width {ncols}, got {len(row)}")
+        if isinstance(row, dict):
+            if 0 in row.values():
+                row = {j: c for j, c in row.items() if c}
+        elif len(row) == ncols:
+            row = {j: c for j, c in enumerate(row) if c}
+        else:
+            raise ValueError(f"{what} {where}: expected width {ncols}, got {len(row)}")
+        out.append(row)
+    if nrows is not None and len(out) != nrows:
+        raise ValueError(f"{what} {where}: expected {nrows} rows, got {len(out)}")
+    return tuple(out)
 
 
-def _combine(terms: list) -> dict[int, int]:
-    """The sparse row sum of c * row over (c, row) terms, without zeros;
-    a lone term 1 * row is returned as `row` itself, not copied."""
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    out: dict[int, int] = {}
-    for c, row in terms:
-        for j, v in row.items():
-            out[j] = out.get(j, 0) + c * v
-    return {j: v for j, v in out.items() if v}
+def _columns(rows, ncols: int) -> list:
+    """The nonzero entries (row index, value) of each column of sparse rows."""
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            cols[j].append((i, c))
+    return cols
 
 
 def _letters(ring: CategoryRing) -> dict[int, list[int]]:
@@ -111,14 +130,26 @@ class GradedModule:
     """A finitely presented graded right module; treat as immutable."""
 
     def __init__(self, ring: CategoryRing, gens, rels, act):
+        """Rows may be dense or {column: value}; dict rows are kept, not
+        copied, so they must not change afterwards.  Raises ValueError
+        when a relation row or an action matrix does not fit its slots."""
         self.ring = ring
         self.slots = [(x, e) for x in ring.objects for e in (0, 1)]
         self.gens = {s: tuple(gens.get(s, ())) for s in self.slots}
-        self.rels = {s: tuple(tuple(r) for r in rels.get(s, ())) for s in self.slots}
+        ngens = {s: len(g) for s, g in self.gens.items()}
+        self.rels = {
+            s: _sparse_rows(rels.get(s, ()), None, ngens[s], "relations at slot", s) for s in self.slots
+        }
         self.act = {}
-        for fb in range(len(ring.flat)):
+        for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
-                self.act[(fb, e)] = tuple(tuple(r) for r in act.get((fb, e), ()))
+                self.act[(fb, e)] = _sparse_rows(
+                    act.get((fb, e), ()),
+                    ngens[(y, e)],
+                    ngens[(x, e)],
+                    "action matrix of (basis, degree)",
+                    (fb, e),
+                )
         self._rel_lattices = {}
 
     def ngens(self, slot: Slot) -> int:
@@ -135,9 +166,13 @@ class GradedModule:
         return lat
 
     def agree(self, slot: Slot, A, B) -> bool:
-        """Are the row lists A and B equal modulo the relations at `slot`?"""
+        """Are the sparse row lists A and B, of one length, equal modulo
+        the relations at `slot`?"""
         lat = self.relation_lattice(slot)
-        return all([a - b for a, b in zip(ra, rb)] in lat for ra, rb in zip(A, B))
+        return all(
+            a == b or {j: a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()} in lat
+            for a, b in zip(A, B)
+        )
 
     def value_invariants(self, slot: Slot) -> AbInvariants:
         free, tors = group_invariants(self.rels[slot], self.ngens(slot))
@@ -152,16 +187,17 @@ class GradedModule:
     def validate(self) -> None:
         """Re-check all module invariants; raises with a witness on failure.
 
-        Shapes, well-definedness on the quotient (for every basis element)
-        and the unit action are checked directly.  Functoriality is checked
-        only on pairs (u, a): u runs over every basis monomial x -> y, and
-        the right factor a over the *letters* leaving y, the basis elements
-        in the support of the arrow normal forms (`_letters`).  Write
-        rho(b) for the action of b, extended linearly to coefficient
-        vectors, x.v for the table product "x then v", and rho(x)rho(v) for
-        "act by x, then by v".  Equations between actions hold modulo the
-        relations of the slot they land in; well-definedness makes that
-        compatible with composing actions.
+        Shapes are checked when the module is built.  Well-definedness on
+        the quotient (for every basis element) and the unit action are
+        checked directly.  Functoriality is checked only on pairs (u, a):
+        u runs over every basis monomial x -> y, and the right factor a
+        over the *letters* leaving y, the basis elements in the support of
+        the arrow normal forms (`_letters`).  Write rho(b) for the action
+        of b, extended linearly to coefficient vectors, x.v for the table
+        product "x then v", and rho(x)rho(v) for "act by x, then by v".
+        Equations between actions hold modulo the relations of the slot
+        they land in; well-definedness makes that compatible with composing
+        actions.
 
         Precondition: the ring passes `ring verify` (`verify_ring`), so its
         table is associative, units are two-sided units, and every basis
@@ -186,24 +222,18 @@ class GradedModule:
         """
         ring = self.ring
         ngens = {s: len(g) for s, g in self.gens.items()}
-        for s in self.slots:
-            _shape_check(self.rels[s], len(self.rels[s]), ngens[s], f"relations at {s}")
-        rows = {}  # (basis, degree) -> the action's sparse rows
         for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
-                mat = self.act[(fb, e)]
-                _shape_check(mat, ngens[(y, e)], ngens[(x, e)], f"action of basis {fb} deg {e}")
-                sparse = rows[(fb, e)] = [{j: v for j, v in enumerate(r) if v} for r in mat]
                 # well-defined on the quotient
                 if self.rels[(y, e)]:
                     lat = self.relation_lattice((x, e))
-                    for row in self.rels[(y, e)]:
-                        if _combine([(c, sparse[i]) for i, c in enumerate(row) if c]) not in lat:
-                            raise ValueError(f"action of basis {fb} not well-defined at degree {e}")
+                    if any(row not in lat for row in mat_mul(self.rels[(y, e)], self.act[(fb, e)])):
+                        raise ValueError(f"action of basis {fb} not well-defined at degree {e}")
         for x in ring.objects:
             fb = ring.offset[(x, x)] + ring.unit_pos[x]
             for e in (0, 1):
-                if not self.agree((x, e), self.act[(fb, e)], mat_identity(ngens[(x, e)])):
+                identity = [{i: 1} for i in range(ngens[(x, e)])]
+                if not self.agree((x, e), self.act[(fb, e)], identity):
                     raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
         # functoriality through the structure constants, on letters
         letters = _letters(ring)
@@ -211,21 +241,28 @@ class GradedModule:
             for fa in letters[y]:
                 z = ring.flat[fa][1]
                 off = ring.offset[(x, z)]
-                prod = [(off + t, c) for t, c in enumerate(ring.table[(fu, fa)]) if c]
+                prod = {off + t: c for t, c in enumerate(ring.table[(fu, fa)]) if c}
                 for e in (0, 1):
                     if not (ngens[(x, e)] and ngens[(z, e)]):
                         continue
-                    act_u, act_a = rows[(fu, e)], rows[(fa, e)]
-                    for i, arow in enumerate(act_a):
-                        lhs = _combine([(c, act_u[j]) for j, c in arow.items()])
-                        rhs = _combine([(c, rows[(t, e)][i]) for t, c in prod])
-                        if lhs == rhs:
-                            continue
-                        diff = {j: lhs.get(j, 0) - rhs.get(j, 0) for j in lhs.keys() | rhs.keys()}
-                        if diff not in self.relation_lattice((x, e)):
-                            raise ValueError(
-                                f"action is not functorial on basis pair ({fu}, {fa}) at degree {e}"
-                            )
+                    lhs = mat_mul(self.act[(fa, e)], self.act[(fu, e)])
+                    if not self.agree((x, e), lhs, _element_action(self, prod, (z, e))):
+                        raise ValueError(
+                            f"action is not functorial on basis pair ({fu}, {fa}) at degree {e}"
+                        )
+
+
+def _element_action(module: GradedModule, vec: dict, slot: Slot) -> list:
+    """Sparse rows of the action of the ring element sum c * b, over
+    vec = {flat basis index b: c} with every b ending at slot's object, on
+    the generators at `slot`: row i is the sum of c * (row i of b's action)."""
+    e, n = slot[1], module.ngens(slot)
+    if len(vec) == 1 and 1 in vec.values():  # a basis element acts by its own rows
+        return module.act[(next(iter(vec)), e)]
+    # row i of the result takes row i of each b's action, stacked b after b
+    stack = [row for fb in vec for row in module.act[(fb, e)]]
+    coeffs = list(vec.values())
+    return mat_mul([{k * n + i: c for k, c in enumerate(coeffs)} for i in range(n)], stack)
 
 
 def zero_module(ring: CategoryRing) -> GradedModule:
@@ -240,16 +277,13 @@ def yoneda(ring: CategoryRing, obj: int, eps: int) -> GradedModule:
     """
     if obj not in ring.objects:
         raise KeyError(f"unknown object {obj}")
-    gens = {}
+    gens = {(x, eps): tuple(ring.word_str(w, x) for w in ring.basis[(x, obj)]) for x in ring.objects}
+    table = ring.sparse_table()
     act = {}
-    for x in ring.objects:
-        gens[(x, eps)] = tuple(ring.word_str(w, x) for w in ring.basis[(x, obj)])
-    for fb, (x, y, _) in enumerate(ring.flat):
-        rows = []
-        for fu in range(len(ring.basis[(y, obj)])):
-            rows.append(ring.table[(fb, ring.offset[(y, obj)] + fu)])
-        act[(fb, eps)] = rows
-        act[(fb, 1 - eps)] = ()
+    for fb, (_, y, _) in enumerate(ring.flat):
+        # one row per basis word u: y -> obj, the table row of "fb then u"
+        base = ring.offset[(y, obj)]
+        act[(fb, eps)] = [table[(fb, u)] for u in range(base, base + len(ring.basis[(y, obj)]))]
     return GradedModule(ring, gens, {}, act)
 
 
@@ -271,30 +305,22 @@ def direct_sum(*modules: GradedModule) -> GradedModule:
     gens, rels, act = {}, {}, {}
     for s in modules[0].slots:
         gens[s] = tuple(itertools.chain.from_iterable(m.gens[s] for m in modules))
-        rows = []
-        offset = 0
-        total = sum(m.ngens(s) for m in modules)
-        for m in modules:
-            for r in m.rels[s]:
-                row = [0] * total
-                row[offset : offset + m.ngens(s)] = list(r)
-                rows.append(row)
-            offset += m.ngens(s)
-        rels[s] = rows
+        rels[s] = _block_diagonal((m.rels[s], m.ngens(s)) for m in modules)
     for key in modules[0].act:
         fb, e = key
-        x, y, _ = ring.flat[fb]
-        total_x = sum(m.ngens((x, e)) for m in modules)
-        rows = []
-        off_x = 0
-        for m in modules:
-            for r in m.act[key]:
-                row = [0] * total_x
-                row[off_x : off_x + m.ngens((x, e))] = list(r)
-                rows.append(row)
-            off_x += m.ngens((x, e))
-        act[key] = rows
+        x = ring.flat[fb][0]
+        act[key] = _block_diagonal((m.act[key], m.ngens((x, e))) for m in modules)
     return GradedModule(ring, gens, rels, act)
+
+
+def _block_diagonal(blocks) -> list:
+    """The rows of each block (rows, width) in turn, each block's columns
+    shifted past the widths of the blocks before it."""
+    out, offset = [], 0
+    for rows, width in blocks:
+        out.extend(({offset + j: c for j, c in row.items()} for row in rows) if offset else rows)
+        offset += width
+    return out
 
 
 def trivial_group_module(ring: CategoryRing, degree0=(), degree1=()) -> GradedModule:
@@ -307,31 +333,25 @@ def trivial_group_module(ring: CategoryRing, degree0=(), degree1=()) -> GradedMo
     obj = ring.objects[0]
     gens, rels, act = {}, {}, {}
     for e, orders in ((0, degree0), (1, degree1)):
-        names = tuple(f"g{i}" for i in range(len(orders)))
-        rows = []
-        for i, d in enumerate(orders):
-            if d:
-                row = [0] * len(orders)
-                row[i] = d
-                rows.append(row)
-        gens[(obj, e)] = names
-        rels[(obj, e)] = rows
-        act[(0, e)] = mat_identity(len(orders))
+        gens[(obj, e)] = tuple(f"g{i}" for i in range(len(orders)))
+        rels[(obj, e)] = [{i: d} for i, d in enumerate(orders) if d]
+        act[(0, e)] = [{i: 1} for i in range(len(orders))]
     return GradedModule(ring, gens, rels, act)
 
 
 def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModule:
-    """Quotient by the submodule generated by one element of one slot."""
+    """Quotient by the submodule generated by one element of one slot,
+    given as a dense or {column: value} row."""
     ring = module.ring
     x0, e0 = slot
+    vec = _sparse(vector, module.ngens(slot))
     rels = {}
     for s in module.slots:
         w, e = s
-        rows = [list(r) for r in module.rels[s]]
+        rows = list(module.rels[s])
         if e == e0:
             for fu in range(len(ring.basis[(w, x0)])):
-                fb = ring.offset[(w, x0)] + fu
-                rows.append(mat_mul([list(vector)], module.act[(fb, e0)], module.ngens(s))[0])
+                rows.extend(mat_mul([vec], module.act[(ring.offset[(w, x0)] + fu, e0)]))
         rels[s] = hnf(rows, module.ngens(s))
     return GradedModule(module.ring, module.gens, rels, module.act)
 
@@ -340,10 +360,7 @@ def yoneda_cyclic_quotient(ring: CategoryRing, obj: int, eps: int, src: int, pos
     """Quotient of the representable module of `obj` by one basis monomial
     of its value at `src` (the cyclic-quotient family used in the
     projective-dimension search)."""
-    y = yoneda(ring, obj, eps)
-    vec = [0] * len(ring.basis[(src, obj)])
-    vec[pos] = 1
-    return quotient_by_element(y, (src, eps), vec)
+    return quotient_by_element(yoneda(ring, obj, eps), (src, eps), {pos: 1})
 
 
 # -- module maps -----------------------------------------------------
@@ -351,33 +368,38 @@ def yoneda_cyclic_quotient(ring: CategoryRing, obj: int, eps: int, src: int, pos
 
 @dataclass
 class ModuleMap:
-    """A degree-preserving map, one matrix per slot (row convention)."""
+    """A degree-preserving map, one matrix per slot (row convention).
+
+    `mats` may hold dense or {column: value} rows, as `GradedModule`
+    takes them, and a slot it leaves out has no rows; they are checked
+    against the slot sizes and stored as sparse rows.
+    """
 
     source: GradedModule
     target: GradedModule
     mats: dict
 
     def __post_init__(self):
-        for s in self.source.slots:
-            self.mats.setdefault(s, tuple())
-            _shape_check(self.mats[s], self.source.ngens(s), self.target.ngens(s), f"map at {s}")
-            self.mats[s] = tuple(tuple(r) for r in self.mats[s])
+        M, N = self.source, self.target
+        self.mats = {
+            s: _sparse_rows(self.mats.get(s, ()), M.ngens(s), N.ngens(s), "map at slot", s)
+            for s in M.slots
+        }
 
     def is_zero(self) -> bool:
-        return all(not any(any(r) for r in self.mats[s]) for s in self.source.slots)
+        return not any(any(rows) for rows in self.mats.values())
 
     def check(self) -> None:
         """Assert well-definedness and equivariance; raises on failure."""
         M, N = self.source, self.target
         for s in M.slots:
             lat = N.relation_lattice(s)
-            for row in M.rels[s]:
-                if mat_mul([list(row)], self.mats[s], N.ngens(s))[0] not in lat:
-                    raise ValueError(f"map not well-defined at {s}")
+            if any(row not in lat for row in mat_mul(M.rels[s], self.mats[s])):
+                raise ValueError(f"map not well-defined at {s}")
         for fb, (x, y, _) in enumerate(M.ring.flat):
             for e in (0, 1):
-                lhs = mat_mul(M.act[(fb, e)], self.mats[(x, e)], N.ngens((x, e)))
-                rhs = mat_mul(self.mats[(y, e)], N.act[(fb, e)], N.ngens((x, e)))
+                lhs = mat_mul(M.act[(fb, e)], self.mats[(x, e)])
+                rhs = mat_mul(self.mats[(y, e)], N.act[(fb, e)])
                 if not N.agree((x, e), lhs, rhs):
                     raise ValueError(f"map does not commute with basis {fb} at degree {e}")
 
@@ -386,15 +408,12 @@ def compose_maps(first: ModuleMap, second: ModuleMap) -> ModuleMap:
     """first then second."""
     if first.target is not second.source:
         raise ValueError("maps are not composable")
-    mats = {
-        s: mat_mul(first.mats[s], second.mats[s], second.target.ngens(s))
-        for s in first.source.slots
-    }
+    mats = {s: mat_mul(first.mats[s], second.mats[s]) for s in first.source.slots}
     return ModuleMap(first.source, second.target, mats)
 
 
 def identity_map(module: GradedModule) -> ModuleMap:
-    return ModuleMap(module, module, {s: mat_identity(module.ngens(s)) for s in module.slots})
+    return ModuleMap(module, module, {s: [{i: 1} for i in range(module.ngens(s))] for s in module.slots})
 
 
 # -- Hom --------------------------------------------------------------
@@ -421,7 +440,7 @@ class HomGroup:
     def coordinates_of(self, f: ModuleMap):
         """Integer coordinates of a map over `maps`, or None if the map
         is not a module map M -> N at all."""
-        vec = _map_to_vector(f, self._var_off, self._nvars)
+        vec = _map_to_vector(f, self._var_off)
         return _echelon_lattice(self._lattice, self._nvars).coordinates(vec)
 
 
@@ -446,33 +465,22 @@ class _MapSystem:
 
         # well-defined: each relation of M maps into the relations of N
         for s in M.slots:
-            gm, gn = M.ngens(s), N.ngens(s)
+            gn, off = N.ngens(s), self.var_off[s]
             for rrow in M.rels[s]:
-                exprs = []
-                for q in range(gn):
-                    expr = {}
-                    for p in range(gm):
-                        if rrow[p]:
-                            expr[self.var_off[s] + p * gn + q] = rrow[p]
-                    exprs.append(expr)
-                self.add(exprs, N.rels[s])
+                self.add([{off + p * gn + q: c for p, c in rrow.items()} for q in range(gn)], N.rels[s])
 
         # commutes with the action of every basis monomial
         for fb, (x, y, _) in enumerate(M.ring.flat):
             for e in (0, 1):
                 sx, sy = (x, e), (y, e)
-                gnx = N.ngens(sx)
-                gmy, gny = M.ngens(sy), N.ngens(sy)
-                amat = M.act[(fb, e)]  # gmy x gmx
-                nmat = N.act[(fb, e)]  # gny x gnx
-                # the nonzero entries of each column of nmat
-                ncol = [[(qq, row[q]) for qq, row in enumerate(nmat) if row[q]] for q in range(gnx)]
-                for gy in range(gmy):
-                    arow = [(p, c) for p, c in enumerate(amat[gy]) if c]
+                gnx, gny = N.ngens(sx), N.ngens(sy)
+                xoff = self.var_off[sx]
+                ncol = _columns(N.act[(fb, e)], gnx)
+                for gy, arow in enumerate(M.act[(fb, e)]):
                     ybase = self.var_off[sy] + gy * gny
                     exprs = []
                     for q in range(gnx):
-                        expr = {self.var_off[sx] + p * gnx + q: c for p, c in arow}
+                        expr = {xoff + p * gnx + q: c for p, c in arow.items()}
                         for qq, c in ncol[q]:
                             key = ybase + qq
                             expr[key] = expr.get(key, 0) - c
@@ -500,18 +508,19 @@ class _MapSystem:
                     rows[v][idx] = c
         for base, rel in self.slack_blocks:
             for rrow in rel:
-                rows.append({base + q: c for q, c in enumerate(rrow) if c})
+                rows.append({base + q: c for q, c in rrow.items()})
         return rows
 
 
 def _kernel_head(rows, ncols: int, keep: int) -> list:
-    """HNF basis of the x with x * rows[:keep] in the span of rows[keep:]:
-    the left kernel of `rows`, cut to its first `keep` columns."""
-    return hnf([k[:keep] for k in left_kernel(rows, ncols)], keep)
+    """HNF basis, as sparse rows, of the x with x * rows[:keep] in the span
+    of rows[keep:]: the left kernel of `rows`, cut to its first `keep`
+    columns."""
+    return [_sparse(row, keep) for row in hnf([k[:keep] for k in left_kernel(rows, ncols)], keep)]
 
 
 def _echelon_lattice(basis, ncols: int) -> Lattice:
-    """The lattice whose own rows are exactly the rows of `basis`.
+    """The lattice whose own rows are exactly the sparse rows of `basis`.
 
     `basis` must be in row-echelon form, as every HNF from `_kernel_head`
     is; otherwise `add` would rewrite its rows, and coordinates over the
@@ -521,7 +530,7 @@ def _echelon_lattice(basis, ncols: int) -> Lattice:
     for row in basis:
         lat.add(row)
     # adding echelon rows in order leaves each one untouched
-    assert lat.basis() == basis, "coordinates need an echelon basis"
+    assert lat.rows == basis, "coordinates need an echelon basis"
     return lat
 
 
@@ -542,23 +551,23 @@ def _coordinates(lat: Lattice, rows, what: str) -> list:
     return coords
 
 
-def _vector_to_map(M, N, vec, var_off) -> ModuleMap:
+def _vector_to_map(M, N, vec: dict, var_off) -> ModuleMap:
     mats = {}
     for s in M.slots:
-        gm, gn = M.ngens(s), N.ngens(s)
-        off = var_off[s]
-        mats[s] = [[vec[off + p * gn + q] for q in range(gn)] for p in range(gm)]
+        gn, off = N.ngens(s), var_off[s]
+        mats[s] = [
+            {q: vec[off + p * gn + q] for q in range(gn) if off + p * gn + q in vec}
+            for p in range(M.ngens(s))
+        ]
     return ModuleMap(M, N, mats)
 
 
-def _map_to_vector(f: ModuleMap, var_off, nvars):
-    vec = [0] * nvars
+def _map_to_vector(f: ModuleMap, var_off) -> dict:
+    vec = {}
     for s in f.source.slots:
-        gn = f.target.ngens(s)
-        off = var_off[s]
+        gn, off = f.target.ngens(s), var_off[s]
         for p, row in enumerate(f.mats[s]):
-            for q, c in enumerate(row):
-                vec[off + p * gn + q] = c
+            vec.update({off + p * gn + q: c for q, c in row.items()})
     return vec
 
 
@@ -577,11 +586,10 @@ def hom_module(M: GradedModule, N: GradedModule) -> HomGroup:
 
     null_vecs = []
     for s in M.slots:
-        gm, gn = M.ngens(s), N.ngens(s)
-        off = var_off[s]
-        for p in range(gm):
+        gn, off = N.ngens(s), var_off[s]
+        for p in range(M.ngens(s)):
             for rrow in N.rels[s]:
-                null_vecs.append({off + p * gn + q: c for q, c in enumerate(rrow) if c})
+                null_vecs.append({off + p * gn + q: c for q, c in rrow.items()})
 
     lat = _echelon_lattice(sols, nvars)
     coords = _coordinates(lat, null_vecs, "null map outside the solution lattice")
@@ -611,18 +619,17 @@ class FreeModule(GradedModule):
                     names.extend(f"e{j}:{ring.word_str(w, x)}" for w in ring.basis[(x, obj)])
                 gens[(x, e)] = tuple(names)
                 blocks[(x, e)] = blk
+        table = ring.sparse_table()
         for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
-                gx = len(gens[(x, e)])
                 rows = []
-                for j, (start, size) in blocks[(y, e)].items():
-                    obj = self.entries[j][0]
+                for j, (_, size) in blocks[(y, e)].items():
+                    # as in `yoneda`, shifted to entry j's block at x
                     xstart = blocks[(x, e)][j][0]
-                    for fu in range(size):
-                        vec = ring.table[(fb, ring.offset[(y, obj)] + fu)]
-                        row = [0] * gx
-                        row[xstart : xstart + len(vec)] = list(vec)
-                        rows.append(row)
+                    base = ring.offset[(y, self.entries[j][0])]
+                    for u in range(base, base + size):
+                        row = table[(fb, u)]
+                        rows.append({xstart + t: c for t, c in row.items()} if xstart else row)
                 act[(fb, e)] = rows
         super().__init__(ring, gens, {}, act)
         self.blocks = blocks
@@ -693,15 +700,15 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
             i += 1
 
     free = FreeModule(ring, [(s[0], s[1]) for s, _ in chosen])
-    mats = {s: [[0] * module.ngens(s) for _ in range(free.ngens(s))] for s in module.slots}
+    # every generator of the free module lies in exactly one entry's block
+    mats = {s: [None] * free.ngens(s) for s in module.slots}
     for j, (s, p) in enumerate(chosen):
         x0, e0 = s
         for w in ring.objects:
             slot = (w, e0)
             start, size = free.block_range(slot, j)
             for fu in range(size):
-                fb = ring.offset[(w, x0)] + fu
-                mats[slot][start + fu] = list(module.act[(fb, e0)][p])
+                mats[slot][start + fu] = module.act[(ring.offset[(w, x0)] + fu, e0)][p]
     return ModuleMap(free, module, mats)
 
 
@@ -722,8 +729,7 @@ def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     act = {}
     for fb, (x, y, _) in enumerate(ring.flat):
         for e in (0, 1):
-            n = M.ngens((x, e))
-            imgs = (mat_mul([v], M.act[(fb, e)], n)[0] for v in basis_rows[(y, e)])
+            imgs = mat_mul(basis_rows[(y, e)], M.act[(fb, e)])
             act[(fb, e)] = _coordinates(lats[(x, e)], imgs, "kernel is not action-stable")
     kernel = GradedModule(ring, gens, rels, act)
     incl = ModuleMap(kernel, M, {s: basis_rows[s] for s in M.slots})
@@ -778,73 +784,55 @@ def free_resolution(module: GradedModule, length: int, rng=None) -> Resolution:
 # -- Ext ---------------------------------------------------------------
 
 
-def _free_map_components(d: ModuleMap):
+def _free_map_components(d: ModuleMap) -> dict:
     """Ring-element matrix of a map between free modules.
 
-    Component (j, i) is the coefficient vector (over the ring basis of
-    source-entry-object(j) -> target-entry-object(i)) through which entry
-    j of the source maps to entry i of the target; None when the degrees
-    differ.
+    Component (j, i) is the sparse coefficient vector (over the ring basis
+    of source-entry-object(j) -> target-entry-object(i)) through which
+    entry j of the source maps to entry i of the target; only the nonzero
+    components are listed, so none joins entries of different degrees.
     """
     F, G = d.source, d.target
-    ring = F.ring
     comps = {}
     for j in range(len(F.entries)):
         slot, upos = F.unit_index(j)
         row = d.mats[slot][upos]
-        for i, (obj_i, eps_i) in enumerate(G.entries):
+        for i, (_, eps_i) in enumerate(G.entries):
             if eps_i != slot[1]:
-                comps[(j, i)] = None
                 continue
             start, size = G.block_range(slot, i)
-            comps[(j, i)] = tuple(row[start : start + size])
+            vec = {t - start: c for t, c in row.items() if start <= t < start + size}
+            if vec:
+                comps[(j, i)] = vec
     return comps
 
 
 def _hom_free_into(F: FreeModule, N: GradedModule, shift: int):
     """Presentation of the degree-`shift` maps F -> N: one block of
-    N(obj, eps+shift) per entry."""
-    gens_count = 0
-    offsets = []
-    rels = []
-    for (obj, eps) in F.entries:
-        slot = (obj, (eps + shift) % 2)
-        n = N.ngens(slot)
-        offsets.append((gens_count, slot))
-        gens_count_new = gens_count + n
-        for r in N.rels[slot]:
-            row = [0] * gens_count + list(r)
-            rels.append((row, gens_count_new))
-        gens_count = gens_count_new
-    rel_rows = [row + [0] * (gens_count - used) for row, used in rels]
-    return gens_count, offsets, rel_rows
+    N(obj, eps+shift) per entry.  Returns the number of generators, the
+    first generator of each entry's block, and the relation rows."""
+    slots = [(obj, (eps + shift) % 2) for obj, eps in F.entries]
+    starts = list(itertools.accumulate((N.ngens(s) for s in slots), initial=0))
+    rels = _block_diagonal((N.rels[s], N.ngens(s)) for s in slots)
+    return starts[-1], starts[:-1], rels
 
 
-def _induced_matrix(d: ModuleMap, N: GradedModule, shift: int):
+def _induced_matrix(d: ModuleMap, N: GradedModule, shift: int) -> list:
     """Matrix of Hom(-, N): Hom(target(d), N) -> Hom(source(d), N)."""
     F, G = d.source, d.target  # d: F -> G
     ring = F.ring
-    comps = _free_map_components(d)
-    src_n, src_off, _ = _hom_free_into(G, N, shift)
-    tgt_n, tgt_off, _ = _hom_free_into(F, N, shift)
-    mat = [[0] * tgt_n for _ in range(src_n)]
-    for (j, i), vec in comps.items():
-        if vec is None or not any(vec):
-            continue
+    src_n, src_start, _ = _hom_free_into(G, N, shift)
+    _, tgt_start, _ = _hom_free_into(F, N, shift)
+    mat = [{} for _ in range(src_n)]
+    for (j, i), vec in _free_map_components(d).items():
         obj_j, eps_j = F.entries[j]
         obj_i, _ = G.entries[i]
-        e = (eps_j + shift) % 2
         off = ring.offset[(obj_j, obj_i)]
-        gi, _ = src_off[i]
-        gj, _ = tgt_off[j]
-        for t, c in enumerate(vec):
-            if not c:
-                continue
-            amat = N.act[(off + t, e)]  # N(obj_i) -> N(obj_j)
-            for p, row in enumerate(amat):
-                for q, v in enumerate(row):
-                    if v:
-                        mat[gi + p][gj + q] += c * v
+        block = _element_action(N, {off + t: c for t, c in vec.items()}, (obj_i, (eps_j + shift) % 2))
+        # the blocks of one row of entries lie in disjoint columns
+        gi, gj = src_start[i], tgt_start[j]
+        for p, row in enumerate(block):
+            mat[gi + p].update({gj + q: v for q, v in row.items()})
     return mat
 
 
@@ -924,19 +912,11 @@ def _section_system(cover: ModuleMap) -> tuple[_MapSystem, list]:
 
     # splitting: sigma then cover = identity modulo relations.
     for s in M.slots:
-        gm, gf = M.ngens(s), F.ngens(s)
-        pim = cover.mats[s]
+        gm, gf, off = M.ngens(s), F.ngens(s), system.var_off[s]
+        cols = _columns(cover.mats[s], gm)
         for p in range(gm):
-            exprs = []
-            for q in range(gm):
-                expr = {}
-                for t in range(gf):
-                    c = pim[t][q]
-                    if c:
-                        expr[system.var_off[s] + p * gf + t] = c
-                exprs.append(expr)
-                targets.append(1 if p == q else 0)
-            system.add(exprs, M.rels[s])
+            system.add([{off + p * gf + t: c for t, c in cols[q]} for q in range(gm)], M.rels[s])
+            targets.extend(1 if p == q else 0 for q in range(gm))
     return system, targets
 
 

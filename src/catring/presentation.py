@@ -19,6 +19,7 @@ declared equal; each side is a Z-linear combination of words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .groups import (
     Character,
@@ -366,7 +367,7 @@ def build_presentation(k: int) -> Presentation:
         for L in proper:
             for K in proper:
                 reps = double_cosets(k, L, H, K)
-                meet = _gcd(L, K)
+                meet = gcd(L, K)
                 lhs = pres.induction_word(L, H) + pres.restriction_word(H, K)
                 terms: dict[Word, int] = {}
                 for g in reps:
@@ -389,12 +390,6 @@ def build_presentation(k: int) -> Presentation:
     out = Presentation(k, gens, rels, counts)
     out.validate()
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def presentation_c4() -> Presentation:

@@ -16,6 +16,7 @@ import itertools
 import json
 
 from .completion import CategoryRing
+from .intlin import dense_rows
 from .modules import GradedModule
 from .presentation import (
     CONJUGATION,
@@ -278,17 +279,17 @@ def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
                 "object": obj,
                 "degree": deg,
                 "generators": list(module.gens[(obj, deg)]),
-                "relations": [list(r) for r in module.rels[(obj, deg)]],
+                "relations": dense_rows(module.rels[(obj, deg)], module.ngens((obj, deg))),
             }
         )
     actions = []
-    for fb in range(len(module.ring.flat)):
+    for fb, (x, _, _) in enumerate(module.ring.flat):
         for deg in (0, 1):
             actions.append(
                 {
                     "basis": fb,
                     "degree": deg,
-                    "matrix": [list(r) for r in module.act[(fb, deg)]],
+                    "matrix": dense_rows(module.act[(fb, deg)], module.ngens((x, deg))),
                 }
             )
     return {
@@ -337,6 +338,9 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
         raise FormatError(f"missing field {exc}") from exc
     except TypeError as exc:
         raise FormatError(f"malformed record: {exc}") from exc
-    module = GradedModule(ring, gens, rels, act)
+    try:
+        module = GradedModule(ring, gens, rels, act)
+    except ValueError as exc:  # a row or matrix that does not fit its slots
+        raise FormatError(str(exc)) from exc
     module.validate()
     return module

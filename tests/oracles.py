@@ -7,11 +7,12 @@ enumerating elements and counting, never by Smith reduction.
 
 The last sections keep slow predecessors of fast paths instead: the
 dense integer echelon that `catring.intlin` replaced with sparse rows,
-the completion's own max-pivot echelon that `intlin.Lattice` replaced,
-the quadratic prune of `catring.modules.free_cover`, module validation
-on every composable pair of basis monomials, normal forms by chained
-composition, and presentation equivalence by completing both
-presentations.
+the dense Smith form and the dense matrix product it replaced with
+`Lattice` echelons and sparse rows, the completion's own max-pivot
+echelon that `intlin.Lattice` replaced, the quadratic prune of
+`catring.modules.free_cover`, module validation on every composable pair
+of basis monomials, normal forms by chained composition, and
+presentation equivalence by completing both presentations.
 """
 
 from __future__ import annotations
@@ -556,6 +557,129 @@ class MaxPivotEchelon:
             _addmul(row, rows[i], -(row[i] // rows[i][i]))
 
 
+# -- dense Smith form and dense products ----------------------------------
+#
+# `catring.intlin` computed invariant factors by its own dense row and
+# column steps, and module data were dense tuples multiplied by a dense
+# product, before both moved onto sparse rows and `Lattice` echelons.
+
+
+def snf_diagonal(rows, ncols: int) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of the matrix."""
+    D = [list(row) for row in rows]
+    m, n = len(D), ncols
+    for row in D:
+        assert len(row) == n
+
+    def row_op(i1, i2, j):
+        a, b = D[i1][j], D[i2][j]
+        if b == 0:
+            return
+        if a == 0:
+            D[i1], D[i2] = D[i2], D[i1]
+        elif b % a == 0:
+            q = b // a
+            r1, r2 = D[i1], D[i2]
+            for jj in range(n):
+                r2[jj] -= q * r1[jj]
+        else:
+            x, y, g = _xgcd(a, b)
+            ag, mbg = a // g, -(b // g)
+            r1, r2 = D[i1], D[i2]
+            for jj in range(n):
+                aa, bb = r1[jj], r2[jj]
+                r1[jj] = x * aa + y * bb
+                r2[jj] = mbg * aa + ag * bb
+
+    def col_op(j1, j2, i):
+        a, b = D[i][j1], D[i][j2]
+        if b == 0:
+            return
+        if a == 0:
+            for row in D:
+                row[j1], row[j2] = row[j2], row[j1]
+        elif b % a == 0:
+            q = b // a
+            for row in D:
+                row[j2] -= q * row[j1]
+        else:
+            x, y, g = _xgcd(a, b)
+            ag, mbg = a // g, -(b // g)
+            for row in D:
+                aa, bb = row[j1], row[j2]
+                row[j1] = x * aa + y * bb
+                row[j2] = mbg * aa + ag * bb
+
+    for k in range(min(m, n)):
+        # Pull a nonzero entry into the (k, k) slot.
+        found = False
+        for i in range(k, m):
+            for j in range(k, n):
+                if D[i][j]:
+                    D[k], D[i] = D[i], D[k]
+                    if j != k:
+                        for row in D:
+                            row[k], row[j] = row[j], row[k]
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            break
+        while True:
+            for i in range(k + 1, m):
+                row_op(k, i, k)
+            if all(D[k][j] == 0 for j in range(k + 1, n)):
+                break
+            for j in range(k + 1, n):
+                col_op(k, j, k)
+            if all(D[i][k] == 0 for i in range(k + 1, m)):
+                break
+
+    diag = [abs(D[i][i]) for i in range(min(m, n)) if D[i][i]]
+    # Enforce the divisibility chain.
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = gcd(a, b)
+            diag[i], diag[j] = g, a * b // g
+    return diag
+
+
+def mat_mul(A, B, ncols_b: int) -> list[list[int]]:
+    """Product of row-major matrices; A is m x k, B is k x ncols_b."""
+    out = []
+    for row in A:
+        acc = [0] * ncols_b
+        for a, brow in zip(row, B):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        acc[j] += a * b
+        out.append(acc)
+    return out
+
+
+def mat_identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def dense(rows, n):
+    """Sparse {column: value} rows as dense lists of width n."""
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def dense_action(module, fb, e):
+    """The action of basis monomial fb at degree e as a dense matrix: one
+    row per generator at its target slot, of the width of its source slot."""
+    x = module.ring.flat[fb][0]
+    return dense(module.act[(fb, e)], module.ngens((x, e)))
+
+
+def dense_relations(module, slot):
+    return dense(module.rels[slot], module.ngens(slot))
+
+
 def dense_map_system_rows(system):
     """The matrix of a `catring.modules._MapSystem`, built dense from its
     equations and slack blocks: one row per variable, then the slack rows."""
@@ -567,7 +691,7 @@ def dense_map_system_rows(system):
     for base, rel in system.slack_blocks:
         for rrow in rel:
             srow = [0] * neq
-            for q, c in enumerate(rrow):
+            for q, c in rrow.items():
                 srow[base + q] = c
             rows.append(srow)
     return rows
@@ -594,7 +718,7 @@ def oracle_free_cover(module, order=None):
         covered = {}
         for s in module.slots:
             covered[s] = DenseLattice(module.ngens(s))
-            for row in module.rels[s]:
+            for row in dense_relations(module, s):
                 covered[s].add(row)
         return covered
 
@@ -603,7 +727,7 @@ def oracle_free_cover(module, order=None):
         for w in ring.objects:
             for fu in range(len(ring.basis[(w, x0)])):
                 fb = ring.offset[(w, x0)] + fu
-                covered[(w, e0)].add(list(module.act[(fb, e0)][p]))
+                covered[(w, e0)].add(dense_action(module, fb, e0)[p])
 
     def unit(s, p):
         vec = [0] * module.ngens(s)
@@ -639,7 +763,7 @@ def oracle_free_cover(module, order=None):
             start, size = free.block_range(slot, j)
             for fu in range(size):
                 fb = ring.offset[(w, x0)] + fu
-                mats[slot][start + fu] = list(module.act[(fb, e0)][p])
+                mats[slot][start + fu] = dense_action(module, fb, e0)[p]
     return ModuleMap(free, module, mats), scanned
 
 
@@ -649,27 +773,28 @@ def oracle_free_cover(module, order=None):
 def pairwise_validate(module):
     """`catring.modules.GradedModule.validate` as it first was:
     functoriality is checked with dense products on every composable pair
-    of basis monomials, not only on (basis, letter) pairs."""
-    from catring.intlin import mat_identity, mat_mul
-    from catring.modules import _shape_check
-
+    of basis monomials, not only on (basis, letter) pairs.  Shapes are
+    checked when a module is built, so they are not checked here."""
     ring = module.ring
-    for s in module.slots:
-        _shape_check(module.rels[s], len(module.rels[s]), module.ngens(s), f"relations at {s}")
+
+    def agree(slot, A, B):
+        lat = module.relation_lattice(slot)
+        return all([a - b for a, b in zip(ra, rb)] in lat for ra, rb in zip(A, B))
+
+    act = {(fb, e): dense_action(module, fb, e) for fb in range(len(ring.flat)) for e in (0, 1)}
     for fb, (x, y, _) in enumerate(ring.flat):
         for e in (0, 1):
-            mat = module.act[(fb, e)]
-            _shape_check(mat, module.ngens((y, e)), module.ngens((x, e)), f"action of basis {fb} deg {e}")
+            mat = act[(fb, e)]
             # well-defined on the quotient
             lat = module.relation_lattice((x, e))
-            for row in module.rels[(y, e)]:
+            for row in dense_relations(module, (y, e)):
                 img = mat_mul([row], mat, module.ngens((x, e)))[0]
                 if img not in lat:
                     raise ValueError(f"action of basis {fb} not well-defined at degree {e}")
     for x in ring.objects:
         fb = ring.offset[(x, x)] + ring.unit_pos[x]
         for e in (0, 1):
-            if not module.agree((x, e), module.act[(fb, e)], mat_identity(module.ngens((x, e)))):
+            if not agree((x, e), act[(fb, e)], mat_identity(module.ngens((x, e)))):
                 raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
     # functoriality through the structure constants
     for fu, (x, y, _) in enumerate(ring.flat):
@@ -679,15 +804,15 @@ def pairwise_validate(module):
             vec = ring.table[(fu, fv)]
             off = ring.offset[(x, z)]
             for e in (0, 1):
-                lhs = mat_mul(module.act[(fv, e)], module.act[(fu, e)], module.ngens((x, e)))
+                lhs = mat_mul(act[(fv, e)], act[(fu, e)], module.ngens((x, e)))
                 n = module.ngens((x, e))
                 rhs = [[0] * n for _ in range(module.ngens((z, e)))]
                 for t, c in enumerate(vec):
                     if c:
-                        for i, row in enumerate(module.act[(off + t, e)]):
+                        for i, row in enumerate(act[(off + t, e)]):
                             for j, vv in enumerate(row):
                                 rhs[i][j] += c * vv
-                if not module.agree((x, e), lhs, rhs):
+                if not agree((x, e), lhs, rhs):
                     raise ValueError(
                         f"action is not functorial on basis pair ({fu}, {fv}) at degree {e}"
                     )

@@ -366,6 +366,31 @@ def _string_action_entry(data):
     matrix[0][0] = "x"
 
 
+def _first_rows(data, field):
+    records = data["values"] if field == "relations" else data["actions"]
+    return next(rec[field] for rec in records if rec[field] and rec[field][0])
+
+
+def _short_relation_row(data):
+    _first_rows(data, "relations")[0].pop()
+
+
+def _long_relation_row(data):
+    _first_rows(data, "relations")[0].append(0)
+
+
+def _short_action_row(data):
+    _first_rows(data, "matrix")[0].pop()
+
+
+def _long_action_row(data):
+    _first_rows(data, "matrix")[0].append(0)
+
+
+def _missing_action_row(data):
+    _first_rows(data, "matrix").pop()
+
+
 def _two_field_table_entry(data):
     data["table"][0] = data["table"][0][:2]
 
@@ -432,6 +457,11 @@ def _basis_word_out_of_range(data):
         ("yoneda.json", _duplicate_slot),
         ("yoneda.json", _action_out_of_range),
         ("yoneda.json", _string_action_entry),
+        ("witness.json", _short_relation_row),
+        ("witness.json", _long_relation_row),
+        ("yoneda.json", _short_action_row),
+        ("yoneda.json", _long_action_row),
+        ("yoneda.json", _missing_action_row),
         ("ring4.json", _two_field_table_entry),
         ("ring4.json", _arrow_form_out_of_range),
         ("ring4.json", _relation_word_out_of_range),

@@ -11,6 +11,7 @@ from catring import (
     presentation_c4,
     random_associativity_probe,
     verify_ring,
+    yoneda,
 )
 from catring.presentation import (
     CONJUGATION,
@@ -307,3 +308,7 @@ def test_k6_completes_and_verifies():
     assert ring_to_dict(ring)["ring_hash"] == RING_HASHES[6]
     report = verify_ring(ring)
     assert report.ok, report.failures
+    # the first ring with table coefficients above 1: its representables,
+    # built from the sparse table, satisfy the dense table's products
+    for obj in ring.objects:
+        yoneda(ring, obj, 0).validate()

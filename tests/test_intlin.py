@@ -5,19 +5,26 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+from catring import intlin
 from catring.intlin import (
     Lattice,
     group_invariants,
     hnf,
     left_kernel,
-    mat_identity,
-    mat_mul,
-    snf_diagonal,
     solve_left,
     xgcd,
 )
 
-from oracles import DenseLattice, dense_hnf, dense_left_kernel, dense_solve_left
+from oracles import (
+    DenseLattice,
+    dense,
+    dense_hnf,
+    dense_left_kernel,
+    dense_solve_left,
+    mat_identity,
+    mat_mul,
+    snf_diagonal,
+)
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6):
@@ -135,6 +142,13 @@ def test_identity_and_mul_shapes():
     assert mat_identity(0) == []
     assert mat_mul([], [[1]], 1) == []
     assert mat_mul([[1, 2]], [[0], [1]], 1) == [[2]]
+    # the sparse product: no rows, an empty row, a lone 1, cancellation
+    assert intlin.mat_mul([], [{0: 1}]) == []
+    assert intlin.mat_mul([{}], [{0: 1}]) == [{}]
+    b = [{0: 3}, {0: 1, 1: 2}]
+    assert intlin.mat_mul([{1: 1}], b)[0] is b[1]
+    assert intlin.mat_mul([{0: 1, 1: -3}], b) == [{1: -6}]
+    assert intlin.mat_mul([{(0, 1): 2}], {(0, 1): {5: 1}}) == [{5: 2}]
 
 
 def sparse_matrix(rng, m, n):
@@ -257,3 +271,29 @@ def test_reduce_terminates_on_negative_pivots():
     assert _finishes(lat.reduce, [1, 0]) == {0: 1}
     assert _finishes(lat.reduce, [-1, 0]) == {0: 2, 1: -1}
     assert _finishes(lat.reduce, [-6, 2]) == {}
+
+
+def test_sparse_product_matches_dense_oracle():
+    rng = random.Random(10)
+    for _ in range(150):
+        m, k, n = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a, b = sparse_matrix(rng, m, k), sparse_matrix(rng, k, n)
+        sa, sb = as_dicts(rng, a, False), as_dicts(rng, b, False)
+        got = intlin.mat_mul(sa, sb)
+        assert dense(got, n) == mat_mul(a, b, n)
+        assert all(all(row.values()) for row in got), "a stored zero"
+
+
+def test_group_invariants_match_dense_snf_oracle():
+    # alternating Lattice echelons against the dense row and column steps,
+    # on dense, dict and zero-holding rows, with zero-row and zero-width
+    # shapes among them
+    rng = random.Random(12)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)]
+    shapes += [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(200)]
+    for m, n in shapes:
+        rows = sparse_matrix(rng, m, n) if rng.random() < 0.5 else random_matrix(rng, m, n, -20, 20)
+        diag = snf_diagonal(rows, n)
+        want = (n - len(diag), tuple(d for d in diag if d != 1))
+        for form, given in row_forms(rng, rows).items():
+            assert group_invariants(given, n) == want, (form, rows)

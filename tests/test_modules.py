@@ -23,7 +23,6 @@ from catring import (
     yoneda_cyclic_quotient,
     zero_module,
 )
-from catring.intlin import mat_identity, mat_mul
 from catring.modules import (
     GradedModule,
     _echelon_lattice,
@@ -35,8 +34,13 @@ from catring.modules import (
 
 from corpus import build_corpus
 from oracles import (
+    dense,
+    dense_action,
     dense_map_system_rows,
+    dense_relations,
     dense_solve_left,
+    mat_identity,
+    mat_mul,
     oracle_ext1,
     oracle_free_cover,
     oracle_hom,
@@ -63,7 +67,7 @@ def test_corpus_modules_validate(ring4):
 
 def test_validation_rejects_corrupted_action(ring4):
     m = yoneda(ring4, 2, 0)
-    act = {k: [list(r) for r in v] for k, v in m.act.items()}
+    act = _dense_act(m)
     # corrupt one action entry on a composable basis monomial
     key = next(k for k in act if act[k] and act[k][0])
     act[key][0][0] += 1
@@ -189,15 +193,15 @@ def test_kernel_ranks_against_objectwise_snf(ring4):
     cover = free_cover(m)
     k, _ = kernel_of(cover)
     for s in m.slots:
-        rows = [list(r) for r in cover.mats[s]] + [list(r) for r in m.rels[s]]
         gf = cover.source.ngens(s)
         gn = m.ngens(s)
+        rows = dense(cover.mats[s], gn) + dense_relations(m, s)
         if gf == 0:
             assert k.ngens(s) == 0
             continue
         mat = sympy.Matrix(rows) if rows else sympy.zeros(1, gn)
         stacked_rank = mat.rank()
-        rel_rank = sympy.Matrix([list(r) for r in m.rels[s]]).rank() if m.rels[s] else 0
+        rel_rank = sympy.Matrix(dense_relations(m, s)).rank() if m.rels[s] else 0
         assert k.ngens(s) == gf - (stacked_rank - rel_rank)
 
 
@@ -215,7 +219,7 @@ def test_classical_resolution_of_cyclic(ring1):
         assert [len(f.entries) for f in res.frees] == [1, 1, 0, 0]
         # the only differential is multiplication by n
         d1 = res.differentials[0]
-        assert d1.mats[(1, 0)] == ((n,),)
+        assert d1.mats[(1, 0)] == ({0: n},)
 
 
 def test_boundary_composites_vanish(ring4):
@@ -234,7 +238,7 @@ def test_boundary_composites_vanish(ring4):
                 for row in m.rels[s]:
                     lat.add(row)
                 for row in comp.mats[s]:
-                    assert list(row) in lat
+                    assert row in lat
 
 
 # -- Ext ------------------------------------------------------------------
@@ -389,11 +393,11 @@ def test_functoriality_property_on_corpus(ring2):
             vec = ring.table[(fu, fv)]
             off = ring.offset[(x, z)]
             for e in (0, 1):
-                lhs = mat_mul(m.act[(fv, e)], m.act[(fu, e)], m.ngens((x, e)))
+                lhs = mat_mul(dense_action(m, fv, e), dense_action(m, fu, e), m.ngens((x, e)))
                 rhs = [[0] * m.ngens((x, e)) for _ in range(m.ngens((z, e)))]
                 for t, c in enumerate(vec):
                     if c:
-                        for i, row in enumerate(m.act[(off + t, e)]):
+                        for i, row in enumerate(dense_action(m, off + t, e)):
                             for j, v in enumerate(row):
                                 rhs[i][j] += c * v
                 assert lhs == rhs
@@ -480,16 +484,16 @@ def test_free_cover_matches_quadratic_prune(ring1, ring4):
 
 
 def test_coordinates_need_an_echelon_basis():
-    assert _echelon_lattice([[1, 2], [0, 3]], 2).coordinates([2, 7]) == [2, 1]
+    assert _echelon_lattice([{0: 1, 1: 2}, {1: 3}], 2).coordinates([2, 7]) == [2, 1]
     with pytest.raises(AssertionError, match="echelon"):
-        _echelon_lattice([[2, 0], [3, 1]], 2)
+        _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2)
 
 
 # -- validation on letters against the all-pairs oracle -----------------
 
 
 def _dense_act(module):
-    return {k: [list(r) for r in v] for k, v in module.act.items()}
+    return {(fb, e): dense_action(module, fb, e) for fb, e in module.act}
 
 
 def _accepts(check, module) -> bool:
@@ -503,7 +507,7 @@ def _accepts(check, module) -> bool:
 def _corruptions(module, rng, count):
     """`count` copies of `module`, each with one action entry moved by a
     nonzero amount."""
-    keys = sorted(k for k, mat in module.act.items() if mat and mat[0])
+    keys = sorted(k for k, mat in _dense_act(module).items() if mat and mat[0])
     out = []
     for _ in range(count if keys else 0):
         act = _dense_act(module)
@@ -530,11 +534,11 @@ def test_validate_rejects_corruption_off_the_letters(ring4):
     # only reached through the table products of the pairs checked
     letters = {fb for fbs in _letters(ring4).values() for fb in fbs}
     m = yoneda(ring4, 2, 0)
+    act = _dense_act(m)
     fb = next(
-        fb for fb, (_, _, w) in enumerate(ring4.flat) if len(w) >= 2 and m.act[(fb, 0)] and m.act[(fb, 0)][0]
+        fb for fb, (_, _, w) in enumerate(ring4.flat) if len(w) >= 2 and act[(fb, 0)] and act[(fb, 0)][0]
     )
     assert fb not in letters
-    act = _dense_act(m)
     act[(fb, 0)][0][0] += 1
     broken = GradedModule(ring4, m.gens, m.rels, act)
     for check in (GradedModule.validate, pairwise_validate):
@@ -571,7 +575,7 @@ def test_validate_accepts_actions_moved_by_relations(ring4):
         if not (m.rels[(x, 0)] and m.act[(fb, 0)]):
             continue
         act = _dense_act(m)
-        act[(fb, 0)][-1] = [a + r for a, r in zip(act[(fb, 0)][-1], m.rels[(x, 0)][-1])]
+        act[(fb, 0)][-1] = [a + r for a, r in zip(act[(fb, 0)][-1], dense_relations(m, (x, 0))[-1])]
         moved = GradedModule(ring4, m.gens, m.rels, act)
         assert moved.act != m.act
         moved.validate()

@@ -1,9 +1,22 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from catring import build_presentation, complete, normal_form, verify_ring, yoneda, yoneda_cyclic_quotient
+from catring import (
+    build_presentation,
+    complete,
+    direct_sum,
+    free_cover,
+    kernel_of,
+    normal_form,
+    suspend,
+    verify_ring,
+    yoneda,
+    yoneda_cyclic_quotient,
+)
+from catring.modules import FreeModule
 from catring.serialize import (
     FormatError,
     canonical_json,
@@ -17,6 +30,8 @@ from catring.serialize import (
     ring_to_dict,
     save_json,
 )
+
+from corpus import build_corpus
 
 
 def test_presentation_roundtrip_bit_exact():
@@ -78,6 +93,40 @@ def test_module_roundtrip_and_hash_link(ring4, tmp_path):
         module_from_dict(ring4, load_json(path), "0" * 64)
 
 
+# content hashes of module files over the k=4 ring, as written while
+# module data were stored as dense rows; sparse storage must not move a byte
+MODULE_HASHES = {
+    "corpus": "201391fd31b6135d8681187513ca73e409f620c802edb93f1840f82e6b54a4b6",
+    "free": "97052fb4276c3c24f0ad1f5db8dbf1e28b2eb9738015d323062ac7b748e80411",
+    "cover_of_syzygy": "562f37e22b3f661f78ac36235ce2ff36ca80bb1876d581acd5dae76cda36b4f5",
+    "first_syzygy": "e156b4651b2ca238ed00cc7d125a55470685abffa74c59bcdf95e5bc63b3a18f",
+    "second_syzygy": "2193a3b4d7cfcf0173c5a410b6eabf663bb4618072e36ae9bd80469436e77b8c",
+    "sum": "4fbd7cf51fd51c510720af85dee13c1aa856033409cb8a5da15e0e54ccb13a3f",
+}
+
+
+def test_module_bytes_are_pinned(ring4):
+    h = ring_to_dict(ring4)["ring_hash"]
+
+    def file_hash(m):
+        return content_hash(module_to_dict(m, h))
+
+    corpus = build_corpus(ring4, random.Random(43), size=12)
+    w = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
+    k1, _ = kernel_of(free_cover(w))
+    k2, _ = kernel_of(free_cover(k1))
+    got = {
+        # one digest over the corpus's file hashes, in corpus order
+        "corpus": hashlib.sha256("".join(map(file_hash, corpus)).encode()).hexdigest(),
+        "free": file_hash(FreeModule(ring4, [(1, 0), (2, 1), (4, 0), (2, 0)])),
+        "cover_of_syzygy": file_hash(free_cover(k1).source),
+        "first_syzygy": file_hash(k1),
+        "second_syzygy": file_hash(k2),
+        "sum": file_hash(direct_sum(w, suspend(yoneda(ring4, 4, 0)), k1)),
+    }
+    assert got == MODULE_HASHES
+
+
 def test_module_load_rejects_nonfunctorial_action(ring4):
     d = ring_to_dict(ring4)
     h = d["ring_hash"]
@@ -116,6 +165,26 @@ def test_module_entries_must_be_integers(ring2, field, entry):
     rows[0][0] = entry
     with pytest.raises(FormatError, match="non-integer entry"):
         module_from_dict(ring2, json.loads(json.dumps(data)), "h")
+
+
+@pytest.mark.parametrize(
+    "field, change, message",
+    [
+        ("relations", lambda rows: rows[0].pop(), r"relations at slot \(1, 0\): expected width"),
+        ("relations", lambda rows: rows[0].append(0), r"relations at slot \(1, 0\): expected width"),
+        ("matrix", lambda rows: rows[0].pop(), r"\(basis, degree\) \(\d+, 0\): expected width"),
+        ("matrix", lambda rows: rows.pop(), r"\(basis, degree\) \(\d+, 0\): expected \d+ rows"),
+    ],
+)
+def test_module_shapes_are_format_errors(ring2, field, change, message):
+    # rows that do not fit their slots are malformed files, caught where
+    # the dense rows come in, before any validation
+    m = yoneda_cyclic_quotient(ring2, 2, 0, 1, 0)
+    data = module_to_dict(m, "h")
+    records = data["values"] if field == "relations" else data["actions"]
+    change(next(rec[field] for rec in records if rec[field] and rec[field][0]))
+    with pytest.raises(FormatError, match=message):
+        module_from_dict(ring2, data, "h")
 
 
 def test_relation_word_generator_must_exist():
