@@ -493,17 +493,6 @@ def _build_ring(pres, spaces, snap, bound, max_len, window):
         basis[pair] = [w for w, _ in kept]
         torsion[pair] = [m for _, m in kept]
 
-    ring_table = {}
-    flat_of = {}
-    flat = []
-    pairs = [(x, y) for x in pres.objects for y in pres.objects]
-    for pair in pairs:
-        for w in basis[pair]:
-            flat_of[(pair[0], pair[1], w)] = len(flat)
-            flat.append((pair[0], pair[1], w))
-    for (px, py, w_u, qy, qz, w_v), vec in table_items:
-        ring_table[(flat_of[(px, py, w_u)], flat_of[(qy, qz, w_v)])] = vec
-
     arrow_forms = {}
     for a in pres.arrows:
         g = pres.generators[a]
@@ -515,7 +504,11 @@ def _build_ring(pres, spaces, snap, bound, max_len, window):
             coeffs[pos[space.words[-col]]] = c
         arrow_forms[a] = (g.source, g.target, tuple(coeffs))
 
-    return CategoryRing(pres, basis, torsion, ring_table, arrow_forms, bound, max_len, window)
+    ring = CategoryRing(pres, basis, torsion, {}, arrow_forms, bound, max_len, window)
+    flat_of = ring.flat_of
+    for (px, py, w_u, qy, qz, w_v), vec in table_items:
+        ring.table[(flat_of[(px, py, w_u)], flat_of[(qy, qz, w_v)])] = vec
+    return ring
 
 
 def normal_form(ring: CategoryRing, data, source: int | None = None, target: int | None = None) -> RingElement:

@@ -4,8 +4,10 @@ Everything here works over Z with arbitrary-precision ints; there is no
 floating point anywhere.  A matrix is a list of rows.  A row is either a
 dense list (or tuple) of ints or a sparse dict {column: value}; a sparse
 row given as input may hold zero entries, but none is ever stored.  The
-number of columns is passed explicitly wherever dense rows go in or come
-out, so that empty matrices keep their shape.  `Lattice` is the
+number of columns is passed explicitly wherever dense rows may go in, so
+that empty matrices keep their shape.  Every output is a sparse row
+without zeros, so a zero row or a zero solution is `{}`, which is falsy:
+test a solution with `is not None`.  `Lattice` is the
 package's one integer echelon, used by the module algebra and by the
 ring completion alike.  Its rows are sparse, kept in a dict keyed by
 pivot column, and a row's pivot is its leftmost (smallest) column, so
@@ -13,10 +15,10 @@ elimination costs scale with the nonzero entries.  `Lattice.reduce`
 gives the unique normal form of a coset, which the completion reads its
 rings off, and `group_invariants` reads the Smith form off alternating
 echelons.  The sparse rows are also the module algebra's one data
-format, and `mat_mul` is their one product.  Dense rows come out of
-`Lattice.basis()`, `hnf` and `left_kernel` (the canonical HNF), and of
-`Lattice.coordinates` and `solve_left`.  The convention throughout the
-package is that maps act on row vectors from the right: v |-> v * A.
+format, and `mat_mul` is their one product.  `hnf` and `left_kernel`
+return the rows of a canonical lattice, and `Lattice.coordinates` and
+`solve_left` return {row index: coefficient}.  The convention throughout
+the package is that maps act on row vectors from the right: v |-> v * A.
 """
 
 from __future__ import annotations
@@ -47,17 +49,6 @@ def _sparse(vec, n: int) -> dict[int, int]:
         return dict(vec)
     assert len(vec) == n
     return {j: c for j, c in enumerate(vec) if c}
-
-
-def dense_rows(rows, n: int) -> list[list[int]]:
-    """Sparse rows as dense lists of width n."""
-    out = []
-    for row in rows:
-        dense = [0] * n
-        for j, c in row.items():
-            dense[j] = c
-        out.append(dense)
-    return out
 
 
 def _axpy(vec: dict, q: int, row: dict) -> None:
@@ -154,9 +145,10 @@ class Lattice:
     def __contains__(self, vec) -> bool:
         return not self.reduce(vec)
 
-    def coordinates(self, vec0) -> list[int] | None:
-        """The x with x * rows == vec over this lattice's own echelon rows,
-        or None if vec is not in the lattice.
+    def coordinates(self, vec0) -> dict[int, int] | None:
+        """The x, as {row index: coefficient}, with x * rows == vec over
+        this lattice's own echelon rows, or None if vec is not in the
+        lattice.
 
         The rows are independent, so x is unique, and back-substitution
         along the pivots finds it: each pivot entry of what is left of vec
@@ -164,9 +156,8 @@ class Lattice:
         """
         vec = _sparse(vec0, self.n)
         pivots = self.pivots
-        order = sorted(pivots)
-        coords = [0] * len(order)
-        for i, j in enumerate(order):
+        coords = {}
+        for i, j in enumerate(sorted(pivots)):
             if not vec:
                 break
             b = vec.get(j)
@@ -201,22 +192,18 @@ class Lattice:
                     break
                 _axpy(row, -(row[j] // pivots[j][j]), pivots[j])
 
-    def basis(self) -> list[list[int]]:
-        """The echelon rows as dense lists (the HNF after `canonicalize`)."""
-        return dense_rows(self.rows, self.n)
-
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
 
-def hnf(rows, ncols: int) -> list[list[int]]:
+def hnf(rows, ncols: int) -> list[dict[int, int]]:
     """Canonical row Hermite normal form of the lattice spanned by rows."""
     lat = Lattice(ncols)
     for row in rows:
         lat.add(row)
     lat.canonicalize()
-    return lat.basis()
+    return lat.rows
 
 
 def _augmented_echelon(rows, ncols: int) -> Lattice:
@@ -231,7 +218,7 @@ def _augmented_echelon(rows, ncols: int) -> Lattice:
     return lat
 
 
-def left_kernel(rows, ncols: int) -> list[list[int]]:
+def left_kernel(rows, ncols: int) -> list[dict[int, int]]:
     """Basis of {x : x * A == 0}, in HNF."""
     lat = _augmented_echelon(rows, ncols)
     ker = [
@@ -242,8 +229,9 @@ def left_kernel(rows, ncols: int) -> list[list[int]]:
     return hnf(ker, len(rows))
 
 
-def solve_left(rows, ncols: int, target) -> list[int] | None:
-    """Some x with x * A == target, or None if no integer solution exists."""
+def solve_left(rows, ncols: int, target) -> dict[int, int] | None:
+    """Some x, as {row index: coefficient}, with x * A == target, or None
+    if no integer solution exists."""
     lat = _augmented_echelon(rows, ncols)
     vec = _sparse(target, ncols)
     for j, row in sorted(lat.pivots.items()):
@@ -252,12 +240,9 @@ def solve_left(rows, ncols: int, target) -> list[int] | None:
         b = vec.get(j)
         if b and b % row[j] == 0:
             _axpy(vec, -(b // row[j]), row)
-    x = [0] * len(rows)
-    for j, c in vec.items():
-        if j < ncols:
-            return None
-        x[j - ncols] = -c
-    return x
+    if any(j < ncols for j in vec):
+        return None
+    return {j - ncols: -c for j, c in vec.items()}
 
 
 def group_invariants(rel_rows, ngens: int) -> tuple[int, tuple[int, ...]]:

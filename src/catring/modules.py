@@ -12,10 +12,9 @@ Every matrix here - relations, actions and the matrices of module maps -
 is a tuple of sparse rows {column: value} without zeros, the row format
 of `intlin.Lattice`, and `intlin.mat_mul` is the one product of such
 rows.  `GradedModule` and `ModuleMap` accept dense or dict rows, check
-their shapes and normalize them once.  Dense rows remain only in the
-JSON files (`serialize`) and in the dense outputs of `intlin` (`hnf`,
-`left_kernel`, `Lattice.coordinates`), which are converted where they
-enter a module or a map.
+their shapes and normalize them once.  Every output of `intlin` is such a
+row, and coordinates are rows {basis row index: coefficient}, so dense
+rows remain only in the JSON files (`serialize`).
 
 The completed rings in scope are concentrated in degree 0 (every
 presentation generator is an even morphism), so module maps and actions
@@ -40,7 +39,6 @@ from dataclasses import dataclass
 from .completion import CategoryRing
 from .intlin import (
     Lattice,
-    _sparse,
     group_invariants,
     hnf,
     left_kernel,
@@ -180,9 +178,6 @@ class GradedModule:
 
     def is_zero(self) -> bool:
         return all(self.value_invariants(s).is_zero() for s in self.slots)
-
-    def action(self, flat_idx: int, eps: int):
-        return self.act[(flat_idx, eps)]
 
     def validate(self) -> None:
         """Re-check all module invariants; raises with a witness on failure.
@@ -341,10 +336,15 @@ def trivial_group_module(ring: CategoryRing, degree0=(), degree1=()) -> GradedMo
 
 def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModule:
     """Quotient by the submodule generated by one element of one slot,
-    given as a dense or {column: value} row."""
+    given as a dense or {column: value} row.  Raises ValueError naming the
+    slot unless the row fits the slot's generators."""
     ring = module.ring
     x0, e0 = slot
-    vec = _sparse(vector, module.ngens(slot))
+    n = module.ngens(slot)
+    (vec,) = _sparse_rows([vector], 1, n, "element at slot", slot)
+    bad = [j for j in vec if not 0 <= j < n]
+    if bad:
+        raise ValueError(f"element at slot {slot}: columns {bad} outside range({n})")
     rels = {}
     for s in module.slots:
         w, e = s
@@ -438,8 +438,8 @@ class HomGroup:
         return self.invariants.is_zero()
 
     def coordinates_of(self, f: ModuleMap):
-        """Integer coordinates of a map over `maps`, or None if the map
-        is not a module map M -> N at all."""
+        """Integer coordinates {index into `maps`: coefficient} of a map,
+        or None if the map is not a module map M -> N at all."""
         vec = _map_to_vector(f, self._var_off)
         return _echelon_lattice(self._lattice, self._nvars).coordinates(vec)
 
@@ -513,10 +513,9 @@ class _MapSystem:
 
 
 def _kernel_head(rows, ncols: int, keep: int) -> list:
-    """HNF basis, as sparse rows, of the x with x * rows[:keep] in the span
-    of rows[keep:]: the left kernel of `rows`, cut to its first `keep`
-    columns."""
-    return [_sparse(row, keep) for row in hnf([k[:keep] for k in left_kernel(rows, ncols)], keep)]
+    """HNF basis of the x with x * rows[:keep] in the span of rows[keep:]:
+    the left kernel of `rows`, cut to its first `keep` columns."""
+    return hnf([{j: c for j, c in k.items() if j < keep} for k in left_kernel(rows, ncols)], keep)
 
 
 def _echelon_lattice(basis, ncols: int) -> Lattice:

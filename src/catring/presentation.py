@@ -98,14 +98,6 @@ class Relation:
     target: int
     sides: tuple[tuple[tuple[int, Word], ...], ...]
 
-    @property
-    def left(self):
-        return self.sides[0]
-
-    @property
-    def right(self):
-        return self.sides[-1]
-
     def max_word_len(self) -> int:
         return max(len(w) for side in self.sides for _, w in side)
 

@@ -16,7 +16,6 @@ import itertools
 import json
 
 from .completion import CategoryRing
-from .intlin import dense_rows
 from .modules import GradedModule
 from .presentation import (
     CONJUGATION,
@@ -271,6 +270,17 @@ def ring_from_dict(data: dict) -> CategoryRing:
 # -- modules -----------------------------------------------------------
 
 
+def _dense(rows, n: int) -> list[list[int]]:
+    """Sparse rows as dense lists of width n, as module files hold them."""
+    out = []
+    for row in rows:
+        dense = [0] * n
+        for j, c in row.items():
+            dense[j] = c
+        out.append(dense)
+    return out
+
+
 def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
     values = []
     for (obj, deg) in module.slots:
@@ -279,7 +289,7 @@ def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
                 "object": obj,
                 "degree": deg,
                 "generators": list(module.gens[(obj, deg)]),
-                "relations": dense_rows(module.rels[(obj, deg)], module.ngens((obj, deg))),
+                "relations": _dense(module.rels[(obj, deg)], module.ngens((obj, deg))),
             }
         )
     actions = []
@@ -289,7 +299,7 @@ def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
                 {
                     "basis": fb,
                     "degree": deg,
-                    "matrix": dense_rows(module.act[(fb, deg)], module.ngens((x, deg))),
+                    "matrix": _dense(module.act[(fb, deg)], module.ngens((x, deg))),
                 }
             )
     return {
@@ -327,7 +337,10 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
             slot = (rec["object"], rec["degree"])
             if slot not in slots or slot in gens:
                 raise FormatError(f"value record for an unknown or repeated slot {slot}")
-            gens[slot] = tuple(rec["generators"])
+            names = rec["generators"]
+            if type(names) is not list or any(type(g) is not str for g in names):
+                raise FormatError(f"generators at slot {slot} must be a list of strings")
+            gens[slot] = tuple(names)
             rels[slot] = _integer_rows(rec["relations"], f"relation at slot {slot}")
         for rec in data["actions"]:
             key = (rec["basis"], rec["degree"])

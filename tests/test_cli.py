@@ -353,6 +353,17 @@ def _unknown_object(data):
     data["values"].append(dict(data["values"][0], object=3))
 
 
+def _string_generator_list(data):
+    # one character per generator, so the count still fits the matrices
+    rec = next(v for v in data["values"] if v["generators"])
+    rec["generators"] = "".join(g[0] for g in rec["generators"])
+
+
+def _integer_generator_names(data):
+    rec = next(v for v in data["values"] if v["generators"])
+    rec["generators"] = list(range(len(rec["generators"])))
+
+
 def _duplicate_slot(data):
     data["values"].append(dict(data["values"][0], generators=[], relations=[]))
 
@@ -455,6 +466,8 @@ def _basis_word_out_of_range(data):
         ("yoneda.json", _drop_values),
         ("yoneda.json", _unknown_object),
         ("yoneda.json", _duplicate_slot),
+        ("yoneda.json", _string_generator_list),
+        ("yoneda.json", _integer_generator_names),
         ("yoneda.json", _action_out_of_range),
         ("yoneda.json", _string_action_entry),
         ("witness.json", _short_relation_row),

@@ -27,6 +27,11 @@ from oracles import (
 )
 
 
+def dense_row(x, n):
+    """A {row index: coefficient} solution as a dense list, or None."""
+    return None if x is None else dense([x], n)[0]
+
+
 def random_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
@@ -107,7 +112,7 @@ def test_left_kernel():
     for _ in range(40):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
         rows = random_matrix(rng, m, n)
-        ker = left_kernel(rows, n)
+        ker = dense(left_kernel(rows, n), m)
         for v in ker:
             assert all(c == 0 for c in mat_mul([v], rows, n)[0]) if m else True
         # completeness: the kernel has rank m - rank(A)
@@ -124,7 +129,7 @@ def test_solve_left():
         target = mat_mul([coeffs], rows, n)[0]
         x = solve_left(rows, n, target)
         assert x is not None
-        assert mat_mul([x], rows, n)[0] == target
+        assert mat_mul([dense_row(x, m)], rows, n)[0] == target
     # insolvable case
     assert solve_left([[2, 0]], 2, [1, 0]) is None
     assert solve_left([[2, 0]], 2, [0, 1]) is None
@@ -182,14 +187,51 @@ def test_sparse_engine_matches_dense_oracle():
         targets = [mat_mul([coeffs], rows, n)[0]]
         targets += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
         for form, given in row_forms(rng, rows).items():
-            assert hnf(given, n) == want_hnf, form
-            assert left_kernel(given, n) == want_ker, form
+            assert dense(hnf(given, n), n) == want_hnf, form
+            assert dense(left_kernel(given, n), m) == want_ker, form
             for target in targets:
                 for t in (target, as_dicts(rng, [target], True)[0]):
                     x = solve_left(given, n, t)
                     assert (x is None) == (dense_solve_left(rows, n, target) is None), form
                     if x is not None:
-                        assert mat_mul([x], rows, n)[0] == target
+                        assert mat_mul([dense_row(x, m)], rows, n)[0] == target
+
+
+def test_outputs_are_sparse_rows_equal_to_dense_oracle():
+    # every output is dict rows with no stored zero, whatever the input
+    # form, and reads as the dense oracle's answer; a zero solution or zero
+    # coordinates are {}, not None
+    rng = random.Random(13)
+    zero_solutions = 0
+    for _ in range(150):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        rows = sparse_matrix(rng, m, n)
+        basis = dense_hnf(rows, n)
+        coeffs = [rng.randint(-3, 3) for _ in range(m)]
+        targets = [[0] * n, mat_mul([coeffs], rows, n)[0] if m else [0] * n]
+        targets.append([rng.randint(-3, 3) for _ in range(n)])
+        lat = Lattice(n)
+        for row in basis:
+            lat.add(row)
+        for form, given in row_forms(rng, rows).items():
+            outputs = [(hnf(given, n), n, basis), (left_kernel(given, n), m, dense_left_kernel(rows, n))]
+            for target in targets:
+                for t in (target, as_dicts(rng, [target], True)[0]):
+                    want = dense_solve_left(rows, n, target)
+                    x = solve_left(given, n, t)
+                    assert (x is None) == (want is None), form
+                    if x is not None:
+                        outputs.append(([x], m, [want]))
+                        zero_solutions += x == {}
+                    want = dense_solve_left(basis, n, target)
+                    x = lat.coordinates(t)
+                    assert (x is None) == (want is None), form
+                    if x is not None:
+                        outputs.append(([x], len(basis), [want]))
+            for got, width, want in outputs:
+                assert all(type(row) is dict and all(row.values()) for row in got), form
+                assert dense(got, width) == want, form
+    assert zero_solutions
 
 
 def test_lattice_membership_matches_dense_oracle():
@@ -197,20 +239,20 @@ def test_lattice_membership_matches_dense_oracle():
     for _ in range(100):
         m, n = rng.randint(0, 6), rng.randint(1, 6)
         rows = sparse_matrix(rng, m, n)
-        dense = DenseLattice(n)
+        slow = DenseLattice(n)
         for row in rows:
-            dense.add(row)
+            slow.add(row)
         for form, given in row_forms(rng, rows).items():
             lat = Lattice(n)
             for row in given:
                 lat.add(row)
-            assert lat.basis() == [r[:] for r in dense.rows], form
+            assert dense(lat.rows, n) == [r[:] for r in slow.rows], form
             assert all(all(row.values()) for row in lat.rows), "a stored zero"
             for _ in range(5):
                 vec = [rng.randint(-2, 2) for _ in range(n)]
-                assert (vec in lat) == (vec in dense)
-                assert (as_dicts(rng, [vec], True)[0] in lat) == (vec in dense)
-                assert (not lat.reduce(vec)) == (vec in dense)
+                assert (vec in lat) == (vec in slow)
+                assert (as_dicts(rng, [vec], True)[0] in lat) == (vec in slow)
+                assert (not lat.reduce(vec)) == (vec in slow)
 
 
 def test_coordinates_back_substitute_over_hnf_basis():
@@ -221,14 +263,14 @@ def test_coordinates_back_substitute_over_hnf_basis():
         lat = Lattice(n)
         for row in basis:
             lat.add(row)
-        assert lat.basis() == basis  # echelon rows go in untouched
+        assert dense(lat.rows, n) == basis  # echelon rows go in untouched
         coeffs = [rng.randint(-5, 5) for _ in basis]
         member = mat_mul([coeffs], basis, n)[0]
         for vec in [member] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(4)]:
             want = dense_solve_left(basis, n, vec)
             for given in (vec, as_dicts(rng, [vec], True)[0]):
-                assert lat.coordinates(given) == want
-        assert lat.coordinates(member) == coeffs
+                assert dense_row(lat.coordinates(given), len(basis)) == want
+        assert dense_row(lat.coordinates(member), len(basis)) == coeffs
 
 
 def test_reduce_is_the_coset_normal_form():

@@ -30,6 +30,7 @@ from catring.modules import (
     _MapSystem,
     _section_system,
     compose_maps,
+    quotient_by_element,
 )
 
 from corpus import build_corpus
@@ -420,10 +421,10 @@ def test_is_projective_matches_ext_oracle(ring1, ring2, ring4):
 
 def test_free_cover_leaves_relation_lattice_intact(ring4):
     m = yoneda_cyclic_quotient(ring4, 4, 0, 2, 0)
-    before = {s: m.relation_lattice(s).basis() for s in m.slots}
+    before = {s: [dict(r) for r in m.relation_lattice(s).rows] for s in m.slots}
     first = free_cover(m)
     second = free_cover(m)
-    assert {s: m.relation_lattice(s).basis() for s in m.slots} == before
+    assert {s: m.relation_lattice(s).rows for s in m.slots} == before
     assert first.source.entries == second.source.entries
     assert first.mats == second.mats
 
@@ -484,9 +485,21 @@ def test_free_cover_matches_quadratic_prune(ring1, ring4):
 
 
 def test_coordinates_need_an_echelon_basis():
-    assert _echelon_lattice([{0: 1, 1: 2}, {1: 3}], 2).coordinates([2, 7]) == [2, 1]
+    coords = _echelon_lattice([{0: 1, 1: 2}, {1: 3}], 2).coordinates([2, 7])
+    assert dense([coords], 2) == [[2, 1]]
     with pytest.raises(AssertionError, match="echelon"):
         _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2)
+
+
+def test_quotient_rejects_an_element_that_does_not_fit_its_slot(ring2):
+    # the slot has two generators; the check is a ValueError, so it holds
+    # under `python -O` too
+    m = yoneda(ring2, 1, 0)
+    assert m.ngens((1, 0)) == 2
+    for vector in ([0, 0, 0, 0, 0], {7: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match=r"element at slot \(1, 0\)"):
+            quotient_by_element(m, (1, 0), vector)
+    assert quotient_by_element(m, (1, 0), {0: 1, 1: 0}).rels[(1, 0)] == ({0: 1}, {1: 1})
 
 
 # -- validation on letters against the all-pairs oracle -----------------
