@@ -42,12 +42,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _sparse(vec, n: int) -> dict[int, int]:
-    """A fresh {column: value} copy of a dense or dict row, without zeros."""
+    """A fresh {column: value} copy of a dense or dict row, without zeros.
+    Raises ValueError unless a dense row has width n."""
     if isinstance(vec, dict):
         if 0 in vec.values():
             return {j: c for j, c in vec.items() if c}
         return dict(vec)
-    assert len(vec) == n
+    if len(vec) != n:
+        raise ValueError(f"dense row of width {len(vec)} where {n} columns are expected")
     return {j: c for j, c in enumerate(vec) if c}
 
 

@@ -82,10 +82,11 @@ class AbInvariants:
 
 def _sparse_rows(rows, nrows, ncols: int, what: str, where) -> tuple:
     """`rows`, dense or {column: value}, as a tuple of sparse rows without
-    zeros.  A dict row must keep its columns below `ncols`; one without
-    zeros is kept, not copied, so it must not change afterwards.  Raises
-    ValueError naming `what` at `where` unless every dense row has width
-    `ncols` and, when `nrows` is not None, there are `nrows` rows."""
+    zeros.  A dict row's columns are not checked here (`validate` checks
+    them); one without zeros is kept, not copied, so it must not change
+    afterwards.  Raises ValueError naming `what` at `where` unless every
+    dense row has width `ncols` and, when `nrows` is not None, there are
+    `nrows` rows."""
     out = []
     for row in rows:
         if isinstance(row, dict):
@@ -99,6 +100,15 @@ def _sparse_rows(rows, nrows, ncols: int, what: str, where) -> tuple:
     if nrows is not None and len(out) != nrows:
         raise ValueError(f"{what} {where}: expected {nrows} rows, got {len(out)}")
     return tuple(out)
+
+
+def _check_columns(rows, ncols: int, what: str, where) -> None:
+    """Raise ValueError naming `what` at `where` unless every column of
+    the sparse rows lies in range(ncols)."""
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= ncols):
+            bad = sorted(j for j in row if not 0 <= j < ncols)
+            raise ValueError(f"{what} {where}: columns {bad} outside range({ncols})")
 
 
 def _columns(rows, ncols: int) -> list:
@@ -182,7 +192,8 @@ class GradedModule:
     def validate(self) -> None:
         """Re-check all module invariants; raises with a witness on failure.
 
-        Shapes are checked when the module is built.  Well-definedness on
+        Shapes are checked when the module is built, and the columns of
+        dict rows here, before any product.  Well-definedness on
         the quotient (for every basis element) and the unit action are
         checked directly.  Functoriality is checked only on pairs (u, a):
         u runs over every basis monomial x -> y, and the right factor a
@@ -217,6 +228,11 @@ class GradedModule:
         """
         ring = self.ring
         ngens = {s: len(g) for s, g in self.gens.items()}
+        for s in self.slots:
+            _check_columns(self.rels[s], ngens[s], "relations at slot", s)
+        for fb, (x, _, _) in enumerate(ring.flat):
+            for e in (0, 1):
+                _check_columns(self.act[(fb, e)], ngens[(x, e)], "action matrix of (basis, degree)", (fb, e))
         for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
                 # well-defined on the quotient
@@ -342,9 +358,7 @@ def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModul
     x0, e0 = slot
     n = module.ngens(slot)
     (vec,) = _sparse_rows([vector], 1, n, "element at slot", slot)
-    bad = [j for j in vec if not 0 <= j < n]
-    if bad:
-        raise ValueError(f"element at slot {slot}: columns {bad} outside range({n})")
+    _check_columns([vec], n, "element at slot", slot)
     rels = {}
     for s in module.slots:
         w, e = s
@@ -711,14 +725,19 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
     return ModuleMap(free, module, mats)
 
 
+def _kernel_rows(f: ModuleMap) -> dict:
+    """Per slot, the HNF basis of the kernel of f taken modulo the target's
+    relations: the x over the source generators with x * f in the
+    relation lattice of the target."""
+    M, N = f.source, f.target
+    return {s: _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s)) for s in M.slots}
+
+
 def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     """Objectwise integer kernel with its induced action and inclusion."""
-    M, N = f.source, f.target
+    M = f.source
     ring = M.ring
-    basis_rows = {}
-    for s in M.slots:
-        basis_rows[s] = _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s))
-
+    basis_rows = _kernel_rows(f)
     gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
     lats = {s: _echelon_lattice(basis_rows[s], M.ngens(s)) for s in M.slots}
     rels = {
@@ -731,7 +750,7 @@ def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
             imgs = mat_mul(basis_rows[(y, e)], M.act[(fb, e)])
             act[(fb, e)] = _coordinates(lats[(x, e)], imgs, "kernel is not action-stable")
     kernel = GradedModule(ring, gens, rels, act)
-    incl = ModuleMap(kernel, M, {s: basis_rows[s] for s in M.slots})
+    incl = ModuleMap(kernel, M, basis_rows)
     return kernel, incl
 
 
@@ -749,6 +768,67 @@ class Resolution:
     frees: list
 
 
+class _Syzygies:
+    """The cover-of-kernel chain of one module, extended on demand.
+
+    Level n holds the n-th syzygy M_n (M_0 is the module itself), its free
+    cover F_n -> M_n and, once asked for, the kernel M_{n+1} of that cover
+    with its inclusion into F_n.  Covers and kernels are built in level
+    order, so a seeded `rng` shuffles each cover's generator scan as
+    `free_resolution` documents.  A chain serves one call: every query
+    that reads several levels of one resolution reads them from one chain,
+    and nothing outlives the call.
+    """
+
+    def __init__(self, module: GradedModule, rng=None):
+        self.rng = rng
+        self.syzygies = [module]
+        self.covers = []
+        self.inclusions = []
+
+    def _order(self, m: GradedModule):
+        if self.rng is None:
+            return None
+        perm = list(range(sum(m.ngens(s) for s in m.slots)))
+        self.rng.shuffle(perm)
+        return perm
+
+    def cover(self, n: int) -> ModuleMap:
+        while len(self.covers) <= n:
+            m = self.syzygy(len(self.covers))
+            self.covers.append(free_cover(m, self._order(m)))
+        return self.covers[n]
+
+    def syzygy(self, n: int) -> GradedModule:
+        while len(self.syzygies) <= n:
+            ker, incl = kernel_of(self.cover(len(self.syzygies) - 1))
+            self.syzygies.append(ker)
+            self.inclusions.append(incl)
+        return self.syzygies[n]
+
+    def splits(self, n: int) -> bool:
+        """Is the n-th syzygy projective, that is, does its cover split?
+
+        Reads the kernel rows off the inclusion when level n+1 is already
+        built, and otherwise computes them without building the kernel
+        module.  Only the module itself can carry torsion, which rules out
+        a split at once: a syzygy is a submodule of a free module.
+        """
+        if n == 0:
+            m = self.syzygies[0]
+            if any(m.value_invariants(s).torsion for s in m.slots):
+                return False
+        cover = self.cover(n)
+        rows = self.inclusions[n].mats if n < len(self.inclusions) else _kernel_rows(cover)
+        return _splits(cover, rows)
+
+    def resolution(self, length: int) -> Resolution:
+        self.cover(length)
+        diffs = [compose_maps(self.covers[n + 1], self.inclusions[n]) for n in range(length)]
+        frees = [cov.source for cov in self.covers[: length + 1]]
+        return Resolution(self.syzygies[0], self.covers[0], diffs, frees)
+
+
 def free_resolution(module: GradedModule, length: int, rng=None) -> Resolution:
     """Iterated cover-of-kernel resolution of the given length.
 
@@ -758,26 +838,7 @@ def free_resolution(module: GradedModule, length: int, rng=None) -> Resolution:
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-
-    def mkorder(m):
-        n = sum(m.ngens(s) for s in m.slots)
-        if rng is None:
-            return None
-        perm = list(range(n))
-        rng.shuffle(perm)
-        return perm
-
-    aug = free_cover(module, mkorder(module))
-    frees = [aug.source]
-    diffs = []
-    cur = aug
-    for _ in range(length):
-        ker, incl = kernel_of(cur)
-        cov = free_cover(ker, mkorder(ker))
-        diffs.append(compose_maps(cov, incl))
-        frees.append(cov.source)
-        cur = cov
-    return Resolution(module, aug, diffs, frees)
+    return _Syzygies(module, rng).resolution(length)
 
 
 # -- Ext ---------------------------------------------------------------
@@ -869,7 +930,11 @@ def ext(M: GradedModule, N: GradedModule, n: int, rng=None) -> ExtResult:
         raise ValueError("modules live over different rings")
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    res = free_resolution(M, n + 1, rng)
+    return _ext_groups(free_resolution(M, n + 1, rng), N, n)
+
+
+def _ext_groups(res: Resolution, N: GradedModule, n: int) -> ExtResult:
+    """Ext^n(res.module, N), read off a resolution of length at least n+1."""
     out = {}
     for shift in (0, 1):
         gb, _, rels_b = _hom_free_into(res.frees[n], N, shift)
@@ -889,48 +954,84 @@ def ext(M: GradedModule, N: GradedModule, n: int, rng=None) -> ExtResult:
 def is_projective(module: GradedModule) -> bool:
     """Does the canonical free cover split?
 
-    Decided as integer feasibility of a section within the module-map
-    solution space.  A slot with torsion rules splitting out immediately,
-    since free modules have torsion-free values.
+    Decided by `_splits` on the cover and its kernel.  A slot with torsion
+    rules splitting out immediately, since free modules have torsion-free
+    values.
     """
-    for s in module.slots:
-        if module.value_invariants(s).torsion:
-            return False
-    system, targets = _section_system(free_cover(module))
-    return solve_left(system.rows(), len(targets), targets) is not None
+    return _Syzygies(module).splits(0)
 
 
-def _section_system(cover: ModuleMap) -> tuple[_MapSystem, list]:
-    """The system, with its target row, whose solutions x (x * rows() ==
-    targets) are the sections sigma of `cover`: module maps M -> F with
-    sigma then cover equal to the identity of M."""
-    M, F = cover.target, cover.source
-    # sigma: M -> F is a module map into a free module, so no slack rows
-    system = _MapSystem(M, F)
-    targets = [0] * len(system.equations)
+def _splits(cover: ModuleMap, kernel_rows: dict) -> bool:
+    """Does the free cover pi: F -> M have a section?  `kernel_rows` are
+    the rows `_kernel_rows(cover)` gives: per slot s, a Z-basis of K(s),
+    where K = ker pi is taken modulo the relations of M.
 
-    # splitting: sigma then cover = identity modulo relations.
-    for s in M.slots:
-        gm, gf, off = M.ngens(s), F.ngens(s), system.var_off[s]
-        cols = _columns(cover.mats[s], gm)
-        for p in range(gm):
-            system.add([{off + p * gf + t: c for t, c in cols[q]} for q in range(gm)], M.rels[s])
-            targets.extend(1 if p == q else 0 for q in range(gm))
-    return system, targets
+    A section sigma (sigma then pi is the identity of M) exists iff some
+    module map tau: F -> F has tau(K) = 0 and tau then pi equal to pi.
+    If sigma exists, tau = pi then sigma will do: it kills K = ker pi, and
+    pi then sigma then pi is pi.  Conversely, tau kills K, so it factors
+    through M = F/K as tau = pi then sigma, for the module map sigma that
+    sends pi(f) to tau(f); then pi, sigma, pi in turn give tau then pi,
+    which is pi, and since pi is onto, sigma then pi is the identity.
+
+    By Yoneda a map tau out of the free module F is any choice of vectors
+    tau(e_j) in F(slot_j), e_j the unit of entry j at its slot, and then
+    tau(e_j.w) = tau(e_j) * F.act[(w, eps_j)] for every basis monomial w
+    into the entry's object.  So the unknowns are the coordinates of the
+    tau(e_j), entry after entry, sum_j F.ngens(slot_j) of them, where a
+    section M -> F has sum_s M.ngens(s) * F.ngens(s).  The equations are,
+    in this order,
+      - tau(k) = 0 for every row k of every K(s), slot after slot: exact,
+        since F is free;
+      - tau(e_j) * pi = pi(e_j) at slot_j, entry after entry, modulo the
+        relations of M there, which become slack rows after the unknowns.
+    Two module maps out of F agree once they agree on the units, so the
+    second block is exactly tau then pi equal to pi.
+    """
+    F, M = cover.source, cover.target
+    ring = F.ring
+    var = list(itertools.accumulate((F.ngens(slot) for slot in F.entries), initial=0))
+    rows = [{} for _ in range(var[-1])]
+    neq = 0
+    for s in F.slots:
+        x, e = s
+        # generator g of F(s) is e_j.w: (first unknown of entry j, action of w)
+        gens = []
+        for j, (_, size) in F.blocks[s].items():
+            off = ring.offset[(x, F.entries[j][0])]
+            gens.extend((var[j], F.act[(off + u, e)]) for u in range(size))
+        for k in kernel_rows[s]:
+            for g, c in k.items():
+                v0, act = gens[g]
+                for t, arow in enumerate(act):
+                    row = rows[v0 + t]
+                    for q, a in arow.items():
+                        row[neq + q] = row.get(neq + q, 0) + c * a
+            neq += F.ngens(s)
+    target = {}
+    for j, slot in enumerate(F.entries):
+        pi = cover.mats[slot]
+        for t, prow in enumerate(pi):
+            rows[var[j] + t].update({neq + q: c for q, c in prow.items()})
+        _, upos = F.unit_index(j)
+        target.update({neq + q: c for q, c in pi[upos].items()})
+        rows.extend({neq + q: c for q, c in rrow.items()} for rrow in M.rels[slot])
+        neq += M.ngens(slot)
+    return solve_left(rows, neq, target) is not None
 
 
 def projective_dimension(module: GradedModule, cap: int):
-    """Least n <= cap whose n-th syzygy is projective, else ABOVE_CAP."""
+    """Least n <= cap whose n-th syzygy is projective, else ABOVE_CAP.
+
+    Level n covers the n-th syzygy and tests that cover for a split; the
+    kernel module of a cover is built only to go on to level n+1.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if is_projective(module):
-        return 0
-    cur = free_cover(module)
-    for n in range(1, cap + 1):
-        ker, _ = kernel_of(cur)
-        if is_projective(ker):
+    syzygies = _Syzygies(module)
+    for n in range(cap + 1):
+        if syzygies.splits(n):
             return n
-        cur = free_cover(ker)
     return ABOVE_CAP
 
 
@@ -949,10 +1050,19 @@ class UctTerms:
     pd_within_one: bool
 
 
-def uct_terms(M: GradedModule, N: GradedModule, cap: int = 1) -> UctTerms:
+def uct_terms(M: GradedModule, N: GradedModule) -> UctTerms:
+    """The UCT end terms of M and N, read off one resolution of M of
+    length 2.  Suspending a resolution of M resolves `suspend(M)`, and
+    Hom out of a suspended free module into N in degree e is Hom out of
+    the free module in degree 1 - e, so Ext^1(suspend(M), N) in degree e
+    is Ext^1(M, N) in degree 1 - e.  Whether pd(M) <= 1 is read off the
+    first two levels of the same chain.
+    """
     if M.ring is not N.ring:
         raise ValueError("modules live over different rings")
-    hom = ext(M, N, 0)
-    shifted = ext(suspend(M), N, 1)
-    pd = projective_dimension(M, max(cap, 1))
-    return UctTerms(hom, shifted, pd is not ABOVE_CAP and pd <= 1)
+    syzygies = _Syzygies(M)
+    res = syzygies.resolution(2)
+    ext1 = _ext_groups(res, N, 1)
+    shifted = ExtResult(1, {e: ext1.by_degree[1 - e] for e in (0, 1)})
+    within_one = syzygies.splits(0) or syzygies.splits(1)
+    return UctTerms(_ext_groups(res, N, 0), shifted, within_one)

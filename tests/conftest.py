@@ -43,6 +43,11 @@ def ring4():
 
 
 @pytest.fixture(scope="session")
+def ring6():
+    return complete(build_presentation(6))
+
+
+@pytest.fixture(scope="session")
 def ring_c4_hand():
     return complete(presentation_c4())
 

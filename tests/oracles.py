@@ -10,9 +10,11 @@ dense integer echelon that `catring.intlin` replaced with sparse rows,
 the dense Smith form and the dense matrix product it replaced with
 `Lattice` echelons and sparse rows, the completion's own max-pivot
 echelon that `intlin.Lattice` replaced, the quadratic prune of
-`catring.modules.free_cover`, module validation on every composable pair
-of basis monomials, normal forms by chained composition, and
-presentation equivalence by completing both presentations.
+`catring.modules.free_cover`, projectivity by the full section system
+and the projective dimension without a syzygy chain, module validation
+on every composable pair of basis monomials, normal forms by chained
+composition, and presentation equivalence by completing both
+presentations.
 """
 
 from __future__ import annotations
@@ -695,6 +697,75 @@ def dense_map_system_rows(system):
                 srow[base + q] = c
             rows.append(srow)
     return rows
+
+
+# -- projectivity by the full section system ------------------------------
+
+
+def _section_system(cover):
+    """The system, with its target row, whose solutions x (x * rows() ==
+    targets) are the sections sigma of `cover`: module maps M -> F with
+    sigma then cover equal to the identity of M.  `is_projective` solved
+    it before `catring.modules._splits` solved for a map F -> F on the
+    Yoneda units instead; it has sum_s M.ngens(s) * F.ngens(s) unknowns."""
+    from catring.modules import _columns, _MapSystem
+
+    M, F = cover.target, cover.source
+    # sigma: M -> F is a module map into a free module, so no slack rows
+    system = _MapSystem(M, F)
+    targets = [0] * len(system.equations)
+
+    # splitting: sigma then cover = identity modulo relations.
+    for s in M.slots:
+        gm, gf, off = M.ngens(s), F.ngens(s), system.var_off[s]
+        cols = _columns(cover.mats[s], gm)
+        for p in range(gm):
+            system.add([{off + p * gf + t: c for t, c in cols[q]} for q in range(gm)], M.rels[s])
+            targets.extend(1 if p == q else 0 for q in range(gm))
+    return system, targets
+
+
+def oracle_section(cover):
+    """A section sigma: M -> F of `cover` (sigma then cover is the
+    identity of M), or None if the cover does not split: the section
+    system, built dense and solved by the dense echelon."""
+    from catring.modules import _vector_to_map
+
+    system, targets = _section_system(cover)
+    x = dense_solve_left(dense_map_system_rows(system), len(targets), targets)
+    if x is None:
+        return None
+    vec = {v: c for v, c in enumerate(x[: system.nvars]) if c}
+    return _vector_to_map(cover.target, cover.source, vec, system.var_off)
+
+
+def oracle_is_projective(module):
+    """`catring.modules.is_projective` as it was before `_splits`: the
+    torsion check, then the section system of the module's free cover."""
+    from catring.intlin import solve_left
+    from catring.modules import free_cover
+
+    if any(module.value_invariants(s).torsion for s in module.slots):
+        return False
+    system, targets = _section_system(free_cover(module))
+    return solve_left(system.rows(), len(targets), targets) is not None
+
+
+def oracle_projective_dimension(module, cap):
+    """`catring.modules.projective_dimension` as it was before the syzygy
+    chain: each level covers its syzygy once for the projectivity test and
+    once more for the next kernel."""
+    from catring.modules import ABOVE_CAP, free_cover, kernel_of
+
+    if oracle_is_projective(module):
+        return 0
+    cur = free_cover(module)
+    for n in range(1, cap + 1):
+        ker, _ = kernel_of(cur)
+        if oracle_is_projective(ker):
+            return n
+        cur = free_cover(ker)
+    return ABOVE_CAP
 
 
 # -- the quadratic free-cover prune --------------------------------------

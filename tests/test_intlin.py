@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -339,3 +343,27 @@ def test_group_invariants_match_dense_snf_oracle():
         want = (n - len(diag), tuple(d for d in diag if d != 1))
         for form, given in row_forms(rng, rows).items():
             assert group_invariants(given, n) == want, (form, rows)
+
+
+WIDTH_CHECK = """
+from catring.intlin import hnf, solve_left
+for call in (lambda: hnf([[1, 2, 3]], 2), lambda: solve_left([[1, 0]], 2, [1, 0, 5])):
+    try:
+        print("accepted", call())
+    except ValueError as exc:
+        print("ValueError", exc)
+"""
+
+
+def test_dense_row_width_is_checked_under_optimize():
+    # the width check must not be an assert, which python -O strips: an
+    # extra target entry would land on the identity block of [A | I]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WIDTH_CHECK], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("ValueError") for line in lines), lines

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -23,18 +24,22 @@ from catring import (
     yoneda_cyclic_quotient,
     zero_module,
 )
+from catring import intlin, modules
 from catring.modules import (
     GradedModule,
     _echelon_lattice,
+    _kernel_rows,
     _letters,
     _MapSystem,
-    _section_system,
+    _splits,
+    _Syzygies,
     compose_maps,
     quotient_by_element,
 )
 
 from corpus import build_corpus
 from oracles import (
+    _section_system,
     dense,
     dense_action,
     dense_map_system_rows,
@@ -45,6 +50,9 @@ from oracles import (
     oracle_ext1,
     oracle_free_cover,
     oracle_hom,
+    oracle_is_projective,
+    oracle_projective_dimension,
+    oracle_section,
     pairwise_validate,
 )
 
@@ -430,8 +438,9 @@ def test_free_cover_leaves_relation_lattice_intact(ring4):
 
 
 def test_is_projective_matches_dense_solve(ring1, ring2, ring4):
-    # the same section system, built dense from its equations and solved
-    # by the dense echelon, decides the same
+    # the full section system of the cover, which `is_projective` solved
+    # before `_splits`, built dense and solved by the dense echelon,
+    # decides the same
     rng = random.Random(23)
     seen = set()
     for ring in (ring1, ring2, ring4):
@@ -444,6 +453,199 @@ def test_is_projective_matches_dense_solve(ring1, ring2, ring4):
             assert is_projective(m) == expected
             seen.add(expected)
     assert seen == {True, False}
+
+
+def _chain_corpus(rng, ring1, ring2, ring4, ring6):
+    """Seeded corpora over k = 1, 2, 4, which come out mostly projective,
+    plus modules of projective dimension 1 and above 3 over k = 1, 2, 4,
+    and a few small modules over k = 6."""
+    corpus = [m for ring in (ring1, ring2, ring4) for m in build_corpus(ring, rng, size=7, max_gens=12)]
+    corpus += [trivial_group_module(ring1, degree0=(n,), degree1=tail) for n in (2, 6) for tail in ((), (0,))]
+    corpus += [yoneda_cyclic_quotient(ring2, 1, 0, 2, 0), yoneda_cyclic_quotient(ring2, 2, 1, 1, 0)]
+    corpus += [
+        yoneda_cyclic_quotient(ring4, 2, 0, 1, 0),
+        yoneda_cyclic_quotient(ring4, 4, 1, 2, 1),
+        direct_sum(yoneda(ring4, 1, 0), yoneda_cyclic_quotient(ring4, 1, 0, 4, 0)),
+    ]
+    y = yoneda(ring6, 1, 0)
+    corpus += [
+        y,
+        yoneda(ring6, 6, 1),
+        yoneda_cyclic_quotient(ring6, 6, 0, 3, 0),
+        yoneda_cyclic_quotient(ring6, 3, 0, 2, 0),
+        direct_sum(y, yoneda_cyclic_quotient(ring6, 2, 1, 1, 0)),
+    ]
+    return corpus
+
+
+def test_splits_match_dense_section_system_on_every_level(ring1, ring2, ring4, ring6):
+    # `_splits` solves for a map F -> F on the Yoneda units that kills the
+    # kernel; the full section system M -> F of the same cover, solved
+    # dense, must decide the same at every level of the syzygy chain
+    seen = {}
+    for m in _chain_corpus(random.Random(31), ring1, ring2, ring4, ring6):
+        syzygies = _Syzygies(m)
+        for n in range(4):
+            cover = syzygies.cover(n)
+            if sum(cover.source.ngens(s) for s in m.slots) > 40:
+                break  # the dense oracle would be slow
+            expected = oracle_section(cover) is not None
+            assert _splits(cover, _kernel_rows(cover)) == expected, (n, m.gens)
+            assert syzygies.splits(n) == expected, (n, m.gens)
+            seen.setdefault(n, set()).add(expected)
+        assert is_projective(m) == (oracle_section(free_cover(m)) is not None)
+    assert all(seen.get(n) == {True, False} for n in range(4)), seen
+
+
+def test_sections_solve_the_reduced_split_system(ring1, ring4, ring6, monkeypatch):
+    # the system `_splits` hands to `solve_left` has the tau(e_j), entry
+    # after entry, as its unknowns.  Its first equations are the values of
+    # tau on the kernel rows, and the proof's tau = pi then sigma, for the
+    # section sigma the dense section system finds, solves it modulo the
+    # slack rows that follow the unknowns
+    systems = []
+    solve = modules.solve_left
+
+    def capture(rows, ncols, target):
+        systems.append((rows, ncols, target))
+        return solve(rows, ncols, target)
+
+    monkeypatch.setattr(modules, "solve_left", capture)
+    # Z^2 / (2, -3) is Z, but its cover takes both generators, and no
+    # section lifts them without the relation
+    corpus = [GradedModule(ring1, {(1, 0): ("g1", "g2")}, {(1, 0): [[2, -3]]}, {(0, 0): [[1, 0], [0, 1]]})]
+    # the same over k = 4: two copies of a representable modulo a
+    # unimodular pair of units, again covered by both
+    for x in ring4.objects:
+        yy = direct_sum(yoneda(ring4, x, 0), yoneda(ring4, x, 0))
+        u, half = ring4.unit_pos[x], yy.ngens((x, 0)) // 2
+        corpus.append(quotient_by_element(yy, (x, 0), {u: 2, half + u: -3}))
+    corpus += build_corpus(ring4, random.Random(43), size=8, max_gens=12)
+    # over k = 6, two words of one entry can act onto a shared column, so
+    # one kernel equation sums several terms
+    corpus.append(yoneda_cyclic_quotient(ring6, 6, 0, 2, 0))
+    rng = random.Random(47)
+    checked = 0
+    for m in corpus:
+        syzygies = _Syzygies(m)
+        for n in range(3):
+            cover = syzygies.cover(n)
+            F, kernel = cover.source, _kernel_rows(cover)
+            systems.clear()
+            splits = _splits(cover, kernel)
+            ((rows, ncols, target),) = systems
+
+            def unknowns(values):
+                # the vector of unknowns of the tau with tau(e_j) = values[j]
+                x, nvars = {}, 0
+                for j, slot in enumerate(F.entries):
+                    x.update({nvars + t: c for t, c in values[j].items()})
+                    nvars += F.ngens(slot)
+                return x, nvars
+
+            # a random tau, extended by Yoneda, is a module map, and the
+            # first equations take the values of tau on the kernel rows
+            values = [{t: rng.randint(-3, 3) for t in range(F.ngens(slot))} for slot in F.entries]
+            x, nvars = unknowns(values)
+            mats = {}
+            for s in F.slots:
+                mats[s] = [None] * F.ngens(s)
+                for j, (start, size) in F.blocks[s].items():
+                    off = F.ring.offset[(s[0], F.entries[j][0])]
+                    for u in range(size):
+                        mats[s][start + u] = intlin.mat_mul([values[j]], F.act[(off + u, s[1])])[0]
+            tau = ModuleMap(F, F, mats)
+            tau.check()
+            on_kernel = []
+            for s in F.slots:
+                on_kernel += itertools.chain(*dense(intlin.mat_mul(kernel[s], tau.mats[s]), F.ngens(s)))
+            (value,) = intlin.mat_mul([x], rows[:nvars])
+            assert dense([value], len(on_kernel)) == [on_kernel]
+
+            sigma = oracle_section(cover)
+            assert splits == (sigma is not None)
+            if sigma is None:
+                continue
+            # tau = pi then sigma solves the system modulo its slack rows
+            tau = compose_maps(cover, sigma)
+            x, _ = unknowns([tau.mats[slot][F.unit_index(j)[1]] for j, slot in enumerate(F.entries)])
+            (value,) = intlin.mat_mul([x], rows)
+            slack = intlin.Lattice(ncols)
+            for row in rows[nvars:]:
+                slack.add(row)
+            assert {q: value.get(q, 0) - target.get(q, 0) for q in value.keys() | target.keys()} in slack
+            checked += any(any(krows) for krows in kernel.values())
+    assert checked >= 4
+
+
+def test_projective_dimension_matches_the_loop_without_a_chain(ring1, ring2, ring4, ring6):
+    values = set()
+    for m in _chain_corpus(random.Random(37), ring1, ring2, ring4, ring6):
+        for cap in (1, 3):
+            pd = projective_dimension(m, cap)
+            assert pd == oracle_projective_dimension(m, cap)
+            values.add(pd if pd is ABOVE_CAP else int(pd))
+        assert is_projective(m) == oracle_is_projective(m)
+    assert {0, 1, ABOVE_CAP} <= values, values
+
+
+def test_uct_terms_read_one_resolution(ring2, ring4):
+    # the suspended resolution of M resolves suspend(M): Ext^1 of the
+    # suspension is Ext^1 of M with its degrees swapped
+    rng = random.Random(41)
+    for ring in (ring2, ring4):
+        corpus = build_corpus(ring, rng, size=8, max_gens=16)
+        for m in corpus:
+            n = rng.choice(corpus)
+            terms = uct_terms(m, n)
+            shifted = ext(suspend(m), n, 1)
+            assert terms.ext1_shifted.degree == shifted.degree == 1
+            assert list(terms.ext1_shifted.by_degree.items()) == list(shifted.by_degree.items())
+            assert terms.hom.by_degree == ext(m, n, 0).by_degree
+            pd = oracle_projective_dimension(m, 1)
+            assert terms.pd_within_one == (pd is not ABOVE_CAP and pd <= 1)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(modules, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(modules, name, counted)
+    return calls
+
+
+def test_projective_dimension_covers_each_level_once(ring1, ring4, monkeypatch):
+    # level n covers the n-th syzygy once, and builds the kernel of that
+    # cover only to go on to level n + 1
+    cases = [
+        (yoneda(ring4, 2, 0), 0),
+        (trivial_group_module(ring1, degree0=(6,)), 1),
+        (yoneda_cyclic_quotient(ring4, 2, 0, 1, 0), ABOVE_CAP),
+    ]
+    for m, want in cases:
+        assert oracle_projective_dimension(m, 3) is want or oracle_projective_dimension(m, 3) == want
+        covers = _count_calls(monkeypatch, "free_cover")
+        kernels = _count_calls(monkeypatch, "kernel_of")
+        pd = projective_dimension(m, 3)
+        monkeypatch.undo()
+        assert pd is want or pd == want
+        levels = 4 if pd is ABOVE_CAP else pd + 1
+        assert len(covers) == levels
+        assert len(kernels) == levels - 1
+
+
+def test_uct_terms_resolve_once(ring4, monkeypatch):
+    m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
+    covers = _count_calls(monkeypatch, "free_cover")
+    kernels = _count_calls(monkeypatch, "kernel_of")
+    uct_terms(m, yoneda(ring4, 2, 0))
+    monkeypatch.undo()
+    # covers F_0, F_1, F_2 and the two kernels between them
+    assert (len(covers), len(kernels)) == (3, 2)
 
 
 def test_map_system_rows_are_sparse_without_zeros(ring4):
@@ -500,6 +702,23 @@ def test_quotient_rejects_an_element_that_does_not_fit_its_slot(ring2):
         with pytest.raises(ValueError, match=r"element at slot \(1, 0\)"):
             quotient_by_element(m, (1, 0), vector)
     assert quotient_by_element(m, (1, 0), {0: 1, 1: 0}).rels[(1, 0)] == ({0: 1}, {1: 1})
+
+
+def test_validate_rejects_dict_columns_out_of_range(ring2):
+    # dict rows are not checked when the module is built; validate names
+    # the slot or the (basis, degree) pair before any product
+    y = yoneda(ring2, 1, 0)
+    assert y.ngens((1, 0)) == 2
+    for row in ({7: 1}, {-1: 1}):
+        bad = GradedModule(ring2, y.gens, {(1, 0): [row]}, y.act)
+        with pytest.raises(ValueError, match=r"relations at slot \(1, 0\)"):
+            bad.validate()
+    fb = ring2.offset[(1, 1)] + ring2.unit_pos[1]
+    act = dict(y.act)
+    act[(fb, 0)] = ({5: 1},) + tuple(act[(fb, 0)][1:])
+    bad = GradedModule(ring2, y.gens, {}, act)
+    with pytest.raises(ValueError, match=rf"action matrix of \(basis, degree\) \({fb}, 0\): columns \[5\]"):
+        bad.validate()
 
 
 # -- validation on letters against the all-pairs oracle -----------------
