@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 from . import groups
 from .completion import (
+    DEFAULT_MAX_LEN,
+    DEFAULT_WINDOW,
     CompletionError,
     NotStabilizedError,
     complete,
@@ -352,21 +354,23 @@ def build_parser() -> argparse.ArgumentParser:
     leaves no state in it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
-    shared.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
-    shared.add_argument("--max-len", type=int, default=12, help="completion length cap")
-    shared.add_argument("--window", type=int, default=2, help="stabilization window")
+    # only the subcommands that run a completion take its parameters
+    completing = argparse.ArgumentParser(add_help=False, parents=[shared])
+    completing.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, help="completion length cap")
+    completing.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="stabilization window")
 
     parser = argparse.ArgumentParser(prog="catring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="build, verify and inspect ring files")
     ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-    p = ring_sub.add_parser("build", parents=[shared])
+    p = ring_sub.add_parser("build", parents=[completing])
     p.add_argument("--order", type=int, required=True, help="cyclic group order")
     p.add_argument("-o", "--output", required=True, help="ring JSON output path")
     p.set_defaults(func=cmd_ring_build)
-    p = ring_sub.add_parser("verify", parents=[shared])
+    p = ring_sub.add_parser("verify", parents=[completing])
     p.add_argument("ring", help="ring JSON file")
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized associativity probe")
     p.set_defaults(func=cmd_ring_verify)
     p = ring_sub.add_parser("info", parents=[shared])
     p.add_argument("ring", help="ring JSON file")

@@ -11,10 +11,11 @@ acts from the right.
 Every matrix here - relations, actions and the matrices of module maps -
 is a tuple of sparse rows {column: value} without zeros, the row format
 of `intlin.Lattice`, and `intlin.mat_mul` is the one product of such
-rows.  `GradedModule` and `ModuleMap` accept dense or dict rows, check
-their shapes and normalize them once.  Every output of `intlin` is such a
-row, and coordinates are rows {basis row index: coefficient}, so dense
-rows remain only in the JSON files (`serialize`).
+rows.  `GradedModule` and `ModuleMap` store the rows they are given;
+`GradedModule.validate` and `ModuleMap.check` check their shapes.  Every
+output of `intlin` is such a row, and coordinates are rows {basis row
+index: coefficient}, so dense rows remain only in the JSON files, and
+`serialize.module_from_dict` is where they become sparse rows.
 
 The completed rings in scope are concentrated in degree 0 (every
 presentation generator is an even morphism), so module maps and actions
@@ -80,35 +81,20 @@ class AbInvariants:
         return " (+) ".join(parts) if parts else "0"
 
 
-def _sparse_rows(rows, nrows, ncols: int, what: str, where) -> tuple:
-    """`rows`, dense or {column: value}, as a tuple of sparse rows without
-    zeros.  A dict row's columns are not checked here (`validate` checks
-    them); one without zeros is kept, not copied, so it must not change
-    afterwards.  Raises ValueError naming `what` at `where` unless every
-    dense row has width `ncols` and, when `nrows` is not None, there are
-    `nrows` rows."""
-    out = []
+def _check_rows(rows, nrows, ncols: int, what: str, where) -> None:
+    """Raise ValueError naming `what` at `where` unless `rows` are sparse
+    rows over range(ncols) - dicts {column: value} without a stored zero -
+    and, when `nrows` is not None, there are `nrows` of them."""
+    if nrows is not None and len(rows) != nrows:
+        raise ValueError(f"{what} {where}: expected {nrows} rows, got {len(rows)}")
     for row in rows:
-        if isinstance(row, dict):
-            if 0 in row.values():
-                row = {j: c for j, c in row.items() if c}
-        elif len(row) == ncols:
-            row = {j: c for j, c in enumerate(row) if c}
-        else:
-            raise ValueError(f"{what} {where}: expected width {ncols}, got {len(row)}")
-        out.append(row)
-    if nrows is not None and len(out) != nrows:
-        raise ValueError(f"{what} {where}: expected {nrows} rows, got {len(out)}")
-    return tuple(out)
-
-
-def _check_columns(rows, ncols: int, what: str, where) -> None:
-    """Raise ValueError naming `what` at `where` unless every column of
-    the sparse rows lies in range(ncols)."""
-    for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"{what} {where}: {row!r} is not a {{column: value}} row")
         if row and (min(row) < 0 or max(row) >= ncols):
             bad = sorted(j for j in row if not 0 <= j < ncols)
             raise ValueError(f"{what} {where}: columns {bad} outside range({ncols})")
+        if 0 in row.values():
+            raise ValueError(f"{what} {where}: row {row} stores a zero")
 
 
 def _columns(rows, ncols: int) -> list:
@@ -138,26 +124,14 @@ class GradedModule:
     """A finitely presented graded right module; treat as immutable."""
 
     def __init__(self, ring: CategoryRing, gens, rels, act):
-        """Rows may be dense or {column: value}; dict rows are kept, not
-        copied, so they must not change afterwards.  Raises ValueError
-        when a relation row or an action matrix does not fit its slots."""
+        """`rels` and `act` hold sparse rows, kept as they are, not copied,
+        so they must not change afterwards; a slot or (basis, degree) pair
+        left out has no rows.  `validate` checks that they fit."""
         self.ring = ring
         self.slots = [(x, e) for x in ring.objects for e in (0, 1)]
         self.gens = {s: tuple(gens.get(s, ())) for s in self.slots}
-        ngens = {s: len(g) for s, g in self.gens.items()}
-        self.rels = {
-            s: _sparse_rows(rels.get(s, ()), None, ngens[s], "relations at slot", s) for s in self.slots
-        }
-        self.act = {}
-        for fb, (x, y, _) in enumerate(ring.flat):
-            for e in (0, 1):
-                self.act[(fb, e)] = _sparse_rows(
-                    act.get((fb, e), ()),
-                    ngens[(y, e)],
-                    ngens[(x, e)],
-                    "action matrix of (basis, degree)",
-                    (fb, e),
-                )
+        self.rels = {s: tuple(rels.get(s, ())) for s in self.slots}
+        self.act = {(fb, e): tuple(act.get((fb, e), ())) for fb in range(len(ring.flat)) for e in (0, 1)}
         self._rel_lattices = {}
 
     def ngens(self, slot: Slot) -> int:
@@ -192,8 +166,9 @@ class GradedModule:
     def validate(self) -> None:
         """Re-check all module invariants; raises with a witness on failure.
 
-        Shapes are checked when the module is built, and the columns of
-        dict rows here, before any product.  Well-definedness on
+        Every relation and action row is checked first, before any
+        product, to be a sparse row over its slot's generators, with one
+        action row per generator of the target slot.  Well-definedness on
         the quotient (for every basis element) and the unit action are
         checked directly.  Functoriality is checked only on pairs (u, a):
         u runs over every basis monomial x -> y, and the right factor a
@@ -229,10 +204,11 @@ class GradedModule:
         ring = self.ring
         ngens = {s: len(g) for s, g in self.gens.items()}
         for s in self.slots:
-            _check_columns(self.rels[s], ngens[s], "relations at slot", s)
-        for fb, (x, _, _) in enumerate(ring.flat):
+            _check_rows(self.rels[s], None, ngens[s], "relations at slot", s)
+        for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
-                _check_columns(self.act[(fb, e)], ngens[(x, e)], "action matrix of (basis, degree)", (fb, e))
+                what = "action matrix of (basis, degree)"
+                _check_rows(self.act[(fb, e)], ngens[(y, e)], ngens[(x, e)], what, (fb, e))
         for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
                 # well-defined on the quotient
@@ -248,11 +224,12 @@ class GradedModule:
                     raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
         # functoriality through the structure constants, on letters
         letters = _letters(ring)
+        table = ring.sparse_table()
         for fu, (x, y, _) in enumerate(ring.flat):
             for fa in letters[y]:
                 z = ring.flat[fa][1]
                 off = ring.offset[(x, z)]
-                prod = {off + t: c for t, c in enumerate(ring.table[(fu, fa)]) if c}
+                prod = {off + t: c for t, c in table[(fu, fa)].items()}
                 for e in (0, 1):
                     if not (ngens[(x, e)] and ngens[(z, e)]):
                         continue
@@ -352,13 +329,12 @@ def trivial_group_module(ring: CategoryRing, degree0=(), degree1=()) -> GradedMo
 
 def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModule:
     """Quotient by the submodule generated by one element of one slot,
-    given as a dense or {column: value} row.  Raises ValueError naming the
-    slot unless the row fits the slot's generators."""
+    given as a {column: value} row; a zero value in it is dropped.  Raises
+    ValueError naming the slot unless the row fits the slot's generators."""
     ring = module.ring
     x0, e0 = slot
-    n = module.ngens(slot)
-    (vec,) = _sparse_rows([vector], 1, n, "element at slot", slot)
-    _check_columns([vec], n, "element at slot", slot)
+    vec = {j: c for j, c in vector.items() if c} if isinstance(vector, dict) else vector
+    _check_rows([vec], None, module.ngens(slot), "element at slot", slot)
     rels = {}
     for s in module.slots:
         w, e = s
@@ -384,9 +360,10 @@ def yoneda_cyclic_quotient(ring: CategoryRing, obj: int, eps: int, src: int, pos
 class ModuleMap:
     """A degree-preserving map, one matrix per slot (row convention).
 
-    `mats` may hold dense or {column: value} rows, as `GradedModule`
-    takes them, and a slot it leaves out has no rows; they are checked
-    against the slot sizes and stored as sparse rows.
+    `mats` holds sparse rows, as `GradedModule` takes them, kept as they
+    are; a slot it leaves out has no rows.  `check` checks that they fit.
+    Treat as immutable: the rows of its kernel are kept on the map once
+    `_kernel_rows` has computed them.
     """
 
     source: GradedModule
@@ -394,18 +371,18 @@ class ModuleMap:
     mats: dict
 
     def __post_init__(self):
-        M, N = self.source, self.target
-        self.mats = {
-            s: _sparse_rows(self.mats.get(s, ()), M.ngens(s), N.ngens(s), "map at slot", s)
-            for s in M.slots
-        }
+        self.mats = {s: tuple(self.mats.get(s, ())) for s in self.source.slots}
+        self._kernel = None
 
     def is_zero(self) -> bool:
         return not any(any(rows) for rows in self.mats.values())
 
     def check(self) -> None:
-        """Assert well-definedness and equivariance; raises on failure."""
+        """Check the shape of every matrix, then well-definedness and
+        equivariance; raises ValueError on failure."""
         M, N = self.source, self.target
+        for s in M.slots:
+            _check_rows(self.mats[s], M.ngens(s), N.ngens(s), "map at slot", s)
         for s in M.slots:
             lat = N.relation_lattice(s)
             if any(row not in lat for row in mat_mul(M.rels[s], self.mats[s])):
@@ -653,11 +630,6 @@ class FreeModule(GradedModule):
         slot = (obj, eps)
         return slot, self.blocks[slot][j][0] + self.ring.unit_pos[obj]
 
-    def block_range(self, slot: Slot, j: int) -> tuple[int, int]:
-        """Start and size of entry j's generators at `slot`, a slot of the
-        entry's own degree."""
-        return self.blocks[slot][j]
-
 
 def free_cover(module: GradedModule, order=None) -> ModuleMap:
     """Surjection from a free module onto `module`.
@@ -719,7 +691,7 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
         x0, e0 = s
         for w in ring.objects:
             slot = (w, e0)
-            start, size = free.block_range(slot, j)
+            start, size = free.blocks[slot][j]
             for fu in range(size):
                 mats[slot][start + fu] = module.act[(ring.offset[(w, x0)] + fu, e0)][p]
     return ModuleMap(free, module, mats)
@@ -728,9 +700,13 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
 def _kernel_rows(f: ModuleMap) -> dict:
     """Per slot, the HNF basis of the kernel of f taken modulo the target's
     relations: the x over the source generators with x * f in the
-    relation lattice of the target."""
-    M, N = f.source, f.target
-    return {s: _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s)) for s in M.slots}
+    relation lattice of the target.  Computed on first use and kept on
+    the map, so the split test and `kernel_of` share it: read it, never
+    mutate it."""
+    if f._kernel is None:
+        M, N = f.source, f.target
+        f._kernel = {s: _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s)) for s in M.slots}
+    return f._kernel
 
 
 def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
@@ -809,18 +785,17 @@ class _Syzygies:
     def splits(self, n: int) -> bool:
         """Is the n-th syzygy projective, that is, does its cover split?
 
-        Reads the kernel rows off the inclusion when level n+1 is already
-        built, and otherwise computes them without building the kernel
-        module.  Only the module itself can carry torsion, which rules out
-        a split at once: a syzygy is a submodule of a free module.
+        Reads the cover's kernel rows, which `kernel_of` reads too when the
+        chain goes on to level n+1, without building the kernel module.
+        Only the module itself can carry torsion, which rules out a split
+        at once: a syzygy is a submodule of a free module.
         """
         if n == 0:
             m = self.syzygies[0]
             if any(m.value_invariants(s).torsion for s in m.slots):
                 return False
         cover = self.cover(n)
-        rows = self.inclusions[n].mats if n < len(self.inclusions) else _kernel_rows(cover)
-        return _splits(cover, rows)
+        return _splits(cover, _kernel_rows(cover))
 
     def resolution(self, length: int) -> Resolution:
         self.cover(length)
@@ -860,7 +835,7 @@ def _free_map_components(d: ModuleMap) -> dict:
         for i, (_, eps_i) in enumerate(G.entries):
             if eps_i != slot[1]:
                 continue
-            start, size = G.block_range(slot, i)
+            start, size = G.blocks[slot][i]
             vec = {t - start: c for t, c in row.items() if start <= t < start + size}
             if vec:
                 comps[(j, i)] = vec

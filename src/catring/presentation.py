@@ -117,7 +117,8 @@ class Presentation:
         self.relations = tuple(relations)
         self.family_counts = dict(family_counts or {})
         self.index = {(g.kind, g.H, g.L): i for i, g in enumerate(self.generators)}
-        assert len(self.index) == len(self.generators), "duplicate generator"
+        if len(self.index) != len(self.generators):
+            raise ValueError("duplicate generator")
         self.arrows = tuple(i for i, g in enumerate(self.generators) if g.kind != IDENTITY)
 
     def __eq__(self, other):

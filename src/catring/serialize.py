@@ -133,13 +133,13 @@ def presentation_from_dict(data: dict) -> Presentation:
                     raise FormatError(
                         f"relation {rel.tag}: word {list(word)} names an unknown generator"
                     )
-    p = Presentation(data["group_order"], gens, rels, data.get("family_counts"))
-    if list(p.objects) != data["objects"]:
-        raise FormatError("object list does not match the group order")
     try:
+        p = Presentation(data["group_order"], gens, rels, data.get("family_counts"))
         p.validate()
     except ValueError as exc:
         raise FormatError(f"invalid presentation: {exc}") from exc
+    if list(p.objects) != data["objects"]:
+        raise FormatError("object list does not match the group order")
     return p
 
 
@@ -191,6 +191,8 @@ def ring_from_dict(data: dict) -> CategoryRing:
     torsion = {}
     for comp in data["components"]:
         pair = (comp["source"], comp["target"])
+        if pair in basis:
+            raise FormatError(f"repeated component record for {pair}")
         basis[pair] = [tuple(w) for w in comp["basis"]]
         torsion[pair] = [m if m else None for m in comp["torsion"]]
         if len(torsion[pair]) != len(basis[pair]) or not _MODULUS.issuperset(map(type, torsion[pair])):
@@ -245,8 +247,8 @@ def ring_from_dict(data: dict) -> CategoryRing:
     arrow_forms = {}
     for rec in data["arrow_forms"]:
         gi = rec["generator"]
-        if not 0 <= gi < len(pres.generators):
-            raise FormatError(f"arrow normal form for unknown generator {gi}")
+        if not 0 <= gi < len(pres.generators) or gi in arrow_forms:
+            raise FormatError(f"arrow normal form for an unknown or repeated generator {gi}")
         g = pres.generators[gi]
         coeffs = tuple(rec["coefficients"])
         if len(coeffs) != len(basis[(g.source, g.target)]) or not _INT.issuperset(map(type, coeffs)):
@@ -311,18 +313,28 @@ def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
     }
 
 
-def _integer_rows(rows, what: str) -> tuple:
-    """Rows of JSON integers as a tuple of tuples; an entry that is not an
-    integer (a string, a float or a bool) raises FormatError."""
-    out = tuple(tuple(r) for r in rows)
-    for row in out:
-        for x in row:
-            if type(x) is not int:
-                raise FormatError(f"{what} has a non-integer entry {x!r}")
+def _integer_rows(rows, nrows, ncols: int, what: str) -> list:
+    """JSON rows of integers as sparse rows {column: value} without zeros.
+    Raises FormatError naming `what` unless every row has width `ncols` and
+    integer entries (no strings, floats or bools) and, when `nrows` is not
+    None, there are `nrows` rows."""
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise FormatError(f"{what}: expected width {ncols}, got {len(row)}")
+        if not _INT.issuperset(map(type, row)):
+            bad = next(x for x in row if type(x) is not int)
+            raise FormatError(f"{what} has a non-integer entry {bad!r}")
+        out.append({j: c for j, c in enumerate(row) if c})
+    if nrows is not None and len(out) != nrows:
+        raise FormatError(f"{what}: expected {nrows} rows, got {len(out)}")
     return out
 
 
 def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedModule:
+    """The module a module file holds, its rows made sparse here; raises
+    FormatError on a malformed file and ValueError (from
+    `GradedModule.validate`) on content that is not a module."""
     _expect(data, "module")
     if data.get("ring_hash") != ring_hash:
         raise FormatError(
@@ -331,7 +343,7 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
         )
     slots = {(x, e) for x in ring.objects for e in (0, 1)}
     keys = {(fb, e) for fb in range(len(ring.flat)) for e in (0, 1)}
-    gens, rels, act = {}, {}, {}
+    gens, rels, matrices, act = {}, {}, {}, {}
     try:
         for rec in data["values"]:
             slot = (rec["object"], rec["degree"])
@@ -341,19 +353,24 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
             if type(names) is not list or any(type(g) is not str for g in names):
                 raise FormatError(f"generators at slot {slot} must be a list of strings")
             gens[slot] = tuple(names)
-            rels[slot] = _integer_rows(rec["relations"], f"relation at slot {slot}")
+            rels[slot] = _integer_rows(rec["relations"], None, len(names), f"relations at slot {slot}")
         for rec in data["actions"]:
             key = (rec["basis"], rec["degree"])
-            if key not in keys or key in act:
+            if key not in keys or key in matrices:
                 raise FormatError(f"action record for an unknown or repeated (basis, degree) {key}")
-            act[key] = _integer_rows(rec["matrix"], f"action matrix of (basis, degree) {key}")
+            matrices[key] = rec["matrix"]
+        for fb, (x, y, _) in enumerate(ring.flat):
+            for e in (0, 1):
+                act[(fb, e)] = _integer_rows(
+                    matrices.get((fb, e), ()),
+                    len(gens.get((y, e), ())),
+                    len(gens.get((x, e), ())),
+                    f"action matrix of (basis, degree) {(fb, e)}",
+                )
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from exc
     except TypeError as exc:
         raise FormatError(f"malformed record: {exc}") from exc
-    try:
-        module = GradedModule(ring, gens, rels, act)
-    except ValueError as exc:  # a row or matrix that does not fit its slots
-        raise FormatError(str(exc)) from exc
+    module = GradedModule(ring, gens, rels, act)
     module.validate()
     return module

@@ -671,6 +671,11 @@ def dense(rows, n):
     return [[row.get(j, 0) for j in range(n)] for row in rows]
 
 
+def sparse(rows):
+    """Dense rows as sparse {column: value} rows, the rows modules take."""
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
+
+
 def dense_action(module, fb, e):
     """The action of basis monomial fb at degree e as a dense matrix: one
     row per generator at its target slot, of the width of its source slot."""
@@ -831,11 +836,11 @@ def oracle_free_cover(module, order=None):
         x0, e0 = s
         for w in ring.objects:
             slot = (w, e0)
-            start, size = free.block_range(slot, j)
+            start, size = free.blocks[slot][j]
             for fu in range(size):
                 fb = ring.offset[(w, x0)] + fu
                 mats[slot][start + fu] = dense_action(module, fb, e0)[p]
-    return ModuleMap(free, module, mats), scanned
+    return ModuleMap(free, module, {s: sparse(rows) for s, rows in mats.items()}), scanned
 
 
 # -- module validation on all pairs --------------------------------------
@@ -845,7 +850,7 @@ def pairwise_validate(module):
     """`catring.modules.GradedModule.validate` as it first was:
     functoriality is checked with dense products on every composable pair
     of basis monomials, not only on (basis, letter) pairs.  Shapes are
-    checked when a module is built, so they are not checked here."""
+    not checked here: callers pass modules whose rows fit their slots."""
     ring = module.ring
 
     def agree(slot, A, B):

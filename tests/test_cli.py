@@ -11,7 +11,10 @@ from catring.serialize import content_hash, load_json, module_to_dict, ring_from
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -334,6 +337,7 @@ def test_invalid_module_content_exits_1(workdir, tmp_path, capsys):
         (["group", "induce", "--order", "4", "--from", "2", "--to", "8", "--char", "1,0"], "--to"),
         (["group", "restrict", "--order", "6", "--from", "6", "--to", "4", "--char", "1,0,0,0,0,0"], "--to"),
         (["group", "induce", "--order", "0", "--from", "1", "--to", "1", "--char", "1"], "--order"),
+        (["pd", "-M", "witness.json", "--seed", "1"], "--seed"),
     ],
 )
 def test_out_of_range_flags_exit_2(workdir, tmp_path, capsys, argv, flag):
@@ -460,6 +464,23 @@ def _basis_word_out_of_range(data):
     comp["basis"][-1] = [99]
 
 
+def _zero_group_order(data):
+    data["presentation"]["group_order"] = 0
+
+
+def _duplicate_generator(data):
+    generators = data["presentation"]["generators"]
+    generators.append(generators[-1])
+
+
+def _repeated_component(data):
+    data["components"].append(data["components"][0])
+
+
+def _repeated_arrow_form(data):
+    data["arrow_forms"].append(data["arrow_forms"][0])
+
+
 @pytest.mark.parametrize(
     "base, corrupt",
     [
@@ -487,6 +508,10 @@ def _basis_word_out_of_range(data):
         ("ring4.json", _string_arrow_form_coefficient),
         ("ring4.json", _basis_word_ends_elsewhere),
         ("ring4.json", _basis_word_not_a_path),
+        ("ring4.json", _zero_group_order),
+        ("ring4.json", _duplicate_generator),
+        ("ring4.json", _repeated_component),
+        ("ring4.json", _repeated_arrow_form),
     ],
 )
 def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):

@@ -54,6 +54,7 @@ from oracles import (
     oracle_projective_dimension,
     oracle_section,
     pairwise_validate,
+    sparse,
 )
 
 
@@ -62,7 +63,7 @@ def modules_equal(a, b):
 
 
 def zero_map(M, N):
-    return ModuleMap(M, N, {s: [[0] * N.ngens(s) for _ in range(M.ngens(s))] for s in M.slots})
+    return ModuleMap(M, N, {s: sparse([[0] * N.ngens(s) for _ in range(M.ngens(s))]) for s in M.slots})
 
 
 # -- structure and validation ------------------------------------------
@@ -80,7 +81,7 @@ def test_validation_rejects_corrupted_action(ring4):
     # corrupt one action entry on a composable basis monomial
     key = next(k for k in act if act[k] and act[k][0])
     act[key][0][0] += 1
-    broken = GradedModule(ring4, m.gens, m.rels, act)
+    broken = GradedModule(ring4, m.gens, m.rels, _sparse_act(act))
     with pytest.raises(ValueError):
         broken.validate()
 
@@ -513,7 +514,8 @@ def test_sections_solve_the_reduced_split_system(ring1, ring4, ring6, monkeypatc
     monkeypatch.setattr(modules, "solve_left", capture)
     # Z^2 / (2, -3) is Z, but its cover takes both generators, and no
     # section lifts them without the relation
-    corpus = [GradedModule(ring1, {(1, 0): ("g1", "g2")}, {(1, 0): [[2, -3]]}, {(0, 0): [[1, 0], [0, 1]]})]
+    z2 = {(1, 0): ("g1", "g2")}
+    corpus = [GradedModule(ring1, z2, {(1, 0): sparse([[2, -3]])}, {(0, 0): sparse([[1, 0], [0, 1]])})]
     # the same over k = 4: two copies of a representable modulo a
     # unimodular pair of units, again covered by both
     for x in ring4.objects:
@@ -668,9 +670,8 @@ def test_free_cover_matches_quadratic_prune(ring1, ring4):
     # Z^3 / (y - 2x - 2z): the scan keeps x, y and z, and y is pruned only
     # because of the relation and of entries on both sides of it
     obj = ring1.objects[0]
-    skew = GradedModule(
-        ring1, {(obj, 0): ("x", "y", "z")}, {(obj, 0): [(-2, 1, -2)]}, {(0, 0): mat_identity(3)}
-    )
+    gens, rels = {(obj, 0): ("x", "y", "z")}, {(obj, 0): sparse([(-2, 1, -2)])}
+    skew = GradedModule(ring1, gens, rels, {(0, 0): sparse(mat_identity(3))})
     assert free_cover(skew, [0, 1, 2]).source.entries == ((obj, 0), (obj, 0))
     rng = random.Random(31)
     pruned = 0
@@ -698,7 +699,7 @@ def test_quotient_rejects_an_element_that_does_not_fit_its_slot(ring2):
     # under `python -O` too
     m = yoneda(ring2, 1, 0)
     assert m.ngens((1, 0)) == 2
-    for vector in ([0, 0, 0, 0, 0], {7: 1}, {-1: 1}):
+    for vector in ([0, 0, 0, 0, 0], [0, 1], {7: 1}, {-1: 1}):
         with pytest.raises(ValueError, match=r"element at slot \(1, 0\)"):
             quotient_by_element(m, (1, 0), vector)
     assert quotient_by_element(m, (1, 0), {0: 1, 1: 0}).rels[(1, 0)] == ({0: 1}, {1: 1})
@@ -721,11 +722,50 @@ def test_validate_rejects_dict_columns_out_of_range(ring2):
         bad.validate()
 
 
+def test_validate_rejects_rows_that_are_not_sparse_rows_of_their_slot(ring2):
+    # modules store their rows as given; validate names the slot or the
+    # (basis, degree) pair of a dense row, a stored zero or a missing row
+    y = yoneda(ring2, 1, 0)
+    for row, message in (([0, 1], "is not a"), ({0: 0}, "stores a zero")):
+        bad = GradedModule(ring2, y.gens, {(1, 0): [row]}, y.act)
+        with pytest.raises(ValueError, match=rf"relations at slot \(1, 0\): .*{message}"):
+            bad.validate()
+    fb = ring2.offset[(1, 1)] + ring2.unit_pos[1]
+    unit = y.act[(fb, 0)]
+    for rows, message in (
+        ([[1, 0], *unit[1:]], "is not a"),
+        ([{0: 1, 1: 0}, *unit[1:]], "stores a zero"),
+        (unit[1:], "expected 2 rows, got 1"),
+    ):
+        bad = GradedModule(ring2, y.gens, {}, {**y.act, (fb, 0): rows})
+        with pytest.raises(ValueError, match=rf"action matrix of \(basis, degree\) \({fb}, 0\): .*{message}"):
+            bad.validate()
+
+
+def test_map_check_rejects_rows_that_are_not_sparse_rows_of_their_slot(ring2):
+    y = yoneda(ring2, 1, 0)
+    f = identity_map(y)
+    f.check()
+    for rows, message in (
+        ([[1, 0], {1: 1}], "is not a"),
+        ([{0: 1, 1: 0}, {1: 1}], "stores a zero"),
+        ([{0: 1}], "expected 2 rows, got 1"),
+        ([{0: 1}, {2: 1}], r"columns \[2\]"),
+    ):
+        bad = ModuleMap(y, y, {**f.mats, (1, 0): rows})
+        with pytest.raises(ValueError, match=rf"map at slot \(1, 0\): .*{message}"):
+            bad.check()
+
+
 # -- validation on letters against the all-pairs oracle -----------------
 
 
 def _dense_act(module):
     return {(fb, e): dense_action(module, fb, e) for fb, e in module.act}
+
+
+def _sparse_act(act):
+    return {key: sparse(rows) for key, rows in act.items()}
 
 
 def _accepts(check, module) -> bool:
@@ -745,7 +785,7 @@ def _corruptions(module, rng, count):
         act = _dense_act(module)
         mat = act[rng.choice(keys)]
         mat[rng.randrange(len(mat))][rng.randrange(len(mat[0]))] += rng.choice((-2, -1, 1, 2))
-        out.append(GradedModule(module.ring, module.gens, module.rels, act))
+        out.append(GradedModule(module.ring, module.gens, module.rels, _sparse_act(act)))
     return out
 
 
@@ -772,7 +812,7 @@ def test_validate_rejects_corruption_off_the_letters(ring4):
     )
     assert fb not in letters
     act[(fb, 0)][0][0] += 1
-    broken = GradedModule(ring4, m.gens, m.rels, act)
+    broken = GradedModule(ring4, m.gens, m.rels, _sparse_act(act))
     for check in (GradedModule.validate, pairwise_validate):
         with pytest.raises(ValueError, match="not functorial"):
             check(broken)
@@ -790,7 +830,7 @@ def test_validate_checks_pairs_through_an_empty_layer(ring4):
             act[(fb, 0)] = []
         elif x == 2:
             act[(fb, 0)] = [[] for _ in act[(fb, 0)]]
-    hollow = GradedModule(ring4, gens, m.rels, act)
+    hollow = GradedModule(ring4, gens, m.rels, _sparse_act(act))
     through = ring4.offset[(1, 4)]
     assert ring4.flat[through][2] == (9, 10) and any(any(r) for r in act[(through, 0)])
     for check in (GradedModule.validate, pairwise_validate):
@@ -808,7 +848,7 @@ def test_validate_accepts_actions_moved_by_relations(ring4):
             continue
         act = _dense_act(m)
         act[(fb, 0)][-1] = [a + r for a, r in zip(act[(fb, 0)][-1], dense_relations(m, (x, 0))[-1])]
-        moved = GradedModule(ring4, m.gens, m.rels, act)
+        moved = GradedModule(ring4, m.gens, m.rels, _sparse_act(act))
         assert moved.act != m.act
         moved.validate()
         pairwise_validate(moved)
