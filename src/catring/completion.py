@@ -132,7 +132,8 @@ class CategoryRing:
     `table[(u, v)]`, for flat basis indices with target(u) == source(v),
     is the coefficient vector of the composite "u then v" over the basis
     of (source(u), target(v)).  The table must not change once
-    `right_action` or `sparse_table` has cached rows built from it.
+    `right_action`, `sparse_table` or `modules.free_module` has cached
+    rows built from it.
     """
 
     def __init__(self, presentation, basis, torsion, table, arrow_forms, stabilized_at, max_len, window):
@@ -161,6 +162,8 @@ class CategoryRing:
         }
         self._right_rows: dict[int, dict[int, dict[int, int]]] = {}
         self._sparse_table: dict[tuple[int, int], dict[int, int]] | None = None
+        # entry tuple -> free module, filled by `modules.free_module`
+        self._free_modules: dict[tuple, object] = {}
 
     # -- elements ------------------------------------------------------
 

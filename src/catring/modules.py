@@ -631,6 +631,33 @@ class FreeModule(GradedModule):
         return slot, self.blocks[slot][j][0] + self.ring.unit_pos[obj]
 
 
+# free modules kept per ring; a seeded query round over the k = 4 and
+# k = 6 rings covers with 47 distinct entry tuples
+FREE_MODULES_KEPT = 256
+
+
+def free_module(ring: CategoryRing, entries) -> FreeModule:
+    """The free module on `entries`, built on first use and kept on the
+    ring, so every cover with the same entry tuple shares one object.
+    Past FREE_MODULES_KEPT entry tuples the oldest one is dropped.
+
+    Unlike every other module, this one outlives the call that asked for
+    it, which is safe because nothing changes a module once it is built:
+    no reader writes to its `gens`, `rels`, `act` or `blocks`, or to a
+    lattice from `relation_lattice` (`free_cover` grows copies of them),
+    and a cover's kernel rows are kept on the `ModuleMap`, not on its
+    source.  `FreeModule(ring, entries)` still builds a fresh module.
+    """
+    key = tuple(entries)
+    kept = ring._free_modules
+    free = kept.get(key)
+    if free is None:
+        free = kept[key] = FreeModule(ring, key)
+        if len(kept) > FREE_MODULES_KEPT:
+            del kept[next(iter(kept))]
+    return free
+
+
 def free_cover(module: GradedModule, order=None) -> ModuleMap:
     """Surjection from a free module onto `module`.
 
@@ -684,7 +711,7 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
         else:
             i += 1
 
-    free = FreeModule(ring, [(s[0], s[1]) for s, _ in chosen])
+    free = free_module(ring, [s for s, _ in chosen])
     # every generator of the free module lies in exactly one entry's block
     mats = {s: [None] * free.ngens(s) for s in module.slots}
     for j, (s, p) in enumerate(chosen):
@@ -753,7 +780,8 @@ class _Syzygies:
     order, so a seeded `rng` shuffles each cover's generator scan as
     `free_resolution` documents.  A chain serves one call: every query
     that reads several levels of one resolution reads them from one chain,
-    and nothing outlives the call.
+    and only its free modules outlive the call, kept on the ring by
+    `free_module`; syzygies, covers and kernel rows do not.
     """
 
     def __init__(self, module: GradedModule, rng=None):

@@ -214,7 +214,11 @@ class Presentation:
         return src, cur
 
     def validate(self) -> None:
-        """Check every relation is parallel and built from emitted generators."""
+        """Check every generator runs between objects and every relation
+        is parallel and built from emitted generators."""
+        for g in self.generators:
+            if not all(type(o) is int and o in self.objects for o in (g.source, g.target)):
+                raise ValueError(f"generator {g.name()} runs {g.source}->{g.target}, which are not both objects")
         for rel in self.relations:
             if rel.source not in self.objects or rel.target not in self.objects:
                 raise ValueError(f"{rel.tag}: runs {rel.source}->{rel.target}, which are not both objects")

@@ -16,7 +16,7 @@ import itertools
 import json
 
 from .completion import CategoryRing
-from .modules import GradedModule
+from .modules import GradedModule, _check_rows
 from .presentation import (
     CONJUGATION,
     IDENTITY,
@@ -256,6 +256,13 @@ def ring_from_dict(data: dict) -> CategoryRing:
         arrow_forms[gi] = (g.source, g.target, coeffs)
     if sorted(arrow_forms) != sorted(pres.arrows):
         raise FormatError("arrow normal forms do not cover the arrows")
+    # the completion bounds, at least 1 as on the command line
+    for field in ("max_len", "window"):
+        if type(data.get(field)) is not int or data[field] < 1:
+            raise FormatError(f"{field} must be an integer of at least 1, got {data.get(field)!r}")
+    stabilized_at = data.get("stabilized_at")
+    if type(stabilized_at) is not int or not 1 <= stabilized_at <= data["max_len"]:
+        raise FormatError(f"stabilized_at must be an integer from 1 to max_len, got {stabilized_at!r}")
 
     return CategoryRing(
         pres,
@@ -263,7 +270,7 @@ def ring_from_dict(data: dict) -> CategoryRing:
         torsion,
         table,
         arrow_forms,
-        data["stabilized_at"],
+        stabilized_at,
         data["max_len"],
         data["window"],
     )
@@ -272,8 +279,10 @@ def ring_from_dict(data: dict) -> CategoryRing:
 # -- modules -----------------------------------------------------------
 
 
-def _dense(rows, n: int) -> list[list[int]]:
-    """Sparse rows as dense lists of width n, as module files hold them."""
+def _dense(rows, nrows, n: int, what: str, where) -> list[list[int]]:
+    """Sparse rows as dense lists of width n, as module files hold them;
+    raises the ValueError of `modules._check_rows` on rows that do not fit."""
+    _check_rows(rows, nrows, n, what, where)
     out = []
     for row in rows:
         dense = [0] * n
@@ -284,26 +293,30 @@ def _dense(rows, n: int) -> list[list[int]]:
 
 
 def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
+    """The module file of `module`; raises ValueError naming the slot or
+    the (basis, degree) pair whose rows do not fit its generators."""
     values = []
-    for (obj, deg) in module.slots:
+    for slot in module.slots:
+        rels = _dense(module.rels[slot], None, module.ngens(slot), "relations at slot", slot)
         values.append(
             {
-                "object": obj,
-                "degree": deg,
-                "generators": list(module.gens[(obj, deg)]),
-                "relations": _dense(module.rels[(obj, deg)], module.ngens((obj, deg))),
+                "object": slot[0],
+                "degree": slot[1],
+                "generators": list(module.gens[slot]),
+                "relations": rels,
             }
         )
     actions = []
-    for fb, (x, _, _) in enumerate(module.ring.flat):
+    for fb, (x, y, _) in enumerate(module.ring.flat):
         for deg in (0, 1):
-            actions.append(
-                {
-                    "basis": fb,
-                    "degree": deg,
-                    "matrix": _dense(module.act[(fb, deg)], module.ngens((x, deg))),
-                }
+            matrix = _dense(
+                module.act[(fb, deg)],
+                module.ngens((y, deg)),
+                module.ngens((x, deg)),
+                "action matrix of (basis, degree)",
+                (fb, deg),
             )
+            actions.append({"basis": fb, "degree": deg, "matrix": matrix})
     return {
         "format_version": FORMAT_VERSION,
         "kind": "module",

@@ -481,6 +481,35 @@ def _repeated_arrow_form(data):
     data["arrow_forms"].append(data["arrow_forms"][0])
 
 
+def _generator_off_the_objects(data):
+    # generator 0 is the identity of object 1; 3 does not divide 4
+    data["presentation"]["generators"][0]["H"] = 3
+
+
+def _string_stabilized_at(data):
+    data["stabilized_at"] = "x"
+
+
+def _zero_stabilized_at(data):
+    data["stabilized_at"] = 0
+
+
+def _stabilized_past_max_len(data):
+    data["stabilized_at"] = data["max_len"] + 1
+
+
+def _string_max_len(data):
+    data["max_len"] = "x"
+
+
+def _zero_window(data):
+    data["window"] = 0
+
+
+def _boolean_window(data):
+    data["window"] = True
+
+
 @pytest.mark.parametrize(
     "base, corrupt",
     [
@@ -512,6 +541,13 @@ def _repeated_arrow_form(data):
         ("ring4.json", _duplicate_generator),
         ("ring4.json", _repeated_component),
         ("ring4.json", _repeated_arrow_form),
+        ("ring4.json", _generator_off_the_objects),
+        ("ring4.json", _string_stabilized_at),
+        ("ring4.json", _zero_stabilized_at),
+        ("ring4.json", _stabilized_past_max_len),
+        ("ring4.json", _string_max_len),
+        ("ring4.json", _zero_window),
+        ("ring4.json", _boolean_window),
     ],
 )
 def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):

@@ -8,6 +8,8 @@ import sympy
 from catring import (
     ABOVE_CAP,
     ModuleMap,
+    build_presentation,
+    complete,
     direct_sum,
     ext,
     free_cover,
@@ -26,6 +28,8 @@ from catring import (
 )
 from catring import intlin, modules
 from catring.modules import (
+    FREE_MODULES_KEPT,
+    FreeModule,
     GradedModule,
     _echelon_lattice,
     _kernel_rows,
@@ -34,6 +38,7 @@ from catring.modules import (
     _splits,
     _Syzygies,
     compose_maps,
+    free_module,
     quotient_by_element,
 )
 
@@ -685,6 +690,95 @@ def test_free_cover_matches_quadratic_prune(ring1, ring4):
             assert fast.mats == slow.mats
             pruned += scanned - len(slow.source.entries)
     assert pruned
+
+
+def _free_corpus(ring4, ring6):
+    """Seeded corpora over k = 4 and k = 6, the rings the query benchmark
+    covers over."""
+    return [
+        *build_corpus(ring4, random.Random(13), size=12),
+        *build_corpus(ring6, random.Random(17), size=10, max_gens=30),
+    ]
+
+
+def _corpus_covers(corpus, levels=3):
+    """The covers of the first `levels` syzygies of every corpus module."""
+    covers = []
+    for m in corpus:
+        syzygies = _Syzygies(m)
+        covers += [syzygies.cover(n) for n in range(levels)]
+    return covers
+
+
+def test_covers_read_free_modules_kept_on_the_ring(ring4, ring6):
+    entries = set()
+    for cover in _corpus_covers(_free_corpus(ring4, ring6)):
+        m, F = cover.target, cover.source
+        fresh = FreeModule(m.ring, F.entries)
+        assert fresh is not F
+        assert (F.entries, F.gens, F.rels, F.act, F.blocks) == (
+            fresh.entries,
+            fresh.gens,
+            fresh.rels,
+            fresh.act,
+            fresh.blocks,
+        )
+        assert free_module(m.ring, F.entries) is F
+        assert free_cover(m).source is F
+        slow, _ = oracle_free_cover(m)
+        assert (F.entries, cover.mats) == (slow.source.entries, slow.mats)
+        entries.add((m.ring.presentation.group_order, F.entries))
+    assert len(entries) >= 12
+    # different modules with one entry tuple share the free module
+    y = yoneda(ring4, 2, 0)
+    quotient = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
+    assert free_cover(y).source is free_cover(quotient).source
+
+
+def test_free_modules_kept_drop_the_oldest_past_the_bound():
+    ring = complete(build_presentation(1))  # its own cache, not a fixture's
+    obj = ring.objects[0]
+    keys = [((obj, 0),) * n for n in range(FREE_MODULES_KEPT + 1)]
+    oldest = free_module(ring, keys[0])
+    second = free_module(ring, keys[1])
+    for key in keys[2:-1]:
+        free_module(ring, key)
+    assert list(ring._free_modules) == keys[:-1]
+    assert free_module(ring, keys[0]) is oldest  # a hit keeps its place
+    free_module(ring, keys[-1])
+    assert list(ring._free_modules) == keys[1:]
+    assert free_module(ring, keys[1]) is second
+    rebuilt = free_module(ring, keys[0])
+    assert rebuilt is not oldest and rebuilt.entries == oldest.entries
+    assert keys[1] not in ring._free_modules
+
+
+def _free_module_state(F):
+    lattices = {s: (lat.n, copy.deepcopy(lat.pivots)) for s, lat in F._rel_lattices.items()}
+    return copy.deepcopy((F.entries, F.gens, F.rels, F.act, F.blocks)), lattices
+
+
+def test_queries_leave_kept_free_modules_unchanged(ring4, ring6):
+    # a kept free module is shared by every later cover: no query may
+    # change its rows or a relation lattice built on it
+    corpus = _free_corpus(ring4, ring6)
+    _corpus_covers(corpus)
+    kept = [F for ring in (ring4, ring6) for F in ring._free_modules.values()]
+    for F in kept:
+        for s in F.slots:
+            F.relation_lattice(s)
+    before = [_free_module_state(F) for F in kept]
+    # the kept free modules are queried too, as sources and as targets
+    queried = [*corpus, *(F for F in kept if sum(F.ngens(s) for s in F.slots) <= 24)]
+    rng = random.Random(61)
+    for m in queried:
+        n = rng.choice([n for n in queried if n.ring is m.ring])
+        for degree in range(4):
+            ext(m, n, degree)
+        uct_terms(m, n)
+        projective_dimension(m, 3)
+        free_resolution(m, 3)
+    assert [_free_module_state(F) for F in kept] == before
 
 
 def test_coordinates_need_an_echelon_basis():

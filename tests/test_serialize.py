@@ -16,7 +16,7 @@ from catring import (
     yoneda,
     yoneda_cyclic_quotient,
 )
-from catring.modules import FreeModule
+from catring.modules import FreeModule, GradedModule
 from catring.serialize import (
     FormatError,
     canonical_json,
@@ -125,6 +125,26 @@ def test_module_bytes_are_pinned(ring4):
         "sum": file_hash(direct_sum(w, suspend(yoneda(ring4, 4, 0)), k1)),
     }
     assert got == MODULE_HASHES
+
+
+def test_module_to_dict_names_rows_that_do_not_fit(ring2):
+    # a module that was never validated: a dict column past its slot's
+    # generators is named, not an IndexError from the dense rows
+    y = yoneda(ring2, 1, 0)
+    h = ring_to_dict(ring2)["ring_hash"]
+    bad = GradedModule(ring2, y.gens, {(1, 0): [{7: 1}]}, y.act)
+    with pytest.raises(ValueError, match=r"relations at slot \(1, 0\): columns \[7\]"):
+        module_to_dict(bad, h)
+    fb = ring2.offset[(1, 1)] + ring2.unit_pos[1]
+    act = dict(y.act)
+    act[(fb, 0)] = ({5: 1},) + tuple(act[(fb, 0)][1:])
+    bad = GradedModule(ring2, y.gens, {}, act)
+    with pytest.raises(ValueError, match=rf"action matrix of \(basis, degree\) \({fb}, 0\): columns \[5\]"):
+        module_to_dict(bad, h)
+    act[(fb, 0)] = act[(fb, 0)][1:]
+    bad = GradedModule(ring2, y.gens, {}, act)
+    with pytest.raises(ValueError, match=rf"action matrix of \(basis, degree\) \({fb}, 0\): expected 2 rows"):
+        module_to_dict(bad, h)
 
 
 def test_module_load_rejects_nonfunctorial_action(ring4):
