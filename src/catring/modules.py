@@ -26,10 +26,9 @@ would need a shifted action table, which is deliberately not guessed at.
 The zero module is a first-class citizen: every operation accepts empty
 generator lists, and matrices keep explicit (possibly zero) shapes.
 
-A module map M -> N is solved for as one integer vector: the entry at
-row p, column q of its matrix at slot s (generator p of M(s) to generator
-q of N(s)) is variable var_off[s] + p * gn + q, where gn = N.ngens(s) and
-var_off lays the slots out one after another in `M.slots` order.
+Maps out of a free module are solved for by Yoneda, on the values at the
+units of its entries (`_hom_free_into`); Hom, Ext and the split test all
+reduce to such maps through a free cover or a free resolution.
 """
 
 from __future__ import annotations
@@ -95,15 +94,6 @@ def _check_rows(rows, nrows, ncols: int, what: str, where) -> None:
             raise ValueError(f"{what} {where}: columns {bad} outside range({ncols})")
         if 0 in row.values():
             raise ValueError(f"{what} {where}: row {row} stores a zero")
-
-
-def _columns(rows, ncols: int) -> list:
-    """The nonzero entries (row index, value) of each column of sparse rows."""
-    cols = [[] for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            cols[j].append((i, c))
-    return cols
 
 
 def _letters(ring: CategoryRing) -> dict[int, list[int]]:
@@ -407,100 +397,7 @@ def identity_map(module: GradedModule) -> ModuleMap:
     return ModuleMap(module, module, {s: [{i: 1} for i in range(module.ngens(s))] for s in module.slots})
 
 
-# -- Hom --------------------------------------------------------------
-
-
-@dataclass
-class HomGroup:
-    """The group of module maps M -> N with explicit generating maps.
-
-    `maps` is a basis of the full solution lattice; the group itself is
-    that lattice modulo maps landing in the relation lattice of N, with
-    `invariants` its isomorphism type.
-    """
-
-    invariants: AbInvariants
-    maps: list
-    _lattice: list = None
-    _var_off: dict = None
-    _nvars: int = 0
-
-    def is_zero(self) -> bool:
-        return self.invariants.is_zero()
-
-    def coordinates_of(self, f: ModuleMap):
-        """Integer coordinates {index into `maps`: coefficient} of a map,
-        or None if the map is not a module map M -> N at all."""
-        vec = _map_to_vector(f, self._var_off)
-        return _echelon_lattice(self._lattice, self._nvars).coordinates(vec)
-
-
-class _MapSystem:
-    """The integer system whose solutions are the module maps M -> N.
-
-    Variables follow the layout in the module docstring.  Equations come in
-    blocks: a block asks that one row over the generators of some slot lie
-    in a relation lattice, and each relation row of that lattice becomes a
-    slack row.  The system is solved for x with x * rows() equal to the
-    target; the slack part of x is dropped.
-    """
-
-    def __init__(self, M: GradedModule, N: GradedModule):
-        self.var_off = {}
-        self.nvars = 0
-        for s in M.slots:
-            self.var_off[s] = self.nvars
-            self.nvars += M.ngens(s) * N.ngens(s)
-        self.equations = []  # each a dict var -> coeff
-        self.slack_blocks = []  # (first equation index of the block, relation rows)
-
-        # well-defined: each relation of M maps into the relations of N
-        for s in M.slots:
-            gn, off = N.ngens(s), self.var_off[s]
-            for rrow in M.rels[s]:
-                self.add([{off + p * gn + q: c for p, c in rrow.items()} for q in range(gn)], N.rels[s])
-
-        # commutes with the action of every basis monomial
-        for fb, (x, y, _) in enumerate(M.ring.flat):
-            for e in (0, 1):
-                sx, sy = (x, e), (y, e)
-                gnx, gny = N.ngens(sx), N.ngens(sy)
-                xoff = self.var_off[sx]
-                ncol = _columns(N.act[(fb, e)], gnx)
-                for gy, arow in enumerate(M.act[(fb, e)]):
-                    ybase = self.var_off[sy] + gy * gny
-                    exprs = []
-                    for q in range(gnx):
-                        expr = {xoff + p * gnx + q: c for p, c in arow.items()}
-                        for qq, c in ncol[q]:
-                            key = ybase + qq
-                            expr[key] = expr.get(key, 0) - c
-                        exprs.append(expr)
-                    self.add(exprs, N.rels[sx])
-
-    def add(self, exprs, rels) -> None:
-        """Append one block of equations, taken modulo the span of `rels`."""
-        if rels:
-            self.slack_blocks.append((len(self.equations), rels))
-        self.equations.extend(exprs)
-
-    def rows(self) -> list:
-        """Sparse matrix: one row per variable, then the slack rows.
-
-        Each row is a dict {equation index: coefficient} over the
-        len(self.equations) columns and holds no zero entry; the
-        commutation equations can cancel a variable to an explicit zero
-        (on the unit, say), which is dropped here.
-        """
-        rows = [{} for _ in range(self.nvars)]
-        for idx, expr in enumerate(self.equations):
-            for v, c in expr.items():
-                if c:
-                    rows[v][idx] = c
-        for base, rel in self.slack_blocks:
-            for rrow in rel:
-                rows.append({base + q: c for q, c in rrow.items()})
-        return rows
+# -- solution lattices ------------------------------------------------
 
 
 def _kernel_head(rows, ncols: int, keep: int) -> list:
@@ -539,53 +436,6 @@ def _coordinates(lat: Lattice, rows, what: str) -> list:
         assert c is not None, what
         coords.append(c)
     return coords
-
-
-def _vector_to_map(M, N, vec: dict, var_off) -> ModuleMap:
-    mats = {}
-    for s in M.slots:
-        gn, off = N.ngens(s), var_off[s]
-        mats[s] = [
-            {q: vec[off + p * gn + q] for q in range(gn) if off + p * gn + q in vec}
-            for p in range(M.ngens(s))
-        ]
-    return ModuleMap(M, N, mats)
-
-
-def _map_to_vector(f: ModuleMap, var_off) -> dict:
-    vec = {}
-    for s in f.source.slots:
-        gn, off = f.target.ngens(s), var_off[s]
-        for p, row in enumerate(f.mats[s]):
-            vec.update({off + p * gn + q: c for q, c in row.items()})
-    return vec
-
-
-def hom_module(M: GradedModule, N: GradedModule) -> HomGroup:
-    """Degree-preserving module maps M -> N, as a group with generators.
-
-    Solved as the integer lattice of commutation plus well-definedness
-    constraints, divided by the maps whose image lies in the relation
-    lattice of N.
-    """
-    if M.ring is not N.ring:
-        raise ValueError("modules live over different rings")
-    system = _MapSystem(M, N)
-    var_off, nvars = system.var_off, system.nvars
-    sols = _kernel_head(system.rows(), len(system.equations), nvars)
-
-    null_vecs = []
-    for s in M.slots:
-        gn, off = N.ngens(s), var_off[s]
-        for p in range(M.ngens(s)):
-            for rrow in N.rels[s]:
-                null_vecs.append({off + p * gn + q: c for q, c in rrow.items()})
-
-    lat = _echelon_lattice(sols, nvars)
-    coords = _coordinates(lat, null_vecs, "null map outside the solution lattice")
-    free, tors = group_invariants(coords, len(sols))
-    maps = [_vector_to_map(M, N, v, var_off) for v in sols]
-    return HomGroup(AbInvariants(free, tors), maps, sols, var_off, nvars)
 
 
 # -- free modules and covers ------------------------------------------
@@ -844,68 +694,192 @@ def free_resolution(module: GradedModule, length: int, rng=None) -> Resolution:
     return _Syzygies(module, rng).resolution(length)
 
 
-# -- Ext ---------------------------------------------------------------
+# -- maps out of free modules ---------------------------------------------
 
 
-def _free_map_components(d: ModuleMap) -> dict:
-    """Ring-element matrix of a map between free modules.
+def _hom_free_into(F: FreeModule, N: GradedModule) -> list:
+    """Yoneda layout of the module maps F -> N.  Such a map is fixed by
+    its values on the units of F's entries, any one vector of N(slot) per
+    entry slot, so its unknowns are those vectors, entry after entry.
+    Returns the first unknown of each entry, with their number last."""
+    return list(itertools.accumulate((N.ngens(s) for s in F.entries), initial=0))
 
-    Component (j, i) is the sparse coefficient vector (over the ring basis
-    of source-entry-object(j) -> target-entry-object(i)) through which
-    entry j of the source maps to entry i of the target; only the nonzero
-    components are listed, so none joins entries of different degrees.
+
+def _yoneda_images(F: FreeModule, N: GradedModule, vectors: list, starts: list) -> list:
+    """tau(v) for each (slot, v) of `vectors`, v a row over the generators
+    of F(slot), as a linear function of the unknowns of a map tau: F -> N
+    laid out by `_hom_free_into` (first unknowns `starts`).
+
+    Generator g of F(s) is e_j.w, the unit of entry j moved by a basis
+    monomial w, and tau(e_j.w) = tau(e_j) * N.act[(w, eps_j)].  Each v gets
+    one column per generator of N(slot), in the order of `vectors`, so the
+    columns are laid out as the unknowns of maps out of a free module on
+    those slots.  Returns one row per unknown over those columns.
     """
-    F, G = d.source, d.target
-    comps = {}
-    for j in range(len(F.entries)):
-        slot, upos = F.unit_index(j)
-        row = d.mats[slot][upos]
-        for i, (_, eps_i) in enumerate(G.entries):
-            if eps_i != slot[1]:
-                continue
-            start, size = G.blocks[slot][i]
-            vec = {t - start: c for t, c in row.items() if start <= t < start + size}
-            if vec:
-                comps[(j, i)] = vec
-    return comps
-
-
-def _hom_free_into(F: FreeModule, N: GradedModule, shift: int):
-    """Presentation of the degree-`shift` maps F -> N: one block of
-    N(obj, eps+shift) per entry.  Returns the number of generators, the
-    first generator of each entry's block, and the relation rows."""
-    slots = [(obj, (eps + shift) % 2) for obj, eps in F.entries]
-    starts = list(itertools.accumulate((N.ngens(s) for s in slots), initial=0))
-    rels = _block_diagonal((N.rels[s], N.ngens(s)) for s in slots)
-    return starts[-1], starts[:-1], rels
-
-
-def _induced_matrix(d: ModuleMap, N: GradedModule, shift: int) -> list:
-    """Matrix of Hom(-, N): Hom(target(d), N) -> Hom(source(d), N)."""
-    F, G = d.source, d.target  # d: F -> G
     ring = F.ring
-    src_n, src_start, _ = _hom_free_into(G, N, shift)
-    _, tgt_start, _ = _hom_free_into(F, N, shift)
-    mat = [{} for _ in range(src_n)]
-    for (j, i), vec in _free_map_components(d).items():
-        obj_j, eps_j = F.entries[j]
-        obj_i, _ = G.entries[i]
-        off = ring.offset[(obj_j, obj_i)]
-        block = _element_action(N, {off + t: c for t, c in vec.items()}, (obj_i, (eps_j + shift) % 2))
-        # the blocks of one row of entries lie in disjoint columns
-        gi, gj = src_start[i], tgt_start[j]
-        for p, row in enumerate(block):
-            mat[gi + p].update({gj + q: v for q, v in row.items()})
-    return mat
+    rows = [{} for _ in range(starts[-1])]
+    gens = {}  # slot -> per generator e_j.w of F(slot): (first unknown of entry j, action of w)
+    neq = 0
+    for s, v in vectors:
+        if s not in gens:
+            x, e = s
+            gens[s] = [
+                (starts[j], N.act[(ring.offset[(x, F.entries[j][0])] + u, e)])
+                for j, (_, size) in F.blocks[s].items()
+                for u in range(size)
+            ]
+        for g, c in v.items():
+            v0, act = gens[s][g]
+            for t, arow in enumerate(act):
+                row = rows[v0 + t]
+                for q, a in arow.items():
+                    row[neq + q] = row.get(neq + q, 0) + c * a
+        neq += N.ngens(s)
+    return rows
 
 
-def _cohomology(ngens_b, rels_b, g_mat, ngens_c, rels_c, f_rows):
-    """ker(g)/im(f) inside the presented group (ngens_b, rels_b)."""
+def _cohomology(N: GradedModule, slots_b, g_mat, slots_c, f_rows):
+    """ker(g)/im(f) inside B, for g: B -> C, where B and C are the sums of
+    N(s) over `slots_b` and over `slots_c`, each presented by N's
+    relations.  Returns its invariants, and the lattice of ker(g), whose
+    rows are its HNF basis."""
+
+    def presented(slots):
+        return sum(N.ngens(s) for s in slots), _block_diagonal((N.rels[s], N.ngens(s)) for s in slots)
+
+    (ngens_b, rels_b), (ngens_c, rels_c) = presented(slots_b), presented(slots_c)
     basis = _kernel_head([*g_mat, *rels_c], ngens_c, ngens_b)
     lat = _echelon_lattice(basis, ngens_b)
     coords = _coordinates(lat, [*f_rows, *rels_b], "image does not lie in the kernel")
     free, tors = group_invariants(coords, len(basis))
-    return AbInvariants(free, tors)
+    return AbInvariants(free, tors), lat
+
+
+# -- Hom ----------------------------------------------------------------
+
+
+@dataclass
+class HomGroup:
+    """The group of module maps M -> N with explicit generating maps.
+
+    It is computed on the free cover pi: F -> M (`free_cover`) and its
+    kernel K, taken modulo M's relations (`_kernel_rows`).  By Yoneda a map
+    tau: F -> N is any choice of vectors t_j = tau(e_j) in N(slot_j), e_j
+    the unit of entry j, laid out by `_hom_free_into`, and then
+    tau(e_j.w) = t_j * N.act[w].  Two such maps are equal as maps into N
+    exactly when each t_j agrees modulo N's relations.  Since pi is onto,
+    M = F/K, and f |-> f pi is a bijection from the module maps M -> N onto
+    the tau that vanish on K.  So Hom(M, N) is S/Z, where
+      - S, the solution lattice, holds the t with tau(k) in N's relations
+        for every row k of each K(s) (`_yoneda_images`), which is
+        tau(K) = 0 in N since tau is additive;
+      - Z holds the t with every t_j in N's relations, the tau that are
+        zero into N; Z lies in S, since N's action keeps its relations.
+    `invariants` is the isomorphism type of S/Z, read as Ext^0 is, with
+    the rows of K in place of a second free module.
+
+    `maps` holds one map M -> N per row t of S's HNF basis: the f with
+    f pi = tau, so f(m) = tau(x) for any x in F with pi(x) = m.  Such lifts
+    exist because pi is onto modulo M's relations (`_hom_maps`).
+    """
+
+    invariants: AbInvariants
+    maps: list
+    _cover: ModuleMap = None
+    _target: GradedModule = None
+    _solutions: Lattice = None
+
+    def is_zero(self) -> bool:
+        return self.invariants.is_zero()
+
+    def coordinates_of(self, f: ModuleMap):
+        """Integer coordinates {index into `maps`: coefficient} of a map
+        f: M -> N, with the sum of c * maps[i] equal to f modulo N's
+        relations; None unless f's matrices pass `ModuleMap.check` as a
+        map M -> N.  Read off t_j = pi(e_j) f, the values f pi takes on the
+        units of the cover."""
+        cover = self._cover
+        f = ModuleMap(cover.target, self._target, f.mats)
+        try:
+            f.check()
+        except ValueError:
+            return None
+        t, start = {}, 0
+        for j, slot in enumerate(cover.source.entries):
+            _, upos = cover.source.unit_index(j)
+            (row,) = mat_mul([cover.mats[slot][upos]], f.mats[slot])
+            t.update({start + q: c for q, c in row.items()})
+            start += f.target.ngens(slot)
+        return self._solutions.coordinates(t)
+
+
+def hom_module(M: GradedModule, N: GradedModule) -> HomGroup:
+    """Degree-preserving module maps M -> N, as a group with generators:
+    the solutions t of the equations tau(K) = 0 on the Yoneda units of M's
+    free cover, modulo the t in N's relations (see `HomGroup`)."""
+    if M.ring is not N.ring:
+        raise ValueError("modules live over different rings")
+    cover = free_cover(M)
+    F, kernel = cover.source, _kernel_rows(cover)
+    starts = _hom_free_into(F, N)
+    vectors = [(s, k) for s in F.slots for k in kernel[s]]
+    rows = _yoneda_images(F, N, vectors, starts)
+    # Ext^0's cohomology, with the rows of K in place of a second free module
+    invariants, solutions = _cohomology(N, F.entries, rows, [s for s, _ in vectors], [])
+    return HomGroup(invariants, _hom_maps(cover, N, starts, solutions.rows), cover, N, solutions)
+
+
+def _hom_maps(cover: ModuleMap, N: GradedModule, starts: list, solutions: list) -> list:
+    """For each t in `solutions`, the module map f: M -> N with f pi = tau,
+    where pi: F -> M is the cover and tau(e_j) is entry j's block of t.
+
+    f(m) = tau(x) for a lift x of m, so f is tau on lifts of M's
+    generators, read off `_yoneda_images`.  One left kernel per slot lifts
+    every generator of M(s): take the rows of the identity on M(s), of pi
+    at s and of M's relations R at s, n = M.ngens(s) columns.  The
+    kernel holds the (a, x, y) with a + x pi + y R = 0.  `free_cover`
+    puts each generator e_p of M(s) in the span of pi's and R's rows, so
+    some (e_p, x, y) lies in the kernel, and the kernel's projection onto
+    its first n columns is all of Z^n.  Its HNF therefore has pivots 1 on
+    those columns and zeros above them: its first n rows are
+    (e_p, x_p, y_p), and -x_p pi = e_p modulo R.
+    """
+    if not solutions:
+        return []
+    F, M = cover.source, cover.target
+    lifts = []
+    for s in M.slots:
+        n = M.ngens(s)
+        if not N.ngens(s):
+            lifts.extend((s, {}) for _ in range(n))  # every map is zero at s
+            continue
+        ker = left_kernel([*({p: 1} for p in range(n)), *cover.mats[s], *M.rels[s]], n)
+        assert [{j: c for j, c in row.items() if j < n} for row in ker[:n]] == [
+            {p: 1} for p in range(n)
+        ], "the cover is not onto"
+        lifts.extend((s, {g - n: -c for g, c in row.items() if n <= g < n + F.ngens(s)}) for row in ker[:n])
+    rows = _yoneda_images(F, N, lifts, starts)
+    cols = list(itertools.accumulate((N.ngens(s) for s, _ in lifts), initial=0))
+    maps = []
+    for t in solutions:
+        # f(e_p) = tau(x_p), one block of columns per lift x_p
+        (image,) = mat_mul([t], rows)
+        values = ({q - a: c for q, c in image.items() if c and a <= q < b} for a, b in zip(cols, cols[1:]))
+        maps.append(ModuleMap(M, N, {s: [next(values) for _ in range(M.ngens(s))] for s in M.slots}))
+    return maps
+
+
+# -- Ext ---------------------------------------------------------------
+
+
+def _induced_matrix(d: ModuleMap, N: GradedModule) -> list:
+    """Matrix of Hom(-, N): Hom(G, N) -> Hom(F, N) for d: F -> G between
+    free modules, over their `_hom_free_into` layouts.  It sends tau to
+    d then tau, whose value on the unit e_j of F is tau(d(e_j))."""
+    F, G = d.source, d.target
+    units = (F.unit_index(j) for j in range(len(F.entries)))
+    vectors = [(slot, d.mats[slot][upos]) for slot, upos in units]
+    return _yoneda_images(G, N, vectors, _hom_free_into(G, N))
 
 
 @dataclass
@@ -937,17 +911,14 @@ def ext(M: GradedModule, N: GradedModule, n: int, rng=None) -> ExtResult:
 
 
 def _ext_groups(res: Resolution, N: GradedModule, n: int) -> ExtResult:
-    """Ext^n(res.module, N), read off a resolution of length at least n+1."""
+    """Ext^n(res.module, N), read off a resolution of length at least n+1;
+    the degree-shifting maps into N are the maps into its suspension."""
     out = {}
-    for shift in (0, 1):
-        gb, _, rels_b = _hom_free_into(res.frees[n], N, shift)
-        gc, _, rels_c = _hom_free_into(res.frees[n + 1], N, shift)
-        g_mat = _induced_matrix(res.differentials[n], N, shift)
-        if n == 0:
-            f_rows = []
-        else:
-            f_rows = _induced_matrix(res.differentials[n - 1], N, shift)
-        out[shift] = _cohomology(gb, rels_b, g_mat, gc, rels_c, f_rows)
+    for shift, target in enumerate((N, suspend(N))):
+        g_mat = _induced_matrix(res.differentials[n], target)
+        f_rows = _induced_matrix(res.differentials[n - 1], target) if n else []
+        slots_b, slots_c = res.frees[n].entries, res.frees[n + 1].entries
+        out[shift], _ = _cohomology(target, slots_b, g_mat, slots_c, f_rows)
     return ExtResult(n, out)
 
 
@@ -981,36 +952,22 @@ def _splits(cover: ModuleMap, kernel_rows: dict) -> bool:
     tau(e_j) in F(slot_j), e_j the unit of entry j at its slot, and then
     tau(e_j.w) = tau(e_j) * F.act[(w, eps_j)] for every basis monomial w
     into the entry's object.  So the unknowns are the coordinates of the
-    tau(e_j), entry after entry, sum_j F.ngens(slot_j) of them, where a
-    section M -> F has sum_s M.ngens(s) * F.ngens(s).  The equations are,
-    in this order,
+    tau(e_j), entry after entry (`_hom_free_into(F, F)`),
+    sum_j F.ngens(slot_j) of them, where a section M -> F has
+    sum_s M.ngens(s) * F.ngens(s).  The equations are, in this order,
       - tau(k) = 0 for every row k of every K(s), slot after slot: exact,
-        since F is free;
+        since F is free (`_yoneda_images` with N = F, as in
+        `hom_module`);
       - tau(e_j) * pi = pi(e_j) at slot_j, entry after entry, modulo the
         relations of M there, which become slack rows after the unknowns.
     Two module maps out of F agree once they agree on the units, so the
     second block is exactly tau then pi equal to pi.
     """
     F, M = cover.source, cover.target
-    ring = F.ring
-    var = list(itertools.accumulate((F.ngens(slot) for slot in F.entries), initial=0))
-    rows = [{} for _ in range(var[-1])]
-    neq = 0
-    for s in F.slots:
-        x, e = s
-        # generator g of F(s) is e_j.w: (first unknown of entry j, action of w)
-        gens = []
-        for j, (_, size) in F.blocks[s].items():
-            off = ring.offset[(x, F.entries[j][0])]
-            gens.extend((var[j], F.act[(off + u, e)]) for u in range(size))
-        for k in kernel_rows[s]:
-            for g, c in k.items():
-                v0, act = gens[g]
-                for t, arow in enumerate(act):
-                    row = rows[v0 + t]
-                    for q, a in arow.items():
-                        row[neq + q] = row.get(neq + q, 0) + c * a
-            neq += F.ngens(s)
+    var = _hom_free_into(F, F)
+    vectors = [(s, k) for s in F.slots for k in kernel_rows[s]]
+    rows = _yoneda_images(F, F, vectors, var)
+    neq = sum(F.ngens(s) for s, _ in vectors)
     target = {}
     for j, slot in enumerate(F.entries):
         pi = cover.mats[slot]

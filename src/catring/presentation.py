@@ -35,8 +35,6 @@ MULTIPLICATION = "multiplication"
 RESTRICTION = "restriction"
 INDUCTION = "induction"
 
-_KIND_ORDER = {IDENTITY: 0, CONJUGATION: 1, MULTIPLICATION: 2, RESTRICTION: 3, INDUCTION: 4}
-
 Word = tuple  # tuple[int, ...] of generator indices, application order
 
 
@@ -69,9 +67,6 @@ class Generator:
         if self.kind == INDUCTION:
             return self.H
         return self.H
-
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.H, self.L or 0)
 
     def name(self) -> str:
         if self.kind == IDENTITY:

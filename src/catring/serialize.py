@@ -84,10 +84,17 @@ def generator_to_dict(g: Generator) -> dict:
 
 
 def generator_from_dict(rec: dict) -> Generator:
-    kind = rec["kind"]
+    """The generator of a record that `generator_to_dict` writes back
+    unchanged, with every field but `kind` an integer: no field is
+    ignored, missing or of another type."""
+    kind = rec.get("kind") if isinstance(rec, dict) else None
     if kind not in (IDENTITY, CONJUGATION, MULTIPLICATION, RESTRICTION, INDUCTION):
         raise FormatError(f"unknown generator kind {kind!r}")
-    return Generator(kind, rec["H"], rec.get("L"))
+    g = Generator(kind, rec.get("H"), rec.get("L"))
+    written = generator_to_dict(g)
+    if written != rec or not _INT.issuperset(type(v) for k, v in rec.items() if k != "kind"):
+        raise FormatError(f"generator record {rec} does not read back as {written}")
+    return g
 
 
 def presentation_to_dict(p: Presentation) -> dict:

@@ -10,11 +10,11 @@ dense integer echelon that `catring.intlin` replaced with sparse rows,
 the dense Smith form and the dense matrix product it replaced with
 `Lattice` echelons and sparse rows, the completion's own max-pivot
 echelon that `intlin.Lattice` replaced, the quadratic prune of
-`catring.modules.free_cover`, projectivity by the full section system
-and the projective dimension without a syzygy chain, module validation
-on every composable pair of basis monomials, normal forms by chained
-composition, and presentation equivalence by completing both
-presentations.
+`catring.modules.free_cover`, Hom by the all-basis map system,
+projectivity by the full section system and the projective dimension
+without a syzygy chain, module validation on every composable pair of
+basis monomials, normal forms by chained composition, and presentation
+equivalence by completing both presentations.
 """
 
 from __future__ import annotations
@@ -687,8 +687,131 @@ def dense_relations(module, slot):
     return dense(module.rels[slot], module.ngens(slot))
 
 
+# -- Hom by the all-basis map system ---------------------------------------
+
+
+def _columns(rows, ncols: int) -> list:
+    """The nonzero entries (row index, value) of each column of sparse rows."""
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            cols[j].append((i, c))
+    return cols
+
+
+class _MapSystem:
+    """The integer system whose solutions are the module maps M -> N.
+
+    A map is one integer vector: the entry at row p, column q of its
+    matrix at slot s (generator p of M(s) to generator q of N(s)) is
+    variable var_off[s] + p * gn + q, where gn = N.ngens(s) and var_off
+    lays the slots out one after another in `M.slots` order.  Equations
+    come in blocks: a block asks that one row over the generators of some
+    slot lie in a relation lattice, and each relation row of that lattice
+    becomes a slack row.  The system is solved for x with x * rows() equal
+    to the target; the slack part of x is dropped.  `catring.modules`
+    solved it for Hom and for the split test before both moved to the
+    Yoneda units of a free cover.
+    """
+
+    def __init__(self, M, N):
+        self.var_off = {}
+        self.nvars = 0
+        for s in M.slots:
+            self.var_off[s] = self.nvars
+            self.nvars += M.ngens(s) * N.ngens(s)
+        self.equations = []  # each a dict var -> coeff
+        self.slack_blocks = []  # (first equation index of the block, relation rows)
+
+        # well-defined: each relation of M maps into the relations of N
+        for s in M.slots:
+            gn, off = N.ngens(s), self.var_off[s]
+            for rrow in M.rels[s]:
+                self.add([{off + p * gn + q: c for p, c in rrow.items()} for q in range(gn)], N.rels[s])
+
+        # commutes with the action of every basis monomial
+        for fb, (x, y, _) in enumerate(M.ring.flat):
+            for e in (0, 1):
+                sx, sy = (x, e), (y, e)
+                gnx, gny = N.ngens(sx), N.ngens(sy)
+                xoff = self.var_off[sx]
+                ncol = _columns(N.act[(fb, e)], gnx)
+                for gy, arow in enumerate(M.act[(fb, e)]):
+                    ybase = self.var_off[sy] + gy * gny
+                    exprs = []
+                    for q in range(gnx):
+                        expr = {xoff + p * gnx + q: c for p, c in arow.items()}
+                        for qq, c in ncol[q]:
+                            key = ybase + qq
+                            expr[key] = expr.get(key, 0) - c
+                        exprs.append(expr)
+                    self.add(exprs, N.rels[sx])
+
+    def add(self, exprs, rels) -> None:
+        """Append one block of equations, taken modulo the span of `rels`."""
+        if rels:
+            self.slack_blocks.append((len(self.equations), rels))
+        self.equations.extend(exprs)
+
+    def rows(self) -> list:
+        """Sparse matrix: one row per variable, then the slack rows.
+
+        Each row is a dict {equation index: coefficient} over the
+        len(self.equations) columns and holds no zero entry; the
+        commutation equations can cancel a variable to an explicit zero
+        (on the unit, say), which is dropped here.
+        """
+        rows = [{} for _ in range(self.nvars)]
+        for idx, expr in enumerate(self.equations):
+            for v, c in expr.items():
+                if c:
+                    rows[v][idx] = c
+        for base, rel in self.slack_blocks:
+            for rrow in rel:
+                rows.append({base + q: c for q, c in rrow.items()})
+        return rows
+
+
+def _vector_to_map(M, N, vec: dict, var_off):
+    """The module map M -> N whose matrices are the variables `vec` of a
+    `_MapSystem` laid out by `var_off`."""
+    from catring.modules import ModuleMap
+
+    mats = {}
+    for s in M.slots:
+        gn, off = N.ngens(s), var_off[s]
+        mats[s] = [
+            {q: vec[off + p * gn + q] for q in range(gn) if off + p * gn + q in vec}
+            for p in range(M.ngens(s))
+        ]
+    return ModuleMap(M, N, mats)
+
+
+def oracle_hom_module(M, N):
+    """The invariants of Hom(M, N) as `catring.modules.hom_module`
+    computed them before it solved on the Yoneda units of M's cover: the
+    solution lattice of the all-basis `_MapSystem`, modulo the maps whose
+    every row lies in N's relations."""
+    from catring.intlin import group_invariants
+    from catring.modules import AbInvariants, _coordinates, _echelon_lattice, _kernel_head
+
+    system = _MapSystem(M, N)
+    var_off, nvars = system.var_off, system.nvars
+    sols = _kernel_head(system.rows(), len(system.equations), nvars)
+    null_vecs = []
+    for s in M.slots:
+        gn, off = N.ngens(s), var_off[s]
+        for p in range(M.ngens(s)):
+            for rrow in N.rels[s]:
+                null_vecs.append({off + p * gn + q: c for q, c in rrow.items()})
+    lat = _echelon_lattice(sols, nvars)
+    coords = _coordinates(lat, null_vecs, "null map outside the solution lattice")
+    free, tors = group_invariants(coords, len(sols))
+    return AbInvariants(free, tors)
+
+
 def dense_map_system_rows(system):
-    """The matrix of a `catring.modules._MapSystem`, built dense from its
+    """The matrix of a `_MapSystem`, built dense from its
     equations and slack blocks: one row per variable, then the slack rows."""
     neq = len(system.equations)
     rows = [[0] * neq for _ in range(system.nvars)]
@@ -713,8 +836,6 @@ def _section_system(cover):
     sigma then cover equal to the identity of M.  `is_projective` solved
     it before `catring.modules._splits` solved for a map F -> F on the
     Yoneda units instead; it has sum_s M.ngens(s) * F.ngens(s) unknowns."""
-    from catring.modules import _columns, _MapSystem
-
     M, F = cover.target, cover.source
     # sigma: M -> F is a module map into a free module, so no slack rows
     system = _MapSystem(M, F)
@@ -734,8 +855,6 @@ def oracle_section(cover):
     """A section sigma: M -> F of `cover` (sigma then cover is the
     identity of M), or None if the cover does not split: the section
     system, built dense and solved by the dense echelon."""
-    from catring.modules import _vector_to_map
-
     system, targets = _section_system(cover)
     x = dense_solve_left(dense_map_system_rows(system), len(targets), targets)
     if x is None:

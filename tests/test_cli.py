@@ -486,6 +486,18 @@ def _generator_off_the_objects(data):
     data["presentation"]["generators"][0]["H"] = 3
 
 
+def _generator_field(kind, key, value):
+    """A corruption that sets `key` on the first generator record of `kind`,
+    a record that `generator_to_dict` does not write back unchanged."""
+
+    def corrupt(data):
+        rec = next(g for g in data["presentation"]["generators"] if g["kind"] == kind)
+        rec[key] = value
+
+    corrupt.__name__ = f"_{kind}_with_{key}_{value}"
+    return corrupt
+
+
 def _string_stabilized_at(data):
     data["stabilized_at"] = "x"
 
@@ -542,6 +554,13 @@ def _boolean_window(data):
         ("ring4.json", _repeated_component),
         ("ring4.json", _repeated_arrow_form),
         ("ring4.json", _generator_off_the_objects),
+        ("ring4.json", _generator_field("identity", "L", 2)),
+        ("ring4.json", _generator_field("conjugation", "L", 1)),
+        ("ring4.json", _generator_field("multiplication", "L", 2)),
+        ("ring4.json", _generator_field("conjugation", "g", 3)),
+        ("ring4.json", _generator_field("multiplication", "chi", 2)),
+        ("ring4.json", _generator_field("restriction", "chi", 1)),
+        ("ring4.json", _generator_field("identity", "note", 0)),
         ("ring4.json", _string_stabilized_at),
         ("ring4.json", _zero_stabilized_at),
         ("ring4.json", _stabilized_past_max_len),

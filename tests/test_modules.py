@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import threading
 
 import pytest
 import sympy
@@ -34,7 +35,6 @@ from catring.modules import (
     _echelon_lattice,
     _kernel_rows,
     _letters,
-    _MapSystem,
     _splits,
     _Syzygies,
     compose_maps,
@@ -42,8 +42,9 @@ from catring.modules import (
     quotient_by_element,
 )
 
-from corpus import build_corpus
+from corpus import build_corpus, graded_group_grid, trivial_modules_for
 from oracles import (
+    _MapSystem,
     _section_system,
     dense,
     dense_action,
@@ -55,6 +56,7 @@ from oracles import (
     oracle_ext1,
     oracle_free_cover,
     oracle_hom,
+    oracle_hom_module,
     oracle_is_projective,
     oracle_projective_dimension,
     oracle_section,
@@ -150,6 +152,96 @@ def test_yoneda_lemma(ring4, ring2):
             count += 1
             if count >= 20:
                 return
+
+
+def _skew(ring, obj):
+    """Three copies of the representable of `obj` modulo e2 - 2 e1 - 2 e3
+    on their units: the cover keeps copies 1 and 3, and the units of
+    copy 2 lift to it only through the relation."""
+    y = yoneda(ring, obj, 0)
+    n, u = y.ngens((obj, 0)), ring.unit_pos[obj]
+    return quotient_by_element(direct_sum(y, y, y), (obj, 0), {u: -2, n + u: 1, 2 * n + u: -2})
+
+
+def _hom_cases(rng, ring1, ring2, ring3, ring4, ring6):
+    """(M, N) pairs: the k = 1 graded groups of orders up to 4, seeded
+    k = 2, 3 and 4 corpora into representable, cyclic-quotient and
+    suspended targets and into themselves, and a seeded k = 6 corpus into
+    representables.  The skew modules are sources and targets."""
+    grid = trivial_modules_for(ring1, graded_group_grid(4)) + [_skew(ring1, 1)]
+    cases = [(m, n) for m in grid for n in grid]
+    for ring in (ring2, ring3, ring4):
+        corpus = [m for m in build_corpus(ring, rng, size=12, max_gens=24) if not m.is_zero()]
+        corpus.append(_skew(ring, ring.objects[-1]))
+        targets = [yoneda(ring, x, e) for x in ring.objects for e in (0, 1)]
+        for x, y in itertools.product(ring.objects, repeat=2):
+            targets += [yoneda_cyclic_quotient(ring, x, 0, y, p) for p in range(len(ring.basis[(y, x)]))]
+        targets += [suspend(m) for m in corpus]
+        cases += [(m, n) for m in corpus for n in targets + [m]]
+    # a second syzygy over k = 3 whose maps into itself, evaluated on the
+    # lifts of its generators, cancel to explicit zeros
+    z = _Syzygies(yoneda_cyclic_quotient(ring3, 3, 0, 1, 0)).syzygy(2)
+    cases.append((z, z))
+    corpus = [m for m in build_corpus(ring6, rng, size=8, max_gens=24) if not m.is_zero()]
+    corpus.append(yoneda_cyclic_quotient(ring6, 1, 0, 2, 0))
+    targets = [yoneda(ring6, x, e) for x in ring6.objects for e in (0, 1)]
+    cases += [(m, n) for m in corpus for n in targets]
+    return cases
+
+
+def test_hom_matches_the_map_system_oracle(ring1, ring2, ring3, ring4, ring6):
+    # the invariants of the all-basis map system that Hom solved before
+    # it moved to the cover's Yoneda units, and explicit maps that pass
+    # `check`, whose coordinates give back a map modulo N's relations
+    rng = random.Random(31)
+    non_maps = 0
+    for M, N in _hom_cases(rng, ring1, ring2, ring3, ring4, ring6):
+        hom = hom_module(M, N)
+        assert hom.invariants == oracle_hom_module(M, N)
+        for f in hom.maps:
+            f.check()
+        maps = [identity_map(M)] if M is N else []
+        for _ in range(2):
+            coeffs = {i: rng.randint(-3, 3) for i in range(len(hom.maps))}
+            mats = {
+                s: [intlin.mat_mul([coeffs], [f.mats[s][p] for f in hom.maps])[0] for p in range(M.ngens(s))]
+                for s in M.slots
+            }
+            maps.append(ModuleMap(M, N, mats))
+        for f in maps:
+            coords = hom.coordinates_of(f)
+            assert coords is not None
+            for s in M.slots:
+                back = [intlin.mat_mul([coords], [g.mats[s][p] for g in hom.maps])[0] for p in range(M.ngens(s))]
+                assert N.agree(s, back, f.mats[s])
+        # one entry of the last map moved by one, which mostly breaks it,
+        # and a map with no rows at all
+        s = next((s for s in M.slots if M.ngens(s) and N.ngens(s)), None)
+        if s is not None:
+            f = maps[-1]
+            row = {**f.mats[s][0], 0: f.mats[s][0].get(0, 0) + 1}
+            bumped = ModuleMap(M, N, {**f.mats, s: [{q: c for q, c in row.items() if c}, *f.mats[s][1:]]})
+            try:
+                bumped.check()
+            except ValueError:
+                assert hom.coordinates_of(bumped) is None
+                non_maps += 1
+        if any(M.ngens(s) for s in M.slots):
+            assert hom.coordinates_of(ModuleMap(M, N, {})) is None
+    assert non_maps > 50
+
+
+def test_hom_into_a_cyclic_quotient_finishes_at_k6(ring6):
+    # the all-basis map system of Hom(y_1, Q) is 374 x 504, and its
+    # echelon did not finish in 60 s; by Yoneda both groups are Q(1, 0)
+    q = yoneda_cyclic_quotient(ring6, 1, 0, 2, 0)
+    for m in (yoneda(ring6, 1, 0), q):
+        out = []
+        worker = threading.Thread(target=lambda: out.append(hom_module(m, q)), daemon=True)
+        worker.start()
+        worker.join(20.0)
+        assert not worker.is_alive(), "hom_module did not return"
+        assert out[0].invariants == q.value_invariants((1, 0))
 
 
 # -- covers, kernels, resolutions ----------------------------------------
