@@ -598,7 +598,10 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     """Check associativity on pseudo-random composable word triples.
 
     Returns the list of failing triples (empty = pass); deterministic in
-    the seed.
+    the seed.  The normal form of each drawn word is computed once per
+    call, through the module-level `normal_form`, and kept for that call
+    only: the draws, and so the failing triples, are the same as with one
+    `normal_form` call per drawn word.
     """
     import random
 
@@ -608,6 +611,7 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     arrows = pres.arrows
     failures = []
     outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
+    forms: dict[tuple[int, tuple], RingElement] = {}  # (source, word) -> its normal form
 
     def random_word(start):
         length = rng.randint(0, max_len)
@@ -622,14 +626,20 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
             cur = gens[a].target
         return tuple(path), cur
 
+    def form(word, source, target=None):
+        elem = forms.get((source, word))
+        if elem is None:
+            elem = forms[(source, word)] = normal_form(ring, word, source=source, target=target)
+        return elem
+
     for _ in range(count):
         x = rng.choice(ring.objects)
         u, y = random_word(x)
         v, z = random_word(y)
         w, _ = random_word(z)
-        eu = normal_form(ring, u, source=x, target=y)
-        ev = normal_form(ring, v, source=y, target=z)
-        ew = normal_form(ring, w, source=z)
+        eu = form(u, x, y)
+        ev = form(v, y, z)
+        ew = form(w, z)
         if eu.then(ev).then(ew) != eu.then(ev.then(ew)):
             failures.append(f"associativity fails on words {u} {v} {w}")
     return failures
@@ -642,6 +652,16 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     A basis element must be the normal form of its own word; module
     validation on letters (`GradedModule.validate`) relies on it, along
     with the unit laws and associativity.
+
+    The associativity check reads `ring.table` itself, as sparse rows
+    built within the call, never the `sparse_table` or `right_action`
+    caches, so a table changed after those were built is still the one
+    checked.  It runs `compose`'s arithmetic on sparse coefficients: a
+    basis product u.v is the table row of (u, v), reduced into the
+    torsion of its component, and each triple costs the two sums
+    (u.v).w and u.(v.w), reduced into the torsion of (x, w).  Triples
+    run over x -> y -> z -> w and then the basis positions, so failures
+    come in the order of the triple loop.
     """
     failures: list[str] = []
     warnings: list[str] = []
@@ -668,22 +688,37 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
             if b.then(ring.unit(y)) != b:
                 failures.append(f"right unit fails on basis {pos} of ({x},{y})")
 
+    table = {key: {t: c for t, c in enumerate(vec) if c} for key, vec in ring.table.items()}
+    torsion, offset = ring.torsion, ring.offset
+
+    def then(xs, pair_x, ys, pair_y):
+        # `compose` on sparse coefficients xs of pair_x and ys of pair_y
+        off_x, off_y = offset[pair_x], offset[pair_y]
+        out: dict[int, int] = {}
+        for i, a in xs.items():
+            for j, b in ys.items():
+                ab = a * b
+                for t, c in table[(off_x + i, off_y + j)].items():
+                    out[t] = out.get(t, 0) + ab * c
+        return _reduced(torsion[(pair_x[0], pair_y[1])], out)
+
+    # each basis element, as `basis_element` reduces it, and every product
+    # u.v of two composable ones, as `compose` gives it
+    pair_of = [(x, y) for x, y, _ in ring.flat]
+    elements = [_reduced(torsion[pair], {a - offset[pair]: 1}) for a, pair in enumerate(pair_of)]
+    products = {(a, b): then(elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in table}
+    block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
     objs = ring.objects
     for x in objs:
         for y in objs:
-            nu = len(ring.basis[(x, y)])
             for z in objs:
-                nv = len(ring.basis[(y, z)])
                 for w_obj in objs:
-                    nw = len(ring.basis[(z, w_obj)])
-                    for i in range(nu):
-                        u = ring.basis_element(x, y, i)
-                        for j in range(nv):
-                            v = ring.basis_element(y, z, j)
-                            uv = u.then(v)
-                            for t in range(nw):
-                                w = ring.basis_element(z, w_obj, t)
-                                if uv.then(w) != u.then(v.then(w)):
+                    for i, u in enumerate(block[(x, y)]):
+                        for j, v in enumerate(block[(y, z)]):
+                            uv = products[(u, v)]
+                            for t, w in enumerate(block[(z, w_obj)]):
+                                lhs = then(uv, (x, z), elements[w], (z, w_obj))
+                                if lhs != then(elements[u], (x, y), products[(v, w)], (y, w_obj)):
                                     failures.append(
                                         f"associativity fails on basis triple "
                                         f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"

@@ -714,7 +714,8 @@ def _yoneda_images(F: FreeModule, N: GradedModule, vectors: list, starts: list) 
     monomial w, and tau(e_j.w) = tau(e_j) * N.act[(w, eps_j)].  Each v gets
     one column per generator of N(slot), in the order of `vectors`, so the
     columns are laid out as the unknowns of maps out of a free module on
-    those slots.  Returns one row per unknown over those columns.
+    those slots.  Returns one row per unknown over those columns, without
+    zeros where terms cancel.
     """
     ring = F.ring
     rows = [{} for _ in range(starts[-1])]
@@ -735,7 +736,7 @@ def _yoneda_images(F: FreeModule, N: GradedModule, vectors: list, starts: list) 
                 for q, a in arow.items():
                     row[neq + q] = row.get(neq + q, 0) + c * a
         neq += N.ngens(s)
-    return rows
+    return [row if all(row.values()) else {q: c for q, c in row.items() if c} for row in rows]
 
 
 def _cohomology(N: GradedModule, slots_b, g_mat, slots_c, f_rows):
@@ -864,7 +865,7 @@ def _hom_maps(cover: ModuleMap, N: GradedModule, starts: list, solutions: list) 
     for t in solutions:
         # f(e_p) = tau(x_p), one block of columns per lift x_p
         (image,) = mat_mul([t], rows)
-        values = ({q - a: c for q, c in image.items() if c and a <= q < b} for a, b in zip(cols, cols[1:]))
+        values = ({q - a: c for q, c in image.items() if a <= q < b} for a, b in zip(cols, cols[1:]))
         maps.append(ModuleMap(M, N, {s: [next(values) for _ in range(M.ngens(s))] for s in M.slots}))
     return maps
 

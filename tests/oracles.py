@@ -13,8 +13,9 @@ echelon that `intlin.Lattice` replaced, the quadratic prune of
 `catring.modules.free_cover`, Hom by the all-basis map system,
 projectivity by the full section system and the projective dimension
 without a syzygy chain, module validation on every composable pair of
-basis monomials, normal forms by chained composition, and presentation
-equivalence by completing both presentations.
+basis monomials, normal forms by chained composition, the ring
+certificate's associativity check by `RingElement` products, and
+presentation equivalence by completing both presentations.
 """
 
 from __future__ import annotations
@@ -1058,6 +1059,66 @@ def chained_normal_form(ring, data, source=None, target=None):
             elem = elem.then(ring.arrow_forms[gi])
         acc = acc + ring.element(src, tgt, [c * v for v in elem.coeffs])
     return acc
+
+
+def oracle_verify_ring(ring):
+    """`catring.completion.verify_ring` before its associativity check
+    moved to sparse table rows: every composable basis triple is checked
+    with three `RingElement` products through `CategoryRing.compose`."""
+    from catring.completion import VerificationReport, normal_form
+
+    failures: list[str] = []
+    warnings: list[str] = []
+    pres = ring.presentation
+
+    for rel in pres.relations:
+        forms = [
+            normal_form(ring, side, source=rel.source, target=rel.target) for side in rel.sides
+        ]
+        for other in forms[1:]:
+            if other != forms[0]:
+                failures.append(
+                    f"relation {rel.tag} ({rel.source}->{rel.target}) does not hold in the table"
+                )
+                break
+
+    for (x, y) in ring.pairs:
+        for pos, word in enumerate(ring.basis[(x, y)]):
+            b = ring.basis_element(x, y, pos)
+            if normal_form(ring, word, source=x, target=y) != b:
+                failures.append(f"basis {pos} of ({x},{y}) is not the normal form of its word {list(word)}")
+            if ring.unit(x).then(b) != b:
+                failures.append(f"left unit fails on basis {pos} of ({x},{y})")
+            if b.then(ring.unit(y)) != b:
+                failures.append(f"right unit fails on basis {pos} of ({x},{y})")
+
+    objs = ring.objects
+    for x in objs:
+        for y in objs:
+            nu = len(ring.basis[(x, y)])
+            for z in objs:
+                nv = len(ring.basis[(y, z)])
+                for w_obj in objs:
+                    nw = len(ring.basis[(z, w_obj)])
+                    for i in range(nu):
+                        u = ring.basis_element(x, y, i)
+                        for j in range(nv):
+                            v = ring.basis_element(y, z, j)
+                            uv = u.then(v)
+                            for t in range(nw):
+                                w = ring.basis_element(z, w_obj, t)
+                                if uv.then(w) != u.then(v.then(w)):
+                                    failures.append(
+                                        f"associativity fails on basis triple "
+                                        f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"
+                                    )
+
+    for pair in ring.pairs:
+        mods = [m for m in ring.torsion[pair] if m]
+        if mods:
+            warnings.append(f"component {pair} carries torsion moduli {mods}")
+
+    return VerificationReport(failures, warnings)
 
 
 def completing_presentations_equivalent(p, q, *, max_len=12, window=2, ring_p=None, ring_q=None):

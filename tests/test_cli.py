@@ -82,6 +82,40 @@ def test_ring_verify_detects_corruption(workdir, tmp_path, capsys):
     assert "FAILED" in out
 
 
+def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
+    # a work-count guard on one k=4 `ring verify` at the default seed: the
+    # probe computes one normal form per distinct drawn (source, word), 858
+    # of them, and the relation, basis-word and order-4 oracle checks make
+    # 99 more; the associativity check on basis triples makes no `compose`
+    # call.  Before the probe kept its normal forms and the triple check ran
+    # on sparse table rows, the same request made 3 099 `normal_form` and
+    # 8 172 `compose` calls.
+    from catring import completion
+
+    calls = []
+    composes = [0]
+    normal_form, compose = completion.normal_form, completion.CategoryRing.compose
+
+    def counted_normal_form(ring, data, source=None, target=None):
+        calls.append((source, data))
+        return normal_form(ring, data, source, target)
+
+    def counted_compose(self, x, y):
+        composes[0] += 1
+        return compose(self, x, y)
+
+    monkeypatch.setattr(completion, "normal_form", counted_normal_form)
+    monkeypatch.setattr(completion.CategoryRing, "compose", counted_compose)
+    code, out, _ = run_cli(["ring", "verify", str(workdir / "ring4.json")], capsys)
+    assert code == 0 and out.startswith("verify: ok")
+    assert (len(calls), composes[0]) == (957, 4104)
+
+    calls.clear()
+    ring = ring_from_dict(load_json(workdir / "ring4.json"))
+    assert completion.random_associativity_probe(ring, count=1000, max_len=6, seed=0) == []
+    assert len(calls) == len(set(calls)) == 858
+
+
 def test_ring_verify_rejects_basis_words_out_of_normal_form(workdir, tmp_path, capsys):
     # swapping two basis words of one component relabels the basis: the
     # table stays consistent, but the words no longer name their elements

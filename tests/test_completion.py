@@ -27,7 +27,7 @@ from catring import completion
 from catring.intlin import Lattice
 from catring.serialize import content_hash, ring_from_dict, ring_to_dict
 
-from oracles import MaxPivotEchelon, chained_normal_form, oracle_complete
+from oracles import MaxPivotEchelon, chained_normal_form, oracle_complete, oracle_verify_ring
 
 # Frozen output of the independent brute-force oracle (tests below re-run
 # it at the stabilized bound + 2): total ranks per group order, the rank
@@ -256,6 +256,105 @@ def test_verify_ring_detects_corruption(ring2):
     report = verify_ring(broken)
     assert not report.ok
     assert report.failures
+
+
+CORRUPTIONS = ("unit row", "letter column", "elsewhere", "arrow form", "torsion")
+
+
+def corrupted_rings(ring, rng, per_kind):
+    """`ring` written to a file dict, changed in one place, its hash
+    recomputed and read back: `per_kind` seeded cases of each kind in
+    CORRUPTIONS.  A table entry (u, v) is bumped by a nonzero amount at one
+    position, with u a unit ("unit row"), with v a letter, a basis element
+    in the support of an arrow normal form ("letter column"), or with
+    neither; or one arrow normal form coefficient is bumped; or one basis
+    slot gets a torsion modulus.  Returns (label, ring) pairs."""
+    units = {ring.offset[(x, x)] + ring.unit_pos[x] for x in ring.objects}
+    letters = {
+        ring.offset[(form.source, form.target)] + t
+        for form in ring.arrow_forms.values()
+        for t, c in enumerate(form.coeffs)
+        if c
+    }
+    composable = sorted(ring.table)
+    choices = {
+        "unit row": [key for key in composable if key[0] in units],
+        "letter column": [key for key in composable if key[1] in letters],
+        "elsewhere": [key for key in composable if key[0] not in units and key[1] not in letters],
+    }
+    cases = []
+    for kind in CORRUPTIONS:
+        for _ in range(per_kind):
+            data = ring_to_dict(ring)
+            bump = rng.choice((-1, 1, 2))
+            if kind in choices:
+                u, v = rng.choice(choices[kind])
+                entry = next((e for e in data["table"] if e[:2] == [u, v]), None)
+                if entry is None:
+                    entry = [u, v, list(ring.table[(u, v)])]
+                    data["table"].append(entry)
+                pos = rng.randrange(len(entry[2]))
+                entry[2][pos] += bump
+                label = f"{kind} ({u},{v})[{pos}] {bump:+}"
+            elif kind == "arrow form":
+                rec = rng.choice(data["arrow_forms"])
+                pos = rng.randrange(len(rec["coefficients"]))
+                rec["coefficients"][pos] += bump
+                label = f"{kind} {rec['generator']}[{pos}] {bump:+}"
+            else:
+                comp = rng.choice(data["components"])
+                pos = rng.randrange(len(comp["torsion"]))
+                comp["torsion"][pos] = rng.choice((2, 3))
+                label = f"{kind} ({comp['source']},{comp['target']})[{pos}] mod {comp['torsion'][pos]}"
+            data["ring_hash"] = content_hash(data)
+            cases.append((f"k={ring.presentation.group_order} #{len(cases)} {label}", ring_from_dict(data)))
+    return cases
+
+
+def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring4, ring_c4_hand, monkeypatch):
+    # the sparse triple check against the `RingElement` one it replaced, and
+    # the memoized probe against chained normal forms, failure for failure
+    rng = random.Random(13)
+    corrupted = corrupted_rings(ring2, rng, 3) + corrupted_rings(ring4, rng, 3)
+    cases = [(f"ring {i}", r) for i, r in enumerate((ring1, ring2, ring3, ring4, ring_c4_hand))]
+    cases += [("ring4 with torsion", with_torsion(ring4)), *corrupted]
+    caught, probe_only = set(), []
+    for label, ring in cases:
+        report = verify_ring(ring)
+        expected = oracle_verify_ring(ring)
+        assert report.failures == expected.failures, label
+        assert report.warnings == expected.warnings, label
+        probes = {seed: random_associativity_probe(ring, count=1000, max_len=6, seed=seed) for seed in (0, 7)}
+        with monkeypatch.context() as m:
+            m.setattr(completion, "normal_form", chained_normal_form)
+            for seed, failures in probes.items():
+                assert random_associativity_probe(ring, count=1000, max_len=6, seed=seed) == failures, label
+        if report.failures or any(probes.values()):
+            caught.add(label)
+        if not report.failures and any(probes.values()):
+            probe_only.append(label)
+    assert len(corrupted) == 30
+    assert [label for label, _ in corrupted if label not in caught] == []
+    # the triple check never multiplies a torsion slot by its modulus, so a
+    # modulus the table does not respect is caught by the probe alone
+    assert probe_only == [label for label, _ in cases if "torsion" in label]
+
+
+def test_verify_ring_reads_the_table_it_is_given(ring4):
+    import copy
+
+    # warm every cache built from the table, then change the table under them
+    ring4.sparse_table()
+    for arrow in ring4.arrow_forms:
+        ring4.right_action(arrow)
+    broken = copy.deepcopy(ring4)
+    units = {ring4.offset[(x, x)] + ring4.unit_pos[x] for x in ring4.objects}
+    key = next(k for k, v in sorted(broken.table.items()) if units.isdisjoint(k) and any(v))
+    vec = list(broken.table[key])
+    vec[0] += 1
+    broken.table[key] = tuple(vec)
+    report = verify_ring(broken)
+    assert any(f.startswith(("associativity fails", "basis ")) for f in report.failures), report.failures
 
 
 def test_random_word_associativity(ring4):

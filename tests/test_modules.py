@@ -231,6 +231,27 @@ def test_hom_matches_the_map_system_oracle(ring1, ring2, ring3, ring4, ring6):
     assert non_maps > 50
 
 
+def test_yoneda_images_rows_hold_no_zeros(ring3, monkeypatch):
+    # maps of this second syzygy into itself, evaluated on the lifts of its
+    # generators, cancel to zeros; the rows must drop them, since
+    # `mat_mul` hands back a row picked by a lone 1 as it is
+    z = _Syzygies(yoneda_cyclic_quotient(ring3, 3, 0, 1, 0)).syzygy(2)
+    images = []
+    yoneda_images = modules._yoneda_images
+
+    def recorded(*args):
+        rows = yoneda_images(*args)
+        images.extend(rows)
+        return rows
+
+    monkeypatch.setattr(modules, "_yoneda_images", recorded)
+    hom = hom_module(z, z)
+    assert images and hom.maps
+    assert all(0 not in row.values() for row in images)
+    for f in hom.maps:
+        f.check()
+
+
 def test_hom_into_a_cyclic_quotient_finishes_at_k6(ring6):
     # the all-basis map system of Hom(y_1, Q) is 374 x 504, and its
     # echelon did not finish in 60 s; by Yoneda both groups are Q(1, 0)
