@@ -29,6 +29,12 @@ generator lists, and matrices keep explicit (possibly zero) shapes.
 Maps out of a free module are solved for by Yoneda, on the values at the
 units of its entries (`_hom_free_into`); Hom, Ext and the split test all
 reduce to such maps through a free cover or a free resolution.
+
+Every module stores its action rows when it is built, except a kernel:
+`kernel_of` returns a module that computes each action row on its first
+read (`GradedModule.action_row`), and all of them on the first read of
+its `act`.  Within a syzygy chain only `free_cover` reads a kernel's
+action, and only the rows of the generators its scan chooses.
 """
 
 from __future__ import annotations
@@ -111,7 +117,13 @@ def _letters(ring: CategoryRing) -> dict[int, list[int]]:
 
 
 class GradedModule:
-    """A finitely presented graded right module; treat as immutable."""
+    """A finitely presented graded right module; treat as immutable.
+
+    `act[(fb, e)]` holds one sparse row per generator of the target slot
+    of basis fb at degree e.  Callers that need only a few rows read them
+    through `action_row`, which lets a kernel (`kernel_of`) compute just
+    those; the first read of a kernel's `act` computes the rest.
+    """
 
     def __init__(self, ring: CategoryRing, gens, rels, act):
         """`rels` and `act` hold sparse rows, kept as they are, not copied,
@@ -126,6 +138,12 @@ class GradedModule:
 
     def ngens(self, slot: Slot) -> int:
         return len(self.gens[slot])
+
+    def action_row(self, fb: int, e: int, p: int) -> dict:
+        """Row p of the action of (basis fb, degree e): the image of
+        generator p of the target slot.  A kernel computes it on first read
+        (`_KernelModule`); here it is read off `act`."""
+        return self.act[(fb, e)][p]
 
     def relation_lattice(self, slot: Slot) -> Lattice:
         """Span of the relations at `slot`, built on first use and shared
@@ -518,6 +536,10 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
     Yoneda unit of each entry maps to its generator.  `order` optionally
     permutes the scan order (a permutation of the flat generator list),
     which changes the cover but not any derived invariant.
+
+    It reads the action one row at a time (`GradedModule.action_row`):
+    for each chosen generator p of slot (x, e), row p of every basis
+    element into x.  On a kernel those are the only rows computed.
     """
     ring = module.ring
     listed = [(s, p) for s in module.slots for p in range(module.ngens(s))]
@@ -533,7 +555,7 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
         if e != e0:
             return
         for fu in range(len(ring.basis[(w, x0)])):
-            yield module.act[(ring.offset[(w, x0)] + fu, e0)][p]
+            yield module.action_row(ring.offset[(w, x0)] + fu, e0, p)
 
     # copies, since the scan grows them
     covered = {s: module.relation_lattice(s).copy() for s in module.slots}
@@ -570,7 +592,7 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
             slot = (w, e0)
             start, size = free.blocks[slot][j]
             for fu in range(size):
-                mats[slot][start + fu] = module.act[(ring.offset[(w, x0)] + fu, e0)][p]
+                mats[slot][start + fu] = module.action_row(ring.offset[(w, x0)] + fu, e0, p)
     return ModuleMap(free, module, mats)
 
 
@@ -586,25 +608,70 @@ def _kernel_rows(f: ModuleMap) -> dict:
     return f._kernel
 
 
+class _KernelModule(GradedModule):
+    """The kernel of a module map f: M -> N, as `kernel_of` builds it.
+
+    Its generators at slot s are the rows of the kernel basis B(s) of f
+    (`_kernel_rows`).  Row p of the action of (basis fb: x -> y, degree e)
+    is the coordinates of B(y, e)[p] * M.act[(fb, e)] over the echelon
+    lattice of B(x, e).  `action_row` computes that row on first read,
+    checks that the kernel is action-stable there, and keeps it.  The
+    first read of `act` builds every row through `action_row`, keeping
+    the rows read before; from then on `act` is an ordinary attribute.
+    """
+
+    def __init__(self, source: GradedModule, basis_rows, lats, rels):
+        # what `GradedModule.__init__` sets, except `act`: `__getattr__`
+        # builds that on its first read
+        self.ring = source.ring
+        self.slots = source.slots
+        self.gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in self.slots}
+        self.rels = rels
+        self._rel_lattices = {}
+        self._source = source
+        self._basis_rows = basis_rows
+        self._lats = lats
+        self._rows = {}  # (fb, e, p) -> row p of the action of (fb, e)
+
+    def action_row(self, fb: int, e: int, p: int) -> dict:
+        row = self._rows.get((fb, e, p))
+        if row is None:
+            x, y, _ = self.ring.flat[fb]
+            img = mat_mul([self._basis_rows[(y, e)][p]], self._source.act[(fb, e)])
+            (row,) = _coordinates(self._lats[(x, e)], img, "kernel is not action-stable")
+            self._rows[(fb, e, p)] = row
+        return row
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: `act` before its first read
+        if name != "act":
+            raise AttributeError(name)
+        self.act = {
+            (fb, e): tuple(self.action_row(fb, e, p) for p in range(self.ngens((y, e))))
+            for fb, (_, y, _) in enumerate(self.ring.flat)
+            for e in (0, 1)
+        }
+        return self.act
+
+
 def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
-    """Objectwise integer kernel with its induced action and inclusion."""
+    """Objectwise integer kernel with its induced action and inclusion.
+
+    The kernel's generators, relations and inclusion are computed here;
+    its action rows are computed when they are first read
+    (`_KernelModule`).  `f` must be a module map, so that its kernel is
+    stable under the action: that is checked on each action row as it is
+    computed, not here.
+    """
     M = f.source
-    ring = M.ring
     basis_rows = _kernel_rows(f)
-    gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
     lats = {s: _echelon_lattice(basis_rows[s], M.ngens(s)) for s in M.slots}
     rels = {
-        s: _coordinates(lats[s], M.rels[s], "module relations must lie in the kernel")
+        s: tuple(_coordinates(lats[s], M.rels[s], "module relations must lie in the kernel"))
         for s in M.slots
     }
-    act = {}
-    for fb, (x, y, _) in enumerate(ring.flat):
-        for e in (0, 1):
-            imgs = mat_mul(basis_rows[(y, e)], M.act[(fb, e)])
-            act[(fb, e)] = _coordinates(lats[(x, e)], imgs, "kernel is not action-stable")
-    kernel = GradedModule(ring, gens, rels, act)
-    incl = ModuleMap(kernel, M, basis_rows)
-    return kernel, incl
+    kernel = _KernelModule(M, basis_rows, lats, rels)
+    return kernel, ModuleMap(kernel, M, basis_rows)
 
 
 @dataclass

@@ -12,7 +12,8 @@ the dense Smith form and the dense matrix product it replaced with
 echelon that `intlin.Lattice` replaced, the quadratic prune of
 `catring.modules.free_cover`, Hom by the all-basis map system,
 projectivity by the full section system and the projective dimension
-without a syzygy chain, module validation on every composable pair of
+without a syzygy chain, kernels that compute their whole action at once,
+module validation on every composable pair of
 basis monomials, normal forms by chained composition, the ring
 certificate's associativity check by `RingElement` products, and
 presentation equivalence by completing both presentations.
@@ -891,6 +892,36 @@ def oracle_projective_dimension(module, cap):
             return n
         cur = free_cover(ker)
     return ABOVE_CAP
+
+
+# -- kernels with their whole action ------------------------------------
+
+
+def oracle_kernel_of(f):
+    """`catring.modules.kernel_of` as it was before a kernel computed its
+    action rows on first read: the action of every basis element and
+    degree, one product and one coordinates pass per pair, into an
+    ordinary `GradedModule`."""
+    from catring import intlin
+    from catring.modules import GradedModule, ModuleMap, _coordinates, _echelon_lattice, _kernel_rows
+
+    M = f.source
+    ring = M.ring
+    basis_rows = _kernel_rows(f)
+    gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
+    lats = {s: _echelon_lattice(basis_rows[s], M.ngens(s)) for s in M.slots}
+    rels = {
+        s: _coordinates(lats[s], M.rels[s], "module relations must lie in the kernel")
+        for s in M.slots
+    }
+    act = {}
+    for fb, (x, y, _) in enumerate(ring.flat):
+        for e in (0, 1):
+            imgs = intlin.mat_mul(basis_rows[(y, e)], M.act[(fb, e)])
+            act[(fb, e)] = _coordinates(lats[(x, e)], imgs, "kernel is not action-stable")
+    kernel = GradedModule(ring, gens, rels, act)
+    incl = ModuleMap(kernel, M, basis_rows)
+    return kernel, incl
 
 
 # -- the quadratic free-cover prune --------------------------------------

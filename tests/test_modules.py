@@ -41,6 +41,7 @@ from catring.modules import (
     free_module,
     quotient_by_element,
 )
+from catring.serialize import canonical_json, module_to_dict
 
 from corpus import build_corpus, graded_group_grid, trivial_modules_for
 from oracles import (
@@ -58,6 +59,7 @@ from oracles import (
     oracle_hom,
     oracle_hom_module,
     oracle_is_projective,
+    oracle_kernel_of,
     oracle_projective_dimension,
     oracle_section,
     pairwise_validate,
@@ -312,6 +314,78 @@ def test_kernel_of_identity_and_zero(ring4):
     # inclusion followed by the zero map vanishes
     comp = compose_maps(incl, zero_map(m, n))
     assert comp.is_zero()
+
+
+def test_kernel_of_matches_the_eager_oracle(ring2, ring3, ring4, ring6):
+    # syzygy chains up to level 3 over seeded corpora and the cyclic
+    # quotients of each ring's representables: each kernel's cover reads
+    # some of its action rows on demand, and those rows, then the whole
+    # action, must equal the rows the eager kernel computes
+    corpora = [
+        build_corpus(ring2, random.Random(61), size=12),
+        build_corpus(ring3, random.Random(62), size=12),
+        build_corpus(ring4, random.Random(63), size=12),
+        build_corpus(ring6, random.Random(64), size=10, max_gens=30),
+    ]
+    for corpus, ring in zip(corpora, (ring2, ring3, ring4, ring6)):
+        corpus += [
+            yoneda_cyclic_quotient(ring, obj, 0, src, 0)
+            for obj in ring.objects
+            for src in ring.objects
+            if src != obj and ring.basis[(src, obj)]
+        ]
+    read = total = 0
+    for corpus in corpora:
+        for m in corpus:
+            syzygies = _Syzygies(m)
+            for n in range(1, 4):
+                cover = syzygies.cover(n)
+                kernel, incl = syzygies.syzygies[n], syzygies.inclusions[n - 1]
+                slow, slow_incl = oracle_kernel_of(syzygies.covers[n - 1])
+                assert (kernel.gens, kernel.rels, incl.mats) == (slow.gens, slow.rels, slow_incl.mats)
+                slow_cover = free_cover(slow)
+                assert (cover.source.entries, cover.mats) == (slow_cover.source.entries, slow_cover.mats)
+                rows = dict(kernel._rows)
+                assert all(row == slow.act[(fb, e)][p] for (fb, e, p), row in rows.items())
+                assert kernel.act == slow.act
+                kernel.validate()
+                assert canonical_json(module_to_dict(kernel, "h")) == canonical_json(module_to_dict(slow, "h"))
+                read += len(rows)
+                total += sum(map(len, slow.act.values()))
+    # the covers read only part of the rows
+    assert 0 < read < total / 2
+
+
+def test_kernel_action_rows_are_computed_once(ring4, monkeypatch):
+    m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
+    kernel, _ = kernel_of(free_cover(m))
+    assert not kernel._rows
+    products = _count_calls(monkeypatch, "mat_mul")
+    free_cover(kernel)
+    read = dict(kernel._rows)
+    assert len(products) == len(read) > 0
+    # a second read returns the kept row and computes nothing
+    for (fb, e, p), row in read.items():
+        assert kernel.action_row(fb, e, p) is row
+    assert len(products) == len(read)
+    act = kernel.act
+    assert kernel.act is act
+    # the wholesale read keeps the rows read before and computes the rest
+    assert all(act[(fb, e)][p] is row for (fb, e, p), row in read.items())
+    assert len(products) == sum(map(len, act.values())) > len(read)
+
+
+def test_kernel_of_checks_action_stability_when_a_row_is_read(ring4):
+    # not a module map: the identity at object 1 and zero elsewhere, so
+    # the kernel is all of Y(2) but nothing of Y(1), which Y(2) acts into
+    y = yoneda(ring4, 2, 0)
+    f = ModuleMap(y, y, {s: [{p: 1} if s == (1, 0) else {} for p in range(y.ngens(s))] for s in y.slots})
+    with pytest.raises(ValueError, match="does not commute"):
+        f.check()
+    kernel, _ = kernel_of(f)
+    assert kernel.ngens((2, 0)) == y.ngens((2, 0)) and kernel.ngens((1, 0)) == 0
+    with pytest.raises(AssertionError, match="kernel is not action-stable"):
+        kernel.act
 
 
 def test_kernel_ranks_against_objectwise_snf(ring4):
@@ -766,6 +840,34 @@ def test_uct_terms_resolve_once(ring4, monkeypatch):
     monkeypatch.undo()
     # covers F_0, F_1, F_2 and the two kernels between them
     assert (len(covers), len(kernels)) == (3, 2)
+
+
+def test_syzygy_chains_compute_only_the_action_rows_they_read(ring4, monkeypatch):
+    # a work-count guard: the covers of each chain read 29 of its three
+    # kernels' 88 action rows, one product each, and no other row is
+    # computed; Ext makes 18 more products for the differentials.  When
+    # `kernel_of` built every row, one product per (basis, degree) pair,
+    # the same calls made 132 and 150 `mat_mul` calls.
+    m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
+    original = modules.kernel_of
+    for run, products_made in (
+        (lambda: projective_dimension(m, 3), 29),
+        (lambda: ext(m, yoneda(ring4, 2, 0), 2), 47),
+    ):
+        kernels = []
+
+        def kept_kernel_of(f):
+            kernel, incl = original(f)
+            kernels.append(kernel)
+            return kernel, incl
+
+        monkeypatch.setattr(modules, "kernel_of", kept_kernel_of)
+        products = _count_calls(monkeypatch, "mat_mul")
+        run()
+        monkeypatch.undo()
+        assert len(kernels) == 3
+        assert (len(products), sum(len(k._rows) for k in kernels)) == (products_made, 29)
+        assert sum(len(rows) for k in kernels for rows in k.act.values()) == 88
 
 
 def test_map_system_rows_are_sparse_without_zeros(ring4):

@@ -90,3 +90,30 @@ def test_tracer_counts_ring_verify(ring4, tmp_path, capsys):
     ):
         assert calls.get(name, 0) > 0, name
     assert tracer.counts.get("completion.compose", 0) > 0
+
+
+def test_tracer_counts_kernel_action_rows_read_by_a_cover(ring4):
+    # a kernel computes its action rows when a cover reads them, through
+    # the `mat_mul` binding of `catring.modules`: the tracer sees those
+    # products inside `free_cover`, and none inside `kernel_of`
+    tracing = load_tracing()
+    m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
+    cover = modules.free_cover(m)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        kernel, _ = modules.kernel_of(cover)
+        _, calls = tracer.self_times()
+        alone = calls.get("intlin.mat_mul", 0)
+        modules.free_cover(kernel)
+    finally:
+        tracer.uninstall()
+    tracing.assert_clean()
+
+    _, calls = tracer.self_times()
+    assert calls["intlin.mat_mul"] > alone
+    # each product is one row the cover read, made inside `free_cover`
+    names = [tracer.names[i] for i in tracer.name]
+    parents = [names[p] for i, p in enumerate(tracer.parent) if names[i] == "intlin.mat_mul"]
+    assert parents == ["modules.free_cover"] * len(kernel._rows)
