@@ -1,13 +1,15 @@
 """Length-graded linear completion of a presentation to a based ring.
 
-The completion enumerates composable words of bounded length, imposes
-every relation instance (relation padded on both sides by words, total
-length within the bound) on the free Z-module they span, and reads the
-quotient off an integer echelon whose pivots are the largest words of
-their rows.  Words are ordered by length, then lexicographically by the
-fixed generator enumeration; this order is compatible with composition,
-so pivot rows are rewrite rules replacing a word by strictly smaller
-ones.  The echelon of each object pair is an `intlin.Lattice`, whose
+The completion enumerates composable words of bounded length and reads
+the quotient of the free Z-module they span, by every relation instance
+(relation padded on both sides by words, total length within the
+bound), off an integer echelon whose pivots are the largest words of
+their rows.  The echelon is not fed every instance: each bound adds the
+rows the previous bound changed, times each letter, and the instances
+padded on the left only, which span the same lattice (`_echelons`).
+Words are ordered by length, then lexicographically by the fixed
+generator enumeration; this order is compatible with composition, so
+pivot rows are rewrite rules replacing a word by strictly smaller ones.  The echelon of each object pair is an `intlin.Lattice`, whose
 pivots are leftmost columns; word columns are numbered downward, word
 number i on column -i, so the leftmost pivot of a row is its largest
 word.  After each bound the lattices are canonicalized, and
@@ -54,19 +56,32 @@ class _PairSpace:
     """Free Z-module on the words of one object pair, with its echelon.
 
     Word number i is column -i of `lattice`, so the leftmost pivot of a
-    row is its largest word; `ids` maps each word to its column.
+    row is its largest word; `ids` maps each word to its column.  Words
+    are added in length order, and `starts[L]` is the number of words
+    shorter than L.  The lattice tracks the rows it changes
+    (`Lattice.changed`).
     """
 
-    __slots__ = ["words", "ids", "lattice"]
+    __slots__ = ["words", "ids", "starts", "lattice"]
 
     def __init__(self):
         self.words: list[tuple] = []
         self.ids: dict[tuple, int] = {}
+        self.starts: list[int] = []
         self.lattice = Lattice(0)  # sparse rows only, so no dense width
+        self.lattice.changed = set()
 
     def add_word(self, path: tuple) -> None:
+        while len(self.starts) <= len(path):
+            self.starts.append(len(self.words))
         self.ids[path] = -len(self.words)
         self.words.append(path)
+
+    def words_of_length(self, length: int) -> list[tuple]:
+        starts = self.starts
+        if length >= len(starts):
+            return []
+        return self.words[starts[length]:starts[length + 1] if length + 1 < len(starts) else None]
 
     def classify(self):
         """(eliminated columns, {column: modulus}, mixed row count)."""
@@ -277,73 +292,106 @@ def _echelons(pres: Presentation, max_len: int):
     and the canonical echelon of every relation instance of padded length
     at most `bound`.  Word ids never change once assigned, and every
     echelon row is an integer combination of relation instances.
+
+    Bound B adds two kinds of rows, for B = 0 (an internal bound, not
+    yielded), 1, ..., max_len:
+
+    (a) each row of bound B-1's canonical echelon that bound B-1 created
+        or rewrote, times every arrow a leaving its target (the column of
+        word w goes to the column of w + (a,));
+    (b) the relation instances of padded length B with an empty right
+        pad.
+
+    These span every instance.  Let J_B be the span of the instances of
+    padded length at most B (J_{-1} = 0), E_B its canonical rows, and D_B
+    the rows of E_B that bound B created or rewrote, as
+    `Lattice.changed` records them.  A row of E_B not in D_B is unchanged
+    from E_{B-1}, so it lies in J_{B-1}; so J_B lies in J_{B-1} + span(D_B).
+    Take an instance v*d*u of padded length B with u = u'*a.  Then v*d*u'
+    has padded length B-1, so v*d*u lies in J_{B-1}*a, which lies in
+    J_{B-2}*a + span(D_{B-1}*a), and J_{B-2}*a lies in J_{B-1}.
+    Conversely D_{B-1}*a lies in J_B.  By induction on B,
+
+        J_B = J_{B-1} + span(D_{B-1}*L) + span(instances with an empty right pad),
+
+    L the arrows.  Appending a letter is injective on words and keeps the
+    length-lex order, so a product row cancels nothing and keeps its
+    leading word.  The HNF of a lattice is unique, so E_B equals the
+    canonical echelon of every instance fed at once.
     """
     pres.validate()
     gens = pres.generators
-    arrows = pres.arrows
     objects = pres.objects
     spaces = {(x, y): _PairSpace() for x in objects for y in objects}
+    outgoing = {x: [a for a in pres.arrows if gens[a].source == x] for x in objects}
 
-    # words_at[len] = list of (source, target, path) in lexicographic order
-    words_at: list[list[tuple[int, int, tuple]]] = [[(x, x, ()) for x in objects]]
+    # layer[x]: the words of the top length from x, in lexicographic order
+    # across all targets; each path is built once and shared with `spaces`
+    layer: dict[int, list[tuple]] = {x: [()] for x in objects}
     for x in objects:
         spaces[(x, x)].add_word(())
-    by_len_target: dict[tuple[int, int], list] = {}
-    by_len_source: dict[tuple[int, int], list] = {}
-    for x in objects:
-        by_len_target.setdefault((0, x), []).append((x, x, ()))
-        by_len_source.setdefault((0, x), []).append((x, x, ()))
 
-    def extend_words(length: int) -> None:
-        layer = []
-        for src, tgt, path in words_at[length - 1]:
-            for a in arrows:
-                g = gens[a]
-                if g.source != tgt:
-                    continue
-                item = (src, g.target, path + (a,))
-                layer.append(item)
-                spaces[(src, g.target)].add_word(path + (a,))
-                by_len_target.setdefault((length, g.target), []).append(item)
-                by_len_source.setdefault((length, src), []).append(item)
-        words_at.append(layer)
+    def extend_words() -> None:
+        for x in objects:
+            top = []
+            for path in layer[x]:
+                for a in outgoing[gens[path[-1]].target if path else x]:
+                    word = path + (a,)
+                    spaces[(x, gens[a].target)].add_word(word)
+                    top.append(word)
+            layer[x] = top
 
     # each relation as its differences of consecutive sides: (coefficient, word) terms
     differences = [
-        (rel, [[*s1, *((-c, w) for c, w in s2)] for s1, s2 in zip(rel.sides, rel.sides[1:])])
+        (rel, rel.max_word_len(), [[*s1, *((-c, w) for c, w in s2)] for s1, s2 in zip(rel.sides, rel.sides[1:])])
         for rel in pres.relations
     ]
 
     def add_instances(bound: int) -> None:
-        # all relation instances of total padded length exactly `bound`
-        for rel, diffs in differences:
-            pad = bound - rel.max_word_len()
+        # the relation instances of padded length `bound` with an empty right pad
+        for rel, longest, diffs in differences:
+            pad = bound - longest
             if pad < 0:
                 continue
-            for lv in range(pad + 1):
-                lu = pad - lv
-                pres_v = by_len_target.get((lv, rel.source), [])
-                pres_u = by_len_source.get((lu, rel.target), [])
-                for vsrc, _, vpath in pres_v:
-                    for _, utgt, upath in pres_u:
-                        space = spaces[(vsrc, utgt)]
-                        ids = space.ids
-                        for terms in diffs:
-                            # cancelled terms leave zeros, which `add` drops
-                            row: dict[int, int] = {}
-                            for c, w in terms:
-                                col = ids[vpath + w + upath]
-                                row[col] = row.get(col, 0) + c
-                            space.lattice.add(row)
+            for x in objects:
+                space = spaces[(x, rel.target)]
+                ids, add = space.ids, space.lattice.add
+                for v in spaces[(x, rel.source)].words_of_length(pad):
+                    for terms in diffs:
+                        # cancelled terms leave zeros, which `add` drops
+                        row: dict[int, int] = {}
+                        for c, w in terms:
+                            col = ids[v + w]
+                            row[col] = row.get(col, 0) + c
+                        add(row)
 
-    for bound in range(1, max_len + 1):
-        extend_words(bound)
-        if bound == 1:
-            add_instances(0)
+    def add_products(changed) -> None:
+        # each changed row of the previous bound, times each arrow leaving its target
+        for (x, y), rows in changed:
+            words = spaces[(x, y)].words
+            for a in outgoing[y]:
+                space = spaces[(x, gens[a].target)]
+                ids, add = space.ids, space.lattice.add
+                for row in rows:
+                    add({ids[words[-j] + (a,)]: c for j, c in row.items()})
+
+    changed = []
+    for bound in range(max_len + 1):
+        if bound:
+            extend_words()
+        add_products(changed)
         add_instances(bound)
-        for space in spaces.values():
-            space.lattice.canonicalize()
-        yield bound, spaces
+        changed = []
+        for pair, space in spaces.items():
+            lattice = space.lattice
+            lattice.canonicalize()
+            if lattice.changed:
+                # the rows themselves: the next bound's `add` replaces rows
+                # and never mutates them
+                changed.append((pair, [lattice.pivots[m] for m in sorted(lattice.changed)]))
+                lattice.changed.clear()
+        if bound:
+            yield bound, spaces
 
 
 class _Stabilization:

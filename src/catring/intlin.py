@@ -73,13 +73,20 @@ class Lattice:
     operations, so membership tests and reductions are exact.  `n` is the
     width of dense rows; a lattice fed only sparse rows may use any int
     columns.
+
+    `changed` is None by default.  When it is a set, `add` and
+    `canonicalize` put into it the pivot column of every row they create
+    or rewrite, and the caller reads and clears it.  `add` replaces a
+    stored row and never mutates it; `canonicalize` rewrites rows in
+    place.
     """
 
-    __slots__ = ["n", "pivots"]
+    __slots__ = ["n", "pivots", "changed"]
 
     def __init__(self, n: int):
         self.n = n
         self.pivots: dict[int, dict[int, int]] = {}
+        self.changed: set[int] | None = None
 
     @property
     def rows(self) -> list[dict[int, int]]:
@@ -91,6 +98,7 @@ class Lattice:
         other = object.__new__(Lattice)
         other.n = self.n
         other.pivots = {j: dict(row) for j, row in self.pivots.items()}
+        other.changed = None if self.changed is None else set(self.changed)
         return other
 
     def add(self, vec0) -> None:
@@ -101,6 +109,8 @@ class Lattice:
             row = pivots.get(j)
             if row is None:
                 pivots[j] = vec
+                if self.changed is not None:
+                    self.changed.add(j)
                 return
             a, b = row[j], vec[j]
             if b % a == 0:
@@ -118,6 +128,8 @@ class Lattice:
                     if c:
                         new_vec[jj] = c
                 pivots[j] = new_row
+                if self.changed is not None:
+                    self.changed.add(j)
                 vec = new_vec
         # vec reduced to zero: nothing new.
 
@@ -181,10 +193,13 @@ class Lattice:
         them as `reduce` does.
         """
         pivots = self.pivots
+        changed = self.changed
         for m in sorted(pivots, reverse=True):
             row = pivots[m]
             if row[m] < 0:
                 pivots[m] = row = {jj: -c for jj, c in row.items()}
+                if changed is not None:
+                    changed.add(m)
             while True:
                 j = min(
                     (jj for jj in row if jj != m and jj in pivots and not 0 <= row[jj] < pivots[jj][jj]),
@@ -193,6 +208,8 @@ class Lattice:
                 if j is None:
                     break
                 _axpy(row, -(row[j] // pivots[j][j]), pivots[j])
+                if changed is not None:
+                    changed.add(m)
 
     @property
     def rank(self) -> int:

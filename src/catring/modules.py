@@ -429,19 +429,22 @@ def _echelon_lattice(basis, ncols: int) -> Lattice:
 
     `basis` must be in row-echelon form, as every HNF from `_kernel_head`
     is; otherwise `add` would rewrite its rows, and coordinates over the
-    lattice would not be coordinates over `basis`, so that raises.
+    lattice would not be coordinates over `basis`, so that raises
+    ValueError.
     """
     lat = Lattice(ncols)
     for row in basis:
         lat.add(row)
     # adding echelon rows in order leaves each one untouched
-    assert lat.rows == basis, "coordinates need an echelon basis"
+    if lat.rows != basis:
+        raise ValueError("coordinates need an echelon basis")
     return lat
 
 
 def _coordinates(lat: Lattice, rows, what: str) -> list:
     """Coordinates of each row over the rows of `lat`, which must come from
-    `_echelon_lattice`; every row must lie in its span.
+    `_echelon_lattice`; every row must lie in its span, else this raises
+    ValueError(what).
 
     The basis is echelon, so its rows are independent and the coordinates
     of a row are unique: back-substitution along the pivots
@@ -451,7 +454,8 @@ def _coordinates(lat: Lattice, rows, what: str) -> list:
     coords = []
     for row in rows:
         c = lat.coordinates(row)
-        assert c is not None, what
+        if c is None:
+            raise ValueError(what)
         coords.append(c)
     return coords
 

@@ -9,7 +9,8 @@ The last sections keep slow predecessors of fast paths instead: the
 dense integer echelon that `catring.intlin` replaced with sparse rows,
 the dense Smith form and the dense matrix product it replaced with
 `Lattice` echelons and sparse rows, the completion's own max-pivot
-echelon that `intlin.Lattice` replaced, the quadratic prune of
+echelon that `intlin.Lattice` replaced, the completion's echelon fed
+every padded relation instance, the quadratic prune of
 `catring.modules.free_cover`, Hom by the all-basis map system,
 projectivity by the full section system and the projective dimension
 without a syzygy chain, kernels that compute their whole action at once,
@@ -559,6 +560,91 @@ class MaxPivotEchelon:
             if i is None:
                 return row
             _addmul(row, rows[i], -(row[i] // rows[i][i]))
+
+
+# -- the completion's exhaustive instance feed -----------------------------
+#
+# `catring.completion._echelons` fed every relation instance, padded on
+# both sides, to the pair-space echelons before it built each bound from
+# the rows the previous bound changed.  It must yield the same words and
+# the same canonical rows at every bound.
+
+
+def oracle_echelons(pres, max_len):
+    """`completion._echelons` fed every relation instance: yields
+    `(bound, spaces)` for bound = 1, ..., max_len, each pair space holding
+    every word of length at most `bound` and the canonical echelon of
+    every relation instance of padded length at most `bound`."""
+    from catring.completion import _PairSpace
+
+    pres.validate()
+    gens = pres.generators
+    arrows = pres.arrows
+    objects = pres.objects
+    spaces = {(x, y): _PairSpace() for x in objects for y in objects}
+    for space in spaces.values():
+        space.lattice.changed = None  # no change tracking here
+
+    # words_at[len] = list of (source, target, path) in lexicographic order
+    words_at = [[(x, x, ()) for x in objects]]
+    for x in objects:
+        spaces[(x, x)].add_word(())
+    by_len_target = {}
+    by_len_source = {}
+    for x in objects:
+        by_len_target.setdefault((0, x), []).append((x, x, ()))
+        by_len_source.setdefault((0, x), []).append((x, x, ()))
+
+    def extend_words(length):
+        layer = []
+        for src, tgt, path in words_at[length - 1]:
+            for a in arrows:
+                g = gens[a]
+                if g.source != tgt:
+                    continue
+                item = (src, g.target, path + (a,))
+                layer.append(item)
+                spaces[(src, g.target)].add_word(path + (a,))
+                by_len_target.setdefault((length, g.target), []).append(item)
+                by_len_source.setdefault((length, src), []).append(item)
+        words_at.append(layer)
+
+    # each relation as its differences of consecutive sides: (coefficient, word) terms
+    differences = [
+        (rel, [[*s1, *((-c, w) for c, w in s2)] for s1, s2 in zip(rel.sides, rel.sides[1:])])
+        for rel in pres.relations
+    ]
+
+    def add_instances(bound):
+        # all relation instances of total padded length exactly `bound`
+        for rel, diffs in differences:
+            pad = bound - rel.max_word_len()
+            if pad < 0:
+                continue
+            for lv in range(pad + 1):
+                lu = pad - lv
+                pres_v = by_len_target.get((lv, rel.source), [])
+                pres_u = by_len_source.get((lu, rel.target), [])
+                for vsrc, _, vpath in pres_v:
+                    for _, utgt, upath in pres_u:
+                        space = spaces[(vsrc, utgt)]
+                        ids = space.ids
+                        for terms in diffs:
+                            # cancelled terms leave zeros, which `add` drops
+                            row = {}
+                            for c, w in terms:
+                                col = ids[vpath + w + upath]
+                                row[col] = row.get(col, 0) + c
+                            space.lattice.add(row)
+
+    for bound in range(1, max_len + 1):
+        extend_words(bound)
+        if bound == 1:
+            add_instances(0)
+        add_instances(bound)
+        for space in spaces.values():
+            space.lattice.canonicalize()
+        yield bound, spaces
 
 
 # -- dense Smith form and dense products ----------------------------------

@@ -9,6 +9,7 @@ from catring import (
     complete,
     normal_form,
     presentation_c4,
+    presentations_equivalent,
     random_associativity_probe,
     verify_ring,
     yoneda,
@@ -27,7 +28,13 @@ from catring import completion
 from catring.intlin import Lattice
 from catring.serialize import content_hash, ring_from_dict, ring_to_dict
 
-from oracles import MaxPivotEchelon, chained_normal_form, oracle_complete, oracle_verify_ring
+from oracles import (
+    MaxPivotEchelon,
+    chained_normal_form,
+    oracle_complete,
+    oracle_echelons,
+    oracle_verify_ring,
+)
 
 # Frozen output of the independent brute-force oracle (tests below re-run
 # it at the stabilized bound + 2): total ranks per group order, the rank
@@ -99,6 +106,93 @@ def test_echelons_match_max_pivot_oracle(ring2, ring3, ring4, monkeypatch):
                     nf = space.lattice.reduce({-i: c for i, c in vec.items()})
                     assert {-j: c for j, c in nf.items()} == oracle.reduce(vec), (k, bound, pair, vec)
         assert not fed
+
+
+def shuffled_relations(pres, seed):
+    rels = list(pres.relations)
+    random.Random(seed).shuffle(rels)
+    return Presentation(pres.group_order, pres.generators, rels, pres.family_counts)
+
+
+@pytest.mark.parametrize(
+    "make, last",
+    [
+        *((lambda k=k: build_presentation(k), None) for k in (1, 2, 3, 4, 6)),
+        (lambda: build_presentation(5), 8),
+        (presentation_c4, None),
+        *((lambda seed=seed: shuffled_relations(build_presentation(4), seed), None) for seed in (21, 22)),
+    ],
+    ids=["k1", "k2", "k3", "k4", "k6", "k5", "c4", "k4-shuffle21", "k4-shuffle22"],
+)
+def test_echelons_match_exhaustive_instance_oracle(make, last):
+    """Bound by bound, the echelon built from the previous bound's changed
+    rows holds the same words and the same canonical rows as the one fed
+    every padded relation instance (to the stabilized bound + 1)."""
+    pres = make()
+    if last is None:
+        last = complete(pres).stabilized_at + 1
+    bounds = []
+    for (bound, spaces), (oracle_bound, oracle_spaces) in zip(
+        completion._echelons(pres, last), oracle_echelons(pres, last)
+    ):
+        assert bound == oracle_bound
+        assert spaces.keys() == oracle_spaces.keys()
+        for pair, space in spaces.items():
+            oracle = oracle_spaces[pair]
+            assert space.words == oracle.words, (bound, pair)
+            assert space.lattice.pivots == oracle.lattice.pivots, (bound, pair)
+        bounds.append(bound)
+    assert bounds == list(range(1, last + 1))
+
+
+def without_tag(pres, tag):
+    rels = [rel for rel in pres.relations if rel.tag != tag]
+    return Presentation(pres.group_order, pres.generators, rels, pres.family_counts)
+
+
+@pytest.mark.parametrize(
+    "make, certified",
+    [
+        # `ring verify` certifies a k=4 file's relations in the hand presentation
+        (lambda: (build_presentation(4), presentation_c4()), [True, True]),
+        # the dropped relation is not certified, so that side completes
+        (lambda: (build_presentation(2), without_tag(build_presentation(2), "double_coset")), [False, True]),
+    ],
+    ids=["build4-c4", "k2-without-double-coset"],
+)
+def test_certify_or_complete_matches_exhaustive_instance_oracle(make, certified, monkeypatch):
+    calls = []
+    real = completion.certify_or_complete
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(completion, "certify_or_complete", spy)
+    presentations_equivalent(*make())
+    assert [fast is None for _, fast in calls] == certified
+    monkeypatch.setattr(completion, "_echelons", oracle_echelons)
+    for args, fast in calls:
+        slow = real(*args)
+        assert (slow is None) == (fast is None)
+        if fast is not None:
+            assert ring_to_dict(fast) == ring_to_dict(slow)
+
+
+def test_lattice_add_count_of_a_k4_completion(monkeypatch):
+    # the exhaustive instance feed made 34 781 `Lattice.add` calls here;
+    # building each bound from the previous bound's changed rows makes
+    # 14 911, so a slide back to the exhaustive feed fails
+    calls = []
+    add = Lattice.add
+
+    def counting_add(self, vec):
+        calls.append(None)
+        add(self, vec)
+
+    monkeypatch.setattr(Lattice, "add", counting_add)
+    complete(build_presentation(4))
+    assert len(calls) == 14911
 
 
 def test_oracle_rerun_small():

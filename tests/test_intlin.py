@@ -367,3 +367,24 @@ def test_dense_row_width_is_checked_under_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 2 and all(line.startswith("ValueError") for line in lines), lines
+
+
+def test_changed_records_created_and_rewritten_rows_and_copy_does_not_share_it():
+    lat = Lattice(0)
+    lat.add({0: 2, 1: 1})
+    assert lat.changed is None and lat.copy().changed is None  # off by default
+    lat.changed = set()
+    lat.add({1: 3})  # a new pivot
+    lat.add({0: 4, 1: 2})  # reduces to zero: nothing written
+    assert lat.changed == {1}
+    lat.add({0: 3})  # a gcd step rewrites the row of pivot 0
+    assert lat.changed == {0, 1}
+    other = lat.copy()
+    assert other.changed == lat.changed and other.changed is not lat.changed
+    other.changed.clear()
+    other.add({2: 1})
+    assert lat.changed == {0, 1} and other.changed == {2}
+    lat.changed.clear()
+    lat.canonicalize()  # reduces the entries above pivot 1 into [0, 3)
+    assert lat.changed == {0}
+    assert lat.pivots == {0: {0: 1, 1: 2}, 1: {1: 3}}

@@ -1,6 +1,10 @@
 import copy
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -384,8 +388,39 @@ def test_kernel_of_checks_action_stability_when_a_row_is_read(ring4):
         f.check()
     kernel, _ = kernel_of(f)
     assert kernel.ngens((2, 0)) == y.ngens((2, 0)) and kernel.ngens((1, 0)) == 0
-    with pytest.raises(AssertionError, match="kernel is not action-stable"):
+    with pytest.raises(ValueError, match="kernel is not action-stable"):
         kernel.act
+
+
+NOT_A_MODULE_MAP = """
+from catring import build_presentation, complete, kernel_of, yoneda
+from catring.modules import ModuleMap, _echelon_lattice
+y = yoneda(complete(build_presentation(4)), 2, 0)
+f = ModuleMap(y, y, {s: [{p: 1} if s == (1, 0) else {} for p in range(y.ngens(s))] for s in y.slots})
+kernel, _ = kernel_of(f)
+for read in (lambda: kernel.act, lambda: _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2)):
+    try:
+        print("accepted", read() is not None)
+    except ValueError as exc:
+        print("ValueError", exc)
+"""
+
+
+def test_kernel_checks_survive_optimize():
+    # the action-stability and echelon checks are not asserts, which
+    # python -O strips: the kernel would store None for the rows it
+    # cannot express
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NOT_A_MODULE_MAP], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError kernel is not action-stable",
+        "ValueError coordinates need an echelon basis",
+    ]
 
 
 def test_kernel_ranks_against_objectwise_snf(ring4):
@@ -999,7 +1034,7 @@ def test_queries_leave_kept_free_modules_unchanged(ring4, ring6):
 def test_coordinates_need_an_echelon_basis():
     coords = _echelon_lattice([{0: 1, 1: 2}, {1: 3}], 2).coordinates([2, 7])
     assert dense([coords], 2) == [[2, 1]]
-    with pytest.raises(AssertionError, match="echelon"):
+    with pytest.raises(ValueError, match="echelon"):
         _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2)
 
 
