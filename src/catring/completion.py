@@ -710,6 +710,13 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     (u.v).w and u.(v.w), reduced into the torsion of (x, w).  Triples
     run over x -> y -> z -> w and then the basis positions, so failures
     come in the order of the triple loop.
+
+    The triples multiply basis elements with coefficient 1 only, so they
+    never test that a torsion modulus d of basis u holds in the table.
+    After them, for every such u, d*(u.v) and d*(t.u) must reduce to 0
+    for every composable basis v after u and t before it: products with
+    u are then well defined on Z/d.  Each violation is one failure, in
+    the flat order of u, then of v, then of t.
     """
     failures: list[str] = []
     warnings: list[str] = []
@@ -771,6 +778,22 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
                                         f"associativity fails on basis triple "
                                         f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"
                                     )
+
+    def kills(d, prod, pair):
+        return not _reduced(torsion[pair], {t: d * c for t, c in prod.items()})
+
+    for u, (x, y) in enumerate(pair_of):
+        i = u - offset[(x, y)]
+        d = torsion[(x, y)][i]
+        if not d:
+            continue
+        where = f"torsion modulus {d} of basis {i} of ({x},{y}) fails on"
+        for v, (src, z) in enumerate(pair_of):
+            if src == y and not kills(d, products[(u, v)], (x, z)):
+                failures.append(f"{where} its product with basis {v - offset[(y, z)]} of ({y},{z})")
+        for t, (w_obj, tgt) in enumerate(pair_of):
+            if tgt == x and not kills(d, products[(t, u)], (w_obj, y)):
+                failures.append(f"{where} the product of basis {t - offset[(w_obj, x)]} of ({w_obj},{x}) with it")
 
     for pair in ring.pairs:
         mods = [m for m in ring.torsion[pair] if m]

@@ -30,11 +30,11 @@ Maps out of a free module are solved for by Yoneda, on the values at the
 units of its entries (`_hom_free_into`); Hom, Ext and the split test all
 reduce to such maps through a free cover or a free resolution.
 
-Every module stores its action rows when it is built, except a kernel:
-`kernel_of` returns a module that computes each action row on its first
-read (`GradedModule.action_row`), and all of them on the first read of
-its `act`.  Within a syzygy chain only `free_cover` reads a kernel's
-action, and only the rows of the generators its scan chooses.
+Every module stores its action rows when it is built.  A resolution
+builds no module for its syzygies: for n >= 1 the n-th syzygy is the
+kernel rows of the previous differential inside its free module,
+`free_cover` covers the submodule those rows generate, and each level of
+the chain is the differential F_n -> F_{n-1} itself (`_Syzygies`).
 """
 
 from __future__ import annotations
@@ -120,9 +120,7 @@ class GradedModule:
     """A finitely presented graded right module; treat as immutable.
 
     `act[(fb, e)]` holds one sparse row per generator of the target slot
-    of basis fb at degree e.  Callers that need only a few rows read them
-    through `action_row`, which lets a kernel (`kernel_of`) compute just
-    those; the first read of a kernel's `act` computes the rest.
+    of basis fb at degree e.
     """
 
     def __init__(self, ring: CategoryRing, gens, rels, act):
@@ -138,12 +136,6 @@ class GradedModule:
 
     def ngens(self, slot: Slot) -> int:
         return len(self.gens[slot])
-
-    def action_row(self, fb: int, e: int, p: int) -> dict:
-        """Row p of the action of (basis fb, degree e): the image of
-        generator p of the target slot.  A kernel computes it on first read
-        (`_KernelModule`); here it is read off `act`."""
-        return self.act[(fb, e)][p]
 
     def relation_lattice(self, slot: Slot) -> Lattice:
         """Span of the relations at `slot`, built on first use and shared
@@ -530,8 +522,11 @@ def free_module(ring: CategoryRing, entries) -> FreeModule:
     return free
 
 
-def free_cover(module: GradedModule, order=None) -> ModuleMap:
-    """Surjection from a free module onto `module`.
+def free_cover(module: GradedModule, order=None, generators=None) -> ModuleMap:
+    """Surjection from a free module onto the submodule of `module`
+    generated by `generators[s]`, sparse rows over the generators of
+    module(s) at each slot s; by default every generator, which covers
+    `module` itself.
 
     Scans the listed generators slot by slot, adds a Yoneda entry for
     every generator not already inside the submodule generated by the
@@ -541,31 +536,39 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
     permutes the scan order (a permutation of the flat generator list),
     which changes the cover but not any derived invariant.
 
-    It reads the action one row at a time (`GradedModule.action_row`):
-    for each chosen generator p of slot (x, e), row p of every basis
-    element into x.  On a kernel those are the only rows computed.
+    The images of the entry on generator g of slot (x, e), g times the
+    action of each basis element into x, are computed once per entry and
+    object, and a unit generator's images are rows of `act` itself.
     """
     ring = module.ring
-    listed = [(s, p) for s in module.slots for p in range(module.ngens(s))]
+    units = generators is None
+    if units:
+        generators = {s: [{p: 1} for p in range(module.ngens(s))] for s in module.slots}
+    listed = [(s, p) for s in module.slots for p in range(len(generators[s]))]
     if order is not None:
         if sorted(order) != list(range(len(listed))):
             raise ValueError("order must permute the generator list")
         listed = [listed[i] for i in order]
+
+    kept = {}  # (entry, object) -> the entry's images at that object
 
     def images(entry, slot):
         # the images at `slot` of the Yoneda entry on generator p of s
         (x0, e0), p = entry
         w, e = slot
         if e != e0:
-            return
-        for fu in range(len(ring.basis[(w, x0)])):
-            yield module.action_row(ring.offset[(w, x0)] + fu, e0, p)
+            return ()
+        if (entry, w) not in kept:
+            g = generators[(x0, e0)][p]
+            acts = (module.act[(ring.offset[(w, x0)] + fu, e0)] for fu in range(len(ring.basis[(w, x0)])))
+            kept[(entry, w)] = [act[p] if units else mat_mul([g], act)[0] for act in acts]
+        return kept[(entry, w)]
 
     # copies, since the scan grows them
     covered = {s: module.relation_lattice(s).copy() for s in module.slots}
     chosen = []
     for (s, p) in listed:
-        if {p: 1} in covered[s]:
+        if generators[s][p] in covered[s]:
             continue
         chosen.append((s, p))
         for w in ring.objects:
@@ -582,7 +585,7 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
         for other in chosen[:i] + chosen[i + 1 :]:
             for row in images(other, s):
                 lat.add(row)
-        if {p: 1} in lat:
+        if generators[s][p] in lat:
             chosen.pop(i)
         else:
             i += 1
@@ -591,12 +594,10 @@ def free_cover(module: GradedModule, order=None) -> ModuleMap:
     # every generator of the free module lies in exactly one entry's block
     mats = {s: [None] * free.ngens(s) for s in module.slots}
     for j, (s, p) in enumerate(chosen):
-        x0, e0 = s
         for w in ring.objects:
-            slot = (w, e0)
+            slot = (w, s[1])
             start, size = free.blocks[slot][j]
-            for fu in range(size):
-                mats[slot][start + fu] = module.action_row(ring.offset[(w, x0)] + fu, e0, p)
+            mats[slot][start : start + size] = images((s, p), slot)
     return ModuleMap(free, module, mats)
 
 
@@ -604,77 +605,34 @@ def _kernel_rows(f: ModuleMap) -> dict:
     """Per slot, the HNF basis of the kernel of f taken modulo the target's
     relations: the x over the source generators with x * f in the
     relation lattice of the target.  Computed on first use and kept on
-    the map, so the split test and `kernel_of` share it: read it, never
-    mutate it."""
+    the map, so the split test and the next level's cover share it: read
+    it, never mutate it."""
     if f._kernel is None:
         M, N = f.source, f.target
         f._kernel = {s: _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s)) for s in M.slots}
     return f._kernel
 
 
-class _KernelModule(GradedModule):
-    """The kernel of a module map f: M -> N, as `kernel_of` builds it.
-
-    Its generators at slot s are the rows of the kernel basis B(s) of f
-    (`_kernel_rows`).  Row p of the action of (basis fb: x -> y, degree e)
-    is the coordinates of B(y, e)[p] * M.act[(fb, e)] over the echelon
-    lattice of B(x, e).  `action_row` computes that row on first read,
-    checks that the kernel is action-stable there, and keeps it.  The
-    first read of `act` builds every row through `action_row`, keeping
-    the rows read before; from then on `act` is an ordinary attribute.
-    """
-
-    def __init__(self, source: GradedModule, basis_rows, lats, rels):
-        # what `GradedModule.__init__` sets, except `act`: `__getattr__`
-        # builds that on its first read
-        self.ring = source.ring
-        self.slots = source.slots
-        self.gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in self.slots}
-        self.rels = rels
-        self._rel_lattices = {}
-        self._source = source
-        self._basis_rows = basis_rows
-        self._lats = lats
-        self._rows = {}  # (fb, e, p) -> row p of the action of (fb, e)
-
-    def action_row(self, fb: int, e: int, p: int) -> dict:
-        row = self._rows.get((fb, e, p))
-        if row is None:
-            x, y, _ = self.ring.flat[fb]
-            img = mat_mul([self._basis_rows[(y, e)][p]], self._source.act[(fb, e)])
-            (row,) = _coordinates(self._lats[(x, e)], img, "kernel is not action-stable")
-            self._rows[(fb, e, p)] = row
-        return row
-
-    def __getattr__(self, name):
-        # called only for a missing attribute: `act` before its first read
-        if name != "act":
-            raise AttributeError(name)
-        self.act = {
-            (fb, e): tuple(self.action_row(fb, e, p) for p in range(self.ngens((y, e))))
-            for fb, (_, y, _) in enumerate(self.ring.flat)
-            for e in (0, 1)
-        }
-        return self.act
-
-
 def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     """Objectwise integer kernel with its induced action and inclusion.
 
-    The kernel's generators, relations and inclusion are computed here;
-    its action rows are computed when they are first read
-    (`_KernelModule`).  `f` must be a module map, so that its kernel is
-    stable under the action: that is checked on each action row as it is
-    computed, not here.
+    The kernel's generators at slot s are the rows of the kernel basis
+    B(s) of f (`_kernel_rows`).  Row p of the action of (basis fb: x -> y,
+    degree e) is the coordinates of B(y, e)[p] * M.act[(fb, e)] over the
+    echelon lattice of B(x, e).  `f` must be a module map, so that its
+    kernel is stable under the action; otherwise this raises ValueError.
     """
     M = f.source
     basis_rows = _kernel_rows(f)
     lats = {s: _echelon_lattice(basis_rows[s], M.ngens(s)) for s in M.slots}
-    rels = {
-        s: tuple(_coordinates(lats[s], M.rels[s], "module relations must lie in the kernel"))
-        for s in M.slots
-    }
-    kernel = _KernelModule(M, basis_rows, lats, rels)
+    gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
+    rels = {s: _coordinates(lats[s], M.rels[s], "module relations must lie in the kernel") for s in M.slots}
+    act = {}
+    for fb, (x, y, _) in enumerate(M.ring.flat):
+        for e in (0, 1):
+            imgs = mat_mul(basis_rows[(y, e)], M.act[(fb, e)])
+            act[(fb, e)] = _coordinates(lats[(x, e)], imgs, "kernel is not action-stable")
+    kernel = GradedModule(M.ring, gens, rels, act)
     return kernel, ModuleMap(kernel, M, basis_rows)
 
 
@@ -693,54 +651,58 @@ class Resolution:
 
 
 class _Syzygies:
-    """The cover-of-kernel chain of one module, extended on demand.
+    """The differentials of one module's resolution, built level by level.
 
-    Level n holds the n-th syzygy M_n (M_0 is the module itself), its free
-    cover F_n -> M_n and, once asked for, the kernel M_{n+1} of that cover
-    with its inclusion into F_n.  Covers and kernels are built in level
-    order, so a seeded `rng` shuffles each cover's generator scan as
-    `free_resolution` documents.  A chain serves one call: every query
-    that reads several levels of one resolution reads them from one chain,
-    and only its free modules outlive the call, kept on the ring by
-    `free_module`; syzygies, covers and kernel rows do not.
+    Level 0 is the free cover d_0: F_0 -> M.  Level n >= 1 covers the n-th
+    syzygy, the submodule of F_{n-1} that K_{n-1} = `_kernel_rows(d_{n-1})`
+    generates, so it is the differential d_n: F_n -> F_{n-1} itself.  A
+    seeded `rng` shuffles each scan as `free_resolution` documents.  A
+    chain serves one call, and every level a query reads comes from it;
+    only its free modules outlive the call, kept on the ring.
+
+    Covering each syzygy as a module on its own generators (`kernel_of`)
+    gives the same chain.  Let C be that cover, onto M_n, and B = K_{n-1}(s)
+    at each slot s; M_n has no relations, since F_{n-1} has none.
+      - B is echelon, so x |-> x B is injective.  Generator p of M_n is
+        B[p], and its image y under a basis element b has y B = B[p] * b,
+        the image here.  So every "lies in the span" answer of the scan and
+        of the prune is the same, and the same entries are chosen.
+      - d_n = C B: C followed by the inclusion of M_n in F_{n-1}.
+      - x d_n = 0 exactly when x C = 0.  Neither kernel has a relation
+        block, and the HNF is unique, so K_n is the same.
+      - `_splits` asks for tau with tau(K_n) = 0 and tau d_n = d_n on the
+        units of F_n.  tau d_n - d_n = (tau C - C) B, so that is tau C = C,
+        with an empty slack block in both systems: they decide the same.
     """
 
     def __init__(self, module: GradedModule, rng=None):
+        self.module = module
         self.rng = rng
-        self.syzygies = [module]
         self.covers = []
-        self.inclusions = []
-
-    def _order(self, m: GradedModule):
-        if self.rng is None:
-            return None
-        perm = list(range(sum(m.ngens(s) for s in m.slots)))
-        self.rng.shuffle(perm)
-        return perm
 
     def cover(self, n: int) -> ModuleMap:
         while len(self.covers) <= n:
-            m = self.syzygy(len(self.covers))
-            self.covers.append(free_cover(m, self._order(m)))
+            if self.covers:
+                prev = self.covers[-1]
+                module, generators = prev.source, _kernel_rows(prev)
+            else:
+                module, generators = self.module, None
+            order = None
+            if self.rng is not None:
+                order = list(range(sum(map(len, (generators or module.gens).values()))))
+                self.rng.shuffle(order)
+            self.covers.append(free_cover(module, order, generators))
         return self.covers[n]
-
-    def syzygy(self, n: int) -> GradedModule:
-        while len(self.syzygies) <= n:
-            ker, incl = kernel_of(self.cover(len(self.syzygies) - 1))
-            self.syzygies.append(ker)
-            self.inclusions.append(incl)
-        return self.syzygies[n]
 
     def splits(self, n: int) -> bool:
         """Is the n-th syzygy projective, that is, does its cover split?
 
-        Reads the cover's kernel rows, which `kernel_of` reads too when the
-        chain goes on to level n+1, without building the kernel module.
-        Only the module itself can carry torsion, which rules out a split
-        at once: a syzygy is a submodule of a free module.
+        Reads the cover's kernel rows, which level n+1 covers.  Only the
+        module itself can carry torsion, which rules out a split at once:
+        a syzygy is a submodule of a free module.
         """
         if n == 0:
-            m = self.syzygies[0]
+            m = self.module
             if any(m.value_invariants(s).torsion for s in m.slots):
                 return False
         cover = self.cover(n)
@@ -748,9 +710,8 @@ class _Syzygies:
 
     def resolution(self, length: int) -> Resolution:
         self.cover(length)
-        diffs = [compose_maps(self.covers[n + 1], self.inclusions[n]) for n in range(length)]
-        frees = [cov.source for cov in self.covers[: length + 1]]
-        return Resolution(self.syzygies[0], self.covers[0], diffs, frees)
+        covers = self.covers[: length + 1]
+        return Resolution(self.module, covers[0], covers[1:], [cov.source for cov in covers])
 
 
 def free_resolution(module: GradedModule, length: int, rng=None) -> Resolution:
@@ -1053,11 +1014,8 @@ def _splits(cover: ModuleMap, kernel_rows: dict) -> bool:
 
 
 def projective_dimension(module: GradedModule, cap: int):
-    """Least n <= cap whose n-th syzygy is projective, else ABOVE_CAP.
-
-    Level n covers the n-th syzygy and tests that cover for a split; the
-    kernel module of a cover is built only to go on to level n+1.
-    """
+    """Least n <= cap whose n-th syzygy is projective, else ABOVE_CAP:
+    the first level of one chain (`_Syzygies`) whose cover splits."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     syzygies = _Syzygies(module)

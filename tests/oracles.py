@@ -13,8 +13,8 @@ echelon that `intlin.Lattice` replaced, the completion's echelon fed
 every padded relation instance, the quadratic prune of
 `catring.modules.free_cover`, Hom by the all-basis map system,
 projectivity by the full section system and the projective dimension
-without a syzygy chain, kernels that compute their whole action at once,
-module validation on every composable pair of
+without a syzygy chain, the syzygy chain that covers kernel modules with
+their whole action, module validation on every composable pair of
 basis monomials, normal forms by chained composition, the ring
 certificate's associativity check by `RingElement` products, and
 presentation equivalence by completing both presentations.
@@ -980,14 +980,14 @@ def oracle_projective_dimension(module, cap):
     return ABOVE_CAP
 
 
-# -- kernels with their whole action ------------------------------------
+# -- syzygy chains of kernel modules -------------------------------------
 
 
 def oracle_kernel_of(f):
-    """`catring.modules.kernel_of` as it was before a kernel computed its
-    action rows on first read: the action of every basis element and
-    degree, one product and one coordinates pass per pair, into an
-    ordinary `GradedModule`."""
+    """The kernel module of f as the syzygy chain built it before a
+    syzygy was kept as kernel rows (`oracle_syzygies`): the action of
+    every basis element and degree, one product and one coordinates pass
+    per pair, into an ordinary `GradedModule`."""
     from catring import intlin
     from catring.modules import GradedModule, ModuleMap, _coordinates, _echelon_lattice, _kernel_rows
 
@@ -1008,6 +1008,32 @@ def oracle_kernel_of(f):
     kernel = GradedModule(ring, gens, rels, act)
     incl = ModuleMap(kernel, M, basis_rows)
     return kernel, incl
+
+
+def oracle_syzygies(module, length, rng=None):
+    """`catring.modules._Syzygies` as it was before a syzygy became the
+    kernel rows of the previous differential: level n covers the n-th
+    syzygy as a module on its own generators, the kernel module of that
+    cover is the next syzygy, and a differential is a cover followed by
+    the inclusion of its syzygy.  A seeded `rng` shuffles each scan as
+    the chain does.
+
+    Returns the covers of syzygies 0..length, each onto its syzygy
+    module, and the differentials F_n -> F_{n-1} for n = 1..length.
+    """
+    from catring.modules import compose_maps, free_cover
+
+    covers, inclusions, m = [], [], module
+    for n in range(length + 1):
+        if n:
+            m, incl = oracle_kernel_of(covers[-1])
+            inclusions.append(incl)
+        order = None
+        if rng is not None:
+            order = list(range(sum(m.ngens(s) for s in m.slots)))
+            rng.shuffle(order)
+        covers.append(free_cover(m, order))
+    return covers, [compose_maps(c, incl) for c, incl in zip(covers[1:], inclusions)]
 
 
 # -- the quadratic free-cover prune --------------------------------------
@@ -1181,7 +1207,8 @@ def chained_normal_form(ring, data, source=None, target=None):
 def oracle_verify_ring(ring):
     """`catring.completion.verify_ring` before its associativity check
     moved to sparse table rows: every composable basis triple is checked
-    with three `RingElement` products through `CategoryRing.compose`."""
+    with three `RingElement` products through `CategoryRing.compose`, and
+    so is every product with a torsion basis element."""
     from catring.completion import VerificationReport, normal_form
 
     failures: list[str] = []
@@ -1229,6 +1256,24 @@ def oracle_verify_ring(ring):
                                         f"associativity fails on basis triple "
                                         f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"
                                     )
+
+    # a modulus d of basis u holds when d times each product with u is 0
+    def killed(d, prod):
+        return ring.element(prod.source, prod.target, [d * c for c in prod.coeffs]).is_zero()
+
+    flat = [(x, y, i) for x, y in ring.pairs for i in range(len(ring.basis[(x, y)]))]
+    for x, y, i in flat:
+        d = ring.torsion[(x, y)][i]
+        if not d:
+            continue
+        u = ring.basis_element(x, y, i)
+        where = f"torsion modulus {d} of basis {i} of ({x},{y}) fails on"
+        for src, z, j in flat:
+            if src == y and not killed(d, u.then(ring.basis_element(y, z, j))):
+                failures.append(f"{where} its product with basis {j} of ({y},{z})")
+        for w_obj, tgt, j in flat:
+            if tgt == x and not killed(d, ring.basis_element(w_obj, x, j).then(u)):
+                failures.append(f"{where} the product of basis {j} of ({w_obj},{x}) with it")
 
     for pair in ring.pairs:
         mods = [m for m in ring.torsion[pair] if m]

@@ -429,9 +429,12 @@ def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring
             probe_only.append(label)
     assert len(corrupted) == 30
     assert [label for label, _ in corrupted if label not in caught] == []
-    # the triple check never multiplies a torsion slot by its modulus, so a
-    # modulus the table does not respect is caught by the probe alone
-    assert probe_only == [label for label, _ in cases if "torsion" in label]
+    # a modulus the table does not respect fails the torsion check, so
+    # the probe catches nothing that `verify_ring` misses
+    assert probe_only == []
+    torsion = [ring for label, ring in cases if "torsion" in label]
+    assert len(torsion) > 1
+    assert all(any(f.startswith("torsion modulus") for f in verify_ring(ring).failures) for ring in torsion)
 
 
 def test_verify_ring_reads_the_table_it_is_given(ring4):

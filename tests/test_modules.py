@@ -66,6 +66,7 @@ from oracles import (
     oracle_kernel_of,
     oracle_projective_dimension,
     oracle_section,
+    oracle_syzygies,
     pairwise_validate,
     sparse,
 )
@@ -77,6 +78,12 @@ def modules_equal(a, b):
 
 def zero_map(M, N):
     return ModuleMap(M, N, {s: sparse([[0] * N.ngens(s) for _ in range(M.ngens(s))]) for s in M.slots})
+
+
+def second_syzygy(m):
+    k1, _ = kernel_of(free_cover(m))
+    k2, _ = kernel_of(free_cover(k1))
+    return k2
 
 
 # -- structure and validation ------------------------------------------
@@ -186,7 +193,7 @@ def _hom_cases(rng, ring1, ring2, ring3, ring4, ring6):
         cases += [(m, n) for m in corpus for n in targets + [m]]
     # a second syzygy over k = 3 whose maps into itself, evaluated on the
     # lifts of its generators, cancel to explicit zeros
-    z = _Syzygies(yoneda_cyclic_quotient(ring3, 3, 0, 1, 0)).syzygy(2)
+    z = second_syzygy(yoneda_cyclic_quotient(ring3, 3, 0, 1, 0))
     cases.append((z, z))
     corpus = [m for m in build_corpus(ring6, rng, size=8, max_gens=24) if not m.is_zero()]
     corpus.append(yoneda_cyclic_quotient(ring6, 1, 0, 2, 0))
@@ -241,7 +248,7 @@ def test_yoneda_images_rows_hold_no_zeros(ring3, monkeypatch):
     # maps of this second syzygy into itself, evaluated on the lifts of its
     # generators, cancel to zeros; the rows must drop them, since
     # `mat_mul` hands back a row picked by a lone 1 as it is
-    z = _Syzygies(yoneda_cyclic_quotient(ring3, 3, 0, 1, 0)).syzygy(2)
+    z = second_syzygy(yoneda_cyclic_quotient(ring3, 3, 0, 1, 0))
     images = []
     yoneda_images = modules._yoneda_images
 
@@ -320,11 +327,13 @@ def test_kernel_of_identity_and_zero(ring4):
     assert comp.is_zero()
 
 
-def test_kernel_of_matches_the_eager_oracle(ring2, ring3, ring4, ring6):
-    # syzygy chains up to level 3 over seeded corpora and the cyclic
-    # quotients of each ring's representables: each kernel's cover reads
-    # some of its action rows on demand, and those rows, then the whole
-    # action, must equal the rows the eager kernel computes
+def test_syzygy_chain_matches_the_kernel_module_chain(ring2, ring3, ring4, ring6):
+    # levels 0 to 3 over seeded corpora and the cyclic quotients of each
+    # ring's representables, with and without a seeded scan order: the
+    # chain that covers kernel rows chooses the entries, and gives the
+    # differentials and split answers, of the chain that covers each
+    # syzygy as a kernel module; `kernel_of` builds that module as the
+    # oracle does
     corpora = [
         build_corpus(ring2, random.Random(61), size=12),
         build_corpus(ring3, random.Random(62), size=12),
@@ -338,58 +347,46 @@ def test_kernel_of_matches_the_eager_oracle(ring2, ring3, ring4, ring6):
             for src in ring.objects
             if src != obj and ring.basis[(src, obj)]
         ]
-    read = total = 0
+    reordered = 0
     for corpus in corpora:
-        for m in corpus:
-            syzygies = _Syzygies(m)
-            for n in range(1, 4):
-                cover = syzygies.cover(n)
-                kernel, incl = syzygies.syzygies[n], syzygies.inclusions[n - 1]
-                slow, slow_incl = oracle_kernel_of(syzygies.covers[n - 1])
-                assert (kernel.gens, kernel.rels, incl.mats) == (slow.gens, slow.rels, slow_incl.mats)
-                slow_cover = free_cover(slow)
-                assert (cover.source.entries, cover.mats) == (slow_cover.source.entries, slow_cover.mats)
-                rows = dict(kernel._rows)
-                assert all(row == slow.act[(fb, e)][p] for (fb, e, p), row in rows.items())
-                assert kernel.act == slow.act
+        for i, m in enumerate(corpus):
+            entries = {}
+            for seed in (None, 70 + i):
+                syzygies = _Syzygies(m, None if seed is None else random.Random(seed))
+                covers, diffs = oracle_syzygies(m, 3, None if seed is None else random.Random(seed))
+                res = syzygies.resolution(3)
+                entries[seed] = [F.entries for F in res.frees]
+                assert entries[seed] == [cover.source.entries for cover in covers]
+                assert res.augmentation.mats == covers[0].mats
+                assert [d.mats for d in res.differentials] == [d.mats for d in diffs]
+                torsion = any(m.value_invariants(s).torsion for s in m.slots)
+                for n, cover in enumerate(covers):
+                    split = not (n == 0 and torsion) and _splits(cover, _kernel_rows(cover))
+                    assert syzygies.splits(n) == split, (n, seed)
+            reordered += len(set(map(str, entries.values()))) > 1
+            for cover in covers:
+                kernel, incl = kernel_of(cover)
+                slow, slow_incl = oracle_kernel_of(cover)
+                assert incl.mats == slow_incl.mats
                 kernel.validate()
                 assert canonical_json(module_to_dict(kernel, "h")) == canonical_json(module_to_dict(slow, "h"))
-                read += len(rows)
-                total += sum(map(len, slow.act.values()))
-    # the covers read only part of the rows
-    assert 0 < read < total / 2
-
-
-def test_kernel_action_rows_are_computed_once(ring4, monkeypatch):
-    m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
-    kernel, _ = kernel_of(free_cover(m))
-    assert not kernel._rows
-    products = _count_calls(monkeypatch, "mat_mul")
-    free_cover(kernel)
-    read = dict(kernel._rows)
-    assert len(products) == len(read) > 0
-    # a second read returns the kept row and computes nothing
-    for (fb, e, p), row in read.items():
-        assert kernel.action_row(fb, e, p) is row
-    assert len(products) == len(read)
-    act = kernel.act
-    assert kernel.act is act
-    # the wholesale read keeps the rows read before and computes the rest
-    assert all(act[(fb, e)][p] is row for (fb, e, p), row in read.items())
-    assert len(products) == sum(map(len, act.values())) > len(read)
+    # the seeded scans change some resolutions
+    assert reordered
 
 
 def test_kernel_of_checks_action_stability_when_a_row_is_read(ring4):
     # not a module map: the identity at object 1 and zero elsewhere, so
-    # the kernel is all of Y(2) but nothing of Y(1), which Y(2) acts into
+    # the kernel is all of Y(2) but nothing of Y(1), which Y(2) acts into;
+    # `kernel_of` computes every action row, and the rows from Y(2) into
+    # Y(1) have no coordinates
     y = yoneda(ring4, 2, 0)
     f = ModuleMap(y, y, {s: [{p: 1} if s == (1, 0) else {} for p in range(y.ngens(s))] for s in y.slots})
     with pytest.raises(ValueError, match="does not commute"):
         f.check()
-    kernel, _ = kernel_of(f)
-    assert kernel.ngens((2, 0)) == y.ngens((2, 0)) and kernel.ngens((1, 0)) == 0
+    rows = _kernel_rows(f)
+    assert len(rows[(2, 0)]) == y.ngens((2, 0)) and not rows[(1, 0)]
     with pytest.raises(ValueError, match="kernel is not action-stable"):
-        kernel.act
+        kernel_of(f)
 
 
 NOT_A_MODULE_MAP = """
@@ -397,8 +394,7 @@ from catring import build_presentation, complete, kernel_of, yoneda
 from catring.modules import ModuleMap, _echelon_lattice
 y = yoneda(complete(build_presentation(4)), 2, 0)
 f = ModuleMap(y, y, {s: [{p: 1} if s == (1, 0) else {} for p in range(y.ngens(s))] for s in y.slots})
-kernel, _ = kernel_of(f)
-for read in (lambda: kernel.act, lambda: _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2)):
+for read in (lambda: kernel_of(f), lambda: _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2)):
     try:
         print("accepted", read() is not None)
     except ValueError as exc:
@@ -408,7 +404,7 @@ for read in (lambda: kernel.act, lambda: _echelon_lattice([{0: 2}, {0: 3, 1: 1}]
 
 def test_kernel_checks_survive_optimize():
     # the action-stability and echelon checks are not asserts, which
-    # python -O strips: the kernel would store None for the rows it
+    # python -O strips: `kernel_of` would store None for the rows it
     # cannot express
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
@@ -709,12 +705,13 @@ def _chain_corpus(rng, ring1, ring2, ring4, ring6):
 def test_splits_match_dense_section_system_on_every_level(ring1, ring2, ring4, ring6):
     # `_splits` solves for a map F -> F on the Yoneda units that kills the
     # kernel; the full section system M -> F of the same cover, solved
-    # dense, must decide the same at every level of the syzygy chain
+    # dense, must decide the same at every level, on the cover of each
+    # syzygy as a kernel module, and so must the chain on its differential
     seen = {}
     for m in _chain_corpus(random.Random(31), ring1, ring2, ring4, ring6):
         syzygies = _Syzygies(m)
-        for n in range(4):
-            cover = syzygies.cover(n)
+        covers, _ = oracle_syzygies(m, 3)
+        for n, cover in enumerate(covers):
             if sum(cover.source.ngens(s) for s in m.slots) > 40:
                 break  # the dense oracle would be slow
             expected = oracle_section(cover) is not None
@@ -756,9 +753,10 @@ def test_sections_solve_the_reduced_split_system(ring1, ring4, ring6, monkeypatc
     rng = random.Random(47)
     checked = 0
     for m in corpus:
-        syzygies = _Syzygies(m)
-        for n in range(3):
-            cover = syzygies.cover(n)
+        covers, _ = oracle_syzygies(m, 2)
+        for cover in covers:
+            # `compose_maps(cover, sigma)` below needs a cover onto the
+            # syzygy as a module, which a section lifts from
             F, kernel = cover.source, _kernel_rows(cover)
             systems.clear()
             splits = _splits(cover, kernel)
@@ -848,8 +846,7 @@ def _count_calls(monkeypatch, name):
 
 
 def test_projective_dimension_covers_each_level_once(ring1, ring4, monkeypatch):
-    # level n covers the n-th syzygy once, and builds the kernel of that
-    # cover only to go on to level n + 1
+    # level n covers the n-th syzygy once, and builds no kernel module
     cases = [
         (yoneda(ring4, 2, 0), 0),
         (trivial_group_module(ring1, degree0=(6,)), 1),
@@ -864,7 +861,7 @@ def test_projective_dimension_covers_each_level_once(ring1, ring4, monkeypatch):
         assert pd is want or pd == want
         levels = 4 if pd is ABOVE_CAP else pd + 1
         assert len(covers) == levels
-        assert len(kernels) == levels - 1
+        assert not kernels
 
 
 def test_uct_terms_resolve_once(ring4, monkeypatch):
@@ -873,36 +870,41 @@ def test_uct_terms_resolve_once(ring4, monkeypatch):
     kernels = _count_calls(monkeypatch, "kernel_of")
     uct_terms(m, yoneda(ring4, 2, 0))
     monkeypatch.undo()
-    # covers F_0, F_1, F_2 and the two kernels between them
-    assert (len(covers), len(kernels)) == (3, 2)
+    # covers F_0, F_1, F_2 and no kernel module
+    assert (len(covers), len(kernels)) == (3, 0)
 
 
-def test_syzygy_chains_compute_only_the_action_rows_they_read(ring4, monkeypatch):
-    # a work-count guard: the covers of each chain read 29 of its three
-    # kernels' 88 action rows, one product each, and no other row is
-    # computed; Ext makes 18 more products for the differentials.  When
-    # `kernel_of` built every row, one product per (basis, degree) pair,
-    # the same calls made 132 and 150 `mat_mul` calls.
+def test_resolution_queries_pin_their_work(ring4, monkeypatch):
+    # work-count guards on a module of infinite projective dimension.  A
+    # syzygy is its kernel rows in the previous free module, so the covers
+    # make one product per image row of a kernel row they read, no kernel
+    # module is built and no differential is composed, and
+    # `Lattice.coordinates` runs only in the cohomology of Ext.  When each
+    # syzygy was a kernel module that computed its action rows on first
+    # read, the same calls made 29, 47 and 26 `mat_mul` calls, 29, 31 and
+    # 18 `coordinates` calls and 3, 3 and 2 `kernel_of` calls, with the
+    # same 4, 4 and 3 covers.
     m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
-    original = modules.kernel_of
-    for run, products_made in (
-        (lambda: projective_dimension(m, 3), 29),
-        (lambda: ext(m, yoneda(ring4, 2, 0), 2), 47),
+    y = yoneda(ring4, 2, 0)
+    coordinates = intlin.Lattice.coordinates
+    for run, want in (
+        (lambda: projective_dimension(m, 3), (29, 0, 0, 4)),
+        (lambda: ext(m, y, 2), (29, 2, 0, 4)),
+        (lambda: uct_terms(m, y), (14, 4, 0, 3)),
     ):
-        kernels = []
-
-        def kept_kernel_of(f):
-            kernel, incl = original(f)
-            kernels.append(kernel)
-            return kernel, incl
-
-        monkeypatch.setattr(modules, "kernel_of", kept_kernel_of)
         products = _count_calls(monkeypatch, "mat_mul")
+        kernels = _count_calls(monkeypatch, "kernel_of")
+        covers = _count_calls(monkeypatch, "free_cover")
+        back_substitutions = []
+
+        def counted(lat, vec):
+            back_substitutions.append(vec)
+            return coordinates(lat, vec)
+
+        monkeypatch.setattr(intlin.Lattice, "coordinates", counted)
         run()
         monkeypatch.undo()
-        assert len(kernels) == 3
-        assert (len(products), sum(len(k._rows) for k in kernels)) == (products_made, 29)
-        assert sum(len(rows) for k in kernels for rows in k.act.values()) == 88
+        assert (len(products), len(back_substitutions), len(kernels), len(covers)) == want
 
 
 def test_map_system_rows_are_sparse_without_zeros(ring4):
@@ -952,17 +954,20 @@ def _free_corpus(ring4, ring6):
 
 
 def _corpus_covers(corpus, levels=3):
-    """The covers of the first `levels` syzygies of every corpus module."""
+    """The first `levels` levels of every corpus module's syzygy chain,
+    each with the generators it covers: None at level 0, which covers the
+    module, and the previous level's kernel rows after it."""
     covers = []
     for m in corpus:
         syzygies = _Syzygies(m)
-        covers += [syzygies.cover(n) for n in range(levels)]
+        for n in range(levels):
+            covers.append((_kernel_rows(syzygies.cover(n - 1)) if n else None, syzygies.cover(n)))
     return covers
 
 
 def test_covers_read_free_modules_kept_on_the_ring(ring4, ring6):
     entries = set()
-    for cover in _corpus_covers(_free_corpus(ring4, ring6)):
+    for generators, cover in _corpus_covers(_free_corpus(ring4, ring6)):
         m, F = cover.target, cover.source
         fresh = FreeModule(m.ring, F.entries)
         assert fresh is not F
@@ -974,9 +979,12 @@ def test_covers_read_free_modules_kept_on_the_ring(ring4, ring6):
             fresh.blocks,
         )
         assert free_module(m.ring, F.entries) is F
-        assert free_cover(m).source is F
-        slow, _ = oracle_free_cover(m)
-        assert (F.entries, cover.mats) == (slow.source.entries, slow.mats)
+        assert free_cover(m, None, generators).source is F
+        if generators is None:
+            # deeper levels cover kernel rows, which
+            # `test_syzygy_chain_matches_the_kernel_module_chain` checks
+            slow, _ = oracle_free_cover(m)
+            assert (F.entries, cover.mats) == (slow.source.entries, slow.mats)
         entries.add((m.ring.presentation.group_order, F.entries))
     assert len(entries) >= 12
     # different modules with one entry tuple share the free module

@@ -35,6 +35,8 @@ def test_tracer_counts_modules_and_cli_calls(ring2, tmp_path, capsys):
     try:
         modules.hom_module(m, m)
         assert not modules.is_projective(m)
+        # no query builds a kernel module; the binding is checked here
+        modules.kernel_of(modules.free_cover(m))
         code = cli.main(
             ["pd", "--ring", str(tmp_path / "ring2.json"), "-M", str(tmp_path / "m.json"), "--cap", "1"]
         )
@@ -92,28 +94,24 @@ def test_tracer_counts_ring_verify(ring4, tmp_path, capsys):
     assert tracer.counts.get("completion.compose", 0) > 0
 
 
-def test_tracer_counts_kernel_action_rows_read_by_a_cover(ring4):
-    # a kernel computes its action rows when a cover reads them, through
-    # the `mat_mul` binding of `catring.modules`: the tracer sees those
-    # products inside `free_cover`, and none inside `kernel_of`
+def test_tracer_sees_chain_products_inside_free_cover(ring4):
+    # a syzygy is the kernel rows of the previous level, and the cover of
+    # the submodule they generate makes its products through the
+    # `mat_mul` binding of `catring.modules`: the tracer sees every
+    # product of a chain inside `free_cover`
     tracing = load_tracing()
     m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
-    cover = modules.free_cover(m)
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        kernel, _ = modules.kernel_of(cover)
-        _, calls = tracer.self_times()
-        alone = calls.get("intlin.mat_mul", 0)
-        modules.free_cover(kernel)
+        modules.projective_dimension(m, 3)
     finally:
         tracer.uninstall()
     tracing.assert_clean()
 
     _, calls = tracer.self_times()
-    assert calls["intlin.mat_mul"] > alone
-    # each product is one row the cover read, made inside `free_cover`
+    assert calls["intlin.mat_mul"] > 0
     names = [tracer.names[i] for i in tracer.name]
     parents = [names[p] for i, p in enumerate(tracer.parent) if names[i] == "intlin.mat_mul"]
-    assert parents == ["modules.free_cover"] * len(kernel._rows)
+    assert parents == ["modules.free_cover"] * calls["intlin.mat_mul"]
