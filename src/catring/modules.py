@@ -27,8 +27,10 @@ The zero module is a first-class citizen: every operation accepts empty
 generator lists, and matrices keep explicit (possibly zero) shapes.
 
 Maps out of a free module are solved for by Yoneda, on the values at the
-units of its entries (`_hom_free_into`); Hom, Ext and the split test all
-reduce to such maps through a free cover or a free resolution.
+units of its entries (`_hom_free_into`).  Hom, Ext and the split test all
+reduce to such maps tau on one level of a chain, the cover d_n: F_n ->
+F_{n-1} (F_{-1} = M), with the equations tau(K_n) = 0 on its kernel rows
+K_n (`_kernel_equations`); Hom is the n = 0 case of Ext.
 
 Every module stores its action rows when it is built.  A resolution
 builds no module for its syzygies: for n >= 1 the n-th syzygy is the
@@ -705,8 +707,7 @@ class _Syzygies:
             m = self.module
             if any(m.value_invariants(s).torsion for s in m.slots):
                 return False
-        cover = self.cover(n)
-        return _splits(cover, _kernel_rows(cover))
+        return _splits(self.cover(n))
 
     def resolution(self, length: int) -> Resolution:
         self.cover(length)
@@ -771,19 +772,64 @@ def _yoneda_images(F: FreeModule, N: GradedModule, vectors: list, starts: list) 
     return [row if all(row.values()) else {q: c for q, c in row.items() if c} for row in rows]
 
 
-def _cohomology(N: GradedModule, slots_b, g_mat, slots_c, f_rows):
-    """ker(g)/im(f) inside B, for g: B -> C, where B and C are the sums of
-    N(s) over `slots_b` and over `slots_c`, each presented by N's
-    relations.  Returns its invariants, and the lattice of ker(g), whose
-    rows are its HNF basis."""
+def _kernel_equations(cover: ModuleMap, N: GradedModule):
+    """The equations tau(K) = 0 for a map tau: F -> N out of the cover's
+    free source, K = `_kernel_rows(cover)`.  Returns the first unknown of
+    each entry (`_hom_free_into`), the (slot, k) pairs of the rows k of
+    every K(s), slot after slot, and their `_yoneda_images`: one row per
+    unknown, with N.ngens(s) columns per pair."""
+    F, kernel = cover.source, _kernel_rows(cover)
+    starts = _hom_free_into(F, N)
+    vectors = [(s, k) for s in F.slots for k in kernel[s]]
+    return starts, vectors, _yoneda_images(F, N, vectors, starts)
 
-    def presented(slots):
-        return sum(N.ngens(s) for s in slots), _block_diagonal((N.rels[s], N.ngens(s)) for s in slots)
 
-    (ngens_b, rels_b), (ngens_c, rels_c) = presented(slots_b), presented(slots_c)
-    basis = _kernel_head([*g_mat, *rels_c], ngens_c, ngens_b)
-    lat = _echelon_lattice(basis, ngens_b)
-    coords = _coordinates(lat, [*f_rows, *rels_b], "image does not lie in the kernel")
+def _cohomology(cover: ModuleMap, N: GradedModule, n: int):
+    """Ext^n(M, N) on level n of a chain alone: `cover` is d_n: F_n -> F_{n-1}
+    (`_Syzygies`), or the free cover F_0 -> M when n = 0, and K_n =
+    `_kernel_rows(cover)`.  Returns the invariants of
+        ker(Hom(F_n, N) -> Hom(K_n, N)) / im Hom(F_{n-1}, N),
+    and the lattice of cocycles, whose rows are its HNF basis.
+
+    A map tau: F_n -> N is its unit values t (`_hom_free_into`), each
+    t_j in N(slot_j), which is presented by N's relations; tau is zero
+    into N exactly when every t_j lies in N's relations.
+      - Cocycles: the t with tau(k) in N's relations for every row k of
+        every K_n(s) (`_kernel_equations`).
+      - Coboundaries: the t in N's relations and, for n >= 1, the maps
+        d_n then sigma, for sigma: F_{n-1} -> N, read on the units e_j of
+        F_n as sigma(d_n(e_j)) (`_yoneda_images` on F_{n-1}); for n = 0
+        there are no more.
+
+    This is the n-th cohomology of Hom(F_*, N), whose cocycles are the
+    tau with d_{n+1} then tau zero, though no level n+1 is built.  K_n(s)
+    is the whole kernel of d_n at slot s: for n = 0 it is taken modulo M's
+    relations, which makes it the kernel of F_0 -> M.  That kernel is a
+    submodule, the (n+1)-th syzygy, and d_{n+1} covers it, so the image of
+    d_{n+1} at s is the Z-span of K_n(s).  A map out of F_{n+1} is zero
+    exactly when it is zero at every slot, so d_{n+1} then tau is zero
+    into N exactly when tau(x) lies in N's relations for every x in that
+    span at every s.  tau is additive and N's relations are a subgroup, so
+    that holds exactly when tau(k) does for every row k.  The cocycle
+    lattice is therefore the same; the coboundaries are the rows of
+    Hom(d_n, N) in both, and the invariants are equal.  For n = 0 the
+    cocycles are the maps that vanish on K_0, which is Hom(M, N), as
+    `HomGroup` proves.
+    """
+    F = cover.source
+    starts, vectors, rows = _kernel_equations(cover, N)
+    slots_c = [s for s, _ in vectors]
+    rels_c = _block_diagonal((N.rels[s], N.ngens(s)) for s in slots_c)
+    basis = _kernel_head([*rows, *rels_c], sum(map(N.ngens, slots_c)), starts[-1])
+    lat = _echelon_lattice(basis, starts[-1])
+    coboundaries = []
+    if n:
+        G = cover.target
+        units = (F.unit_index(j) for j in range(len(F.entries)))
+        images = [(slot, cover.mats[slot][upos]) for slot, upos in units]
+        coboundaries = _yoneda_images(G, N, images, _hom_free_into(G, N))
+    rels_b = _block_diagonal((N.rels[s], N.ngens(s)) for s in F.entries)
+    coords = _coordinates(lat, [*coboundaries, *rels_b], "image does not lie in the kernel")
     free, tors = group_invariants(coords, len(basis))
     return AbInvariants(free, tors), lat
 
@@ -804,12 +850,12 @@ class HomGroup:
     M = F/K, and f |-> f pi is a bijection from the module maps M -> N onto
     the tau that vanish on K.  So Hom(M, N) is S/Z, where
       - S, the solution lattice, holds the t with tau(k) in N's relations
-        for every row k of each K(s) (`_yoneda_images`), which is
+        for every row k of each K(s) (`_kernel_equations`), which is
         tau(K) = 0 in N since tau is additive;
       - Z holds the t with every t_j in N's relations, the tau that are
         zero into N; Z lies in S, since N's action keeps its relations.
-    `invariants` is the isomorphism type of S/Z, read as Ext^0 is, with
-    the rows of K in place of a second free module.
+    `invariants` is the isomorphism type of S/Z, which is
+    `_cohomology(pi, N, 0)`: Hom(M, N) is Ext^0 on level 0 of M's chain.
 
     `maps` holds one map M -> N per row t of S's HNF basis: the f with
     f pi = tau, so f(m) = tau(x) for any x in F with pi(x) = m.  Such lifts
@@ -853,18 +899,14 @@ def hom_module(M: GradedModule, N: GradedModule) -> HomGroup:
     if M.ring is not N.ring:
         raise ValueError("modules live over different rings")
     cover = free_cover(M)
-    F, kernel = cover.source, _kernel_rows(cover)
-    starts = _hom_free_into(F, N)
-    vectors = [(s, k) for s in F.slots for k in kernel[s]]
-    rows = _yoneda_images(F, N, vectors, starts)
-    # Ext^0's cohomology, with the rows of K in place of a second free module
-    invariants, solutions = _cohomology(N, F.entries, rows, [s for s, _ in vectors], [])
-    return HomGroup(invariants, _hom_maps(cover, N, starts, solutions.rows), cover, N, solutions)
+    invariants, solutions = _cohomology(cover, N, 0)
+    return HomGroup(invariants, _hom_maps(cover, N, solutions.rows), cover, N, solutions)
 
 
-def _hom_maps(cover: ModuleMap, N: GradedModule, starts: list, solutions: list) -> list:
+def _hom_maps(cover: ModuleMap, N: GradedModule, solutions: list) -> list:
     """For each t in `solutions`, the module map f: M -> N with f pi = tau,
-    where pi: F -> M is the cover and tau(e_j) is entry j's block of t.
+    where pi: F -> M is the cover and tau(e_j) is entry j's block of t, as
+    `_hom_free_into` lays it out.
 
     f(m) = tau(x) for a lift x of m, so f is tau on lifts of M's
     generators, read off `_yoneda_images`.  One left kernel per slot lifts
@@ -875,7 +917,8 @@ def _hom_maps(cover: ModuleMap, N: GradedModule, starts: list, solutions: list) 
     some (e_p, x, y) lies in the kernel, and the kernel's projection onto
     its first n columns is all of Z^n.  Its HNF therefore has pivots 1 on
     those columns and zeros above them: its first n rows are
-    (e_p, x_p, y_p), and -x_p pi = e_p modulo R.
+    (e_p, x_p, y_p), and -x_p pi = e_p modulo R.  A cover that is not
+    onto fails that, and raises ValueError.
     """
     if not solutions:
         return []
@@ -887,11 +930,10 @@ def _hom_maps(cover: ModuleMap, N: GradedModule, starts: list, solutions: list) 
             lifts.extend((s, {}) for _ in range(n))  # every map is zero at s
             continue
         ker = left_kernel([*({p: 1} for p in range(n)), *cover.mats[s], *M.rels[s]], n)
-        assert [{j: c for j, c in row.items() if j < n} for row in ker[:n]] == [
-            {p: 1} for p in range(n)
-        ], "the cover is not onto"
+        if [{j: c for j, c in row.items() if j < n} for row in ker[:n]] != [{p: 1} for p in range(n)]:
+            raise ValueError("the cover is not onto")
         lifts.extend((s, {g - n: -c for g, c in row.items() if n <= g < n + F.ngens(s)}) for row in ker[:n])
-    rows = _yoneda_images(F, N, lifts, starts)
+    rows = _yoneda_images(F, N, lifts, _hom_free_into(F, N))
     cols = list(itertools.accumulate((N.ngens(s) for s, _ in lifts), initial=0))
     maps = []
     for t in solutions:
@@ -903,16 +945,6 @@ def _hom_maps(cover: ModuleMap, N: GradedModule, starts: list, solutions: list) 
 
 
 # -- Ext ---------------------------------------------------------------
-
-
-def _induced_matrix(d: ModuleMap, N: GradedModule) -> list:
-    """Matrix of Hom(-, N): Hom(G, N) -> Hom(F, N) for d: F -> G between
-    free modules, over their `_hom_free_into` layouts.  It sends tau to
-    d then tau, whose value on the unit e_j of F is tau(d(e_j))."""
-    F, G = d.source, d.target
-    units = (F.unit_index(j) for j in range(len(F.entries)))
-    vectors = [(slot, d.mats[slot][upos]) for slot, upos in units]
-    return _yoneda_images(G, N, vectors, _hom_free_into(G, N))
 
 
 @dataclass
@@ -933,26 +965,24 @@ def ext(M: GradedModule, N: GradedModule, n: int, rng=None) -> ExtResult:
     """n-th Ext of M into N, per Z/2-degree.
 
     Computed as the n-th cohomology of Hom(F_*, N) for a free resolution
-    F_* of M; the degree-1 component is the group of degree-shifting maps
-    (equivalently Ext into the suspension).
+    F_* of M, on levels 0..n of one chain (`_Syzygies`) and the kernel
+    rows of level n (`_cohomology`); no level n+1 is built.  A seeded
+    `rng` shuffles the scans of those levels only, as `free_resolution`
+    documents.  The degree-1 component is the group of degree-shifting
+    maps (equivalently Ext into the suspension).
     """
     if M.ring is not N.ring:
         raise ValueError("modules live over different rings")
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return _ext_groups(free_resolution(M, n + 1, rng), N, n)
+    return _ext_groups(_Syzygies(M, rng), N, n)
 
 
-def _ext_groups(res: Resolution, N: GradedModule, n: int) -> ExtResult:
-    """Ext^n(res.module, N), read off a resolution of length at least n+1;
-    the degree-shifting maps into N are the maps into its suspension."""
-    out = {}
-    for shift, target in enumerate((N, suspend(N))):
-        g_mat = _induced_matrix(res.differentials[n], target)
-        f_rows = _induced_matrix(res.differentials[n - 1], target) if n else []
-        slots_b, slots_c = res.frees[n].entries, res.frees[n + 1].entries
-        out[shift], _ = _cohomology(target, slots_b, g_mat, slots_c, f_rows)
-    return ExtResult(n, out)
+def _ext_groups(syzygies: _Syzygies, N: GradedModule, n: int) -> ExtResult:
+    """Ext^n(syzygies.module, N), read on level n of the chain alone; the
+    degree-shifting maps into N are the maps into its suspension."""
+    cover = syzygies.cover(n)
+    return ExtResult(n, {shift: _cohomology(cover, target, n)[0] for shift, target in enumerate((N, suspend(N)))})
 
 
 # -- projectivity ------------------------------------------------------
@@ -961,16 +991,16 @@ def _ext_groups(res: Resolution, N: GradedModule, n: int) -> ExtResult:
 def is_projective(module: GradedModule) -> bool:
     """Does the canonical free cover split?
 
-    Decided by `_splits` on the cover and its kernel.  A slot with torsion
-    rules splitting out immediately, since free modules have torsion-free
+    Decided by `_splits` on the cover.  A slot with torsion rules
+    splitting out immediately, since free modules have torsion-free
     values.
     """
     return _Syzygies(module).splits(0)
 
 
-def _splits(cover: ModuleMap, kernel_rows: dict) -> bool:
-    """Does the free cover pi: F -> M have a section?  `kernel_rows` are
-    the rows `_kernel_rows(cover)` gives: per slot s, a Z-basis of K(s),
+def _splits(cover: ModuleMap) -> bool:
+    """Does the free cover pi: F -> M have a section?  Read on the cover's
+    kernel rows `_kernel_rows(cover)`: per slot s, a Z-basis of K(s),
     where K = ker pi is taken modulo the relations of M.
 
     A section sigma (sigma then pi is the identity of M) exists iff some
@@ -989,17 +1019,15 @@ def _splits(cover: ModuleMap, kernel_rows: dict) -> bool:
     sum_j F.ngens(slot_j) of them, where a section M -> F has
     sum_s M.ngens(s) * F.ngens(s).  The equations are, in this order,
       - tau(k) = 0 for every row k of every K(s), slot after slot: exact,
-        since F is free (`_yoneda_images` with N = F, as in
-        `hom_module`);
+        since F is free (`_kernel_equations` with N = F, as for Hom and
+        Ext);
       - tau(e_j) * pi = pi(e_j) at slot_j, entry after entry, modulo the
         relations of M there, which become slack rows after the unknowns.
     Two module maps out of F agree once they agree on the units, so the
     second block is exactly tau then pi equal to pi.
     """
     F, M = cover.source, cover.target
-    var = _hom_free_into(F, F)
-    vectors = [(s, k) for s in F.slots for k in kernel_rows[s]]
-    rows = _yoneda_images(F, F, vectors, var)
+    var, vectors, rows = _kernel_equations(cover, F)
     neq = sum(F.ngens(s) for s, _ in vectors)
     target = {}
     for j, slot in enumerate(F.entries):
@@ -1041,18 +1069,17 @@ class UctTerms:
 
 
 def uct_terms(M: GradedModule, N: GradedModule) -> UctTerms:
-    """The UCT end terms of M and N, read off one resolution of M of
-    length 2.  Suspending a resolution of M resolves `suspend(M)`, and
-    Hom out of a suspended free module into N in degree e is Hom out of
-    the free module in degree 1 - e, so Ext^1(suspend(M), N) in degree e
-    is Ext^1(M, N) in degree 1 - e.  Whether pd(M) <= 1 is read off the
-    first two levels of the same chain.
+    """The UCT end terms of M and N, read off levels 0 and 1 of one chain
+    of M (`_Syzygies`) and their kernel rows.  Suspending a resolution of
+    M resolves `suspend(M)`, and Hom out of a suspended free module into N
+    in degree e is Hom out of the free module in degree 1 - e, so
+    Ext^1(suspend(M), N) in degree e is Ext^1(M, N) in degree 1 - e.
+    Whether pd(M) <= 1 is read off the same two levels.
     """
     if M.ring is not N.ring:
         raise ValueError("modules live over different rings")
     syzygies = _Syzygies(M)
-    res = syzygies.resolution(2)
-    ext1 = _ext_groups(res, N, 1)
+    ext1 = _ext_groups(syzygies, N, 1)
     shifted = ExtResult(1, {e: ext1.by_degree[1 - e] for e in (0, 1)})
     within_one = syzygies.splits(0) or syzygies.splits(1)
-    return UctTerms(_ext_groups(res, N, 0), shifted, within_one)
+    return UctTerms(_ext_groups(syzygies, N, 0), shifted, within_one)

@@ -151,7 +151,8 @@ class Presentation:
 
     def multiplication_side(self, H: int, chi: Character):
         """Multiplication by a virtual character, as a sum of words."""
-        assert chi.subgroup == H
+        if chi.subgroup != H:
+            raise ValueError(f"character of the order-{chi.subgroup} subgroup, not of the order-{H} one")
         return tuple((c, self.multiplication_word(H, j)) for j, c in enumerate(chi.coeffs) if c)
 
     def _chain(self, low: int, high: int) -> list[int]:
@@ -171,7 +172,8 @@ class Presentation:
         if H % L != 0:
             raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
         chain = list(chain) if chain is not None else self._chain(L, H)
-        assert chain[0] == L and chain[-1] == H
+        if chain[:1] != [L] or chain[-1:] != [H]:
+            raise ValueError(f"chain {chain} does not run from {L} to {H}")
         word = []
         for low, up in zip(chain[-2::-1], chain[:0:-1]):
             word.append(self.gen(RESTRICTION, up, low))
@@ -182,7 +184,8 @@ class Presentation:
         if H % L != 0:
             raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
         chain = list(chain) if chain is not None else self._chain(L, H)
-        assert chain[0] == L and chain[-1] == H
+        if chain[:1] != [L] or chain[-1:] != [H]:
+            raise ValueError(f"chain {chain} does not run from {L} to {H}")
         word = []
         for low, up in zip(chain, chain[1:]):
             word.append(self.gen(INDUCTION, up, low))

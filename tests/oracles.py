@@ -14,7 +14,8 @@ every padded relation instance, the quadratic prune of
 `catring.modules.free_cover`, Hom by the all-basis map system,
 projectivity by the full section system and the projective dimension
 without a syzygy chain, the syzygy chain that covers kernel modules with
-their whole action, module validation on every composable pair of
+their whole action, Ext read off a resolution one level longer than
+its degree, module validation on every composable pair of
 basis monomials, normal forms by chained composition, the ring
 certificate's associativity check by `RingElement` products, and
 presentation equivalence by completing both presentations.
@@ -1034,6 +1035,56 @@ def oracle_syzygies(module, length, rng=None):
             rng.shuffle(order)
         covers.append(free_cover(m, order))
     return covers, [compose_maps(c, incl) for c, incl in zip(covers[1:], inclusions)]
+
+
+# -- Ext on a resolution one level longer -----------------------------------
+
+
+def _induced_matrix(d, N):
+    """Matrix of Hom(-, N): Hom(G, N) -> Hom(F, N) for d: F -> G between
+    free modules, over their `_hom_free_into` layouts.  It sends tau to
+    d then tau, whose value on the unit e_j of F is tau(d(e_j))."""
+    from catring.modules import _hom_free_into, _yoneda_images
+
+    F, G = d.source, d.target
+    units = (F.unit_index(j) for j in range(len(F.entries)))
+    vectors = [(slot, d.mats[slot][upos]) for slot, upos in units]
+    return _yoneda_images(G, N, vectors, _hom_free_into(G, N))
+
+
+def _cohomology(N, slots_b, g_mat, slots_c, f_rows):
+    """ker(g)/im(f) inside B, for g: B -> C, where B and C are the sums of
+    N(s) over `slots_b` and over `slots_c`, each presented by N's
+    relations."""
+    from catring.intlin import group_invariants
+    from catring.modules import AbInvariants, _block_diagonal, _coordinates, _echelon_lattice, _kernel_head
+
+    def presented(slots):
+        return sum(N.ngens(s) for s in slots), _block_diagonal((N.rels[s], N.ngens(s)) for s in slots)
+
+    (ngens_b, rels_b), (ngens_c, rels_c) = presented(slots_b), presented(slots_c)
+    basis = _kernel_head([*g_mat, *rels_c], ngens_c, ngens_b)
+    lat = _echelon_lattice(basis, ngens_b)
+    coords = _coordinates(lat, [*f_rows, *rels_b], "image does not lie in the kernel")
+    free, tors = group_invariants(coords, len(basis))
+    return AbInvariants(free, tors)
+
+
+def oracle_ext(M, N, n, rng=None):
+    """`catring.modules.ext` as it was before it read level n alone: the
+    cohomology of Hom(F_*, N) at n on `free_resolution(M, n + 1, rng)`,
+    from the induced matrices of d_n and d_{n+1}; the degree-shifting maps
+    into N are the maps into its suspension."""
+    from catring.modules import ExtResult, free_resolution, suspend
+
+    res = free_resolution(M, n + 1, rng)
+    out = {}
+    for shift, target in enumerate((N, suspend(N))):
+        g_mat = _induced_matrix(res.differentials[n], target)
+        f_rows = _induced_matrix(res.differentials[n - 1], target) if n else []
+        slots_b, slots_c = res.frees[n].entries, res.frees[n + 1].entries
+        out[shift] = _cohomology(target, slots_b, g_mat, slots_c, f_rows)
+    return ExtResult(n, out)
 
 
 # -- the quadratic free-cover prune --------------------------------------

@@ -34,6 +34,7 @@ from catring import (
 from catring import intlin, modules
 from catring.modules import (
     FREE_MODULES_KEPT,
+    ExtResult,
     FreeModule,
     GradedModule,
     _echelon_lattice,
@@ -58,6 +59,7 @@ from oracles import (
     dense_solve_left,
     mat_identity,
     mat_mul,
+    oracle_ext,
     oracle_ext1,
     oracle_free_cover,
     oracle_hom,
@@ -361,7 +363,7 @@ def test_syzygy_chain_matches_the_kernel_module_chain(ring2, ring3, ring4, ring6
                 assert [d.mats for d in res.differentials] == [d.mats for d in diffs]
                 torsion = any(m.value_invariants(s).torsion for s in m.slots)
                 for n, cover in enumerate(covers):
-                    split = not (n == 0 and torsion) and _splits(cover, _kernel_rows(cover))
+                    split = not (n == 0 and torsion) and _splits(cover)
                     assert syzygies.splits(n) == split, (n, seed)
             reordered += len(set(map(str, entries.values()))) > 1
             for cover in covers:
@@ -390,11 +392,21 @@ def test_kernel_of_checks_action_stability_when_a_row_is_read(ring4):
 
 
 NOT_A_MODULE_MAP = """
-from catring import build_presentation, complete, kernel_of, yoneda
-from catring.modules import ModuleMap, _echelon_lattice
-y = yoneda(complete(build_presentation(4)), 2, 0)
+from catring import build_presentation, complete, free_cover, kernel_of, yoneda
+from catring.groups import Character
+from catring.modules import ModuleMap, _echelon_lattice, _hom_maps
+pres = build_presentation(4)
+y = yoneda(complete(pres), 2, 0)
 f = ModuleMap(y, y, {s: [{p: 1} if s == (1, 0) else {} for p in range(y.ngens(s))] for s in y.slots})
-for read in (lambda: kernel_of(f), lambda: _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2)):
+zero_cover = ModuleMap(free_cover(y).source, y, {})
+for read in (
+    lambda: kernel_of(f),
+    lambda: _echelon_lattice([{0: 2}, {0: 3, 1: 1}], 2),
+    lambda: _hom_maps(zero_cover, y, [{0: 1}]),
+    lambda: build_presentation(6).restriction_word(6, 1, [2, 6]),
+    lambda: build_presentation(6).induction_word(1, 6, [1, 3]),
+    lambda: pres.multiplication_side(4, Character(2, (1, 0))),
+):
     try:
         print("accepted", read() is not None)
     except ValueError as exc:
@@ -403,9 +415,12 @@ for read in (lambda: kernel_of(f), lambda: _echelon_lattice([{0: 2}, {0: 3, 1: 1
 
 
 def test_kernel_checks_survive_optimize():
-    # the action-stability and echelon checks are not asserts, which
-    # python -O strips: `kernel_of` would store None for the rows it
-    # cannot express
+    # the action-stability, echelon, onto-cover, subgroup-chain and
+    # character checks are not asserts, which python -O strips:
+    # `kernel_of` would store None for the rows it cannot express, and
+    # `_hom_maps` would read lifts that are not there; a chain that does
+    # not run from L to H would give a wrong word, and a character of
+    # another subgroup a wrong multiplication
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -416,6 +431,10 @@ def test_kernel_checks_survive_optimize():
     assert proc.stdout.splitlines() == [
         "ValueError kernel is not action-stable",
         "ValueError coordinates need an echelon basis",
+        "ValueError the cover is not onto",
+        "ValueError chain [2, 6] does not run from 1 to 6",
+        "ValueError chain [1, 3] does not run from 1 to 6",
+        "ValueError character of the order-2 subgroup, not of the order-4 one",
     ]
 
 
@@ -715,7 +734,7 @@ def test_splits_match_dense_section_system_on_every_level(ring1, ring2, ring4, r
             if sum(cover.source.ngens(s) for s in m.slots) > 40:
                 break  # the dense oracle would be slow
             expected = oracle_section(cover) is not None
-            assert _splits(cover, _kernel_rows(cover)) == expected, (n, m.gens)
+            assert _splits(cover) == expected, (n, m.gens)
             assert syzygies.splits(n) == expected, (n, m.gens)
             seen.setdefault(n, set()).add(expected)
         assert is_projective(m) == (oracle_section(free_cover(m)) is not None)
@@ -759,7 +778,7 @@ def test_sections_solve_the_reduced_split_system(ring1, ring4, ring6, monkeypatc
             # syzygy as a module, which a section lifts from
             F, kernel = cover.source, _kernel_rows(cover)
             systems.clear()
-            splits = _splits(cover, kernel)
+            splits = _splits(cover)
             ((rows, ncols, target),) = systems
 
             def unknowns(values):
@@ -833,6 +852,47 @@ def test_uct_terms_read_one_resolution(ring2, ring4):
             assert terms.pd_within_one == (pd is not ABOVE_CAP and pd <= 1)
 
 
+def test_ext_on_level_n_matches_the_longer_resolution(ring2, ring3, ring4, ring6):
+    # Ext^n reads levels 0..n of the chain and the kernel rows of level n;
+    # the oracle reads the induced matrices of d_n and d_{n+1} on a
+    # resolution of length n + 1.  Over seeded corpora and the cyclic
+    # quotients of each ring, into a representable, a cyclic quotient
+    # (targets with relations) and a corpus module, with and without a
+    # seeded scan order; Hom and the UCT terms are the oracle's Ext^0 and
+    # shifted Ext^1
+    cases = [
+        (ring2, build_corpus(ring2, random.Random(81), size=8)),
+        (ring3, build_corpus(ring3, random.Random(82), size=8)),
+        (ring4, build_corpus(ring4, random.Random(83), size=8)),
+        (ring6, build_corpus(ring6, random.Random(84), size=6, max_gens=24)),
+    ]
+    checked, nonzero = 0, set()
+    for ring, corpus in cases:
+        quotients = [
+            yoneda_cyclic_quotient(ring, obj, 0, src, 0)
+            for obj in ring.objects
+            for src in ring.objects
+            if src != obj and ring.basis[(src, obj)]
+        ]
+        targets = [yoneda(ring, ring.objects[-1], 0), quotients[0], corpus[-1]]
+        for i, M in enumerate(corpus + quotients):
+            for j, N in enumerate(targets):
+                want = [oracle_ext(M, N, n) for n in range(4)]
+                for n in range(4):
+                    assert ext(M, N, n) == want[n], (ring.objects, i, j, n)
+                    seed = 1000 * i + 10 * j + n
+                    assert ext(M, N, n, random.Random(seed)) == oracle_ext(M, N, n, random.Random(seed)) == want[n]
+                    nonzero.update(n for e in (0, 1) if not want[n].by_degree[e].is_zero())
+                    checked += 1
+                terms = uct_terms(M, N)
+                assert terms.hom == want[0]
+                assert terms.ext1_shifted == ExtResult(1, {e: want[1].by_degree[1 - e] for e in (0, 1)})
+                assert hom_module(M, N).invariants == want[0].by_degree[0]
+    # every degree is nonzero somewhere, so no comparison is of zeros only
+    assert nonzero == {0, 1, 2, 3}, nonzero
+    assert checked > 500, checked
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(modules, name)
@@ -870,8 +930,10 @@ def test_uct_terms_resolve_once(ring4, monkeypatch):
     kernels = _count_calls(monkeypatch, "kernel_of")
     uct_terms(m, yoneda(ring4, 2, 0))
     monkeypatch.undo()
-    # covers F_0, F_1, F_2 and no kernel module
-    assert (len(covers), len(kernels)) == (3, 0)
+    # covers F_0 and F_1, whose kernel rows Ext^1 reads, and no kernel
+    # module; when Ext read the induced matrix of d_2 it covered F_2 too,
+    # 3 covers
+    assert (len(covers), len(kernels)) == (2, 0)
 
 
 def test_resolution_queries_pin_their_work(ring4, monkeypatch):
@@ -879,18 +941,22 @@ def test_resolution_queries_pin_their_work(ring4, monkeypatch):
     # syzygy is its kernel rows in the previous free module, so the covers
     # make one product per image row of a kernel row they read, no kernel
     # module is built and no differential is composed, and
-    # `Lattice.coordinates` runs only in the cohomology of Ext.  When each
-    # syzygy was a kernel module that computed its action rows on first
-    # read, the same calls made 29, 47 and 26 `mat_mul` calls, 29, 31 and
-    # 18 `coordinates` calls and 3, 3 and 2 `kernel_of` calls, with the
-    # same 4, 4 and 3 covers.
+    # `Lattice.coordinates` runs only in the cohomology of Ext.  Ext^n
+    # reads levels 0..n and the kernel rows of level n, so `ext(m, y, 2)`
+    # covers 3 levels and `uct_terms` 2.  When Ext read the induced matrix
+    # of d_{n+1}, on one level more, the same calls made (29, 0, 0, 4),
+    # (29, 2, 0, 4) and (14, 4, 0, 3) `mat_mul`, `coordinates`,
+    # `kernel_of` and `free_cover` calls.  When each syzygy was a kernel
+    # module that computed its action rows on first read, they made 29, 47
+    # and 26 `mat_mul` calls, 29, 31 and 18 `coordinates` calls and 3, 3
+    # and 2 `kernel_of` calls, with 4, 4 and 3 covers.
     m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
     y = yoneda(ring4, 2, 0)
     coordinates = intlin.Lattice.coordinates
     for run, want in (
         (lambda: projective_dimension(m, 3), (29, 0, 0, 4)),
-        (lambda: ext(m, y, 2), (29, 2, 0, 4)),
-        (lambda: uct_terms(m, y), (14, 4, 0, 3)),
+        (lambda: ext(m, y, 2), (14, 2, 0, 3)),
+        (lambda: uct_terms(m, y), (7, 4, 0, 2)),
     ):
         products = _count_calls(monkeypatch, "mat_mul")
         kernels = _count_calls(monkeypatch, "kernel_of")
