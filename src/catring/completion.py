@@ -599,24 +599,35 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
             if g.source != cur:
                 raise ValueError(f"word {w} is not composable")
             if g.kind != IDENTITY:
-                stripped.append((gi, cur, g.target))
+                stripped.append(gi)
             cur = g.target
         if cur != tgt:
             raise ValueError("summands are not parallel")
-        # one sparse vector x right-action product per letter, reduced into
-        # the torsion slots after each letter as composition does
         vec = _reduced(ring.torsion[(src, src)], {ring.unit_pos[src]: 1})
-        for gi, mid, end in stripped:
-            rows = ring.right_action(gi)
-            off = ring.offset[(src, mid)]
-            out: dict[int, int] = {}
-            for pos, a in vec.items():
-                for t, b in rows[off + pos].items():
-                    out[t] = out.get(t, 0) + a * b
-            vec = _reduced(ring.torsion[(src, end)], out)
+        for gi in stripped:
+            vec = _right_step(ring, vec, src, gi)
         for pos, v in vec.items():
             acc[pos] += c * v
     return ring.element(src, tgt, acc)
+
+
+def _right_step(ring: CategoryRing, vec: dict[int, int], source: int, arrow: int) -> dict[int, int]:
+    """`vec` then `arrow`, as reduced sparse coefficients.
+
+    `vec` holds the reduced sparse coefficients of an element of
+    (source, source of `arrow`); the result is that element times the
+    `right_action` rows of `arrow`, reduced into the torsion slots of
+    (source, target of `arrow`) as composition reduces.  This is one
+    letter of `normal_form`.
+    """
+    gen = ring.presentation.generators[arrow]
+    rows = ring.right_action(arrow)
+    off = ring.offset[(source, gen.source)]
+    out: dict[int, int] = {}
+    for pos, a in vec.items():
+        for t, b in rows[off + pos].items():
+            out[t] = out.get(t, 0) + a * b
+    return _reduced(ring.torsion[(source, gen.target)], out)
 
 
 def _reduced(mods: list, vec: dict[int, int]) -> dict[int, int]:
@@ -628,6 +639,31 @@ def _reduced(mods: list, vec: dict[int, int]) -> dict[int, int]:
         if v:
             out[pos] = v
     return out
+
+
+def _table_rows(ring: CategoryRing) -> dict[tuple[int, int], dict[int, int]]:
+    """`ring.table` as sparse rows {pos: c} without zeros, read from the
+    table itself and never from the `sparse_table` cache, so that a table
+    changed after the cache was built is still the one read."""
+    return {key: {t: c for t, c in enumerate(vec) if c} for key, vec in ring.table.items()}
+
+
+def _product(ring: CategoryRing, rows, xs: dict[int, int], pair_x, ys: dict[int, int], pair_y) -> dict[int, int]:
+    """`compose` on sparse coefficients: xs over pair_x, then ys over pair_y.
+
+    `rows` is `_table_rows(ring)`.  The sum of a*b times the row of each
+    basis pair is reduced into the torsion of (source of pair_x, target
+    of pair_y), so the result is the `coeffs` of `compose`'s element
+    without its zeros.
+    """
+    off_x, off_y = ring.offset[pair_x], ring.offset[pair_y]
+    out: dict[int, int] = {}
+    for i, a in xs.items():
+        for j, b in ys.items():
+            ab = a * b
+            for t, c in rows[(off_x + i, off_y + j)].items():
+                out[t] = out.get(t, 0) + ab * c
+    return _reduced(ring.torsion[(pair_x[0], pair_y[1])], out)
 
 
 @dataclass
@@ -646,20 +682,36 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     """Check associativity on pseudo-random composable word triples.
 
     Returns the list of failing triples (empty = pass); deterministic in
-    the seed.  The normal form of each drawn word is computed once per
-    call, through the module-level `normal_form`, and kept for that call
-    only: the draws, and so the failing triples, are the same as with one
-    `normal_form` call per drawn word.
+    the seed.  Each triple draws a start object and three words of at
+    most `max_len` letters.  The normal form of each distinct drawn
+    (source, word) is computed once per call, as reduced sparse
+    coefficients: the form of its prefix one letter shorter, then that
+    letter (`_right_step`, the step of `normal_form`'s loop), so it
+    equals `normal_form`'s.  (uv)w and u(vw) are then compared as sparse
+    products of the table (`_product`, as in `verify_ring`), which equal
+    the `coeffs` of the `RingElement` products without their zeros.  The
+    forms are kept for the call only, and no draw depends on them, so
+    the draws and the failing triples are those of one `normal_form` per
+    drawn word and `RingElement` products per triple.
+
+    Raises ValueError when `count` or `max_len` is negative.
     """
     import random
 
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     rng = random.Random(seed)
     pres = ring.presentation
     gens = pres.generators
     arrows = pres.arrows
     failures = []
     outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
-    forms: dict[tuple[int, tuple], RingElement] = {}  # (source, word) -> its normal form
+    target_of = {a: gens[a].target for a in arrows}
+    rows = _table_rows(ring)
+    # (source, word) -> reduced sparse coefficients of its normal form
+    forms = {(x, ()): _reduced(ring.torsion[(x, x)], {ring.unit_pos[x]: 1}) for x in ring.objects}
 
     def random_word(start):
         length = rng.randint(0, max_len)
@@ -671,24 +723,27 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
                 break
             a = rng.choice(options)
             path.append(a)
-            cur = gens[a].target
+            cur = target_of[a]
         return tuple(path), cur
 
-    def form(word, source, target=None):
-        elem = forms.get((source, word))
-        if elem is None:
-            elem = forms[(source, word)] = normal_form(ring, word, source=source, target=target)
-        return elem
+    def form(source, word):
+        # extend the longest prefix with a known form, one letter at a time
+        n = len(word)
+        while (source, word[:n]) not in forms:
+            n -= 1
+        vec = forms[(source, word[:n])]
+        for m in range(n, len(word)):
+            vec = forms[(source, word[:m + 1])] = _right_step(ring, vec, source, word[m])
+        return vec
 
     for _ in range(count):
         x = rng.choice(ring.objects)
         u, y = random_word(x)
         v, z = random_word(y)
-        w, _ = random_word(z)
-        eu = form(u, x, y)
-        ev = form(v, y, z)
-        ew = form(w, z)
-        if eu.then(ev).then(ew) != eu.then(ev.then(ew)):
+        w, end = random_word(z)
+        eu, ev, ew = form(x, u), form(y, v), form(z, w)
+        lhs = _product(ring, rows, _product(ring, rows, eu, (x, y), ev, (y, z)), (x, z), ew, (z, end))
+        if lhs != _product(ring, rows, eu, (x, y), _product(ring, rows, ev, (y, z), ew, (z, end)), (y, end)):
             failures.append(f"associativity fails on words {u} {v} {w}")
     return failures
 
@@ -704,12 +759,13 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     The associativity check reads `ring.table` itself, as sparse rows
     built within the call, never the `sparse_table` or `right_action`
     caches, so a table changed after those were built is still the one
-    checked.  It runs `compose`'s arithmetic on sparse coefficients: a
-    basis product u.v is the table row of (u, v), reduced into the
-    torsion of its component, and each triple costs the two sums
-    (u.v).w and u.(v.w), reduced into the torsion of (x, w).  Triples
-    run over x -> y -> z -> w and then the basis positions, so failures
-    come in the order of the triple loop.
+    checked.  It runs `compose`'s arithmetic on sparse coefficients
+    through `_product`, the one sparse product that the torsion check
+    and `random_associativity_probe` share: a basis product u.v is the
+    table row of (u, v), reduced into the torsion of its component, and
+    each triple costs the two sums (u.v).w and u.(v.w), reduced into the
+    torsion of (x, w).  Triples run over x -> y -> z -> w and then the
+    basis positions, so failures come in the order of the triple loop.
 
     The triples multiply basis elements with coefficient 1 only, so they
     never test that a torsion modulus d of basis u holds in the table.
@@ -743,25 +799,14 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
             if b.then(ring.unit(y)) != b:
                 failures.append(f"right unit fails on basis {pos} of ({x},{y})")
 
-    table = {key: {t: c for t, c in enumerate(vec) if c} for key, vec in ring.table.items()}
+    rows = _table_rows(ring)
     torsion, offset = ring.torsion, ring.offset
-
-    def then(xs, pair_x, ys, pair_y):
-        # `compose` on sparse coefficients xs of pair_x and ys of pair_y
-        off_x, off_y = offset[pair_x], offset[pair_y]
-        out: dict[int, int] = {}
-        for i, a in xs.items():
-            for j, b in ys.items():
-                ab = a * b
-                for t, c in table[(off_x + i, off_y + j)].items():
-                    out[t] = out.get(t, 0) + ab * c
-        return _reduced(torsion[(pair_x[0], pair_y[1])], out)
 
     # each basis element, as `basis_element` reduces it, and every product
     # u.v of two composable ones, as `compose` gives it
     pair_of = [(x, y) for x, y, _ in ring.flat]
     elements = [_reduced(torsion[pair], {a - offset[pair]: 1}) for a, pair in enumerate(pair_of)]
-    products = {(a, b): then(elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in table}
+    products = {(a, b): _product(ring, rows, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in rows}
     block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
     objs = ring.objects
     for x in objs:
@@ -772,8 +817,9 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
                         for j, v in enumerate(block[(y, z)]):
                             uv = products[(u, v)]
                             for t, w in enumerate(block[(z, w_obj)]):
-                                lhs = then(uv, (x, z), elements[w], (z, w_obj))
-                                if lhs != then(elements[u], (x, y), products[(v, w)], (y, w_obj)):
+                                lhs = _product(ring, rows, uv, (x, z), elements[w], (z, w_obj))
+                                rhs = _product(ring, rows, elements[u], (x, y), products[(v, w)], (y, w_obj))
+                                if lhs != rhs:
                                     failures.append(
                                         f"associativity fails on basis triple "
                                         f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"

@@ -17,7 +17,8 @@ without a syzygy chain, the syzygy chain that covers kernel modules with
 their whole action, Ext read off a resolution one level longer than
 its degree, module validation on every composable pair of
 basis monomials, normal forms by chained composition, the ring
-certificate's associativity check by `RingElement` products, and
+certificate's associativity check and the random associativity probe by
+`RingElement` products, and
 presentation equivalence by completing both presentations.
 """
 
@@ -1253,6 +1254,55 @@ def chained_normal_form(ring, data, source=None, target=None):
             elem = elem.then(ring.arrow_forms[gi])
         acc = acc + ring.element(src, tgt, [c * v for v in elem.coeffs])
     return acc
+
+
+def oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=0):
+    """`catring.completion.random_associativity_probe` before it worked on
+    sparse vectors: each distinct drawn word gets a `RingElement` normal
+    form, kept for the call, and each triple is checked with four
+    `RingElement.then` products through `CategoryRing.compose`.  The
+    normal forms are `chained_normal_form`'s, which never reads the
+    `right_action` rows that the probe steps through; the draws are the
+    probe's, call for call."""
+    import random
+
+    rng = random.Random(seed)
+    gens = ring.presentation.generators
+    arrows = ring.presentation.arrows
+    failures = []
+    outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
+    forms = {}
+
+    def random_word(start):
+        length = rng.randint(0, max_len)
+        path = []
+        cur = start
+        for _ in range(length):
+            options = outgoing[cur]
+            if not options:
+                break
+            a = rng.choice(options)
+            path.append(a)
+            cur = gens[a].target
+        return tuple(path), cur
+
+    def form(word, source, target=None):
+        elem = forms.get((source, word))
+        if elem is None:
+            elem = forms[(source, word)] = chained_normal_form(ring, word, source=source, target=target)
+        return elem
+
+    for _ in range(count):
+        x = rng.choice(ring.objects)
+        u, y = random_word(x)
+        v, z = random_word(y)
+        w, _ = random_word(z)
+        eu = form(u, x, y)
+        ev = form(v, y, z)
+        ew = form(w, z)
+        if eu.then(ev).then(ew) != eu.then(ev.then(ew)):
+            failures.append(f"associativity fails on words {u} {v} {w}")
+    return failures
 
 
 def oracle_verify_ring(ring):

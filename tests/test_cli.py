@@ -84,17 +84,23 @@ def test_ring_verify_detects_corruption(workdir, tmp_path, capsys):
 
 def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
     # a work-count guard on one k=4 `ring verify` at the default seed: the
-    # probe computes one normal form per distinct drawn (source, word), 858
-    # of them, and the relation, basis-word and order-4 oracle checks make
-    # 99 more; the associativity check on basis triples makes no `compose`
-    # call.  Before the probe kept its normal forms and the triple check ran
-    # on sparse table rows, the same request made 3 099 `normal_form` and
-    # 8 172 `compose` calls.
+    # relation, basis-word and order-4 oracle checks make 99 `normal_form`
+    # calls, and the unit laws and the `right_action` rows that normal forms
+    # read make 104 `compose` calls.  The probe makes neither: it steps each
+    # distinct drawn (source, word) from its prefix, one right-action step
+    # per distinct nonempty prefix (1 049), and multiplies sparse vectors.
+    # Before that, the probe took one `normal_form` per distinct drawn word
+    # (858, with 4 201 right-action steps among them) and four `compose`
+    # calls per triple, and the same request made 957 `normal_form` and
+    # 4 104 `compose` calls; before the probe kept its normal forms and the
+    # triple check ran on sparse table rows, 3 099 and 8 172.
     from catring import completion
 
     calls = []
     composes = [0]
+    steps = [0]
     normal_form, compose = completion.normal_form, completion.CategoryRing.compose
+    right_step = completion._right_step
 
     def counted_normal_form(ring, data, source=None, target=None):
         calls.append((source, data))
@@ -104,16 +110,22 @@ def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
         composes[0] += 1
         return compose(self, x, y)
 
+    def counted_right_step(ring, vec, source, arrow):
+        steps[0] += 1
+        return right_step(ring, vec, source, arrow)
+
     monkeypatch.setattr(completion, "normal_form", counted_normal_form)
     monkeypatch.setattr(completion.CategoryRing, "compose", counted_compose)
     code, out, _ = run_cli(["ring", "verify", str(workdir / "ring4.json")], capsys)
     assert code == 0 and out.startswith("verify: ok")
-    assert (len(calls), composes[0]) == (957, 4104)
+    assert (len(calls), composes[0]) == (99, 104)
 
     calls.clear()
+    monkeypatch.setattr(completion, "_right_step", counted_right_step)
     ring = ring_from_dict(load_json(workdir / "ring4.json"))
     assert completion.random_associativity_probe(ring, count=1000, max_len=6, seed=0) == []
-    assert len(calls) == len(set(calls)) == 858
+    assert calls == []
+    assert steps[0] == 1049
 
 
 def test_ring_verify_rejects_basis_words_out_of_normal_form(workdir, tmp_path, capsys):

@@ -33,6 +33,7 @@ from oracles import (
     chained_normal_form,
     oracle_complete,
     oracle_echelons,
+    oracle_random_associativity_probe,
     oracle_verify_ring,
 )
 
@@ -307,7 +308,7 @@ def test_normal_form_matches_chained_oracle(ring1, ring2, ring3, ring4, ring_c4_
                 assert normal_form(ring, data) == fast
 
 
-def test_probe_matches_chained_oracle_on_corrupted_ring(ring4, monkeypatch):
+def test_probe_matches_chained_oracle_on_corrupted_ring(ring4):
     data = ring_to_dict(ring4)
     entry = next(e for e in data["table"] if any(e[2]))
     entry[2][0] += 1
@@ -319,9 +320,32 @@ def test_probe_matches_chained_oracle_on_corrupted_ring(ring4, monkeypatch):
     assert len(fast[0]) == 44
     assert fast[0][0] == "associativity fails on words () (3, 3, 3, 3) (3, 3, 3)"
     assert fast[0][-1] == "associativity fails on words (5, 4, 7, 3) () ()"
-    monkeypatch.setattr(completion, "normal_form", chained_normal_form)
     for seed, failures in fast.items():
-        assert random_associativity_probe(broken, count=1000, max_len=6, seed=seed) == failures
+        assert oracle_random_associativity_probe(broken, count=1000, max_len=6, seed=seed) == failures
+
+
+def test_probe_matches_oracle_on_seeded_draws(ring1, ring2, ring3, ring4, ring6, ring_c4_hand):
+    # sparse prefix-built normal forms and sparse products against
+    # `RingElement` ones, over short and long words, empty words among them
+    rings = (ring1, ring2, ring3, ring4, ring6, ring_c4_hand, with_torsion(ring4))
+    for ring in rings:
+        for seed in (0, 3, 19):
+            for max_len in (0, 1, 3, 6, 9):
+                for count in (0, 1, 200):
+                    fast = random_associativity_probe(ring, count=count, max_len=max_len, seed=seed)
+                    slow = oracle_random_associativity_probe(ring, count=count, max_len=max_len, seed=seed)
+                    assert fast == slow, (ring.presentation.group_order, seed, max_len, count)
+    # the torsion slots do not agree with the table, so some triples fail
+    assert random_associativity_probe(rings[-1], count=200, max_len=6, seed=3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, reason",
+    [({"count": -3}, "count must be non-negative"), ({"max_len": -1}, "max_len must be non-negative")],
+)
+def test_probe_rejects_negative_arguments(ring2, kwargs, reason):
+    with pytest.raises(ValueError, match=reason):
+        random_associativity_probe(ring2, **kwargs)
 
 
 def test_normal_form_rejects_nonparallel(ring4):
@@ -405,9 +429,9 @@ def corrupted_rings(ring, rng, per_kind):
     return cases
 
 
-def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring4, ring_c4_hand, monkeypatch):
-    # the sparse triple check against the `RingElement` one it replaced, and
-    # the memoized probe against chained normal forms, failure for failure
+def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring4, ring_c4_hand):
+    # the sparse triple check and the sparse probe against the `RingElement`
+    # ones they replaced, failure for failure
     rng = random.Random(13)
     corrupted = corrupted_rings(ring2, rng, 3) + corrupted_rings(ring4, rng, 3)
     cases = [(f"ring {i}", r) for i, r in enumerate((ring1, ring2, ring3, ring4, ring_c4_hand))]
@@ -419,10 +443,8 @@ def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring
         assert report.failures == expected.failures, label
         assert report.warnings == expected.warnings, label
         probes = {seed: random_associativity_probe(ring, count=1000, max_len=6, seed=seed) for seed in (0, 7)}
-        with monkeypatch.context() as m:
-            m.setattr(completion, "normal_form", chained_normal_form)
-            for seed, failures in probes.items():
-                assert random_associativity_probe(ring, count=1000, max_len=6, seed=seed) == failures, label
+        for seed, failures in probes.items():
+            assert oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=seed) == failures, label
         if report.failures or any(probes.values()):
             caught.add(label)
         if not report.failures and any(probes.values()):
