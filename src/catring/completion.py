@@ -31,6 +31,8 @@ slots with a modulus keep their coefficients reduced into [0, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from .intlin import Lattice
 from .presentation import IDENTITY, Presentation
@@ -113,21 +115,18 @@ class RingElement:
             self.source, self.target, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __sub__(self, other):
-        self._check(other)
-        return self.ring.element(
-            self.source, self.target, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return self.ring.element(self.source, self.target, [-a for a in self.coeffs])
-
     def _check(self, other):
         if (self.source, self.target) != (other.source, other.target):
             raise ValueError("elements live in different components")
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    @cached_property
+    def sparse(self) -> dict[int, int]:
+        """The nonzero coefficients as {pos: c}, built on first use: read
+        it, never mutate it."""
+        return {t: c for t, c in enumerate(self.coeffs) if c}
 
     def then(self, other: "RingElement") -> "RingElement":
         """Composition in diagram order: (x.then(y)) applies x first."""
@@ -139,6 +138,20 @@ class RingElement:
         return self.ring.element_str(self)
 
 
+def _flat_layout(objects, basis):
+    """(pairs, flat, flat_of, offset): the object pairs in order, every
+    basis word as (source, target, word) at its flat index, the flat
+    index of each such triple, and the flat index of each pair's first
+    word.  Pairs run x-major over `objects`, words in basis order."""
+    pairs = [(x, y) for x in objects for y in objects]
+    flat: list[tuple[int, int, tuple]] = []
+    offset: dict[tuple[int, int], int] = {}
+    for pair in pairs:
+        offset[pair] = len(flat)
+        flat.extend((pair[0], pair[1], w) for w in basis[pair])
+    return pairs, flat, {key: n for n, key in enumerate(flat)}, offset
+
+
 class CategoryRing:
     """A completed category ring: basis words, torsion and the table.
 
@@ -146,37 +159,26 @@ class CategoryRing:
     monomial order, `torsion[(X, Y)]` their moduli (None for free slots).
     `table[(u, v)]`, for flat basis indices with target(u) == source(v),
     is the coefficient vector of the composite "u then v" over the basis
-    of (source(u), target(v)).  The table must not change once
-    `right_action`, `sparse_table` or `modules.free_module` has cached
-    rows built from it.
+    of (source(u), target(v)), a tuple.  The table is read-only: the
+    constructor keeps a copy of the dict it is given behind a
+    `MappingProxyType`.
     """
 
     def __init__(self, presentation, basis, torsion, table, arrow_forms, stabilized_at, max_len, window):
         self.presentation = presentation
         self.objects = presentation.objects
-        self.pairs = [(x, y) for x in self.objects for y in self.objects]
         self.basis = basis
         self.torsion = torsion
-        self.table = table
+        self.table = MappingProxyType(dict(table))
         self.stabilized_at = stabilized_at
         self.max_len = max_len
         self.window = window
-
-        self.flat: list[tuple[int, int, tuple]] = []
-        self.flat_of: dict[tuple[int, int, tuple], int] = {}
-        self.offset: dict[tuple[int, int], int] = {}
-        for pair in self.pairs:
-            self.offset[pair] = len(self.flat)
-            for w in basis[pair]:
-                self.flat_of[(pair[0], pair[1], w)] = len(self.flat)
-                self.flat.append((pair[0], pair[1], w))
+        self.pairs, self.flat, self.flat_of, self.offset = _flat_layout(self.objects, basis)
         self.unit_pos = {x: basis[(x, x)].index(()) for x in self.objects}
         # arrow_forms maps each non-identity generator index to its normal form
         self.arrow_forms = {
             gi: self.element(src, tgt, coeffs) for gi, (src, tgt, coeffs) in arrow_forms.items()
         }
-        self._right_rows: dict[int, dict[int, dict[int, int]]] = {}
-        self._sparse_table: dict[tuple[int, int], dict[int, int]] | None = None
         # entry tuple -> free module, filled by `modules.free_module`
         self._free_modules: dict[tuple, object] = {}
 
@@ -202,49 +204,17 @@ class CategoryRing:
 
     def compose(self, x: RingElement, y: RingElement) -> RingElement:
         """x then y, i.e. the ring product y o x."""
+        prod = _product(self, x.sparse, (x.source, x.target), y.sparse, (y.source, y.target))
         out = [0] * len(self.basis[(x.source, y.target)])
-        off_x = self.offset[(x.source, x.target)]
-        off_y = self.offset[(y.source, y.target)]
-        for i, a in enumerate(x.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(y.coeffs):
-                if not b:
-                    continue
-                vec = self.table[(off_x + i, off_y + j)]
-                ab = a * b
-                for t, c in enumerate(vec):
-                    if c:
-                        out[t] += ab * c
+        for t, c in prod.items():
+            out[t] = c
         return self.element(x.source, y.target, out)
 
-    def right_action(self, arrow: int) -> dict[int, dict[int, int]]:
-        """Sparse rows of "then arrow", built on first use.
-
-        Maps each flat basis index u with target(u) == source(arrow) to
-        the nonzero coefficients {pos: c} of u.then(arrow) over the basis
-        of (source(u), target(arrow)).
-        """
-        rows = self._right_rows.get(arrow)
-        if rows is None:
-            form = self.arrow_forms[arrow]
-            rows = {}
-            for x in self.objects:
-                off = self.offset[(x, form.source)]
-                for pos in range(len(self.basis[(x, form.source)])):
-                    prod = self.compose(self.basis_element(x, form.source, pos), form)
-                    rows[off + pos] = {t: c for t, c in enumerate(prod.coeffs) if c}
-            self._right_rows[arrow] = rows
-        return rows
-
+    @cached_property
     def sparse_table(self) -> dict[tuple[int, int], dict[int, int]]:
         """The table as sparse rows {pos: c} without zeros, built on first
         use and shared by every caller: read it, never mutate it."""
-        if self._sparse_table is None:
-            self._sparse_table = {
-                key: {t: c for t, c in enumerate(vec) if c} for key, vec in self.table.items()
-            }
-        return self._sparse_table
+        return {key: {t: c for t, c in enumerate(vec) if c} for key, vec in self.table.items()}
 
     # -- presentation-facing helpers ------------------------------------
 
@@ -555,11 +525,12 @@ def _build_ring(pres, spaces, snap, bound, max_len, window):
             coeffs[pos[space.words[-col]]] = c
         arrow_forms[a] = (g.source, g.target, tuple(coeffs))
 
-    ring = CategoryRing(pres, basis, torsion, {}, arrow_forms, bound, max_len, window)
-    flat_of = ring.flat_of
-    for (px, py, w_u, qy, qz, w_v), vec in table_items:
-        ring.table[(flat_of[(px, py, w_u)], flat_of[(qy, qz, w_v)])] = vec
-    return ring
+    flat_of = _flat_layout(pres.objects, basis)[2]
+    table = {
+        (flat_of[(px, py, w_u)], flat_of[(qy, qz, w_v)]): vec
+        for (px, py, w_u, qy, qz, w_v), vec in table_items
+    }
+    return CategoryRing(pres, basis, torsion, table, arrow_forms, bound, max_len, window)
 
 
 def normal_form(ring: CategoryRing, data, source: int | None = None, target: int | None = None) -> RingElement:
@@ -615,19 +586,11 @@ def _right_step(ring: CategoryRing, vec: dict[int, int], source: int, arrow: int
     """`vec` then `arrow`, as reduced sparse coefficients.
 
     `vec` holds the reduced sparse coefficients of an element of
-    (source, source of `arrow`); the result is that element times the
-    `right_action` rows of `arrow`, reduced into the torsion slots of
-    (source, target of `arrow`) as composition reduces.  This is one
-    letter of `normal_form`.
+    (source, source of `arrow`); the result is its `_product` with the
+    normal form of `arrow`.  This is one letter of `normal_form`.
     """
-    gen = ring.presentation.generators[arrow]
-    rows = ring.right_action(arrow)
-    off = ring.offset[(source, gen.source)]
-    out: dict[int, int] = {}
-    for pos, a in vec.items():
-        for t, b in rows[off + pos].items():
-            out[t] = out.get(t, 0) + a * b
-    return _reduced(ring.torsion[(source, gen.target)], out)
+    form = ring.arrow_forms[arrow]
+    return _product(ring, vec, (source, form.source), form.sparse, (form.source, form.target))
 
 
 def _reduced(mods: list, vec: dict[int, int]) -> dict[int, int]:
@@ -641,21 +604,15 @@ def _reduced(mods: list, vec: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _table_rows(ring: CategoryRing) -> dict[tuple[int, int], dict[int, int]]:
-    """`ring.table` as sparse rows {pos: c} without zeros, read from the
-    table itself and never from the `sparse_table` cache, so that a table
-    changed after the cache was built is still the one read."""
-    return {key: {t: c for t, c in enumerate(vec) if c} for key, vec in ring.table.items()}
+def _product(ring: CategoryRing, xs: dict[int, int], pair_x, ys: dict[int, int], pair_y) -> dict[int, int]:
+    """The ring product on sparse coefficients: xs over pair_x, then ys
+    over pair_y.
 
-
-def _product(ring: CategoryRing, rows, xs: dict[int, int], pair_x, ys: dict[int, int], pair_y) -> dict[int, int]:
-    """`compose` on sparse coefficients: xs over pair_x, then ys over pair_y.
-
-    `rows` is `_table_rows(ring)`.  The sum of a*b times the row of each
-    basis pair is reduced into the torsion of (source of pair_x, target
-    of pair_y), so the result is the `coeffs` of `compose`'s element
-    without its zeros.
+    The sum of a*b times the `sparse_table` row of each basis pair is
+    reduced into the torsion of (source of pair_x, target of pair_y).
+    Every product of ring elements in the package is this one.
     """
+    rows = ring.sparse_table
     off_x, off_y = ring.offset[pair_x], ring.offset[pair_y]
     out: dict[int, int] = {}
     for i, a in xs.items():
@@ -687,10 +644,9 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     (source, word) is computed once per call, as reduced sparse
     coefficients: the form of its prefix one letter shorter, then that
     letter (`_right_step`, the step of `normal_form`'s loop), so it
-    equals `normal_form`'s.  (uv)w and u(vw) are then compared as sparse
-    products of the table (`_product`, as in `verify_ring`), which equal
-    the `coeffs` of the `RingElement` products without their zeros.  The
-    forms are kept for the call only, and no draw depends on them, so
+    equals `normal_form`'s.  (uv)w and u(vw) are then compared through
+    `_product`, the product that `compose` and `verify_ring` use too.
+    The forms are kept for the call only, and no draw depends on them, so
     the draws and the failing triples are those of one `normal_form` per
     drawn word and `RingElement` products per triple.
 
@@ -709,7 +665,6 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     failures = []
     outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
     target_of = {a: gens[a].target for a in arrows}
-    rows = _table_rows(ring)
     # (source, word) -> reduced sparse coefficients of its normal form
     forms = {(x, ()): _reduced(ring.torsion[(x, x)], {ring.unit_pos[x]: 1}) for x in ring.objects}
 
@@ -742,8 +697,8 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
         v, z = random_word(y)
         w, end = random_word(z)
         eu, ev, ew = form(x, u), form(y, v), form(z, w)
-        lhs = _product(ring, rows, _product(ring, rows, eu, (x, y), ev, (y, z)), (x, z), ew, (z, end))
-        if lhs != _product(ring, rows, eu, (x, y), _product(ring, rows, ev, (y, z), ew, (z, end)), (y, end)):
+        lhs = _product(ring, _product(ring, eu, (x, y), ev, (y, z)), (x, z), ew, (z, end))
+        if lhs != _product(ring, eu, (x, y), _product(ring, ev, (y, z), ew, (z, end)), (y, end)):
             failures.append(f"associativity fails on words {u} {v} {w}")
     return failures
 
@@ -756,14 +711,11 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     validation on letters (`GradedModule.validate`) relies on it, along
     with the unit laws and associativity.
 
-    The associativity check reads `ring.table` itself, as sparse rows
-    built within the call, never the `sparse_table` or `right_action`
-    caches, so a table changed after those were built is still the one
-    checked.  It runs `compose`'s arithmetic on sparse coefficients
-    through `_product`, the one sparse product that the torsion check
-    and `random_associativity_probe` share: a basis product u.v is the
-    table row of (u, v), reduced into the torsion of its component, and
-    each triple costs the two sums (u.v).w and u.(v.w), reduced into the
+    The associativity check multiplies sparse coefficients through
+    `_product`, the product that `compose`, the torsion check and
+    `random_associativity_probe` share: a basis product u.v is the table
+    row of (u, v), reduced into the torsion of its component, and each
+    triple costs the two sums (u.v).w and u.(v.w), reduced into the
     torsion of (x, w).  Triples run over x -> y -> z -> w and then the
     basis positions, so failures come in the order of the triple loop.
 
@@ -799,14 +751,13 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
             if b.then(ring.unit(y)) != b:
                 failures.append(f"right unit fails on basis {pos} of ({x},{y})")
 
-    rows = _table_rows(ring)
     torsion, offset = ring.torsion, ring.offset
 
     # each basis element, as `basis_element` reduces it, and every product
     # u.v of two composable ones, as `compose` gives it
     pair_of = [(x, y) for x, y, _ in ring.flat]
     elements = [_reduced(torsion[pair], {a - offset[pair]: 1}) for a, pair in enumerate(pair_of)]
-    products = {(a, b): _product(ring, rows, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in rows}
+    products = {(a, b): _product(ring, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in ring.sparse_table}
     block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
     objs = ring.objects
     for x in objs:
@@ -817,8 +768,8 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
                         for j, v in enumerate(block[(y, z)]):
                             uv = products[(u, v)]
                             for t, w in enumerate(block[(z, w_obj)]):
-                                lhs = _product(ring, rows, uv, (x, z), elements[w], (z, w_obj))
-                                rhs = _product(ring, rows, elements[u], (x, y), products[(v, w)], (y, w_obj))
+                                lhs = _product(ring, uv, (x, z), elements[w], (z, w_obj))
+                                rhs = _product(ring, elements[u], (x, y), products[(v, w)], (y, w_obj))
                                 if lhs != rhs:
                                     failures.append(
                                         f"associativity fails on basis triple "

@@ -226,7 +226,7 @@ class GradedModule:
                     raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
         # functoriality through the structure constants, on letters
         letters = _letters(ring)
-        table = ring.sparse_table()
+        table = ring.sparse_table
         for fu, (x, y, _) in enumerate(ring.flat):
             for fa in letters[y]:
                 z = ring.flat[fa][1]
@@ -268,7 +268,7 @@ def yoneda(ring: CategoryRing, obj: int, eps: int) -> GradedModule:
     if obj not in ring.objects:
         raise KeyError(f"unknown object {obj}")
     gens = {(x, eps): tuple(ring.word_str(w, x) for w in ring.basis[(x, obj)]) for x in ring.objects}
-    table = ring.sparse_table()
+    table = ring.sparse_table
     act = {}
     for fb, (_, y, _) in enumerate(ring.flat):
         # one row per basis word u: y -> obj, the table row of "fb then u"
@@ -475,7 +475,7 @@ class FreeModule(GradedModule):
                     names.extend(f"e{j}:{ring.word_str(w, x)}" for w in ring.basis[(x, obj)])
                 gens[(x, e)] = tuple(names)
                 blocks[(x, e)] = blk
-        table = ring.sparse_table()
+        table = ring.sparse_table
         for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
                 rows = []

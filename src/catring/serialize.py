@@ -11,6 +11,7 @@ other ring before any computation touches them.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -233,11 +234,17 @@ def ring_from_dict(data: dict) -> CategoryRing:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise FormatError("table entry must be [u, v, vector]")
         u, v, vec = entry
+        if not (type(u) is int and type(v) is int):
+            raise FormatError(f"table entry [{u!r}, {v!r}, ...] needs integer indices")
         if not (0 <= u < nflat and 0 <= v < nflat):
             raise FormatError("table index out of range")
         vec = table[(u, v)] = tuple(vec)
         if not _INT.issuperset(map(type, vec)):
             raise FormatError(f"table entry ({u},{v}) has a non-integer coefficient")
+    if len(table) != len(data["table"]):
+        counts = collections.Counter((u, v) for u, v, _ in data["table"])
+        u, v = next(key for key, n in counts.items() if n > 1)
+        raise FormatError(f"repeated table entry ({u},{v})")
     # every composable pair gets a vector over its target component
     composable = 0
     for x, y, z in itertools.product(pres.objects, repeat=3):

@@ -85,15 +85,17 @@ def test_ring_verify_detects_corruption(workdir, tmp_path, capsys):
 def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
     # a work-count guard on one k=4 `ring verify` at the default seed: the
     # relation, basis-word and order-4 oracle checks make 99 `normal_form`
-    # calls, and the unit laws and the `right_action` rows that normal forms
-    # read make 104 `compose` calls.  The probe makes neither: it steps each
-    # distinct drawn (source, word) from its prefix, one right-action step
-    # per distinct nonempty prefix (1 049), and multiplies sparse vectors.
-    # Before that, the probe took one `normal_form` per distinct drawn word
-    # (858, with 4 201 right-action steps among them) and four `compose`
-    # calls per triple, and the same request made 957 `normal_form` and
-    # 4 104 `compose` calls; before the probe kept its normal forms and the
-    # triple check ran on sparse table rows, 3 099 and 8 172.
+    # calls, and the unit laws make 44 `compose` calls.  The probe makes
+    # neither: it steps each distinct drawn (source, word) from its prefix,
+    # one right-action step per distinct nonempty prefix (1 049), and
+    # multiplies sparse vectors.  Before right-action steps multiplied by
+    # the arrow's normal form, 60 more `compose` calls built cached rows of
+    # "then arrow" (104 in all).  Before that, the probe took one
+    # `normal_form` per distinct drawn word (858, with 4 201 right-action
+    # steps among them) and four `compose` calls per triple, and the same
+    # request made 957 `normal_form` and 4 104 `compose` calls; before the
+    # probe kept its normal forms and the triple check ran on sparse table
+    # rows, 3 099 and 8 172.
     from catring import completion
 
     calls = []
@@ -118,7 +120,7 @@ def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
     monkeypatch.setattr(completion.CategoryRing, "compose", counted_compose)
     code, out, _ = run_cli(["ring", "verify", str(workdir / "ring4.json")], capsys)
     assert code == 0 and out.startswith("verify: ok")
-    assert (len(calls), composes[0]) == (99, 104)
+    assert (len(calls), composes[0]) == (99, 44)
 
     calls.clear()
     monkeypatch.setattr(completion, "_right_step", counted_right_step)
@@ -456,6 +458,14 @@ def _two_field_table_entry(data):
     data["table"][0] = data["table"][0][:2]
 
 
+def _repeated_table_entry(data):
+    data["table"].append(data["table"][0])
+
+
+def _boolean_table_index(data):
+    next(e for e in data["table"] if e[1] == 1)[1] = True
+
+
 def _arrow_form_out_of_range(data):
     data["arrow_forms"][0]["generator"] = len(data["presentation"]["generators"])
 
@@ -584,6 +594,8 @@ def _boolean_window(data):
         ("yoneda.json", _long_action_row),
         ("yoneda.json", _missing_action_row),
         ("ring4.json", _two_field_table_entry),
+        ("ring4.json", _repeated_table_entry),
+        ("ring4.json", _boolean_table_index),
         ("ring4.json", _arrow_form_out_of_range),
         ("ring4.json", _relation_word_out_of_range),
         ("ring4.json", _relation_source_out_of_range),

@@ -32,6 +32,7 @@ from oracles import (
     MaxPivotEchelon,
     chained_normal_form,
     oracle_complete,
+    oracle_compose,
     oracle_echelons,
     oracle_random_associativity_probe,
     oracle_verify_ring,
@@ -363,17 +364,52 @@ def test_verify_ring_passes_k1_through_k4(ring1, ring2, ring3, ring4, ring_c4_ha
         assert not report.warnings  # no torsion anywhere
 
 
-def test_verify_ring_detects_corruption(ring2):
-    import copy
+def bumped_table_entry(ring, key):
+    """`ring` written to a file dict, its table entry `key` (a nonzero
+    product) raised by 1 at position 0, its hash recomputed and read back."""
+    data = ring_to_dict(ring)
+    entry = next(e for e in data["table"] if tuple(e[:2]) == key)
+    entry[2][0] += 1
+    data["ring_hash"] = content_hash(data)
+    return ring_from_dict(data)
 
-    broken = copy.deepcopy(ring2)
-    key = next(k for k, v in broken.table.items() if any(v))
-    vec = list(broken.table[key])
-    vec[0] += 1
-    broken.table[key] = tuple(vec)
-    report = verify_ring(broken)
+
+def test_verify_ring_detects_corruption(ring2):
+    assert ring2.sparse_table  # the caches of the original ring are warm
+    key = next(k for k, v in ring2.table.items() if any(v))
+    report = verify_ring(bumped_table_entry(ring2, key))
     assert not report.ok
     assert report.failures
+    assert verify_ring(ring2).ok
+
+
+def test_table_is_read_only(ring4):
+    loaded = ring_from_dict(ring_to_dict(ring4))
+    for ring in (ring4, loaded):
+        key = next(iter(ring.table))
+        vec = ring.table[key]
+        with pytest.raises(TypeError):
+            ring.table[key] = (0,) * len(vec)
+        with pytest.raises(TypeError):
+            del ring.table[key]
+        assert type(vec) is tuple and ring.table[key] is vec
+
+
+def test_compose_matches_oracle_compose(ring2, ring3, ring4, ring6):
+    rng = random.Random(21)
+    for ring in (ring2, ring3, ring4, ring6, with_torsion(ring4)):
+        flat = [(x, y, pos) for x, y in ring.pairs for pos in range(len(ring.basis[(x, y)]))]
+        for x, y, i in flat:
+            u = ring.basis_element(x, y, i)
+            for src, z, j in flat:
+                if src == y:
+                    v = ring.basis_element(y, z, j)
+                    assert ring.compose(u, v) == oracle_compose(ring, u, v), (u, v)
+        for _ in range(300):
+            x, y, z = (rng.choice(ring.objects) for _ in range(3))
+            u = ring.element(x, y, [rng.randint(-3, 3) for _ in ring.basis[(x, y)]])
+            v = ring.element(y, z, [rng.randint(-3, 3) for _ in ring.basis[(y, z)]])
+            assert u.then(v) == ring.compose(u, v) == oracle_compose(ring, u, v), (u, v)
 
 
 CORRUPTIONS = ("unit row", "letter column", "elsewhere", "arrow form", "torsion")
@@ -460,20 +496,15 @@ def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring
 
 
 def test_verify_ring_reads_the_table_it_is_given(ring4):
-    import copy
-
-    # warm every cache built from the table, then change the table under them
-    ring4.sparse_table()
-    for arrow in ring4.arrow_forms:
-        ring4.right_action(arrow)
-    broken = copy.deepcopy(ring4)
+    # warm every cache built from the table, then read back a file whose
+    # table differs from it in one entry
+    assert ring4.sparse_table
+    assert random_associativity_probe(ring4, count=50) == []
     units = {ring4.offset[(x, x)] + ring4.unit_pos[x] for x in ring4.objects}
-    key = next(k for k, v in sorted(broken.table.items()) if units.isdisjoint(k) and any(v))
-    vec = list(broken.table[key])
-    vec[0] += 1
-    broken.table[key] = tuple(vec)
-    report = verify_ring(broken)
+    key = next(k for k, v in sorted(ring4.table.items()) if units.isdisjoint(k) and any(v))
+    report = verify_ring(bumped_table_entry(ring4, key))
     assert any(f.startswith(("associativity fails", "basis ")) for f in report.failures), report.failures
+    assert verify_ring(ring4).ok
 
 
 def test_random_word_associativity(ring4):

@@ -71,6 +71,35 @@ def test_loaded_ring_computes_normal_forms(ring4):
     assert lhs == rhs
 
 
+def _repeat_table_entry(table):
+    # a second record for the first entry, with another vector: it must
+    # not silently replace the first
+    u, v, vec = table[0]
+    table.append([u, v, [c + 1 for c in vec]])
+
+
+def _boolean_table_index(table):
+    # true reads as 1 in Python, so the entry would load as (1, v)
+    entry = next(e for e in table if e[0] == 1)
+    entry[0] = True
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_repeat_table_entry, r"repeated table entry \(0,0\)"),
+        (_boolean_table_index, r"table entry \[True, \d+, \.\.\.\] needs integer indices"),
+    ],
+    ids=["repeated", "boolean"],
+)
+def test_ring_table_indices_are_checked(ring2, change, message):
+    data = ring_to_dict(ring2)
+    change(data["table"])
+    data["ring_hash"] = content_hash(data)
+    with pytest.raises(FormatError, match=message):
+        ring_from_dict(data)
+
+
 def test_ring_hash_detects_tampering(ring2, tmp_path):
     d = ring_to_dict(ring2)
     d["max_len"] = d["max_len"] + 1

@@ -115,3 +115,16 @@ def test_tracer_sees_chain_products_inside_free_cover(ring4):
     names = [tracer.names[i] for i in tracer.name]
     parents = [names[p] for i, p in enumerate(tracer.parent) if names[i] == "intlin.mat_mul"]
     assert parents == ["modules.free_cover"] * calls["intlin.mat_mul"]
+
+
+def test_tracer_table_nnz_counts_the_written_table_entries(ring2, ring4):
+    # the build trace anchors `completion.table_nnz.k*` on this count: it
+    # must equal the number of entries a ring file writes, so a change to
+    # how a ring stores its table cannot move the anchor while the file
+    # stays the same
+    tracing = load_tracing()
+    for ring in (ring2, ring4):
+        tracer = tracing.Tracer()
+        tracer._complete_exit((), ring)
+        nnz = tracer.ring_stats[ring.presentation.group_order][2]
+        assert nnz == len(ring_to_dict(ring)["table"]) > 0
