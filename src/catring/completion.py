@@ -625,10 +625,16 @@ def _product(ring: CategoryRing, xs: dict[int, int], pair_x, ys: dict[int, int],
 
 @dataclass
 class VerificationReport:
-    """Failures are hard errors; warnings flag unusual but valid data."""
+    """Failures are hard errors; warnings flag unusual but valid data.
+
+    `associative` is True when the table passed `verify_ring`'s triple
+    and torsion checks, which proves that `random_associativity_probe`
+    finds no failing triple (see `verify_ring`).
+    """
 
     failures: list[str]
     warnings: list[str]
+    associative: bool
 
     @property
     def ok(self) -> bool:
@@ -725,6 +731,39 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     for every composable basis v after u and t before it: products with
     u are then well defined on Z/d.  Each violation is one failure, in
     the flat order of u, then of v, then of t.
+
+    `associative` is True when neither the triple loop nor the torsion
+    loops append a failure, and no modulus is d <= -3 (see below).  Then
+    `random_associativity_probe` returns [] for every seed, count and
+    word length, so `ring verify` runs it only when `associative` is
+    False.  Proof.  Write R for the reduction of a vector into the
+    torsion of its component (`_reduced`), so that R(x) = R(y) exactly
+    when x and y are congruent (x ~ y) modulo that torsion, and
+    R(x + y) = R(R(x) + y), R(n x) = R(n R(x)).  Write T for the product
+    of integer vectors that sums coefficient products times `sparse_table`
+    rows; it is bilinear, and `_product(x, y)` is R(T(x, y)).  Let
+    E_p = R(e_p) be the reduced basis element of slot p (`elements`):
+    it is e_p on a free slot or a modulus d >= 2, -e_p for d = -2, and 0
+    for d = 1 or -1, where every reduced vector is 0 too.  (A modulus
+    d <= -3 reduces 1 to 1 + d, not a unit, so the checks would only see
+    multiples; no completion writes one, and `associative` is then False.)
+    So a reduced vector is a sum a = sum_i a_i E_i.
+
+    (1) Let delta ~ 0 be an integer vector that is 0 on the slots with
+    E_p = 0, and c a reduced vector.  Then delta = sum_p k_p d_p e_p over
+    slots with |d_p| >= 2, where e_p = +-E_p, and the torsion loops showed
+    R(d_p P_pq) = 0 and R(d_p P_qp) = 0 for P_pq = R(T(E_p, E_q)) and every
+    composable q.  By bilinearity T(delta, c) ~ 0 and T(c, delta) ~ 0.
+
+    (2) Let a, b, c be reduced.  R(T(a, b)) and z = sum_ij a_i b_j P_ij are
+    congruent and both 0 on the slots with E_p = 0, so by (1)
+    (ab)c = R(T(R(T(a, b)), c)) = R(T(z, c)) = R(sum_ijk a_i b_j c_k L_ijk)
+    with L_ijk = R(T(P_ij, E_k)), the left side of the triple check.  In the
+    same way a(bc) = R(sum_ijk a_i b_j c_k Q_ijk) with its right side
+    Q_ijk = R(T(E_i, P_jk)).  The triple loop found L_ijk = Q_ijk for every
+    basis triple, so (ab)c = a(bc).  The probe compares exactly these two
+    `_product`s on reduced vectors, so no triple it draws fails, whatever
+    the seed, the word lengths or the arrow forms.
     """
     failures: list[str] = []
     warnings: list[str] = []
@@ -757,6 +796,9 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     # u.v of two composable ones, as `compose` gives it
     pair_of = [(x, y) for x, y, _ in ring.flat]
     elements = [_reduced(torsion[pair], {a - offset[pair]: 1}) for a, pair in enumerate(pair_of)]
+    # False once a check below fails, or when a modulus d <= -3 leaves a
+    # basis element reduced to a non-unit multiple of itself
+    associative = all(c in (1, -1) for e in elements for c in e.values())
     products = {(a, b): _product(ring, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in ring.sparse_table}
     block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
     objs = ring.objects
@@ -771,6 +813,7 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
                                 lhs = _product(ring, uv, (x, z), elements[w], (z, w_obj))
                                 rhs = _product(ring, elements[u], (x, y), products[(v, w)], (y, w_obj))
                                 if lhs != rhs:
+                                    associative = False
                                     failures.append(
                                         f"associativity fails on basis triple "
                                         f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"
@@ -787,9 +830,11 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
         where = f"torsion modulus {d} of basis {i} of ({x},{y}) fails on"
         for v, (src, z) in enumerate(pair_of):
             if src == y and not kills(d, products[(u, v)], (x, z)):
+                associative = False
                 failures.append(f"{where} its product with basis {v - offset[(y, z)]} of ({y},{z})")
         for t, (w_obj, tgt) in enumerate(pair_of):
             if tgt == x and not kills(d, products[(t, u)], (w_obj, y)):
+                associative = False
                 failures.append(f"{where} the product of basis {t - offset[(w_obj, x)]} of ({w_obj},{x}) with it")
 
     for pair in ring.pairs:
@@ -797,4 +842,4 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
         if mods:
             warnings.append(f"component {pair} carries torsion moduli {mods}")
 
-    return VerificationReport(failures, warnings)
+    return VerificationReport(failures, warnings, associative)

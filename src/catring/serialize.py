@@ -201,10 +201,13 @@ def ring_from_dict(data: dict) -> CategoryRing:
         pair = (comp["source"], comp["target"])
         if pair in basis:
             raise FormatError(f"repeated component record for {pair}")
-        basis[pair] = [tuple(w) for w in comp["basis"]]
-        torsion[pair] = [m if m else None for m in comp["torsion"]]
-        if len(torsion[pair]) != len(basis[pair]) or not _MODULUS.issuperset(map(type, torsion[pair])):
-            raise FormatError(f"component {pair} needs one integer or null modulus per basis word")
+        words, mods = comp["basis"], comp["torsion"]
+        if type(words) is not list or not all(type(w) is list for w in words):
+            raise FormatError(f"component {pair} needs its basis as a list of words, each a list")
+        if type(mods) is not list or len(mods) != len(words) or not _MODULUS.issuperset(map(type, mods)):
+            raise FormatError(f"component {pair} needs a torsion list of one integer or null modulus per basis word")
+        basis[pair] = [tuple(w) for w in words]
+        torsion[pair] = [m if m else None for m in mods]
     pairs = [(x, y) for x in pres.objects for y in pres.objects]
     if sorted(basis) != sorted(pairs):
         raise FormatError("components do not cover the object pairs")
@@ -238,6 +241,8 @@ def ring_from_dict(data: dict) -> CategoryRing:
             raise FormatError(f"table entry [{u!r}, {v!r}, ...] needs integer indices")
         if not (0 <= u < nflat and 0 <= v < nflat):
             raise FormatError("table index out of range")
+        if type(vec) is not list:
+            raise FormatError(f"table entry ({u},{v}) needs a list of coefficients, got {vec!r}")
         vec = table[(u, v)] = tuple(vec)
         if not _INT.issuperset(map(type, vec)):
             raise FormatError(f"table entry ({u},{v}) has a non-integer coefficient")
@@ -260,11 +265,15 @@ def ring_from_dict(data: dict) -> CategoryRing:
 
     arrow_forms = {}
     for rec in data["arrow_forms"]:
-        gi = rec["generator"]
+        gi, coeffs = rec["generator"], rec["coefficients"]
+        if type(gi) is not int:
+            raise FormatError(f"arrow normal form needs an integer generator, got {gi!r}")
         if not 0 <= gi < len(pres.generators) or gi in arrow_forms:
             raise FormatError(f"arrow normal form for an unknown or repeated generator {gi}")
         g = pres.generators[gi]
-        coeffs = tuple(rec["coefficients"])
+        if type(coeffs) is not list:
+            raise FormatError(f"arrow normal form of generator {gi} needs a list of coefficients, got {coeffs!r}")
+        coeffs = tuple(coeffs)
         if len(coeffs) != len(basis[(g.source, g.target)]) or not _INT.issuperset(map(type, coeffs)):
             raise FormatError(f"arrow normal form of generator {gi} needs one integer per basis word")
         arrow_forms[gi] = (g.source, g.target, coeffs)

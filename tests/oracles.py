@@ -1335,7 +1335,8 @@ def oracle_verify_ring(ring):
     moved to sparse table rows: every composable basis triple is checked
     with three `oracle_compose` products, and so is every product with a
     torsion basis element.  Normal forms are `chained_normal_form`'s, so
-    no product here goes through the package's own."""
+    no product here goes through the package's own.  `associative` is
+    True when neither check fails and no modulus is d <= -3."""
     from catring.completion import VerificationReport
 
     failures: list[str] = []
@@ -1363,6 +1364,7 @@ def oracle_verify_ring(ring):
             if oracle_compose(ring, b, ring.unit(y)) != b:
                 failures.append(f"right unit fails on basis {pos} of ({x},{y})")
 
+    associative = all(not d or d > -3 for mods in ring.torsion.values() for d in mods)
     objs = ring.objects
     for x in objs:
         for y in objs:
@@ -1380,6 +1382,7 @@ def oracle_verify_ring(ring):
                                 w = ring.basis_element(z, w_obj, t)
                                 rhs = oracle_compose(ring, u, oracle_compose(ring, v, w))
                                 if oracle_compose(ring, uv, w) != rhs:
+                                    associative = False
                                     failures.append(
                                         f"associativity fails on basis triple "
                                         f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"
@@ -1398,9 +1401,11 @@ def oracle_verify_ring(ring):
         where = f"torsion modulus {d} of basis {i} of ({x},{y}) fails on"
         for src, z, j in flat:
             if src == y and not killed(d, oracle_compose(ring, u, ring.basis_element(y, z, j))):
+                associative = False
                 failures.append(f"{where} its product with basis {j} of ({y},{z})")
         for w_obj, tgt, j in flat:
             if tgt == x and not killed(d, oracle_compose(ring, ring.basis_element(w_obj, x, j), u)):
+                associative = False
                 failures.append(f"{where} the product of basis {j} of ({w_obj},{x}) with it")
 
     for pair in ring.pairs:
@@ -1408,7 +1413,7 @@ def oracle_verify_ring(ring):
         if mods:
             warnings.append(f"component {pair} carries torsion moduli {mods}")
 
-    return VerificationReport(failures, warnings)
+    return VerificationReport(failures, warnings, associative)
 
 
 def completing_presentations_equivalent(p, q, *, max_len=12, window=2, ring_p=None, ring_q=None):

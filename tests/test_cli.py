@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -5,9 +6,11 @@ import sys
 
 import pytest
 
-from catring import trivial_group_module, yoneda, yoneda_cyclic_quotient
+from catring import cli, completion, trivial_group_module, yoneda, yoneda_cyclic_quotient
 from catring.cli import build_parser, main
-from catring.serialize import content_hash, load_json, module_to_dict, ring_from_dict, save_json
+from catring.serialize import content_hash, load_json, module_to_dict, ring_from_dict, ring_to_dict, save_json
+
+from corpus import verify_cases
 
 
 def run_cli(args, capsys):
@@ -128,6 +131,43 @@ def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
     assert completion.random_associativity_probe(ring, count=1000, max_len=6, seed=0) == []
     assert calls == []
     assert steps[0] == 1049
+
+
+def always_probing(argv, capsys, monkeypatch):
+    """`run_cli` with `ring verify` running the probe whatever the triple
+    and torsion checks found, as it did before they proved its answer."""
+
+    def verify_unproved(ring):
+        return dataclasses.replace(completion.verify_ring(ring), associative=False)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "verify_ring", verify_unproved)
+        return run_cli(argv, capsys)
+
+
+def test_ring_verify_prints_what_always_probing_prints(
+    ring1, ring2, ring3, ring4, ring6, ring_c4_hand, tmp_path, capsys, monkeypatch
+):
+    # skipping a probe whose answer is proved changes no byte of stdout and
+    # no exit code.  On a file the checks do not prove, `always_probing`
+    # runs the same code as `run_cli`, so one such file stands for them:
+    # there the seed still picks the failure lines.
+    cases = verify_cases(ring1, ring2, ring3, ring4, ring_c4_hand) + [("valid k=6", ring6)]
+    proved = [(label, ring) for label, ring in cases if completion.verify_ring(ring).associative]
+    unproved = next((label, ring) for label, ring in cases if (label, ring) not in proved)
+    assert [label for label, _ in proved] == [
+        label for label, _ in cases if label.startswith("valid") or "arrow form" in label
+    ]
+    for n, (label, ring) in enumerate([*proved, unproved]):
+        path = tmp_path / f"ring{n}.json"
+        save_json(path, ring_to_dict(ring))
+        outputs = []
+        for seed in ("0", "7"):
+            for json_flag in ([], ["--json"]):
+                argv = ["ring", "verify", str(path), "--seed", seed, *json_flag]
+                outputs.append(run_cli(argv, capsys))
+                assert outputs[-1] == always_probing(argv, capsys, monkeypatch), (label, argv)
+        assert (outputs[0] == outputs[2]) is (label != unproved[0]), label
 
 
 def test_ring_verify_rejects_basis_words_out_of_normal_form(workdir, tmp_path, capsys):
@@ -515,6 +555,26 @@ def _short_torsion_list(data):
     comp["torsion"] = comp["torsion"][:1]
 
 
+def _table_vector_not_a_list(data):
+    data["table"][0][2] = 5
+
+
+def _arrow_coefficients_not_a_list(data):
+    data["arrow_forms"][0]["coefficients"] = 5
+
+
+def _string_arrow_generator(data):
+    data["arrow_forms"][0]["generator"] = "1"
+
+
+def _basis_word_not_a_list(data):
+    next(c for c in data["components"] if c["basis"])["basis"][-1] = 3
+
+
+def _torsion_not_a_list(data):
+    data["components"][0]["torsion"] = 5
+
+
 def _basis_word_out_of_range(data):
     comp = next(c for c in data["components"] if c["basis"])
     comp["basis"][-1] = [99]
@@ -602,6 +662,11 @@ def _boolean_window(data):
         ("ring4.json", _string_table_entry),
         ("ring4.json", _basis_word_out_of_range),
         ("ring4.json", _short_torsion_list),
+        ("ring4.json", _table_vector_not_a_list),
+        ("ring4.json", _arrow_coefficients_not_a_list),
+        ("ring4.json", _string_arrow_generator),
+        ("ring4.json", _basis_word_not_a_list),
+        ("ring4.json", _torsion_not_a_list),
         ("ring4.json", _noncomposable_table_entry),
         ("ring4.json", _short_arrow_form),
         ("ring4.json", _string_arrow_form_coefficient),
@@ -642,6 +707,8 @@ def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):
     assert code == 2
     assert str(bad) in err
     assert "module ok" not in out
+    # a named reason, not the text of a TypeError
+    assert "not iterable" not in err and "not supported" not in err
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -28,6 +28,7 @@ from catring import completion
 from catring.intlin import Lattice
 from catring.serialize import content_hash, ring_from_dict, ring_to_dict
 
+from corpus import bumped_table_entry, verify_cases, with_torsion
 from oracles import (
     MaxPivotEchelon,
     chained_normal_form,
@@ -285,19 +286,6 @@ def seeded_combinations(ring, rng, count):
         yield tuple(terms), x, y
 
 
-def with_torsion(ring):
-    """`ring` read back with moduli 2 and 3 imposed on every component's
-    second and third basis slots, so that the table no longer respects
-    them and each reduction step shows in the normal forms."""
-    data = ring_to_dict(ring)
-    for comp in data["components"]:
-        for slot, mod in ((1, 2), (2, 3)):
-            if slot < len(comp["torsion"]):
-                comp["torsion"][slot] = mod
-    data["ring_hash"] = content_hash(data)
-    return ring_from_dict(data)
-
-
 def test_normal_form_matches_chained_oracle(ring1, ring2, ring3, ring4, ring_c4_hand):
     rng = random.Random(5)
     for ring in (ring1, ring2, ring3, ring4, ring_c4_hand, with_torsion(ring4)):
@@ -364,16 +352,6 @@ def test_verify_ring_passes_k1_through_k4(ring1, ring2, ring3, ring4, ring_c4_ha
         assert not report.warnings  # no torsion anywhere
 
 
-def bumped_table_entry(ring, key):
-    """`ring` written to a file dict, its table entry `key` (a nonzero
-    product) raised by 1 at position 0, its hash recomputed and read back."""
-    data = ring_to_dict(ring)
-    entry = next(e for e in data["table"] if tuple(e[:2]) == key)
-    entry[2][0] += 1
-    data["ring_hash"] = content_hash(data)
-    return ring_from_dict(data)
-
-
 def test_verify_ring_detects_corruption(ring2):
     assert ring2.sparse_table  # the caches of the original ring are warm
     key = next(k for k, v in ring2.table.items() if any(v))
@@ -412,72 +390,18 @@ def test_compose_matches_oracle_compose(ring2, ring3, ring4, ring6):
             assert u.then(v) == ring.compose(u, v) == oracle_compose(ring, u, v), (u, v)
 
 
-CORRUPTIONS = ("unit row", "letter column", "elsewhere", "arrow form", "torsion")
-
-
-def corrupted_rings(ring, rng, per_kind):
-    """`ring` written to a file dict, changed in one place, its hash
-    recomputed and read back: `per_kind` seeded cases of each kind in
-    CORRUPTIONS.  A table entry (u, v) is bumped by a nonzero amount at one
-    position, with u a unit ("unit row"), with v a letter, a basis element
-    in the support of an arrow normal form ("letter column"), or with
-    neither; or one arrow normal form coefficient is bumped; or one basis
-    slot gets a torsion modulus.  Returns (label, ring) pairs."""
-    units = {ring.offset[(x, x)] + ring.unit_pos[x] for x in ring.objects}
-    letters = {
-        ring.offset[(form.source, form.target)] + t
-        for form in ring.arrow_forms.values()
-        for t, c in enumerate(form.coeffs)
-        if c
-    }
-    composable = sorted(ring.table)
-    choices = {
-        "unit row": [key for key in composable if key[0] in units],
-        "letter column": [key for key in composable if key[1] in letters],
-        "elsewhere": [key for key in composable if key[0] not in units and key[1] not in letters],
-    }
-    cases = []
-    for kind in CORRUPTIONS:
-        for _ in range(per_kind):
-            data = ring_to_dict(ring)
-            bump = rng.choice((-1, 1, 2))
-            if kind in choices:
-                u, v = rng.choice(choices[kind])
-                entry = next((e for e in data["table"] if e[:2] == [u, v]), None)
-                if entry is None:
-                    entry = [u, v, list(ring.table[(u, v)])]
-                    data["table"].append(entry)
-                pos = rng.randrange(len(entry[2]))
-                entry[2][pos] += bump
-                label = f"{kind} ({u},{v})[{pos}] {bump:+}"
-            elif kind == "arrow form":
-                rec = rng.choice(data["arrow_forms"])
-                pos = rng.randrange(len(rec["coefficients"]))
-                rec["coefficients"][pos] += bump
-                label = f"{kind} {rec['generator']}[{pos}] {bump:+}"
-            else:
-                comp = rng.choice(data["components"])
-                pos = rng.randrange(len(comp["torsion"]))
-                comp["torsion"][pos] = rng.choice((2, 3))
-                label = f"{kind} ({comp['source']},{comp['target']})[{pos}] mod {comp['torsion'][pos]}"
-            data["ring_hash"] = content_hash(data)
-            cases.append((f"k={ring.presentation.group_order} #{len(cases)} {label}", ring_from_dict(data)))
-    return cases
-
-
 def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring4, ring_c4_hand):
     # the sparse triple check and the sparse probe against the `RingElement`
     # ones they replaced, failure for failure
-    rng = random.Random(13)
-    corrupted = corrupted_rings(ring2, rng, 3) + corrupted_rings(ring4, rng, 3)
-    cases = [(f"ring {i}", r) for i, r in enumerate((ring1, ring2, ring3, ring4, ring_c4_hand))]
-    cases += [("ring4 with torsion", with_torsion(ring4)), *corrupted]
+    cases = verify_cases(ring1, ring2, ring3, ring4, ring_c4_hand)
+    corrupted = [label for label, _ in cases if label.startswith("corrupted")]
     caught, probe_only = set(), []
     for label, ring in cases:
         report = verify_ring(ring)
         expected = oracle_verify_ring(ring)
         assert report.failures == expected.failures, label
         assert report.warnings == expected.warnings, label
+        assert report.associative == expected.associative, label
         probes = {seed: random_associativity_probe(ring, count=1000, max_len=6, seed=seed) for seed in (0, 7)}
         for seed, failures in probes.items():
             assert oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=seed) == failures, label
@@ -485,14 +409,47 @@ def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring
             caught.add(label)
         if not report.failures and any(probes.values()):
             probe_only.append(label)
-    assert len(corrupted) == 30
-    assert [label for label, _ in corrupted if label not in caught] == []
+    assert [label for label in corrupted if label not in caught] == []
     # a modulus the table does not respect fails the torsion check, so
     # the probe catches nothing that `verify_ring` misses
     assert probe_only == []
     torsion = [ring for label, ring in cases if "torsion" in label]
     assert len(torsion) > 1
     assert all(any(f.startswith("torsion modulus") for f in verify_ring(ring).failures) for ring in torsion)
+
+
+def test_associative_report_proves_the_probe(ring1, ring2, ring3, ring4, ring6, ring_c4_hand):
+    # `verify_ring`'s docstring proves that a table passing the triple and
+    # torsion checks passes the probe at every seed, and `ring verify`
+    # skips the probe on that proof; here on every ring, corrupted ones
+    # that fail only the relation, basis-word or unit checks among them
+    cases = verify_cases(ring1, ring2, ring3, ring4, ring_c4_hand) + [("valid k=6", ring6)]
+    proved = []
+    for label, ring in cases:
+        report = verify_ring(ring)
+        failed = any(f.startswith(("associativity fails", "torsion modulus")) for f in report.failures)
+        assert report.associative is not failed, label
+        if report.associative:
+            proved.append(label)
+            for seed in (0, 7):
+                assert random_associativity_probe(ring, count=1000, max_len=6, seed=seed) == [], label
+                assert oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=seed) == [], label
+    # the valid rings, and the files whose one bumped arrow form breaks a
+    # relation but leaves the table alone
+    assert proved == [label for label, _ in cases if label.startswith("valid") or "arrow form" in label]
+
+
+def test_modulus_below_minus_two_is_not_proved_associative(ring2):
+    # 1 reduces to -2 modulo -3, so the basis triples would only test
+    # multiples of the products with that slot: `associative` stays False
+    # and `ring verify` runs the probe
+    data = ring_to_dict(ring2)
+    comp = next(c for c in data["components"] if len(c["torsion"]) > 1)
+    comp["torsion"][1] = -3
+    data["ring_hash"] = content_hash(data)
+    ring = ring_from_dict(data)
+    assert not verify_ring(ring).associative
+    assert not oracle_verify_ring(ring).associative
 
 
 def test_verify_ring_reads_the_table_it_is_given(ring4):

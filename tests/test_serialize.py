@@ -100,6 +100,57 @@ def test_ring_table_indices_are_checked(ring2, change, message):
         ring_from_dict(data)
 
 
+def _component_record(data):
+    return next(c for c in data["components"] if len(c["basis"]) > 1)
+
+
+def _table_vector_not_a_list(data):
+    data["table"][0][2] = 5
+
+
+def _arrow_coefficients_not_a_list(data):
+    data["arrow_forms"][0]["coefficients"] = 5
+
+
+def _string_arrow_generator(data):
+    data["arrow_forms"][0]["generator"] = "1"
+
+
+def _boolean_arrow_generator(data):
+    # true reads as 1 in Python
+    data["arrow_forms"][0]["generator"] = True
+
+
+def _basis_word_not_a_list(data):
+    _component_record(data)["basis"][-1] = 3
+
+
+def _torsion_not_a_list(data):
+    _component_record(data)["torsion"] = 5
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_table_vector_not_a_list, r"table entry \(\d+,\d+\) needs a list of coefficients, got 5"),
+        (_arrow_coefficients_not_a_list, r"arrow normal form of generator \d+ needs a list of coefficients, got 5"),
+        (_string_arrow_generator, r"arrow normal form needs an integer generator, got '1'"),
+        (_boolean_arrow_generator, r"arrow normal form needs an integer generator, got True"),
+        (_basis_word_not_a_list, r"component \(\d, \d\) needs its basis as a list of words, each a list"),
+        (_torsion_not_a_list, r"component \(\d, \d\) needs a torsion list of one integer or null modulus"),
+    ],
+    ids=["table-vector", "arrow-coefficients", "string-generator", "boolean-generator", "basis-word", "torsion"],
+)
+def test_ring_fields_of_the_wrong_type_are_named(ring2, change, message):
+    # each used to escape as a bare TypeError ("'int' object is not
+    # iterable", "'<=' not supported ..."), or to load as another file
+    data = ring_to_dict(ring2)
+    change(data)
+    data["ring_hash"] = content_hash(data)
+    with pytest.raises(FormatError, match=message):
+        ring_from_dict(data)
+
+
 def test_ring_hash_detects_tampering(ring2, tmp_path):
     d = ring_to_dict(ring2)
     d["max_len"] = d["max_len"] + 1

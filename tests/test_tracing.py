@@ -10,8 +10,10 @@ zero; these tests catch that in the ordinary suite.
 import importlib.util
 import pathlib
 
-from catring import cli, modules, yoneda_cyclic_quotient
+from catring import cli, modules, verify_ring, yoneda_cyclic_quotient
 from catring.serialize import module_to_dict, ring_to_dict, save_json
+
+from corpus import bumped_table_entry
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -70,28 +72,31 @@ def test_tracer_counts_modules_and_cli_calls(ring2, tmp_path, capsys):
 
 
 def test_tracer_counts_ring_verify(ring4, tmp_path, capsys):
+    # a table that passes the triple and torsion checks proves the probe's
+    # answer, so `ring verify` skips it; a bumped table entry fails those
+    # checks and runs it, through the binding the tracer wraps
     tracing = load_tracing()
-    save_json(tmp_path / "ring4.json", ring_to_dict(ring4))
+    units = {ring4.offset[(x, x)] + ring4.unit_pos[x] for x in ring4.objects}
+    key = next(k for k, v in sorted(ring4.table.items()) if units.isdisjoint(k) and any(v))
+    bumped = bumped_table_entry(ring4, key)
+    assert not verify_ring(bumped).associative
+    for name, ring, expected in (("ring4", ring4, 0), ("bumped", bumped, 1)):
+        save_json(tmp_path / f"{name}.json", ring_to_dict(ring))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["ring", "verify", str(tmp_path / f"{name}.json")])
+        finally:
+            tracer.uninstall()
+        tracing.assert_clean()
+        assert code == expected, name
+        capsys.readouterr()
 
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        code = cli.main(["ring", "verify", str(tmp_path / "ring4.json")])
-    finally:
-        tracer.uninstall()
-    tracing.assert_clean()
-    assert code == 0
-    capsys.readouterr()
-
-    _, calls = tracer.self_times()
-    for name in (
-        "completion.verify_ring",
-        "completion.random_associativity_probe",
-        "completion.normal_form",
-        "cli.main",
-    ):
-        assert calls.get(name, 0) > 0, name
-    assert tracer.counts.get("completion.compose", 0) > 0
+        _, calls = tracer.self_times()
+        for span in ("completion.verify_ring", "completion.normal_form", "cli.main"):
+            assert calls.get(span, 0) > 0, (name, span)
+        assert tracer.counts.get("completion.compose", 0) > 0, name
+        assert (calls.get("completion.random_associativity_probe", 0) > 0) is (name == "bumped")
 
 
 def test_tracer_sees_chain_products_inside_free_cover(ring4):
