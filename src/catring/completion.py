@@ -158,10 +158,9 @@ class CategoryRing:
     `basis[(X, Y)]` lists the normal-form words of the component X -> Y in
     monomial order, `torsion[(X, Y)]` their moduli (None for free slots).
     `table[(u, v)]`, for flat basis indices with target(u) == source(v),
-    is the coefficient vector of the composite "u then v" over the basis
-    of (source(u), target(v)), a tuple.  The table is read-only: the
-    constructor keeps a copy of the dict it is given behind a
-    `MappingProxyType`.
+    is the composite "u then v" over the basis of (source(u), target(v))
+    as a tuple of (pos, c) pairs, pos ascending and c nonzero; () is zero.
+    It is read-only: a `MappingProxyType` over a copy, holding tuples.
     """
 
     def __init__(self, presentation, basis, torsion, table, arrow_forms, stabilized_at, max_len, window):
@@ -209,12 +208,6 @@ class CategoryRing:
         for t, c in prod.items():
             out[t] = c
         return self.element(x.source, y.target, out)
-
-    @cached_property
-    def sparse_table(self) -> dict[tuple[int, int], dict[int, int]]:
-        """The table as sparse rows {pos: c} without zeros, built on first
-        use and shared by every caller: read it, never mutate it."""
-        return {key: {t: c for t, c in enumerate(vec) if c} for key, vec in self.table.items()}
 
     # -- presentation-facing helpers ------------------------------------
 
@@ -436,13 +429,13 @@ class _Stabilization:
                         if len(prod) > bound:
                             return None
                         red = tgt_space.lattice.reduce({tgt_space.ids[prod]: 1})
-                        vec = [0] * len(tgt_ids)
+                        row = []
                         for col, c in red.items():
                             pos = tgt_ids.get(tgt_space.words[-col])
                             if pos is None:
                                 return None
-                            vec[pos] = c
-                        table[(px, py, w_u, qy, qz, w_v)] = tuple(vec)
+                            row.append((pos, c))
+                        table[(px, py, w_u, qy, qz, w_v)] = tuple(sorted(row))
         return (tuple(sorted((pair, tuple(kept)) for pair, kept in content.items())),
                 tuple(sorted(table.items())))
 
@@ -527,8 +520,8 @@ def _build_ring(pres, spaces, snap, bound, max_len, window):
 
     flat_of = _flat_layout(pres.objects, basis)[2]
     table = {
-        (flat_of[(px, py, w_u)], flat_of[(qy, qz, w_v)]): vec
-        for (px, py, w_u, qy, qz, w_v), vec in table_items
+        (flat_of[(px, py, w_u)], flat_of[(qy, qz, w_v)]): row
+        for (px, py, w_u, qy, qz, w_v), row in table_items
     }
     return CategoryRing(pres, basis, torsion, table, arrow_forms, bound, max_len, window)
 
@@ -605,20 +598,17 @@ def _reduced(mods: list, vec: dict[int, int]) -> dict[int, int]:
 
 
 def _product(ring: CategoryRing, xs: dict[int, int], pair_x, ys: dict[int, int], pair_y) -> dict[int, int]:
-    """The ring product on sparse coefficients: xs over pair_x, then ys
-    over pair_y.
-
-    The sum of a*b times the `sparse_table` row of each basis pair is
-    reduced into the torsion of (source of pair_x, target of pair_y).
-    Every product of ring elements in the package is this one.
-    """
-    rows = ring.sparse_table
+    """The ring product on sparse coefficients, xs over pair_x then ys
+    over pair_y: the sum of a*b times the table row of each basis pair,
+    reduced into the torsion of its component.  Every product of ring
+    elements in the package is this one."""
+    rows = ring.table
     off_x, off_y = ring.offset[pair_x], ring.offset[pair_y]
     out: dict[int, int] = {}
     for i, a in xs.items():
         for j, b in ys.items():
             ab = a * b
-            for t, c in rows[(off_x + i, off_y + j)].items():
+            for t, c in rows[(off_x + i, off_y + j)]:
                 out[t] = out.get(t, 0) + ab * c
     return _reduced(ring.torsion[(pair_x[0], pair_y[1])], out)
 
@@ -717,13 +707,9 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     validation on letters (`GradedModule.validate`) relies on it, along
     with the unit laws and associativity.
 
-    The associativity check multiplies sparse coefficients through
-    `_product`, the product that `compose`, the torsion check and
-    `random_associativity_probe` share: a basis product u.v is the table
-    row of (u, v), reduced into the torsion of its component, and each
-    triple costs the two sums (u.v).w and u.(v.w), reduced into the
-    torsion of (x, w).  Triples run over x -> y -> z -> w and then the
-    basis positions, so failures come in the order of the triple loop.
+    The associativity check compares (u.v).w with u.(v.w) through
+    `_product` on every composable basis triple, in the order x -> y ->
+    z -> w and then the basis positions.
 
     The triples multiply basis elements with coefficient 1 only, so they
     never test that a torsion modulus d of basis u holds in the table.
@@ -740,8 +726,8 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     torsion of its component (`_reduced`), so that R(x) = R(y) exactly
     when x and y are congruent (x ~ y) modulo that torsion, and
     R(x + y) = R(R(x) + y), R(n x) = R(n R(x)).  Write T for the product
-    of integer vectors that sums coefficient products times `sparse_table`
-    rows; it is bilinear, and `_product(x, y)` is R(T(x, y)).  Let
+    of integer vectors that sums coefficient products times table rows;
+    it is bilinear, and `_product(x, y)` is R(T(x, y)).  Let
     E_p = R(e_p) be the reduced basis element of slot p (`elements`):
     it is e_p on a free slot or a modulus d >= 2, -e_p for d = -2, and 0
     for d = 1 or -1, where every reduced vector is 0 too.  (A modulus
@@ -799,7 +785,7 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     # False once a check below fails, or when a modulus d <= -3 leaves a
     # basis element reduced to a non-unit multiple of itself
     associative = all(c in (1, -1) for e in elements for c in e.values())
-    products = {(a, b): _product(ring, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in ring.sparse_table}
+    products = {(a, b): _product(ring, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in ring.table}
     block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
     objs = ring.objects
     for x in objs:

@@ -226,12 +226,11 @@ class GradedModule:
                     raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
         # functoriality through the structure constants, on letters
         letters = _letters(ring)
-        table = ring.sparse_table
         for fu, (x, y, _) in enumerate(ring.flat):
             for fa in letters[y]:
                 z = ring.flat[fa][1]
                 off = ring.offset[(x, z)]
-                prod = {off + t: c for t, c in table[(fu, fa)].items()}
+                prod = {off + t: c for t, c in ring.table[(fu, fa)]}
                 for e in (0, 1):
                     if not (ngens[(x, e)] and ngens[(z, e)]):
                         continue
@@ -263,18 +262,13 @@ def yoneda(ring: CategoryRing, obj: int, eps: int) -> GradedModule:
     """The representable module of one object, concentrated in one degree.
 
     Its value at (X, eps) is the free group on the basis words X -> obj,
-    and a basis monomial acts by composition, read off the ring table.
+    and a basis monomial acts by composition, read off the ring table: the
+    action rows are those of `free_module(ring, [(obj, eps)])`, shared.
     """
     if obj not in ring.objects:
         raise KeyError(f"unknown object {obj}")
     gens = {(x, eps): tuple(ring.word_str(w, x) for w in ring.basis[(x, obj)]) for x in ring.objects}
-    table = ring.sparse_table
-    act = {}
-    for fb, (_, y, _) in enumerate(ring.flat):
-        # one row per basis word u: y -> obj, the table row of "fb then u"
-        base = ring.offset[(y, obj)]
-        act[(fb, eps)] = [table[(fb, u)] for u in range(base, base + len(ring.basis[(y, obj)]))]
-    return GradedModule(ring, gens, {}, act)
+    return GradedModule(ring, gens, {}, free_module(ring, [(obj, eps)]).act)
 
 
 def suspend(module: GradedModule) -> GradedModule:
@@ -475,17 +469,18 @@ class FreeModule(GradedModule):
                     names.extend(f"e{j}:{ring.word_str(w, x)}" for w in ring.basis[(x, obj)])
                 gens[(x, e)] = tuple(names)
                 blocks[(x, e)] = blk
-        table = ring.sparse_table
+        table = ring.table
         for fb, (x, y, _) in enumerate(ring.flat):
             for e in (0, 1):
                 rows = []
                 for j, (_, size) in blocks[(y, e)].items():
-                    # as in `yoneda`, shifted to entry j's block at x
                     xstart = blocks[(x, e)][j][0]
+                    if not xstart and len(self.entries) > 1:
+                        rows += free_module(ring, self.entries[j:j + 1]).act[(fb, e)]
+                        continue
+                    # "fb then u" for each basis word u: y -> obj, shifted to entry j's block
                     base = ring.offset[(y, self.entries[j][0])]
-                    for u in range(base, base + size):
-                        row = table[(fb, u)]
-                        rows.append({xstart + t: c for t, c in row.items()} if xstart else row)
+                    rows += [{xstart + t: c for t, c in table[(fb, u)]} for u in range(base, base + size)]
                 act[(fb, e)] = rows
         super().__init__(ring, gens, {}, act)
         self.blocks = blocks
@@ -512,7 +507,9 @@ def free_module(ring: CategoryRing, entries) -> FreeModule:
     no reader writes to its `gens`, `rels`, `act` or `blocks`, or to a
     lattice from `relation_lattice` (`free_cover` grows copies of them),
     and a cover's kernel rows are kept on the `ModuleMap`, not on its
-    source.  `FreeModule(ring, entries)` still builds a fresh module.
+    source.  `yoneda` and the first block of each slot of a larger free
+    module reuse the rows of the free module on their one entry.
+    `FreeModule(ring, entries)` still builds a fresh module.
     """
     key = tuple(entries)
     kept = ring._free_modules

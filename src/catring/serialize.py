@@ -11,7 +11,6 @@ other ring before any computation touches them.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import itertools
 import json
@@ -166,10 +165,12 @@ def ring_to_dict(ring: CategoryRing) -> dict:
             }
         )
     table = []
-    for (u, v) in sorted(ring.table):
-        vec = ring.table[(u, v)]
-        if any(vec):
-            table.append([u, v, list(vec)])
+    for (u, v), row in sorted(ring.table.items()):
+        if row:
+            vec = [0] * len(ring.basis[(ring.flat[u][0], ring.flat[v][1])])
+            for t, c in row:
+                vec[t] = c
+            table.append([u, v, vec])
     arrow_forms = [
         {"generator": gi, "coefficients": list(ring.arrow_forms[gi].coeffs)}
         for gi in sorted(ring.arrow_forms)
@@ -190,18 +191,38 @@ def ring_to_dict(ring: CategoryRing) -> dict:
     return data
 
 
+def _records(data: dict, field: str) -> list:
+    """The list of records a ring file holds under `field`."""
+    records = data.get(field)
+    if type(records) is not list:
+        raise FormatError(f"ring file needs {field!r} as a list, got {type(records).__name__}")
+    return records
+
+
+def _fields(rec, what: str, *fields: str) -> tuple:
+    """The values of `fields` in the object `rec`; FormatError names `what`."""
+    if type(rec) is not dict:
+        raise FormatError(f"{what} needs an object, got {type(rec).__name__}")
+    try:
+        return tuple([rec[field] for field in fields])
+    except KeyError as exc:
+        raise FormatError(f"{what} has no field {exc}") from exc
+
+
 def ring_from_dict(data: dict) -> CategoryRing:
     _expect(data, "ring")
     if data.get("ring_hash") != content_hash(data):
         raise FormatError("ring_hash does not match the file content")
+    if type(data.get("presentation")) is not dict:
+        raise FormatError("ring file needs 'presentation' as an object")
     pres = presentation_from_dict(data["presentation"])
     basis = {}
     torsion = {}
-    for comp in data["components"]:
-        pair = (comp["source"], comp["target"])
+    for n, comp in enumerate(_records(data, "components")):
+        source, target, words, mods = _fields(comp, f"component record {n}", "source", "target", "basis", "torsion")
+        pair = (source, target)
         if pair in basis:
             raise FormatError(f"repeated component record for {pair}")
-        words, mods = comp["basis"], comp["torsion"]
         if type(words) is not list or not all(type(w) is list for w in words):
             raise FormatError(f"component {pair} needs its basis as a list of words, each a list")
         if type(mods) is not list or len(mods) != len(words) or not _MODULUS.issuperset(map(type, mods)):
@@ -209,7 +230,7 @@ def ring_from_dict(data: dict) -> CategoryRing:
         basis[pair] = [tuple(w) for w in words]
         torsion[pair] = [m if m else None for m in mods]
     pairs = [(x, y) for x in pres.objects for y in pres.objects]
-    if sorted(basis) != sorted(pairs):
+    if basis.keys() != set(pairs):
         raise FormatError("components do not cover the object pairs")
     # every basis word is a path of arrows through its component
     arrow_ends = {a: (pres.generators[a].source, pres.generators[a].target) for a in pres.arrows}
@@ -226,46 +247,42 @@ def ring_from_dict(data: dict) -> CategoryRing:
             if cur != y:
                 raise FormatError(f"basis word {list(w)} of component ({x},{y}) does not end at {y}")
 
-    blocks = {}
-    nflat = 0
+    # the flat indices of each component, and the component of each index
+    blocks, pair_of = {}, []
     for pair in pairs:
-        blocks[pair] = range(nflat, nflat + len(basis[pair]))
-        nflat += len(basis[pair])
+        blocks[pair] = range(len(pair_of), len(pair_of) + len(basis[pair]))
+        pair_of += [pair] * len(basis[pair])
 
     table = {}
-    for entry in data["table"]:
+    for entry in _records(data, "table"):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise FormatError("table entry must be [u, v, vector]")
         u, v, vec = entry
         if not (type(u) is int and type(v) is int):
             raise FormatError(f"table entry [{u!r}, {v!r}, ...] needs integer indices")
-        if not (0 <= u < nflat and 0 <= v < nflat):
+        if not (0 <= u < len(pair_of) and 0 <= v < len(pair_of)):
             raise FormatError("table index out of range")
         if type(vec) is not list:
             raise FormatError(f"table entry ({u},{v}) needs a list of coefficients, got {vec!r}")
-        vec = table[(u, v)] = tuple(vec)
         if not _INT.issuperset(map(type, vec)):
             raise FormatError(f"table entry ({u},{v}) has a non-integer coefficient")
-    if len(table) != len(data["table"]):
-        counts = collections.Counter((u, v) for u, v, _ in data["table"])
-        u, v = next(key for key, n in counts.items() if n > 1)
-        raise FormatError(f"repeated table entry ({u},{v})")
-    # every composable pair gets a vector over its target component
-    composable = 0
+        (x, y), (y_v, z) = pair_of[u], pair_of[v]
+        if y != y_v:
+            raise FormatError("table has an entry for basis elements that do not compose")
+        if len(vec) != len(basis[(x, z)]):
+            raise FormatError(f"table entry ({u},{v}) has the wrong length")
+        if (u, v) in table:
+            raise FormatError(f"repeated table entry ({u},{v})")
+        table[(u, v)] = tuple([(t, c) for t, c in enumerate(vec) if c])
+    # every composable pair without an entry is a zero product
     for x, y, z in itertools.product(pres.objects, repeat=3):
-        n = len(basis[(x, z)])
-        zero = (0,) * n
-        composable += len(blocks[(x, y)]) * len(blocks[(y, z)])
         for u in blocks[(x, y)]:
             for v in blocks[(y, z)]:
-                if len(table.setdefault((u, v), zero)) != n:
-                    raise FormatError(f"table entry ({u},{v}) has the wrong length")
-    if len(table) != composable:
-        raise FormatError("table has an entry for basis elements that do not compose")
+                table.setdefault((u, v), ())
 
     arrow_forms = {}
-    for rec in data["arrow_forms"]:
-        gi, coeffs = rec["generator"], rec["coefficients"]
+    for n, rec in enumerate(_records(data, "arrow_forms")):
+        gi, coeffs = _fields(rec, f"arrow form record {n}", "generator", "coefficients")
         if type(gi) is not int:
             raise FormatError(f"arrow normal form needs an integer generator, got {gi!r}")
         if not 0 <= gi < len(pres.generators) or gi in arrow_forms:

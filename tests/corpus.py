@@ -17,6 +17,8 @@ from catring import (
 )
 from catring.serialize import content_hash, ring_from_dict, ring_to_dict
 
+from oracles import file_table
+
 
 def build_corpus(ring, rng, size=10, max_gens=40):
     """Deterministically sample valid small modules over `ring`."""
@@ -97,7 +99,8 @@ def corrupted_rings(ring, rng, per_kind):
         for t, c in enumerate(form.coeffs)
         if c
     }
-    composable = sorted(ring.table)
+    table = file_table(ring)
+    composable = sorted(table)
     choices = {
         "unit row": [key for key in composable if key[0] in units],
         "letter column": [key for key in composable if key[1] in letters],
@@ -112,7 +115,7 @@ def corrupted_rings(ring, rng, per_kind):
                 u, v = rng.choice(choices[kind])
                 entry = next((e for e in data["table"] if e[:2] == [u, v]), None)
                 if entry is None:
-                    entry = [u, v, list(ring.table[(u, v)])]
+                    entry = [u, v, list(table[(u, v)])]
                     data["table"].append(entry)
                 pos = rng.randrange(len(entry[2]))
                 entry[2][pos] += bump

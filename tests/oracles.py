@@ -16,7 +16,8 @@ projectivity by the full section system and the projective dimension
 without a syzygy chain, the syzygy chain that covers kernel modules with
 their whole action, Ext read off a resolution one level longer than
 its degree, module validation on every composable pair of
-basis monomials, the ring product by a dense loop over the table,
+basis monomials, the ring product by a dense loop over the table
+vectors of the ring's file (`file_table`),
 normal forms by chained composition, the ring certificate's
 associativity check and the random associativity probe by products
 through that loop, and
@@ -1174,6 +1175,7 @@ def pairwise_validate(module):
         return all([a - b for a, b in zip(ra, rb)] in lat for ra, rb in zip(A, B))
 
     act = {(fb, e): dense_action(module, fb, e) for fb in range(len(ring.flat)) for e in (0, 1)}
+    table = file_table(ring)
     for fb, (x, y, _) in enumerate(ring.flat):
         for e in (0, 1):
             mat = act[(fb, e)]
@@ -1193,7 +1195,7 @@ def pairwise_validate(module):
         for fv, (y2, z, _) in enumerate(ring.flat):
             if y2 != y:
                 continue
-            vec = ring.table[(fu, fv)]
+            vec = table[(fu, fv)]
             off = ring.offset[(x, z)]
             for e in (0, 1):
                 lhs = mat_mul(act[(fv, e)], act[(fu, e)], module.ngens((x, e)))
@@ -1213,12 +1215,30 @@ def pairwise_validate(module):
 # -- normal forms and equivalence through completed rings ----------------
 
 
-def oracle_compose(ring, x, y):
+def file_table(ring):
+    """The ring's table as its file holds it: {(u, v): dense coefficient
+    list} for every composable pair of flat basis indices, read from
+    `ring_to_dict(ring)["table"]`, with a zero list for each pair the file
+    leaves out.  The oracles multiply through it, never through the rows
+    of `ring.table` that the package multiplies through."""
+    from catring.serialize import ring_to_dict
+
+    table = {(u, v): vec for u, v, vec in ring_to_dict(ring)["table"]}
+    for u, (x, y, _) in enumerate(ring.flat):
+        for v, (y_v, z, _) in enumerate(ring.flat):
+            if y == y_v and (u, v) not in table:
+                table[(u, v)] = [0] * len(ring.basis[(x, z)])
+    return table
+
+
+def oracle_compose(ring, x, y, table=None):
     """`catring.CategoryRing.compose` as it first was: x then y, by a
     dense loop over both coefficient vectors and the vectors of
-    `ring.table`, never its sparse rows."""
+    `table`, the ring's `file_table` (built here when not given)."""
     if x.target != y.source:
         raise ValueError("elements are not composable")
+    if table is None:
+        table = file_table(ring)
     out = [0] * len(ring.basis[(x.source, y.target)])
     off_x = ring.offset[(x.source, x.target)]
     off_y = ring.offset[(y.source, y.target)]
@@ -1228,7 +1248,7 @@ def oracle_compose(ring, x, y):
         for j, b in enumerate(y.coeffs):
             if not b:
                 continue
-            vec = ring.table[(off_x + i, off_y + j)]
+            vec = table[(off_x + i, off_y + j)]
             ab = a * b
             for t, c in enumerate(vec):
                 if c:
@@ -1236,12 +1256,14 @@ def oracle_compose(ring, x, y):
     return ring.element(x.source, y.target, out)
 
 
-def chained_normal_form(ring, data, source=None, target=None):
+def chained_normal_form(ring, data, source=None, target=None, table=None):
     """`catring.completion.normal_form` as it first was: every word's
     normal form is rebuilt by composing the arrow normal forms one letter
-    at a time (`oracle_compose`), and the summands are added as ring
-    elements."""
+    at a time (`oracle_compose` through `table`, the ring's `file_table`
+    when not given), and the summands are added as ring elements."""
     pres = ring.presentation
+    if table is None:
+        table = file_table(ring)
     if data and isinstance(data[0], int):
         data = ((1, tuple(data)),)
     elif data == ():
@@ -1276,7 +1298,7 @@ def chained_normal_form(ring, data, source=None, target=None):
             raise ValueError("summands are not parallel")
         elem = ring.unit(src)
         for gi in stripped:
-            elem = oracle_compose(ring, elem, ring.arrow_forms[gi])
+            elem = oracle_compose(ring, elem, ring.arrow_forms[gi], table)
         acc = acc + ring.element(src, tgt, [c * v for v in elem.coeffs])
     return acc
 
@@ -1296,6 +1318,7 @@ def oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=0):
     failures = []
     outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
     forms = {}
+    table = file_table(ring)
 
     def random_word(start):
         length = rng.randint(0, max_len)
@@ -1313,7 +1336,7 @@ def oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=0):
     def form(word, source, target=None):
         elem = forms.get((source, word))
         if elem is None:
-            elem = forms[(source, word)] = chained_normal_form(ring, word, source=source, target=target)
+            elem = forms[(source, word)] = chained_normal_form(ring, word, source, target, table)
         return elem
 
     for _ in range(count):
@@ -1324,8 +1347,8 @@ def oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=0):
         eu = form(u, x, y)
         ev = form(v, y, z)
         ew = form(w, z)
-        lhs = oracle_compose(ring, oracle_compose(ring, eu, ev), ew)
-        if lhs != oracle_compose(ring, eu, oracle_compose(ring, ev, ew)):
+        lhs = oracle_compose(ring, oracle_compose(ring, eu, ev, table), ew, table)
+        if lhs != oracle_compose(ring, eu, oracle_compose(ring, ev, ew, table), table):
             failures.append(f"associativity fails on words {u} {v} {w}")
     return failures
 
@@ -1342,11 +1365,10 @@ def oracle_verify_ring(ring):
     failures: list[str] = []
     warnings: list[str] = []
     pres = ring.presentation
+    table = file_table(ring)
 
     for rel in pres.relations:
-        forms = [
-            chained_normal_form(ring, side, source=rel.source, target=rel.target) for side in rel.sides
-        ]
+        forms = [chained_normal_form(ring, side, rel.source, rel.target, table) for side in rel.sides]
         for other in forms[1:]:
             if other != forms[0]:
                 failures.append(
@@ -1357,11 +1379,11 @@ def oracle_verify_ring(ring):
     for (x, y) in ring.pairs:
         for pos, word in enumerate(ring.basis[(x, y)]):
             b = ring.basis_element(x, y, pos)
-            if chained_normal_form(ring, word, source=x, target=y) != b:
+            if chained_normal_form(ring, word, x, y, table) != b:
                 failures.append(f"basis {pos} of ({x},{y}) is not the normal form of its word {list(word)}")
-            if oracle_compose(ring, ring.unit(x), b) != b:
+            if oracle_compose(ring, ring.unit(x), b, table) != b:
                 failures.append(f"left unit fails on basis {pos} of ({x},{y})")
-            if oracle_compose(ring, b, ring.unit(y)) != b:
+            if oracle_compose(ring, b, ring.unit(y), table) != b:
                 failures.append(f"right unit fails on basis {pos} of ({x},{y})")
 
     associative = all(not d or d > -3 for mods in ring.torsion.values() for d in mods)
@@ -1377,11 +1399,11 @@ def oracle_verify_ring(ring):
                         u = ring.basis_element(x, y, i)
                         for j in range(nv):
                             v = ring.basis_element(y, z, j)
-                            uv = oracle_compose(ring, u, v)
+                            uv = oracle_compose(ring, u, v, table)
                             for t in range(nw):
                                 w = ring.basis_element(z, w_obj, t)
-                                rhs = oracle_compose(ring, u, oracle_compose(ring, v, w))
-                                if oracle_compose(ring, uv, w) != rhs:
+                                rhs = oracle_compose(ring, u, oracle_compose(ring, v, w, table), table)
+                                if oracle_compose(ring, uv, w, table) != rhs:
                                     associative = False
                                     failures.append(
                                         f"associativity fails on basis triple "
@@ -1400,11 +1422,11 @@ def oracle_verify_ring(ring):
         u = ring.basis_element(x, y, i)
         where = f"torsion modulus {d} of basis {i} of ({x},{y}) fails on"
         for src, z, j in flat:
-            if src == y and not killed(d, oracle_compose(ring, u, ring.basis_element(y, z, j))):
+            if src == y and not killed(d, oracle_compose(ring, u, ring.basis_element(y, z, j), table)):
                 associative = False
                 failures.append(f"{where} its product with basis {j} of ({y},{z})")
         for w_obj, tgt, j in flat:
-            if tgt == x and not killed(d, oracle_compose(ring, ring.basis_element(w_obj, x, j), u)):
+            if tgt == x and not killed(d, oracle_compose(ring, ring.basis_element(w_obj, x, j), u, table)):
                 associative = False
                 failures.append(f"{where} the product of basis {j} of ({w_obj},{x}) with it")
 
@@ -1436,11 +1458,12 @@ def completing_presentations_equivalent(p, q, *, max_len=12, window=2, ring_p=No
 
     def check(src_pres, dst_pres, dst_ring, direction):
         translate = {i: dst_pres.gen(g.kind, g.H, g.L) for i, g in enumerate(src_pres.generators)}
+        table = file_table(dst_ring)
         for rel in src_pres.relations:
             forms = []
             for side in rel.sides:
                 moved = tuple((c, tuple(translate[gi] for gi in w)) for c, w in side)
-                forms.append(chained_normal_form(dst_ring, moved, source=rel.source, target=rel.target))
+                forms.append(chained_normal_form(dst_ring, moved, rel.source, rel.target, table))
             if any(other != forms[0] for other in forms[1:]):
                 failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
 

@@ -559,6 +559,60 @@ def _table_vector_not_a_list(data):
     data["table"][0][2] = 5
 
 
+def _short_table_vector(data):
+    data["table"][0][2].pop()
+
+
+def _long_table_vector(data):
+    data["table"][0][2].append(0)
+
+
+def _empty_table_vector(data):
+    data["table"][0][2] = []
+
+
+def _components_not_a_list(data):
+    data["components"] = 5
+
+
+def _table_not_a_list(data):
+    data["table"] = 5
+
+
+def _arrow_forms_not_a_list(data):
+    data["arrow_forms"] = {}
+
+
+def _component_not_an_object(data):
+    data["components"][0] = 5
+
+
+def _arrow_form_not_an_object(data):
+    data["arrow_forms"][0] = 5
+
+
+def _string_component_source(data):
+    data["components"][0]["source"] = "1"
+
+
+def _record_without(field, key):
+    """A corruption that removes `key` from the first record of `field`."""
+
+    def corrupt(data):
+        del data[field][0][key]
+
+    corrupt.__name__ = f"_{field}_without_{key}"
+    return corrupt
+
+
+def _no_presentation(data):
+    del data["presentation"]
+
+
+def _presentation_not_an_object(data):
+    data["presentation"] = []
+
+
 def _arrow_coefficients_not_a_list(data):
     data["arrow_forms"][0]["coefficients"] = 5
 
@@ -663,6 +717,23 @@ def _boolean_window(data):
         ("ring4.json", _basis_word_out_of_range),
         ("ring4.json", _short_torsion_list),
         ("ring4.json", _table_vector_not_a_list),
+        ("ring4.json", _short_table_vector),
+        ("ring4.json", _long_table_vector),
+        ("ring4.json", _empty_table_vector),
+        ("ring4.json", _components_not_a_list),
+        ("ring4.json", _table_not_a_list),
+        ("ring4.json", _arrow_forms_not_a_list),
+        ("ring4.json", _component_not_an_object),
+        ("ring4.json", _arrow_form_not_an_object),
+        ("ring4.json", _string_component_source),
+        ("ring4.json", _record_without("components", "source")),
+        ("ring4.json", _record_without("components", "target")),
+        ("ring4.json", _record_without("components", "basis")),
+        ("ring4.json", _record_without("components", "torsion")),
+        ("ring4.json", _record_without("arrow_forms", "generator")),
+        ("ring4.json", _record_without("arrow_forms", "coefficients")),
+        ("ring4.json", _no_presentation),
+        ("ring4.json", _presentation_not_an_object),
         ("ring4.json", _arrow_coefficients_not_a_list),
         ("ring4.json", _string_arrow_generator),
         ("ring4.json", _basis_word_not_a_list),
@@ -707,8 +778,8 @@ def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):
     assert code == 2
     assert str(bad) in err
     assert "module ok" not in out
-    # a named reason, not the text of a TypeError
-    assert "not iterable" not in err and "not supported" not in err
+    # a named reason, not the text of a TypeError or a KeyError
+    assert "not iterable" not in err and "not supported" not in err and "object is not" not in err
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -32,6 +32,7 @@ from corpus import bumped_table_entry, verify_cases, with_torsion
 from oracles import (
     MaxPivotEchelon,
     chained_normal_form,
+    file_table,
     oracle_complete,
     oracle_compose,
     oracle_echelons,
@@ -290,9 +291,10 @@ def test_normal_form_matches_chained_oracle(ring1, ring2, ring3, ring4, ring_c4_
     rng = random.Random(5)
     for ring in (ring1, ring2, ring3, ring4, ring_c4_hand, with_torsion(ring4)):
         identities = {ring.presentation.gen("identity", x) for x in ring.objects}
+        table = file_table(ring)
         for data, x, y in seeded_combinations(ring, rng, 150):
             fast = normal_form(ring, data, source=x, target=y)
-            assert fast == chained_normal_form(ring, data, source=x, target=y), (data, x, y)
+            assert fast == chained_normal_form(ring, data, x, y, table), (data, x, y)
             if data and isinstance(data[0], int) and not set(data) <= identities:
                 assert normal_form(ring, data) == fast
 
@@ -353,7 +355,6 @@ def test_verify_ring_passes_k1_through_k4(ring1, ring2, ring3, ring4, ring_c4_ha
 
 
 def test_verify_ring_detects_corruption(ring2):
-    assert ring2.sparse_table  # the caches of the original ring are warm
     key = next(k for k, v in ring2.table.items() if any(v))
     report = verify_ring(bumped_table_entry(ring2, key))
     assert not report.ok
@@ -361,33 +362,48 @@ def test_verify_ring_detects_corruption(ring2):
     assert verify_ring(ring2).ok
 
 
-def test_table_is_read_only(ring4):
-    loaded = ring_from_dict(ring_to_dict(ring4))
-    for ring in (ring4, loaded):
+def test_table_is_read_only(ring1, ring2, ring3, ring4, ring6):
+    # every composable pair has a row: a tuple of (pos, c) pairs, positions
+    # ascending inside the target component, no zero coefficient, and ()
+    # for a zero product; the table cannot be changed in place
+    completed = (ring1, ring2, ring3, ring4, ring6, with_torsion(ring4))
+    for ring in (*completed, *(ring_from_dict(ring_to_dict(r)) for r in completed)):
+        composable = {
+            (u, v) for u, (_, y, _) in enumerate(ring.flat) for v, (y_v, _, _) in enumerate(ring.flat) if y == y_v
+        }
+        assert ring.table.keys() == composable
+        for (u, v), row in ring.table.items():
+            assert type(row) is tuple
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in row)
+            assert all(type(t) is int and type(c) is int and c for t, c in row)
+            positions = [t for t, _ in row]
+            size = len(ring.basis[(ring.flat[u][0], ring.flat[v][1])])
+            assert positions == sorted(set(positions)) and all(0 <= t < size for t in positions)
         key = next(iter(ring.table))
-        vec = ring.table[key]
+        row = ring.table[key]
         with pytest.raises(TypeError):
-            ring.table[key] = (0,) * len(vec)
+            ring.table[key] = ()
         with pytest.raises(TypeError):
             del ring.table[key]
-        assert type(vec) is tuple and ring.table[key] is vec
+        assert ring.table[key] is row
 
 
 def test_compose_matches_oracle_compose(ring2, ring3, ring4, ring6):
     rng = random.Random(21)
     for ring in (ring2, ring3, ring4, ring6, with_torsion(ring4)):
+        table = file_table(ring)
         flat = [(x, y, pos) for x, y in ring.pairs for pos in range(len(ring.basis[(x, y)]))]
         for x, y, i in flat:
             u = ring.basis_element(x, y, i)
             for src, z, j in flat:
                 if src == y:
                     v = ring.basis_element(y, z, j)
-                    assert ring.compose(u, v) == oracle_compose(ring, u, v), (u, v)
+                    assert ring.compose(u, v) == oracle_compose(ring, u, v, table), (u, v)
         for _ in range(300):
             x, y, z = (rng.choice(ring.objects) for _ in range(3))
             u = ring.element(x, y, [rng.randint(-3, 3) for _ in ring.basis[(x, y)]])
             v = ring.element(y, z, [rng.randint(-3, 3) for _ in ring.basis[(y, z)]])
-            assert u.then(v) == ring.compose(u, v) == oracle_compose(ring, u, v), (u, v)
+            assert u.then(v) == ring.compose(u, v) == oracle_compose(ring, u, v, table), (u, v)
 
 
 def test_verify_ring_matches_oracle_on_corrupted_files(ring1, ring2, ring3, ring4, ring_c4_hand):
@@ -453,9 +469,8 @@ def test_modulus_below_minus_two_is_not_proved_associative(ring2):
 
 
 def test_verify_ring_reads_the_table_it_is_given(ring4):
-    # warm every cache built from the table, then read back a file whose
-    # table differs from it in one entry
-    assert ring4.sparse_table
+    # run the probe on the ring, then read back a file whose table differs
+    # from it in one entry
     assert random_associativity_probe(ring4, count=50) == []
     units = {ring4.offset[(x, x)] + ring4.unit_pos[x] for x in ring4.objects}
     key = next(k for k, v in sorted(ring4.table.items()) if units.isdisjoint(k) and any(v))

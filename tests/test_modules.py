@@ -57,6 +57,7 @@ from oracles import (
     dense_map_system_rows,
     dense_relations,
     dense_solve_left,
+    file_table,
     mat_identity,
     mat_mul,
     oracle_ext,
@@ -638,11 +639,12 @@ def test_functoriality_property_on_corpus(ring2):
     # one module and all pairs
     m = yoneda_cyclic_quotient(ring2, 2, 0, 1, 0)
     ring = ring2
+    table = file_table(ring)
     for fu, (x, y, _) in enumerate(ring.flat):
         for fv, (y2, z, _) in enumerate(ring.flat):
             if y2 != y:
                 continue
-            vec = ring.table[(fu, fv)]
+            vec = table[(fu, fv)]
             off = ring.offset[(x, z)]
             for e in (0, 1):
                 lhs = mat_mul(dense_action(m, fv, e), dense_action(m, fu, e), m.ngens((x, e)))

@@ -84,13 +84,29 @@ def _boolean_table_index(table):
     entry[0] = True
 
 
+def _short_table_vector(table):
+    table[0][2].pop()
+
+
+def _long_table_vector(table):
+    table[0][2].append(0)
+
+
+def _empty_table_vector(table):
+    # entry (0, 0) lands in a nonempty component, so [] is not its zero row
+    table[0][2] = []
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
         (_repeat_table_entry, r"repeated table entry \(0,0\)"),
         (_boolean_table_index, r"table entry \[True, \d+, \.\.\.\] needs integer indices"),
+        (_short_table_vector, r"table entry \(0,0\) has the wrong length"),
+        (_long_table_vector, r"table entry \(0,0\) has the wrong length"),
+        (_empty_table_vector, r"table entry \(0,0\) has the wrong length"),
     ],
-    ids=["repeated", "boolean"],
+    ids=["repeated", "boolean", "short-vector", "long-vector", "empty-vector"],
 )
 def test_ring_table_indices_are_checked(ring2, change, message):
     data = ring_to_dict(ring2)
@@ -129,21 +145,69 @@ def _torsion_not_a_list(data):
     _component_record(data)["torsion"] = 5
 
 
+def _set_field(path, value):
+    """A change that sets the field at `path`, keys and list indices from
+    the top of the ring file, to `value`."""
+
+    def change(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+
+    return change
+
+
+def _drop_field(path):
+    """A change that removes the field at `path`."""
+
+    def change(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        del data[last]
+
+    return change
+
+
+WRONG_TYPES = [
+    ("table-vector", _table_vector_not_a_list, r"table entry \(\d+,\d+\) needs a list of coefficients, got 5"),
+    (
+        "arrow-coefficients",
+        _arrow_coefficients_not_a_list,
+        r"arrow normal form of generator \d+ needs a list of coefficients, got 5",
+    ),
+    ("string-generator", _string_arrow_generator, r"arrow normal form needs an integer generator, got '1'"),
+    ("boolean-generator", _boolean_arrow_generator, r"arrow normal form needs an integer generator, got True"),
+    ("basis-word", _basis_word_not_a_list, r"component \(\d, \d\) needs its basis as a list of words, each a list"),
+    ("torsion", _torsion_not_a_list, r"component \(\d, \d\) needs a torsion list of one integer or null modulus"),
+    ("components-int", _set_field(["components"], 5), r"ring file needs 'components' as a list, got int"),
+    ("table-int", _set_field(["table"], 5), r"ring file needs 'table' as a list, got int"),
+    ("arrow-forms-object", _set_field(["arrow_forms"], {}), r"ring file needs 'arrow_forms' as a list, got dict"),
+    ("table-missing", _drop_field(["table"]), r"ring file needs 'table' as a list, got NoneType"),
+    ("component-int", _set_field(["components", 0], 5), r"component record 0 needs an object, got int"),
+    ("string-source", _set_field(["components", 0, "source"], "1"), r"components do not cover the object pairs"),
+    ("arrow-form-list", _set_field(["arrow_forms", 1], []), r"arrow form record 1 needs an object, got list"),
+    *(
+        (f"component-without-{f}", _drop_field(["components", 2, f]), f"component record 2 has no field '{f}'")
+        for f in ("source", "target", "basis", "torsion")
+    ),
+    *(
+        (f"arrow-form-without-{f}", _drop_field(["arrow_forms", 0, f]), f"arrow form record 0 has no field '{f}'")
+        for f in ("generator", "coefficients")
+    ),
+    ("presentation-missing", _drop_field(["presentation"]), r"ring file needs 'presentation' as an object"),
+    ("presentation-list", _set_field(["presentation"], []), r"ring file needs 'presentation' as an object"),
+]
+
+
 @pytest.mark.parametrize(
-    "change, message",
-    [
-        (_table_vector_not_a_list, r"table entry \(\d+,\d+\) needs a list of coefficients, got 5"),
-        (_arrow_coefficients_not_a_list, r"arrow normal form of generator \d+ needs a list of coefficients, got 5"),
-        (_string_arrow_generator, r"arrow normal form needs an integer generator, got '1'"),
-        (_boolean_arrow_generator, r"arrow normal form needs an integer generator, got True"),
-        (_basis_word_not_a_list, r"component \(\d, \d\) needs its basis as a list of words, each a list"),
-        (_torsion_not_a_list, r"component \(\d, \d\) needs a torsion list of one integer or null modulus"),
-    ],
-    ids=["table-vector", "arrow-coefficients", "string-generator", "boolean-generator", "basis-word", "torsion"],
+    "change, message", [case[1:] for case in WRONG_TYPES], ids=[case[0] for case in WRONG_TYPES]
 )
 def test_ring_fields_of_the_wrong_type_are_named(ring2, change, message):
-    # each used to escape as a bare TypeError ("'int' object is not
-    # iterable", "'<=' not supported ..."), or to load as another file
+    # each used to escape as a bare TypeError or KeyError ("'int' object
+    # is not iterable", "'<=' not supported ...", "'source'"), or to load
+    # as another file
     data = ring_to_dict(ring2)
     change(data)
     data["ring_hash"] = content_hash(data)

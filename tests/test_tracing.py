@@ -13,7 +13,7 @@ import pathlib
 from catring import cli, modules, verify_ring, yoneda_cyclic_quotient
 from catring.serialize import module_to_dict, ring_to_dict, save_json
 
-from corpus import bumped_table_entry
+from corpus import bumped_table_entry, with_torsion
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -122,14 +122,18 @@ def test_tracer_sees_chain_products_inside_free_cover(ring4):
     assert parents == ["modules.free_cover"] * calls["intlin.mat_mul"]
 
 
-def test_tracer_table_nnz_counts_the_written_table_entries(ring2, ring4):
+def test_tracer_table_nnz_counts_the_written_table_entries(ring1, ring2, ring3, ring4, ring6):
     # the build trace anchors `completion.table_nnz.k*` on this count: it
     # must equal the number of entries a ring file writes, so a change to
     # how a ring stores its table cannot move the anchor while the file
     # stays the same
     tracing = load_tracing()
-    for ring in (ring2, ring4):
+    for ring in (ring1, ring2, ring3, ring4, ring6, with_torsion(ring4)):
         tracer = tracing.Tracer()
         tracer._complete_exit((), ring)
         nnz = tracer.ring_stats[ring.presentation.group_order][2]
         assert nnz == len(ring_to_dict(ring)["table"]) > 0
+    # rows whose only entry sits at position 0 exist: `any` over a
+    # {pos: c} dict row reads its positions and would count them as zero,
+    # so this test also fails a switch to that row form
+    assert any(len(row) == 1 and row[0][0] == 0 for row in ring6.table.values())
