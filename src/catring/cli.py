@@ -79,24 +79,27 @@ class Workspace:
 
     @classmethod
     def open(cls, path: str) -> "Workspace":
-        try:
-            data = load_json(path)
-            ring = ring_from_dict(data)
-        except (OSError, json.JSONDecodeError, FormatError, KeyError, TypeError) as exc:
-            raise CliError(f"cannot load ring file {path}: {exc}") from exc
-        return cls(path, ring, data["ring_hash"])
+        return cls(path, *_read(path, "ring", lambda data: (ring_from_dict(data), data["ring_hash"])))
 
     def load_module(self, path: str):
-        try:
-            data = load_json(path)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot load module file {path}: {exc}") from exc
+        data = _read(path, "module", lambda data: data)
         try:
             return module_from_dict(self.ring, data, self.ring_hash)
         except FormatError as exc:
             raise CliError(f"{path}: {exc}") from exc
         except ValueError as exc:
             raise MathError(f"{path}: {exc}") from exc
+
+
+def _read(path: str, kind: str, parse):
+    """`parse` of the JSON object in the `kind` file at `path`.  A file
+    that cannot be read, is not ASCII, holds no JSON object or fails
+    `parse` with a ValueError (a FormatError among them) raises CliError
+    naming it."""
+    try:
+        return parse(load_json(path))
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot load {kind} file {path}: {exc}") from exc
 
 
 def _emit(args, payload: dict, text: str) -> None:

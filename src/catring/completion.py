@@ -30,6 +30,7 @@ slots with a modulus keep their coefficients reduced into [0, d).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -360,9 +361,8 @@ def _echelons(pres: Presentation, max_len: int):
 class _Stabilization:
     """The stopping rule of the completion, applied after each bound.
 
-    A bound is certified when its snapshot fits the monomial model and
-    closes under products; the ring is read off once `window` consecutive
-    snapshots are certified and identical.
+    A bound is certified when its `_snapshot` is not None; the ring is
+    read off once `window` consecutive snapshots are certified and equal.
     """
 
     def __init__(self, pres: Presentation, max_len: int, window: int):
@@ -371,17 +371,28 @@ class _Stabilization:
         self.pres = pres
         self.max_len = max_len
         self.window = window
-        self.pairs = [(x, y) for x in pres.objects for y in pres.objects]
         self.history: list[tuple | None] = []
         self.trajectory: list[int] = []
 
     def ring_at(self, bound: int, spaces) -> CategoryRing | None:
         """The completed ring if `bound` ends a stable window, else None."""
-        self.history.append(self._snapshot(spaces, bound))
+        pres = self.pres
+        self.history.append(_snapshot(pres.objects, spaces, bound, self.trajectory))
         tail = self.history[-self.window:]
-        if len(tail) == self.window and tail[0] is not None and all(t == tail[0] for t in tail):
-            return _build_ring(self.pres, spaces, tail[0], bound, self.max_len, self.window)
-        return None
+        if len(tail) < self.window or tail[0] is None or any(t != tail[0] for t in tail):
+            return None
+        basis, torsion, table = tail[0]
+        arrow_forms = {}
+        for a in pres.arrows:
+            g = pres.generators[a]
+            space = spaces[(g.source, g.target)]
+            red = space.lattice.reduce({space.ids[(a,)]: 1})
+            pos = {w: n for n, w in enumerate(basis[(g.source, g.target)])}
+            coeffs = [0] * len(pos)
+            for col, c in red.items():
+                coeffs[pos[space.words[-col]]] = c
+            arrow_forms[a] = (g.source, g.target, tuple(coeffs))
+        return CategoryRing(pres, basis, torsion, table, arrow_forms, bound, self.max_len, self.window)
 
     def exhausted(self) -> NotStabilizedError:
         return NotStabilizedError(
@@ -389,55 +400,56 @@ class _Stabilization:
             self.trajectory,
         )
 
-    def _snapshot(self, spaces, bound: int):
-        pairs = self.pairs
-        content = {}
-        total = 0
-        all_monomial = True
-        for pair in pairs:
-            space = spaces[pair]
+
+def _snapshot(objects, spaces, bound: int, trajectory: list[int]):
+    """The ring data of `bound` as `CategoryRing` takes it, or None.
+
+    Appends the bound's total rank to `trajectory`.  Returns None unless
+    the echelon data fits the monomial model and the product of every
+    two composable basis words has length at most `bound` and reduces
+    into the basis; then `(basis, torsion, table)`, with the table keyed
+    by the flat indices of `_flat_layout`.  Snapshots compare with `==`.
+    Raises InconsistentPresentationError, at the first object in order,
+    when an identity is eliminated or carries a modulus.
+    """
+    basis, torsion, position = {}, {}, {}
+    all_monomial = True
+    for x in objects:
+        for y in objects:
+            space = spaces[(x, y)]
             eliminated, moduli, mixed = space.classify()
             if mixed:
                 all_monomial = False
-            unit = space.ids[()] if pair[0] == pair[1] else None
-            if unit is not None and (unit in eliminated or unit in moduli):
+            if x == y and (space.ids[()] in eliminated or space.ids[()] in moduli):
                 raise InconsistentPresentationError(
-                    f"the identity of object {pair[0]} collapses; the presentation is inconsistent"
+                    f"the identity of object {x} collapses; the presentation is inconsistent"
                 )
-            kept = [
-                (w, moduli.get(-i))
-                for i, w in enumerate(space.words)
-                if -i not in eliminated
-            ]
-            content[pair] = kept
-            total += len(kept)
-        self.trajectory.append(total)
-        if not all_monomial:
-            return None
+            kept = [-i for i in range(len(space.words)) if -i not in eliminated]
+            basis[(x, y)] = [space.words[-col] for col in kept]
+            torsion[(x, y)] = [moduli.get(col) for col in kept]
+            position[(x, y)] = {col: n for n, col in enumerate(kept)}
+    trajectory.append(sum(map(len, basis.values())))
+    if not all_monomial:
+        return None
 
-        # closure certificate + table
-        table = {}
-        for px, py in pairs:
-            for qy, qz in pairs:
-                if py != qy:
-                    continue
-                tgt_space = spaces[(px, qz)]
-                tgt_ids = {w: n for n, (w, _) in enumerate(content[(px, qz)])}
-                for w_u, _ in content[(px, py)]:
-                    for w_v, _ in content[(qy, qz)]:
-                        prod = w_u + w_v
-                        if len(prod) > bound:
-                            return None
-                        red = tgt_space.lattice.reduce({tgt_space.ids[prod]: 1})
-                        row = []
-                        for col, c in red.items():
-                            pos = tgt_ids.get(tgt_space.words[-col])
-                            if pos is None:
-                                return None
-                            row.append((pos, c))
-                        table[(px, py, w_u, qy, qz, w_v)] = tuple(sorted(row))
-        return (tuple(sorted((pair, tuple(kept)) for pair, kept in content.items())),
-                tuple(sorted(table.items())))
+    # closure certificate + table, object triple by triple, then u and v
+    _, flat, _, offset = _flat_layout(objects, basis)
+    block = {pair: range(offset[pair], offset[pair] + len(words)) for pair, words in basis.items()}
+    table = {}
+    for x, y, z in itertools.product(objects, repeat=3):
+        space, pos = spaces[(x, z)], position[(x, z)]
+        for u in block[(x, y)]:
+            for v in block[(y, z)]:
+                prod = flat[u][2] + flat[v][2]
+                if len(prod) > bound:
+                    return None
+                row = []
+                for col, c in space.lattice.reduce({space.ids[prod]: 1}).items():
+                    if col not in pos:
+                        return None
+                    row.append((pos[col], c))
+                table[(u, v)] = tuple(sorted(row))
+    return basis, torsion, table
 
 
 def complete(pres: Presentation, max_len: int = DEFAULT_MAX_LEN, window: int = DEFAULT_WINDOW) -> CategoryRing:
@@ -497,33 +509,6 @@ def certify_or_complete(
         if ring is not None:
             return ring
     raise rule.exhausted()
-
-
-def _build_ring(pres, spaces, snap, bound, max_len, window):
-    content, table_items = snap
-    basis = {}
-    torsion = {}
-    for pair, kept in content:
-        basis[pair] = [w for w, _ in kept]
-        torsion[pair] = [m for _, m in kept]
-
-    arrow_forms = {}
-    for a in pres.arrows:
-        g = pres.generators[a]
-        space = spaces[(g.source, g.target)]
-        red = space.lattice.reduce({space.ids[(a,)]: 1})
-        pos = {w: n for n, w in enumerate(basis[(g.source, g.target)])}
-        coeffs = [0] * len(pos)
-        for col, c in red.items():
-            coeffs[pos[space.words[-col]]] = c
-        arrow_forms[a] = (g.source, g.target, tuple(coeffs))
-
-    flat_of = _flat_layout(pres.objects, basis)[2]
-    table = {
-        (flat_of[(px, py, w_u)], flat_of[(qy, qz, w_v)]): row
-        for (px, py, w_u, qy, qz, w_v), row in table_items
-    }
-    return CategoryRing(pres, basis, torsion, table, arrow_forms, bound, max_len, window)
 
 
 def normal_form(ring: CategoryRing, data, source: int | None = None, target: int | None = None) -> RingElement:

@@ -155,23 +155,13 @@ class Presentation:
             raise ValueError(f"character of the order-{chi.subgroup} subgroup, not of the order-{H} one")
         return tuple((c, self.multiplication_word(H, j)) for j, c in enumerate(chi.coeffs) if c)
 
-    def _chain(self, low: int, high: int) -> list[int]:
-        # Canonical maximal subgroup chain: always step by the smallest
-        # prime factor of the remaining index.
-        chain = [low]
-        cur = low
-        while cur < high:
-            q = high // cur
-            p = next(p for p in range(2, q + 1) if q % p == 0)
-            cur *= p
-            chain.append(cur)
-        return chain
-
     def restriction_word(self, H: int, L: int, chain=None) -> Word:
-        """The composite restriction from object H down to object L."""
+        """The composite restriction from object H down to object L, along
+        `chain` (orders from L up to H), by default the first of
+        `_all_chains`, the canonical one."""
         if H % L != 0:
             raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
-        chain = list(chain) if chain is not None else self._chain(L, H)
+        chain = list(chain if chain is not None else _all_chains(L, H)[0])
         if chain[:1] != [L] or chain[-1:] != [H]:
             raise ValueError(f"chain {chain} does not run from {L} to {H}")
         word = []
@@ -180,10 +170,11 @@ class Presentation:
         return tuple(word)
 
     def induction_word(self, L: int, H: int, chain=None) -> Word:
-        """The composite induction from object L up to object H."""
+        """The composite induction from object L up to object H, along
+        `chain` as in `restriction_word`."""
         if H % L != 0:
             raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
-        chain = list(chain) if chain is not None else self._chain(L, H)
+        chain = list(chain if chain is not None else _all_chains(L, H)[0])
         if chain[:1] != [L] or chain[-1:] != [H]:
             raise ValueError(f"chain {chain} does not run from {L} to {H}")
         word = []
@@ -235,7 +226,8 @@ class Presentation:
 
 
 def _all_chains(low: int, high: int) -> list[tuple[int, ...]]:
-    """All maximal subgroup chains from order `low` to order `high`, sorted."""
+    """All maximal subgroup chains from order `low` to order `high`, sorted;
+    the first, which steps by the smallest prime each time, is canonical."""
     if low == high:
         return [(low,)]
     chains = []
@@ -318,21 +310,20 @@ def build_presentation(k: int) -> Presentation:
         for H in divs:
             if H % L or L == H or _is_prime(H // L):
                 continue
-            chains = _all_chains(L, H)
-            canonical = chains[0]
-            for other in chains[1:]:
+            # each other chain against the canonical one, the default
+            for other in _all_chains(L, H)[1:]:
                 emit(
                     "chain_independence",
                     H,
                     L,
-                    ((1, pres.restriction_word(H, L, canonical)),),
+                    ((1, pres.restriction_word(H, L)),),
                     ((1, pres.restriction_word(H, L, other)),),
                 )
                 emit(
                     "chain_independence",
                     L,
                     H,
-                    ((1, pres.induction_word(L, H, canonical)),),
+                    ((1, pres.induction_word(L, H)),),
                     ((1, pres.induction_word(L, H, other)),),
                 )
 

@@ -12,10 +12,9 @@ other ring before any computation touches them.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 
-from .completion import CategoryRing
+from .completion import CategoryRing, _flat_layout
 from .modules import GradedModule, _check_rows
 from .presentation import (
     CONJUGATION,
@@ -83,17 +82,20 @@ def generator_to_dict(g: Generator) -> dict:
     return rec
 
 
-def generator_from_dict(rec: dict) -> Generator:
+def generator_from_dict(rec: dict, what: str) -> Generator:
     """The generator of a record that `generator_to_dict` writes back
     unchanged, with every field but `kind` an integer: no field is
-    ignored, missing or of another type."""
-    kind = rec.get("kind") if isinstance(rec, dict) else None
+    ignored, missing or of another type.  FormatError names `what`."""
+    kind = rec.get("kind") if type(rec) is dict else None
     if kind not in (IDENTITY, CONJUGATION, MULTIPLICATION, RESTRICTION, INDUCTION):
+        _typed(rec, what, kind=str)  # names a record that is no object, or its missing or mistyped kind
         raise FormatError(f"unknown generator kind {kind!r}")
     g = Generator(kind, rec.get("H"), rec.get("L"))
     written = generator_to_dict(g)
     if written != rec or not _INT.issuperset(type(v) for k, v in rec.items() if k != "kind"):
-        raise FormatError(f"generator record {rec} does not read back as {written}")
+        # name a field the writer gives this kind that is missing or no integer
+        _typed(rec, what, **{field: int for field in written if field != "kind"})
+        raise FormatError(f"{what} {rec} does not read back as {written}")
     return g
 
 
@@ -120,33 +122,41 @@ def presentation_to_dict(p: Presentation) -> dict:
 
 
 def presentation_from_dict(data: dict) -> Presentation:
+    """The presentation a record holds; FormatError names the record and
+    the field when one is missing or of another type."""
     _expect(data, "presentation")
-    gens = [generator_from_dict(rec) for rec in data["generators"]]
-    rels = [
-        Relation(
-            rec["tag"],
-            rec["source"],
-            rec["target"],
-            tuple(
-                tuple((t["coefficient"], tuple(t["word"])) for t in side) for side in rec["sides"]
-            ),
-        )
-        for rec in data["relations"]
-    ]
-    for rel in rels:
-        for side in rel.sides:
-            for _, word in side:
+    order, objects, gen_recs, rel_recs, counts = _typed(
+        data, "presentation", group_order=int, objects=list, generators=list, relations=list, family_counts=dict
+    )
+    gens = [generator_from_dict(rec, f"generator record {n}") for n, rec in enumerate(gen_recs)]
+    rels = []
+    for n, rec in enumerate(rel_recs):
+        what = f"relation record {n}"
+        tag, source, target, sides = _typed(rec, what, tag=str, source=int, target=int, sides=list)
+        read = []
+        for s, side in enumerate(sides):
+            if type(side) is not list:
+                raise FormatError(f"{what} needs each of its 'sides' as a list of terms")
+            terms = []
+            for m, t in enumerate(side):
+                # the test alone first: a term is far cheaper to test than to name
+                if not (type(t) is dict and type(t.get("coefficient")) is int and type(t.get("word")) is list):
+                    _typed(t, f"{what} side {s} term {m}", coefficient=int, word=list)
+                word = t["word"]
                 if any(type(gi) is not int or not 0 <= gi < len(gens) for gi in word):
-                    raise FormatError(
-                        f"relation {rel.tag}: word {list(word)} names an unknown generator"
-                    )
+                    raise FormatError(f"relation {tag}: word {word} names an unknown generator")
+                terms.append((t["coefficient"], tuple(word)))
+            read.append(tuple(terms))
+        rels.append(Relation(tag, source, target, tuple(read)))
+    if not all(type(name) is str and type(c) is int for name, c in counts.items()):
+        raise FormatError("presentation needs 'family_counts' as an integer count per family name")
     try:
-        p = Presentation(data["group_order"], gens, rels, data.get("family_counts"))
+        p = Presentation(order, gens, rels, counts)
         p.validate()
     except ValueError as exc:
         raise FormatError(f"invalid presentation: {exc}") from exc
-    if list(p.objects) != data["objects"]:
-        raise FormatError("object list does not match the group order")
+    if list(p.objects) != objects:
+        raise FormatError("presentation 'objects' does not list the subgroup orders of the group order")
     return p
 
 
@@ -191,6 +201,9 @@ def ring_to_dict(ring: CategoryRing) -> dict:
     return data
 
 
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
 def _records(data: dict, field: str) -> list:
     """The list of records a ring file holds under `field`."""
     records = data.get(field)
@@ -209,6 +222,15 @@ def _fields(rec, what: str, *fields: str) -> tuple:
         raise FormatError(f"{what} has no field {exc}") from exc
 
 
+def _typed(rec, what: str, **types) -> tuple:
+    """`_fields`, each value of exactly its type (`True` is no integer)."""
+    values = _fields(rec, what, *types)
+    if list(map(type, values)) != list(types.values()):
+        field, kind, value = next((f, k, v) for (f, k), v in zip(types.items(), values) if type(v) is not k)
+        raise FormatError(f"{what} needs {field!r} as {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return values
+
+
 def ring_from_dict(data: dict) -> CategoryRing:
     _expect(data, "ring")
     if data.get("ring_hash") != content_hash(data):
@@ -216,6 +238,8 @@ def ring_from_dict(data: dict) -> CategoryRing:
     if type(data.get("presentation")) is not dict:
         raise FormatError("ring file needs 'presentation' as an object")
     pres = presentation_from_dict(data["presentation"])
+    if data.get("generator_order") != [g.name() for g in pres.generators]:
+        raise FormatError("generator_order does not list the names of the presentation's generators")
     basis = {}
     torsion = {}
     for n, comp in enumerate(_records(data, "components")):
@@ -229,9 +253,11 @@ def ring_from_dict(data: dict) -> CategoryRing:
             raise FormatError(f"component {pair} needs a torsion list of one integer or null modulus per basis word")
         basis[pair] = [tuple(w) for w in words]
         torsion[pair] = [m if m else None for m in mods]
-    pairs = [(x, y) for x in pres.objects for y in pres.objects]
-    if basis.keys() != set(pairs):
+    if basis.keys() != {(x, y) for x in pres.objects for y in pres.objects}:
         raise FormatError("components do not cover the object pairs")
+    for x in pres.objects:
+        if () not in basis[(x, x)]:
+            raise FormatError(f"component ({x}, {x}) needs the empty word [] in its basis")
     # every basis word is a path of arrows through its component
     arrow_ends = {a: (pres.generators[a].source, pres.generators[a].target) for a in pres.arrows}
     for (x, y), words in basis.items():
@@ -247,12 +273,7 @@ def ring_from_dict(data: dict) -> CategoryRing:
             if cur != y:
                 raise FormatError(f"basis word {list(w)} of component ({x},{y}) does not end at {y}")
 
-    # the flat indices of each component, and the component of each index
-    blocks, pair_of = {}, []
-    for pair in pairs:
-        blocks[pair] = range(len(pair_of), len(pair_of) + len(basis[pair]))
-        pair_of += [pair] * len(basis[pair])
-
+    _, flat, _, offset = _flat_layout(pres.objects, basis)
     table = {}
     for entry in _records(data, "table"):
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -260,13 +281,13 @@ def ring_from_dict(data: dict) -> CategoryRing:
         u, v, vec = entry
         if not (type(u) is int and type(v) is int):
             raise FormatError(f"table entry [{u!r}, {v!r}, ...] needs integer indices")
-        if not (0 <= u < len(pair_of) and 0 <= v < len(pair_of)):
+        if not (0 <= u < len(flat) and 0 <= v < len(flat)):
             raise FormatError("table index out of range")
         if type(vec) is not list:
             raise FormatError(f"table entry ({u},{v}) needs a list of coefficients, got {vec!r}")
         if not _INT.issuperset(map(type, vec)):
             raise FormatError(f"table entry ({u},{v}) has a non-integer coefficient")
-        (x, y), (y_v, z) = pair_of[u], pair_of[v]
+        (x, y, _), (y_v, z, _) = flat[u], flat[v]
         if y != y_v:
             raise FormatError("table has an entry for basis elements that do not compose")
         if len(vec) != len(basis[(x, z)]):
@@ -275,9 +296,9 @@ def ring_from_dict(data: dict) -> CategoryRing:
             raise FormatError(f"repeated table entry ({u},{v})")
         table[(u, v)] = tuple([(t, c) for t, c in enumerate(vec) if c])
     # every composable pair without an entry is a zero product
-    for x, y, z in itertools.product(pres.objects, repeat=3):
-        for u in blocks[(x, y)]:
-            for v in blocks[(y, z)]:
+    for u, (_, y, _) in enumerate(flat):
+        for z in pres.objects:
+            for v in range(offset[(y, z)], offset[(y, z)] + len(basis[(y, z)])):
                 table.setdefault((u, v), ())
 
     arrow_forms = {}

@@ -8,7 +8,7 @@ import pytest
 
 from catring import cli, completion, trivial_group_module, yoneda, yoneda_cyclic_quotient
 from catring.cli import build_parser, main
-from catring.serialize import content_hash, load_json, module_to_dict, ring_from_dict, ring_to_dict, save_json
+from catring.serialize import canonical_json, content_hash, load_json, module_to_dict, ring_from_dict, ring_to_dict, save_json
 
 from corpus import verify_cases
 
@@ -692,9 +692,41 @@ def _boolean_window(data):
     data["window"] = True
 
 
+def _not_an_object(data):
+    # valid JSON, but not the object every file holds
+    return b"[1]\n"
+
+
+def _non_ascii_byte(data):
+    # valid UTF-8 JSON with an unescaped e-acute, which an ASCII file cannot hold
+    return b'{"note":"caf\xc3\xa9",' + canonical_json(data).encode("ascii")[1:] + b"\n"
+
+
+def _diagonal_basis_without_unit(data):
+    # the empty word of component (1, 1) replaced by another loop at 1, so
+    # every length still fits
+    words = _component(data, 1, 1)["basis"]
+    words[words.index([])] = words[-1] * 2
+
+
+def _reversed_generator_order(data):
+    data["generator_order"].reverse()
+
+
+def _no_generator_order(data):
+    del data["generator_order"]
+
+
 @pytest.mark.parametrize(
     "base, corrupt",
     [
+        ("yoneda.json", _not_an_object),
+        ("yoneda.json", _non_ascii_byte),
+        ("ring4.json", _not_an_object),
+        ("ring4.json", _non_ascii_byte),
+        ("ring4.json", _diagonal_basis_without_unit),
+        ("ring4.json", _reversed_generator_order),
+        ("ring4.json", _no_generator_order),
         ("yoneda.json", _drop_values),
         ("yoneda.json", _unknown_object),
         ("yoneda.json", _duplicate_slot),
@@ -764,22 +796,149 @@ def _boolean_window(data):
     ],
 )
 def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):
+    # a corruption edits the file's data in place, or returns the bytes
+    # the file holds instead
     data = load_json(workdir / base)
-    corrupt(data)
+    raw = corrupt(data)
     bad = tmp_path / f"bad_{base}"
     if base == "ring4.json":
         data["ring_hash"] = content_hash(data)
-        save_json(bad, data)
         argv = ["ring", "info", str(bad)]
     else:
-        save_json(bad, data)
         argv = ["module", "check", "--ring", str(workdir / "ring4.json"), str(bad)]
+    if raw is None:
+        save_json(bad, data)
+    else:
+        bad.write_bytes(raw)
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert str(bad) in err
     assert "module ok" not in out
     # a named reason, not the text of a TypeError or a KeyError
     assert "not iterable" not in err and "not supported" not in err and "object is not" not in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "check", "bad.json"],
+        ["ext", "-M", "bad.json", "-N", "yoneda.json", "--degree", "0"],
+        ["uct", "-M", "yoneda.json", "-N", "bad.json"],
+        ["pd", "-M", "bad.json"],
+        ["resolve", "-M", "bad.json", "--length", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("content", [b"[1]\n", b'{"note":"caf\xc3\xa9"}\n'], ids=["not-an-object", "non-ascii"])
+def test_every_module_reader_exits_2_on_an_unreadable_file(workdir, tmp_path, capsys, argv, content):
+    # each used to escape `Workspace.load_module` as a FormatError or a
+    # UnicodeDecodeError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [str(bad) if a == "bad.json" else str(workdir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(argv + ["--ring", str(workdir / "ring4.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot load module file {bad}: ")
+
+
+def _generator_of(kind):
+    return lambda pres: next(g for g in pres["generators"] if g["kind"] == kind)
+
+
+def _first_relation(pres):
+    return pres["relations"][0]
+
+
+# each level of a presentation record: where it sits in the record, and a
+# value of the wrong type for each of its fields
+PRESENTATION_LEVELS = [
+    (
+        "presentation",
+        lambda pres: pres,
+        {"format_version": "1", "kind": 5, "group_order": "4", "objects": 5, "generators": 5, "relations": 5,
+         "family_counts": 5},
+    ),
+    ("identity", _generator_of("identity"), {"kind": 5, "H": "1"}),
+    ("conjugation", _generator_of("conjugation"), {"kind": 5, "H": "1", "g": "1"}),
+    ("multiplication", _generator_of("multiplication"), {"kind": 5, "H": "2", "chi": "1"}),
+    ("restriction", _generator_of("restriction"), {"kind": 5, "H": "2", "L": "1"}),
+    ("induction", _generator_of("induction"), {"kind": 5, "H": "2", "L": "1"}),
+    ("relation", _first_relation, {"tag": 5, "source": "1", "target": "1", "sides": 5}),
+    ("term", lambda pres: _first_relation(pres)["sides"][0][0], {"coefficient": "1", "word": 5}),
+]
+_DELETE = object()
+PRESENTATION_SWEEP = [
+    (f"{level}-{'deleted' if value is _DELETE else 'wrong-type'}-{field}", level, locate, field, value)
+    for level, locate, wrong in PRESENTATION_LEVELS
+    for field, wrong_value in wrong.items()
+    for value in (_DELETE, wrong_value)
+]
+
+
+def _set_record(path, value):
+    # the record at `path` inside the presentation replaced by `value`
+    def change(pres):
+        *parents, last = path
+        for key in parents:
+            pres = pres[key]
+        pres[last] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "level, locate, field, value",
+    [case[1:] for case in PRESENTATION_SWEEP],
+    ids=[case[0] for case in PRESENTATION_SWEEP],
+)
+def test_malformed_presentation_fields_are_named(workdir, tmp_path, capsys, level, locate, field, value):
+    # a field deleted or of the wrong type at every level of the ring
+    # file's presentation exits 2 naming the field; several used to print
+    # only the text of a KeyError or TypeError ("'relations'", "'int'
+    # object is not iterable", "'<' not supported ...")
+    data = load_json(workdir / "ring4.json")
+    rec = locate(data["presentation"])
+    if value is _DELETE:
+        del rec[field]
+    else:
+        rec[field] = value
+    data["ring_hash"] = content_hash(data)
+    bad = tmp_path / "bad_ring4.json"
+    save_json(bad, data)
+    code, out, err = run_cli(["ring", "info", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot load ring file {bad}: ")
+    reason = err[len(f"error: cannot load ring file {bad}: "):]
+    # the field is named in a sentence, not printed alone as a KeyError is;
+    # the header check names the presentation's own two without quotes
+    header = level == "presentation" and field in ("format_version", "kind")
+    assert (field if header else repr(field)) in reason
+    assert reason.strip() != repr(field)
+    for text in ("not iterable", "not subscriptable", "not supported", "object is not", "unhashable"):
+        assert text not in reason
+
+
+@pytest.mark.parametrize(
+    "change, name",
+    [
+        (_set_record(["generators", 0], 3), "generator record 0"),
+        (_set_record(["relations", 0], 3), "relation record 0"),
+        (_set_record(["relations", 0, "sides", 0], 3), "'sides'"),
+        (_set_record(["relations", 0, "sides", 0, 0], 3), "side 0 term 0"),
+    ],
+    ids=["generator", "relation", "side", "term"],
+)
+def test_presentation_records_of_the_wrong_type_are_named(workdir, tmp_path, capsys, change, name):
+    data = load_json(workdir / "ring4.json")
+    change(data["presentation"])
+    data["ring_hash"] = content_hash(data)
+    bad = tmp_path / "bad_ring4.json"
+    save_json(bad, data)
+    code, out, err = run_cli(["ring", "info", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot load ring file {bad}: ") and name in err
+    assert "object is not" not in err
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

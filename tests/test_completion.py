@@ -518,6 +518,64 @@ def test_inconsistent_presentation_detected():
         complete(pres)
 
 
+# the first bound whose snapshot is certified, per group order: with
+# window w the completion stops at bound FIRST_CERTIFIED[k] + w - 1
+FIRST_CERTIFIED = {1: 1, 2: 2, 3: 4, 4: 6, 6: 6}
+
+
+@pytest.mark.parametrize(
+    "k, windows", [(1, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2, 3, 4)), (4, (1, 2, 3, 4)), (6, (1, 3))]
+)
+def test_window_moves_only_the_stopping_bound(request, k, windows):
+    # pins the stopping rule: a longer window reads the same ring off later
+    reference = ring_to_dict(request.getfixturevalue(f"ring{k}"))
+    for window in windows:
+        data = ring_to_dict(complete(build_presentation(k), window=window))
+        assert (data["stabilized_at"], data["window"]) == (FIRST_CERTIFIED[k] + window - 1, window)
+        for field in ("components", "table", "arrow_forms"):
+            assert data[field] == reference[field]
+
+
+def test_window_below_one_is_rejected_before_any_echelon_work(monkeypatch):
+    def no_echelons(*args):
+        raise AssertionError("echelon work started")
+
+    monkeypatch.setattr(completion, "_echelons", no_echelons)
+    pres = build_presentation(2)
+    c1 = pres.gen(CONJUGATION, 1)
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window must be positive"):
+            complete(pres, window=window)
+        with pytest.raises(ValueError, match="window must be positive"):
+            completion.certify_or_complete(pres, [(1, 1, ((1, (c1, c1)), (-1, ())))], window=window)
+
+
+@pytest.mark.parametrize(
+    "k, max_len, trajectory",
+    [(4, 3, [11, 20, 22]), (5, 12, [6, 10, 14, 16, 16, 16, 16, 16, 16, 16, 16, 16])],
+)
+def test_not_stabilized_message_is_pinned(k, max_len, trajectory):
+    with pytest.raises(NotStabilizedError) as info:
+        complete(build_presentation(k), max_len=max_len)
+    assert info.value.trajectory == trajectory
+    assert str(info.value) == f"no stabilization for k={k} within max_len={max_len}; rank trajectory {trajectory}"
+
+
+def test_order_4_certification_takes_three_snapshots(ring4, monkeypatch):
+    # the pending combinations are tested before each bound's snapshot, so
+    # bound 4 certifies them without a fourth snapshot
+    bounds = []
+    real = completion._snapshot
+
+    def spy(objects, spaces, bound, trajectory):
+        bounds.append(bound)
+        return real(objects, spaces, bound, trajectory)
+
+    monkeypatch.setattr(completion, "_snapshot", spy)
+    assert presentations_equivalent(build_presentation(4), presentation_c4(), ring_p=ring4).equivalent
+    assert bounds == [1, 2, 3]
+
+
 def test_unknown_component_rejected(ring2):
     with pytest.raises(KeyError):
         ring2.rank(1, 5)

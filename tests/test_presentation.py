@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from catring.presentation import (
     RESTRICTION,
     Presentation,
     Relation,
+    _all_chains,
 )
 
 from oracles import chained_normal_form, completing_presentations_equivalent
@@ -279,3 +281,44 @@ def test_word_endpoint_validation():
         p.word_endpoints((r21, r42))
     with pytest.raises(ValueError):
         p.word_endpoints((), None)
+
+
+def _greedy_chain(low, high):
+    # step by the smallest prime factor of the remaining index each time
+    chain = [low]
+    while chain[-1] < high:
+        q = high // chain[-1]
+        chain.append(chain[-1] * next(p for p in range(2, q + 1) if q % p == 0))
+    return tuple(chain)
+
+
+def test_the_first_chain_is_the_greedy_one():
+    for k in range(1, 61):
+        for L in subgroups(k):
+            for H in subgroups(k):
+                if H % L == 0:
+                    assert _all_chains(L, H)[0] == _greedy_chain(L, H)
+
+
+@pytest.mark.parametrize("k", [12, 30])
+def test_default_words_follow_the_first_chain(k):
+    # the one canonical chain: the default words are those of the chain
+    # that chain_independence compares every other chain against
+    p = build_presentation(k)
+    longest = 0
+    for L in p.objects:
+        for H in p.objects:
+            if H % L == 0:
+                first = _all_chains(L, H)[0]
+                longest = max(longest, len(first) - 1)
+                assert p.restriction_word(H, L) == p.restriction_word(H, L, first)
+                assert p.induction_word(L, H) == p.induction_word(L, H, first)
+    assert longest == 3
+
+
+def test_equivalence_defaults_are_the_completion_defaults():
+    # presentation cannot import completion at load time, so the defaults
+    # of presentations_equivalent are written out; they must not drift
+    params = inspect.signature(presentations_equivalent).parameters
+    defaults = (params["max_len"].default, params["window"].default)
+    assert defaults == (completion.DEFAULT_MAX_LEN, completion.DEFAULT_WINDOW)

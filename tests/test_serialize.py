@@ -197,6 +197,29 @@ WRONG_TYPES = [
         for f in ("generator", "coefficients")
     ),
     ("presentation-missing", _drop_field(["presentation"]), r"ring file needs 'presentation' as an object"),
+    # CategoryRing raised a bare "() is not in list" on this one
+    (
+        "diagonal-without-unit",
+        _set_field(["components", 0, "basis"], [[2], [2, 2]]),
+        r"component \(1, 1\) needs the empty word \[\] in its basis",
+    ),
+    ("generator-order", _set_field(["generator_order"], ["1[1]"]), r"generator_order does not list the names"),
+    ("generator-order-missing", _drop_field(["generator_order"]), r"generator_order does not list the names"),
+    # the presentation's fields; each escaped as a bare KeyError or TypeError
+    ("relations-missing", _drop_field(["presentation", "relations"]), r"presentation has no field 'relations'"),
+    ("generators-int", _set_field(["presentation", "generators"], 5), r"presentation needs 'generators' as a list, got int"),
+    ("family-counts-int", _set_field(["presentation", "family_counts"], 5), r"needs 'family_counts' as an object, got int"),
+    ("relation-int", _set_field(["presentation", "relations", 0], 3), r"relation record 0 needs an object, got int"),
+    (
+        "word-int",
+        _set_field(["presentation", "relations", 0, "sides", 0, 0, "word"], 5),
+        r"relation record 0 side 0 term 0 needs 'word' as a list, got int",
+    ),
+    (
+        "group-order-string",
+        _set_field(["presentation", "group_order"], "4"),
+        r"presentation needs 'group_order' as an integer, got str",
+    ),
     ("presentation-list", _set_field(["presentation"], []), r"ring file needs 'presentation' as an object"),
 ]
 
