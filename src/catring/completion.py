@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 from .intlin import Lattice
@@ -103,31 +102,25 @@ class _PairSpace:
 
 @dataclass(frozen=True)
 class RingElement:
-    """An element of one hom component, as coefficients over its basis."""
+    """An element of one hom component, as its row over the component's
+    basis: the reduced (pos, c) pairs, pos ascending and c nonzero, the
+    form of `CategoryRing.table`'s rows; () is zero."""
 
     ring: "CategoryRing"
     source: int
     target: int
-    coeffs: tuple
+    row: tuple
 
     def __add__(self, other):
-        self._check(other)
-        return self.ring.element(
-            self.source, self.target, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def _check(self, other):
         if (self.source, self.target) != (other.source, other.target):
             raise ValueError("elements live in different components")
+        vec = dict(self.row)
+        for t, c in other.row:
+            vec[t] = vec.get(t, 0) + c
+        return self.ring.element(self.source, self.target, vec)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    @cached_property
-    def sparse(self) -> dict[int, int]:
-        """The nonzero coefficients as {pos: c}, built on first use: read
-        it, never mutate it."""
-        return {t: c for t, c in enumerate(self.coeffs) if c}
+        return not self.row
 
     def then(self, other: "RingElement") -> "RingElement":
         """Composition in diagram order: (x.then(y)) applies x first."""
@@ -175,40 +168,33 @@ class CategoryRing:
         self.window = window
         self.pairs, self.flat, self.flat_of, self.offset = _flat_layout(self.objects, basis)
         self.unit_pos = {x: basis[(x, x)].index(()) for x in self.objects}
-        # arrow_forms maps each non-identity generator index to its normal form
+        # arrow_forms maps each arrow's generator index to its normal form, {pos: c}
+        gens = presentation.generators
         self.arrow_forms = {
-            gi: self.element(src, tgt, coeffs) for gi, (src, tgt, coeffs) in arrow_forms.items()
+            gi: self.element(gens[gi].source, gens[gi].target, vec) for gi, vec in arrow_forms.items()
         }
         # entry tuple -> free module, filled by `modules.free_module`
         self._free_modules: dict[tuple, object] = {}
 
     # -- elements ------------------------------------------------------
 
-    def element(self, source, target, coeffs) -> RingElement:
-        mods = self.torsion[(source, target)]
-        reduced = tuple(c % d if d else c for c, d in zip(coeffs, [m or 0 for m in mods]))
-        return RingElement(self, source, target, reduced)
+    def element(self, source, target, vec) -> RingElement:
+        """The element with coefficients `vec`, {pos: c}, reduced."""
+        return RingElement(self, source, target, _reduced(self.torsion[(source, target)], vec))
 
     def zero(self, source, target) -> RingElement:
-        return self.element(source, target, [0] * len(self.basis[(source, target)]))
+        return RingElement(self, source, target, ())
 
     def unit(self, obj) -> RingElement:
-        coeffs = [0] * len(self.basis[(obj, obj)])
-        coeffs[self.unit_pos[obj]] = 1
-        return self.element(obj, obj, coeffs)
+        return self.element(obj, obj, {self.unit_pos[obj]: 1})
 
     def basis_element(self, source, target, pos) -> RingElement:
-        coeffs = [0] * len(self.basis[(source, target)])
-        coeffs[pos] = 1
-        return self.element(source, target, coeffs)
+        return self.element(source, target, {pos: 1})
 
     def compose(self, x: RingElement, y: RingElement) -> RingElement:
         """x then y, i.e. the ring product y o x."""
-        prod = _product(self, x.sparse, (x.source, x.target), y.sparse, (y.source, y.target))
-        out = [0] * len(self.basis[(x.source, y.target)])
-        for t, c in prod.items():
-            out[t] = c
-        return self.element(x.source, y.target, out)
+        prod = _product(self, x.row, (x.source, x.target), y.row, (y.source, y.target))
+        return RingElement(self, x.source, y.target, prod)
 
     # -- presentation-facing helpers ------------------------------------
 
@@ -231,10 +217,8 @@ class CategoryRing:
     def element_str(self, elem: RingElement) -> str:
         parts = []
         words = self.basis[(elem.source, elem.target)]
-        for c, w in zip(elem.coeffs, words):
-            if not c:
-                continue
-            s = self.word_str(w, elem.source)
+        for pos, c in elem.row:
+            s = self.word_str(words[pos], elem.source)
             if c == 1:
                 parts.append(s)
             elif c == -1:
@@ -388,10 +372,7 @@ class _Stabilization:
             space = spaces[(g.source, g.target)]
             red = space.lattice.reduce({space.ids[(a,)]: 1})
             pos = {w: n for n, w in enumerate(basis[(g.source, g.target)])}
-            coeffs = [0] * len(pos)
-            for col, c in red.items():
-                coeffs[pos[space.words[-col]]] = c
-            arrow_forms[a] = (g.source, g.target, tuple(coeffs))
+            arrow_forms[a] = {pos[space.words[-col]]: c for col, c in red.items()}
         return CategoryRing(pres, basis, torsion, table, arrow_forms, bound, self.max_len, self.window)
 
     def exhausted(self) -> NotStabilizedError:
@@ -483,6 +464,7 @@ def certify_or_complete(
     as `complete(pres, max_len, window)` would; if neither happens within
     `max_len`, raises as `complete` does.
     """
+    rule = _Stabilization(pres, max_len, window)
     pending = []
     for source, target, terms in combinations:
         vec: dict[tuple, int] = {}
@@ -493,7 +475,6 @@ def certify_or_complete(
             pending.append(((source, target), vec, max(len(w) for w in vec)))
     if not pending:
         return None
-    rule = _Stabilization(pres, max_len, window)
     for bound, spaces in _echelons(pres, max_len):
         left = []
         for pair, vec, longest in pending:
@@ -517,7 +498,8 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
     `data` is either a word (tuple of generator indices in application
     order) or a tuple of (coefficient, word) pairs.  Endpoints are
     inferred from the words where possible; combinations containing only
-    empty words need `source` (= `target`).
+    empty words need `source` (= `target`).  An empty `data` is the empty
+    word, whose normal form is the unit of `source`.
     """
     pres = ring.presentation
     if data and isinstance(data[0], int):
@@ -539,7 +521,7 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
     if source is not None and source != src or target is not None and target != tgt:
         raise ValueError(f"declared endpoints ({source},{target}) do not match words ({src},{tgt})")
 
-    acc = [0] * len(ring.basis[(src, tgt)])
+    acc: dict[int, int] = {}
     for c, w in data:
         stripped = []
         cur = src
@@ -552,46 +534,53 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
             cur = g.target
         if cur != tgt:
             raise ValueError("summands are not parallel")
-        vec = _reduced(ring.torsion[(src, src)], {ring.unit_pos[src]: 1})
+        row = ring.unit(src).row
         for gi in stripped:
-            vec = _right_step(ring, vec, src, gi)
-        for pos, v in vec.items():
-            acc[pos] += c * v
+            row = _right_step(ring, row, src, gi)
+        for pos, v in row:
+            acc[pos] = acc.get(pos, 0) + c * v
     return ring.element(src, tgt, acc)
 
 
-def _right_step(ring: CategoryRing, vec: dict[int, int], source: int, arrow: int) -> dict[int, int]:
-    """`vec` then `arrow`, as reduced sparse coefficients.
+def side_forms(ring: CategoryRing, source: int, target: int, sides) -> list[RingElement]:
+    """The normal forms of relation sides, source -> target.  A side is a
+    combination, so an empty one is 0, not the empty word."""
+    zero = ring.zero(source, target)
+    return [normal_form(ring, side, source=source, target=target) if side else zero for side in sides]
 
-    `vec` holds the reduced sparse coefficients of an element of
-    (source, source of `arrow`); the result is its `_product` with the
-    normal form of `arrow`.  This is one letter of `normal_form`.
-    """
+
+def _right_step(ring: CategoryRing, row: tuple, source: int, arrow: int) -> tuple:
+    """`row` then `arrow`: the `_product` of a row over (source, source of
+    `arrow`) with the normal form of `arrow`.  This is one letter of
+    `normal_form`."""
     form = ring.arrow_forms[arrow]
-    return _product(ring, vec, (source, form.source), form.sparse, (form.source, form.target))
+    return _product(ring, row, (source, form.source), form.row, (form.source, form.target))
 
 
-def _reduced(mods: list, vec: dict[int, int]) -> dict[int, int]:
-    """Nonzero entries of a sparse vector, torsion slots reduced mod d."""
-    out = {}
+def _reduced(mods: list, vec: dict[int, int]) -> tuple:
+    """The row of a sparse vector {pos: c}: its nonzero entries with
+    torsion slots reduced mod d, pos ascending.  Every ring element and
+    product is reduced by this one."""
+    out = []
     for pos, v in vec.items():
         if mods[pos]:
             v %= mods[pos]
         if v:
-            out[pos] = v
-    return out
+            out.append((pos, v))
+    out.sort()
+    return tuple(out)
 
 
-def _product(ring: CategoryRing, xs: dict[int, int], pair_x, ys: dict[int, int], pair_y) -> dict[int, int]:
-    """The ring product on sparse coefficients, xs over pair_x then ys
-    over pair_y: the sum of a*b times the table row of each basis pair,
-    reduced into the torsion of its component.  Every product of ring
-    elements in the package is this one."""
+def _product(ring: CategoryRing, xs: tuple, pair_x, ys: tuple, pair_y) -> tuple:
+    """The ring product of rows, xs over pair_x then ys over pair_y: the
+    sum of a*b times the table row of each basis pair, reduced into the
+    torsion of its component.  Every product of ring elements in the
+    package is this one."""
     rows = ring.table
     off_x, off_y = ring.offset[pair_x], ring.offset[pair_y]
     out: dict[int, int] = {}
-    for i, a in xs.items():
-        for j, b in ys.items():
+    for i, a in xs:
+        for j, b in ys:
             ab = a * b
             for t, c in rows[(off_x + i, off_y + j)]:
                 out[t] = out.get(t, 0) + ab * c
@@ -622,14 +611,14 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     Returns the list of failing triples (empty = pass); deterministic in
     the seed.  Each triple draws a start object and three words of at
     most `max_len` letters.  The normal form of each distinct drawn
-    (source, word) is computed once per call, as reduced sparse
-    coefficients: the form of its prefix one letter shorter, then that
-    letter (`_right_step`, the step of `normal_form`'s loop), so it
-    equals `normal_form`'s.  (uv)w and u(vw) are then compared through
-    `_product`, the product that `compose` and `verify_ring` use too.
-    The forms are kept for the call only, and no draw depends on them, so
-    the draws and the failing triples are those of one `normal_form` per
-    drawn word and `RingElement` products per triple.
+    (source, word) is computed once per call, as its row: the form of
+    its prefix one letter shorter, then that letter (`_right_step`, the
+    step of `normal_form`'s loop), so it equals `normal_form`'s.  (uv)w
+    and u(vw) are then compared through `_product`, the product that
+    `compose` and `verify_ring` use too.  The forms are kept for the call
+    only, and no draw depends on them, so the draws and the failing
+    triples are those of one `normal_form` per drawn word and
+    `RingElement` products per triple.
 
     Raises ValueError when `count` or `max_len` is negative.
     """
@@ -646,8 +635,8 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     failures = []
     outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
     target_of = {a: gens[a].target for a in arrows}
-    # (source, word) -> reduced sparse coefficients of its normal form
-    forms = {(x, ()): _reduced(ring.torsion[(x, x)], {ring.unit_pos[x]: 1}) for x in ring.objects}
+    # (source, word) -> the row of its normal form
+    forms = {(x, ()): ring.unit(x).row for x in ring.objects}
 
     def random_word(start):
         length = rng.randint(0, max_len)
@@ -741,9 +730,7 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     pres = ring.presentation
 
     for rel in pres.relations:
-        forms = [
-            normal_form(ring, side, source=rel.source, target=rel.target) for side in rel.sides
-        ]
+        forms = side_forms(ring, rel.source, rel.target, rel.sides)
         for other in forms[1:]:
             if other != forms[0]:
                 failures.append(
@@ -769,7 +756,7 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     elements = [_reduced(torsion[pair], {a - offset[pair]: 1}) for a, pair in enumerate(pair_of)]
     # False once a check below fails, or when a modulus d <= -3 leaves a
     # basis element reduced to a non-unit multiple of itself
-    associative = all(c in (1, -1) for e in elements for c in e.values())
+    associative = all(c in (1, -1) for e in elements for _, c in e)
     products = {(a, b): _product(ring, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in ring.table}
     block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
     objs = ring.objects
@@ -791,7 +778,7 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
                                     )
 
     def kills(d, prod, pair):
-        return not _reduced(torsion[pair], {t: d * c for t, c in prod.items()})
+        return not _reduced(torsion[pair], {t: d * c for t, c in prod})
 
     for u, (x, y) in enumerate(pair_of):
         i = u - offset[(x, y)]

@@ -114,7 +114,7 @@ def _letters(ring: CategoryRing) -> dict[int, list[int]]:
             letters[x].add(fb)
     for form in ring.arrow_forms.values():
         off = ring.offset[(form.source, form.target)]
-        letters[form.source].update(off + t for t, c in enumerate(form.coeffs) if c)
+        letters[form.source].update(off + t for t, _ in form.row)
     return {x: sorted(fbs) for x, fbs in letters.items()}
 
 

@@ -474,7 +474,7 @@ def presentations_equivalent(
     throughout.  A presentation whose completion never stabilizes can
     therefore still be certified to contain the other's relations.
     """
-    from .completion import certify_or_complete, normal_form
+    from .completion import certify_or_complete, side_forms
 
     key_p = {(g.kind, g.H, g.L) for g in p.generators}
     key_q = {(g.kind, g.H, g.L) for g in q.generators}
@@ -501,7 +501,7 @@ def presentations_equivalent(
             if dst_ring is None:
                 return
         for rel, sides in moved:
-            forms = [normal_form(dst_ring, side, source=rel.source, target=rel.target) for side in sides]
+            forms = side_forms(dst_ring, rel.source, rel.target, sides)
             if any(other != forms[0] for other in forms[1:]):
                 failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
 

@@ -163,6 +163,14 @@ def presentation_from_dict(data: dict) -> Presentation:
 # -- rings -------------------------------------------------------------
 
 
+def _coefficients(row: tuple, basis: list) -> list:
+    """The coefficient list a ring file holds for `row` over `basis`."""
+    vec = [0] * len(basis)
+    for t, c in row:
+        vec[t] = c
+    return vec
+
+
 def ring_to_dict(ring: CategoryRing) -> dict:
     components = []
     for pair in ring.pairs:
@@ -174,16 +182,14 @@ def ring_to_dict(ring: CategoryRing) -> dict:
                 "torsion": [m if m else None for m in ring.torsion[pair]],
             }
         )
-    table = []
-    for (u, v), row in sorted(ring.table.items()):
-        if row:
-            vec = [0] * len(ring.basis[(ring.flat[u][0], ring.flat[v][1])])
-            for t, c in row:
-                vec[t] = c
-            table.append([u, v, vec])
+    table = [
+        [u, v, _coefficients(row, ring.basis[(ring.flat[u][0], ring.flat[v][1])])]
+        for (u, v), row in sorted(ring.table.items())
+        if row
+    ]
     arrow_forms = [
-        {"generator": gi, "coefficients": list(ring.arrow_forms[gi].coeffs)}
-        for gi in sorted(ring.arrow_forms)
+        {"generator": gi, "coefficients": _coefficients(f.row, ring.basis[(f.source, f.target)])}
+        for gi, f in sorted(ring.arrow_forms.items())
     ]
     data = {
         "format_version": FORMAT_VERSION,
@@ -311,10 +317,9 @@ def ring_from_dict(data: dict) -> CategoryRing:
         g = pres.generators[gi]
         if type(coeffs) is not list:
             raise FormatError(f"arrow normal form of generator {gi} needs a list of coefficients, got {coeffs!r}")
-        coeffs = tuple(coeffs)
         if len(coeffs) != len(basis[(g.source, g.target)]) or not _INT.issuperset(map(type, coeffs)):
             raise FormatError(f"arrow normal form of generator {gi} needs one integer per basis word")
-        arrow_forms[gi] = (g.source, g.target, coeffs)
+        arrow_forms[gi] = {t: c for t, c in enumerate(coeffs) if c}
     if sorted(arrow_forms) != sorted(pres.arrows):
         raise FormatError("arrow normal forms do not cover the arrows")
     # the completion bounds, at least 1 as on the command line

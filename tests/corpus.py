@@ -81,6 +81,17 @@ def bumped_table_entry(ring, key):
     return ring_from_dict(data)
 
 
+def with_empty_side_relation(ring):
+    """The file dict of `ring` with the relation `0 = 1[1]` added, its
+    first side empty, and its hash recomputed: a relation the ring does
+    not satisfy, since an empty side is the zero combination."""
+    data = ring_to_dict(ring)
+    unit = {"coefficient": 1, "word": []}
+    data["presentation"]["relations"].append({"tag": "zero_unit", "source": 1, "target": 1, "sides": [[], [unit]]})
+    data["ring_hash"] = content_hash(data)
+    return data
+
+
 CORRUPTIONS = ("unit row", "letter column", "elsewhere", "arrow form", "torsion")
 
 
@@ -96,8 +107,7 @@ def corrupted_rings(ring, rng, per_kind):
     letters = {
         ring.offset[(form.source, form.target)] + t
         for form in ring.arrow_forms.values()
-        for t, c in enumerate(form.coeffs)
-        if c
+        for t, _ in form.row
     }
     table = file_table(ring)
     composable = sorted(table)

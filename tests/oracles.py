@@ -1231,6 +1231,15 @@ def file_table(ring):
     return table
 
 
+def coefficients(elem):
+    """The coefficient list of a ring element over its component's basis:
+    its row written into a list, as a ring file holds it."""
+    vec = [0] * len(elem.ring.basis[(elem.source, elem.target)])
+    for t, c in elem.row:
+        vec[t] = c
+    return vec
+
+
 def oracle_compose(ring, x, y, table=None):
     """`catring.CategoryRing.compose` as it first was: x then y, by a
     dense loop over both coefficient vectors and the vectors of
@@ -1242,10 +1251,10 @@ def oracle_compose(ring, x, y, table=None):
     out = [0] * len(ring.basis[(x.source, y.target)])
     off_x = ring.offset[(x.source, x.target)]
     off_y = ring.offset[(y.source, y.target)]
-    for i, a in enumerate(x.coeffs):
+    for i, a in enumerate(coefficients(x)):
         if not a:
             continue
-        for j, b in enumerate(y.coeffs):
+        for j, b in enumerate(coefficients(y)):
             if not b:
                 continue
             vec = table[(off_x + i, off_y + j)]
@@ -1253,7 +1262,7 @@ def oracle_compose(ring, x, y, table=None):
             for t, c in enumerate(vec):
                 if c:
                     out[t] += ab * c
-    return ring.element(x.source, y.target, out)
+    return ring.element(x.source, y.target, dict(enumerate(out)))
 
 
 def chained_normal_form(ring, data, source=None, target=None, table=None):
@@ -1299,7 +1308,7 @@ def chained_normal_form(ring, data, source=None, target=None, table=None):
         elem = ring.unit(src)
         for gi in stripped:
             elem = oracle_compose(ring, elem, ring.arrow_forms[gi], table)
-        acc = acc + ring.element(src, tgt, [c * v for v in elem.coeffs])
+        acc = acc + ring.element(src, tgt, {t: c * v for t, v in enumerate(coefficients(elem))})
     return acc
 
 
@@ -1368,7 +1377,13 @@ def oracle_verify_ring(ring):
     table = file_table(ring)
 
     for rel in pres.relations:
-        forms = [chained_normal_form(ring, side, rel.source, rel.target, table) for side in rel.sides]
+        # a side is a combination, so an empty one is 0, not the empty word
+        forms = [
+            chained_normal_form(ring, side, rel.source, rel.target, table)
+            if side
+            else ring.zero(rel.source, rel.target)
+            for side in rel.sides
+        ]
         for other in forms[1:]:
             if other != forms[0]:
                 failures.append(
@@ -1412,7 +1427,7 @@ def oracle_verify_ring(ring):
 
     # a modulus d of basis u holds when d times each product with u is 0
     def killed(d, prod):
-        return ring.element(prod.source, prod.target, [d * c for c in prod.coeffs]).is_zero()
+        return ring.element(prod.source, prod.target, {t: d * c for t, c in enumerate(coefficients(prod))}).is_zero()
 
     flat = [(x, y, i) for x, y in ring.pairs for i in range(len(ring.basis[(x, y)]))]
     for x, y, i in flat:

@@ -10,7 +10,7 @@ from catring import cli, completion, trivial_group_module, yoneda, yoneda_cyclic
 from catring.cli import build_parser, main
 from catring.serialize import canonical_json, content_hash, load_json, module_to_dict, ring_from_dict, ring_to_dict, save_json
 
-from corpus import verify_cases
+from corpus import verify_cases, with_empty_side_relation
 
 
 def run_cli(args, capsys):
@@ -83,6 +83,13 @@ def test_ring_verify_detects_corruption(workdir, tmp_path, capsys):
     code, out, _ = run_cli(["ring", "verify", str(tmp_path / "bad.json")], capsys)
     assert code == 1
     assert "FAILED" in out
+
+
+def test_ring_verify_fails_an_empty_relation_side(ring2, tmp_path, capsys):
+    save_json(tmp_path / "zero.json", with_empty_side_relation(ring2))
+    code, out, _ = run_cli(["ring", "verify", str(tmp_path / "zero.json")], capsys)
+    assert code == 1
+    assert "relation zero_unit (1->1) does not hold in the table" in out
 
 
 def test_ring_verify_work_counts(workdir, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,10 +29,11 @@ from catring import completion
 from catring.intlin import Lattice
 from catring.serialize import content_hash, ring_from_dict, ring_to_dict
 
-from corpus import bumped_table_entry, verify_cases, with_torsion
+from corpus import bumped_table_entry, verify_cases, with_empty_side_relation, with_torsion
 from oracles import (
     MaxPivotEchelon,
     chained_normal_form,
+    coefficients,
     file_table,
     oracle_complete,
     oracle_compose,
@@ -253,7 +255,7 @@ def test_idempotence_and_linearity_of_normal_form(ring4):
     a = normal_form(ring4, ((2, (c1,)), (3, (c1, c1, c1, c1))), source=1, target=1)
     b = normal_form(ring4, (c1,))
     c = normal_form(ring4, (c1,) * 4)
-    assert a.coeffs == tuple(2 * x + 3 * y for x, y in zip(b.coeffs, c.coeffs))
+    assert coefficients(a) == [2 * x + 3 * y for x, y in zip(coefficients(b), coefficients(c))]
 
 
 def seeded_combinations(ring, rng, count):
@@ -362,6 +364,45 @@ def test_verify_ring_detects_corruption(ring2):
     assert verify_ring(ring2).ok
 
 
+def test_empty_relation_side_is_zero(ring2):
+    # a relation side is a combination, so the empty side of `0 = 1[1]` is
+    # 0, though the normal form of the empty word is the unit
+    ring = ring_from_dict(with_empty_side_relation(ring2))
+    failure = "relation zero_unit (1->1) does not hold in the table"
+    assert verify_ring(ring).failures == [failure]
+    assert oracle_verify_ring(ring).failures == [failure]
+    failure = "left-in-right: relation zero_unit 1->1 does not reduce to zero"
+    for ring_q in (ring2, None):
+        report = presentations_equivalent(ring.presentation, build_presentation(2), ring_p=ring, ring_q=ring_q)
+        assert report.failures == [failure]
+    assert normal_form(ring2, (), source=1) == ring2.unit(1)
+
+
+def test_elements_are_reduced_rows(ring1, ring2, ring3, ring4, ring6):
+    # every element is its row: int (pos, c) pairs, pos ascending inside
+    # the component, c nonzero and reduced into the slot's torsion
+    for ring in (ring1, ring2, ring3, ring4, ring6, with_torsion(ring4)):
+        elems = [*ring.arrow_forms.values(), *(ring.unit(x) for x in ring.objects)]
+        for x, y in ring.pairs:
+            words = ring.basis[(x, y)]
+            elems += [ring.basis_element(x, y, pos) for pos in range(len(words))]
+            elems += [normal_form(ring, w, source=x, target=y) for w in words]
+            elems.append(ring.element(x, y, {t: t % 5 - 2 for t in range(len(words))}))
+        for x, y, z in itertools.product(ring.objects, repeat=3):
+            u = ring.element(x, y, {t: t % 4 - 1 for t in range(len(ring.basis[(x, y)]))})
+            v = ring.element(y, z, {t: 3 - t % 7 for t in range(len(ring.basis[(y, z)]))})
+            elems.append(ring.compose(u, v))
+        for e in elems:
+            mods = ring.torsion[(e.source, e.target)]
+            assert type(e.row) is tuple
+            assert all(type(t) is int and type(c) is int for t, c in e.row), e.row
+            assert [t for t, _ in e.row] == sorted({t for t, _ in e.row}), e.row
+            assert all(0 <= t < len(mods) and c and (not mods[t] or c == c % mods[t]) for t, c in e.row), e.row
+            same = ring.element(e.source, e.target, dict(e.row)) + ring.zero(e.source, e.target)
+            assert same == e and hash(same) == hash(e)
+            assert e.is_zero() == (e == ring.zero(e.source, e.target))
+
+
 def test_table_is_read_only(ring1, ring2, ring3, ring4, ring6):
     # every composable pair has a row: a tuple of (pos, c) pairs, positions
     # ascending inside the target component, no zero coefficient, and ()
@@ -401,8 +442,8 @@ def test_compose_matches_oracle_compose(ring2, ring3, ring4, ring6):
                     assert ring.compose(u, v) == oracle_compose(ring, u, v, table), (u, v)
         for _ in range(300):
             x, y, z = (rng.choice(ring.objects) for _ in range(3))
-            u = ring.element(x, y, [rng.randint(-3, 3) for _ in ring.basis[(x, y)]])
-            v = ring.element(y, z, [rng.randint(-3, 3) for _ in ring.basis[(y, z)]])
+            u = ring.element(x, y, {t: rng.randint(-3, 3) for t in range(len(ring.basis[(x, y)]))})
+            v = ring.element(y, z, {t: rng.randint(-3, 3) for t in range(len(ring.basis[(y, z)]))})
             assert u.then(v) == ring.compose(u, v) == oracle_compose(ring, u, v, table), (u, v)
 
 
@@ -548,6 +589,10 @@ def test_window_below_one_is_rejected_before_any_echelon_work(monkeypatch):
             complete(pres, window=window)
         with pytest.raises(ValueError, match="window must be positive"):
             completion.certify_or_complete(pres, [(1, 1, ((1, (c1, c1)), (-1, ())))], window=window)
+        # with nothing left to certify too
+        for combinations in ([], [(1, 1, ((1, (c1,)), (-1, (c1,))))]):
+            with pytest.raises(ValueError, match="window must be positive"):
+                completion.certify_or_complete(pres, combinations, window=window)
 
 
 @pytest.mark.parametrize(

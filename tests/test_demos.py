@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints exactly its pinned output
+(`fixtures/demos/<name>.stdout`)."""
 
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = pathlib.Path(__file__).parent / "fixtures" / "demos"
 
 
 def test_demos_exist():
@@ -23,4 +25,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (PINNED / f"{demo.stem}.stdout").read_text()

@@ -1280,8 +1280,7 @@ def test_letters_are_the_arrow_form_support(ring4):
     support = {
         ring4.offset[(f.source, f.target)] + t
         for f in ring4.arrow_forms.values()
-        for t, c in enumerate(f.coeffs)
-        if c
+        for t, _ in f.row
     }
     letters = _letters(ring4)
     assert {fb for fbs in letters.values() for fb in fbs} == support

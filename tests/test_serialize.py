@@ -52,9 +52,7 @@ def test_ring_roundtrip_preserves_everything(ring1, ring2, ring3, ring4):
         assert loaded.basis == ring.basis
         assert loaded.torsion == ring.torsion
         assert loaded.table == ring.table
-        assert {k: v.coeffs for k, v in loaded.arrow_forms.items()} == {
-            k: v.coeffs for k, v in ring.arrow_forms.items()
-        }
+        assert {k: v.row for k, v in loaded.arrow_forms.items()} == {k: v.row for k, v in ring.arrow_forms.items()}
         assert canonical_json(ring_to_dict(loaded)) == text
         report = verify_ring(loaded)
         assert report.ok
