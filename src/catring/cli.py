@@ -15,7 +15,8 @@ Exit codes are a stable contract, one per error class:
 - 2: usage or file error.  A file cannot be read or written, is
   malformed (`FormatError`) or names a different ring; a flag is out of
   range (`--cap` < 1, `--length` < 0, `--degree` < 0, `--window` < 1,
-  `--max-len` < 1, a `--from` or `--to` that does not divide `--order`).
+  `--max-len` < 1, an `--order` below 1, or a `--from`, `--to`,
+  `--left`, `--middle` or `--right` that does not divide `--order`).
 """
 
 from __future__ import annotations
@@ -249,6 +250,7 @@ def cmd_ring_info(args) -> int:
 
 
 def cmd_group_cosets(args) -> int:
+    _check_subgroup_flags(args, "left", "middle", "right")
     try:
         reps = groups.double_cosets(args.order, args.left, args.middle, args.right)
     except ValueError as exc:
@@ -266,15 +268,20 @@ def cmd_group_restrict(args) -> int:
     return _emit_character(args, groups.restrict_character)
 
 
-def _emit_character(args, along) -> int:
-    # --from and --to must name subgroups of C_order
+def _check_subgroup_flags(args, *flags) -> None:
+    """Raise CliError naming the flag unless --order is a group order and
+    each of `flags` names a subgroup of C_order."""
     try:
         orders = groups.subgroups(args.order)
     except ValueError as exc:
         raise CliError(f"--order: {exc}") from exc
-    for flag in ("from", "to"):
+    for flag in flags:
         if getattr(args, flag) not in orders:
             raise CliError(f"--{flag} {getattr(args, flag)} is not a subgroup order of C_{args.order}")
+
+
+def _emit_character(args, along) -> int:
+    _check_subgroup_flags(args, "from", "to")
     chi = _parse_character(args.char, getattr(args, "from"))
     try:
         out = along(chi, args.to)

@@ -59,6 +59,8 @@ def trivial_character(d: int) -> Character:
 
 
 def _check_inclusion(small: int, large: int) -> None:
+    if small < 1:
+        raise ValueError(f"subgroup order must be positive, got {small}")
     if large % small != 0:
         raise ValueError(f"order-{small} subgroup is not contained in the order-{large} one")
 
@@ -101,7 +103,7 @@ def double_cosets(k: int, left: int, middle: int, right: int) -> list[int]:
     subgroup LK (order lcm(|L|, |K|)) in H.  Representatives are sorted by
     residue and start with the identity.
     """
-    if k % middle != 0:
+    if middle not in subgroups(k):
         raise ValueError(f"order-{middle} is not a subgroup of C_{k}")
     _check_inclusion(left, middle)
     _check_inclusion(right, middle)

@@ -267,6 +267,8 @@ def yoneda(ring: CategoryRing, obj: int, eps: int) -> GradedModule:
     """
     if obj not in ring.objects:
         raise KeyError(f"unknown object {obj}")
+    if eps not in (0, 1):
+        raise ValueError(f"unknown degree {eps}: a module has degrees 0 and 1")
     gens = {(x, eps): tuple(ring.word_str(w, x) for w in ring.basis[(x, obj)]) for x in ring.objects}
     return GradedModule(ring, gens, {}, free_module(ring, [(obj, eps)]).act)
 

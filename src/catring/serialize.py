@@ -163,10 +163,11 @@ def presentation_from_dict(data: dict) -> Presentation:
 # -- rings -------------------------------------------------------------
 
 
-def _coefficients(row: tuple, basis: list) -> list:
-    """The coefficient list a ring file holds for `row` over `basis`."""
-    vec = [0] * len(basis)
-    for t, c in row:
+def _dense(pairs, n: int) -> list:
+    """The list of width n that a file holds for the (pos, c) pairs of a
+    sparse row: a ring row, an arrow form, or a module row's items."""
+    vec = [0] * n
+    for t, c in pairs:
         vec[t] = c
     return vec
 
@@ -183,12 +184,12 @@ def ring_to_dict(ring: CategoryRing) -> dict:
             }
         )
     table = [
-        [u, v, _coefficients(row, ring.basis[(ring.flat[u][0], ring.flat[v][1])])]
+        [u, v, _dense(row, len(ring.basis[(ring.flat[u][0], ring.flat[v][1])]))]
         for (u, v), row in sorted(ring.table.items())
         if row
     ]
     arrow_forms = [
-        {"generator": gi, "coefficients": _coefficients(f.row, ring.basis[(f.source, f.target)])}
+        {"generator": gi, "coefficients": _dense(f.row, len(ring.basis[(f.source, f.target)]))}
         for gi, f in sorted(ring.arrow_forms.items())
     ]
     data = {
@@ -211,10 +212,11 @@ _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an obj
 
 
 def _records(data: dict, field: str) -> list:
-    """The list of records a ring file holds under `field`."""
+    """The list of records a file of the kind `_expect` checked holds
+    under `field`."""
     records = data.get(field)
     if type(records) is not list:
-        raise FormatError(f"ring file needs {field!r} as a list, got {type(records).__name__}")
+        raise FormatError(f"{data['kind']} file needs {field!r} as a list, got {type(records).__name__}")
     return records
 
 
@@ -235,6 +237,21 @@ def _typed(rec, what: str, **types) -> tuple:
         field, kind, value = next((f, k, v) for (f, k), v in zip(types.items(), values) if type(v) is not k)
         raise FormatError(f"{what} needs {field!r} as {_TYPE_NAMES[kind]}, got {type(value).__name__}")
     return values
+
+
+def _integers(vec, n: int, what: str, *where) -> list:
+    """`vec`, a list of n integers (no bools, floats or strings) read from
+    a file.  FormatError names `what.format(*where)` otherwise; the name
+    is built only then, as a table or a module file holds many lists."""
+    if type(vec) is list and len(vec) == n and _INT.issuperset(map(type, vec)):
+        return vec
+    what = what.format(*where)
+    if type(vec) is not list:
+        raise FormatError(f"{what} needs a list of coefficients, got {vec!r}")
+    if len(vec) != n:
+        raise FormatError(f"{what}: expected width {n}, got {len(vec)}")
+    bad = next(x for x in vec if type(x) is not int)
+    raise FormatError(f"{what} has a non-integer entry {bad!r}")
 
 
 def ring_from_dict(data: dict) -> CategoryRing:
@@ -289,15 +306,10 @@ def ring_from_dict(data: dict) -> CategoryRing:
             raise FormatError(f"table entry [{u!r}, {v!r}, ...] needs integer indices")
         if not (0 <= u < len(flat) and 0 <= v < len(flat)):
             raise FormatError("table index out of range")
-        if type(vec) is not list:
-            raise FormatError(f"table entry ({u},{v}) needs a list of coefficients, got {vec!r}")
-        if not _INT.issuperset(map(type, vec)):
-            raise FormatError(f"table entry ({u},{v}) has a non-integer coefficient")
         (x, y, _), (y_v, z, _) = flat[u], flat[v]
         if y != y_v:
             raise FormatError("table has an entry for basis elements that do not compose")
-        if len(vec) != len(basis[(x, z)]):
-            raise FormatError(f"table entry ({u},{v}) has the wrong length")
+        vec = _integers(vec, len(basis[(x, z)]), "table entry ({},{})", u, v)
         if (u, v) in table:
             raise FormatError(f"repeated table entry ({u},{v})")
         table[(u, v)] = tuple([(t, c) for t, c in enumerate(vec) if c])
@@ -315,10 +327,7 @@ def ring_from_dict(data: dict) -> CategoryRing:
         if not 0 <= gi < len(pres.generators) or gi in arrow_forms:
             raise FormatError(f"arrow normal form for an unknown or repeated generator {gi}")
         g = pres.generators[gi]
-        if type(coeffs) is not list:
-            raise FormatError(f"arrow normal form of generator {gi} needs a list of coefficients, got {coeffs!r}")
-        if len(coeffs) != len(basis[(g.source, g.target)]) or not _INT.issuperset(map(type, coeffs)):
-            raise FormatError(f"arrow normal form of generator {gi} needs one integer per basis word")
+        coeffs = _integers(coeffs, len(basis[(g.source, g.target)]), "arrow normal form of generator {}", gi)
         arrow_forms[gi] = {t: c for t, c in enumerate(coeffs) if c}
     if sorted(arrow_forms) != sorted(pres.arrows):
         raise FormatError("arrow normal forms do not cover the arrows")
@@ -345,44 +354,28 @@ def ring_from_dict(data: dict) -> CategoryRing:
 # -- modules -----------------------------------------------------------
 
 
-def _dense(rows, nrows, n: int, what: str, where) -> list[list[int]]:
-    """Sparse rows as dense lists of width n, as module files hold them;
-    raises the ValueError of `modules._check_rows` on rows that do not fit."""
-    _check_rows(rows, nrows, n, what, where)
-    out = []
-    for row in rows:
-        dense = [0] * n
-        for j, c in row.items():
-            dense[j] = c
-        out.append(dense)
-    return out
-
-
 def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
-    """The module file of `module`; raises ValueError naming the slot or
-    the (basis, degree) pair whose rows do not fit its generators."""
+    """The module file of `module`; raises the ValueError of
+    `modules._check_rows`, naming the slot or the (basis, degree) pair
+    whose rows do not fit its generators."""
     values = []
     for slot in module.slots:
-        rels = _dense(module.rels[slot], None, module.ngens(slot), "relations at slot", slot)
+        rows, n = module.rels[slot], module.ngens(slot)
+        _check_rows(rows, None, n, "relations at slot", slot)
         values.append(
             {
                 "object": slot[0],
                 "degree": slot[1],
                 "generators": list(module.gens[slot]),
-                "relations": rels,
+                "relations": [_dense(row.items(), n) for row in rows],
             }
         )
     actions = []
     for fb, (x, y, _) in enumerate(module.ring.flat):
         for deg in (0, 1):
-            matrix = _dense(
-                module.act[(fb, deg)],
-                module.ngens((y, deg)),
-                module.ngens((x, deg)),
-                "action matrix of (basis, degree)",
-                (fb, deg),
-            )
-            actions.append({"basis": fb, "degree": deg, "matrix": matrix})
+            rows, n = module.act[(fb, deg)], module.ngens((x, deg))
+            _check_rows(rows, module.ngens((y, deg)), n, "action matrix of (basis, degree)", (fb, deg))
+            actions.append({"basis": fb, "degree": deg, "matrix": [_dense(row.items(), n) for row in rows]})
     return {
         "format_version": FORMAT_VERSION,
         "kind": "module",
@@ -392,28 +385,22 @@ def module_to_dict(module: GradedModule, ring_hash: str) -> dict:
     }
 
 
-def _integer_rows(rows, nrows, ncols: int, what: str) -> list:
-    """JSON rows of integers as sparse rows {column: value} without zeros.
-    Raises FormatError naming `what` unless every row has width `ncols` and
-    integer entries (no strings, floats or bools) and, when `nrows` is not
-    None, there are `nrows` rows."""
-    out = []
-    for row in rows:
-        if len(row) != ncols:
-            raise FormatError(f"{what}: expected width {ncols}, got {len(row)}")
-        if not _INT.issuperset(map(type, row)):
-            bad = next(x for x in row if type(x) is not int)
-            raise FormatError(f"{what} has a non-integer entry {bad!r}")
-        out.append({j: c for j, c in enumerate(row) if c})
+def _integer_rows(rows, nrows, ncols: int, what: str, where) -> list:
+    """The rows of a module file, each a list of ncols integers
+    (`_integers`), as sparse rows {column: value} without zeros; when
+    `nrows` is not None there must be nrows of them.  FormatError names
+    `what.format(where)`."""
+    out = [{j: c for j, c in enumerate(_integers(row, ncols, what, where)) if c} for row in rows]
     if nrows is not None and len(out) != nrows:
-        raise FormatError(f"{what}: expected {nrows} rows, got {len(out)}")
+        raise FormatError(f"{what.format(where)}: expected {nrows} rows, got {len(out)}")
     return out
 
 
 def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedModule:
     """The module a module file holds, its rows made sparse here; raises
-    FormatError on a malformed file and ValueError (from
-    `GradedModule.validate`) on content that is not a module."""
+    FormatError naming the record and the field on a malformed file, and
+    ValueError (from `GradedModule.validate`) on content that is not a
+    module."""
     _expect(data, "module")
     if data.get("ring_hash") != ring_hash:
         raise FormatError(
@@ -423,33 +410,35 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
     slots = {(x, e) for x in ring.objects for e in (0, 1)}
     keys = {(fb, e) for fb in range(len(ring.flat)) for e in (0, 1)}
     gens, rels, matrices, act = {}, {}, {}, {}
-    try:
-        for rec in data["values"]:
-            slot = (rec["object"], rec["degree"])
-            if slot not in slots or slot in gens:
-                raise FormatError(f"value record for an unknown or repeated slot {slot}")
-            names = rec["generators"]
-            if type(names) is not list or any(type(g) is not str for g in names):
-                raise FormatError(f"generators at slot {slot} must be a list of strings")
-            gens[slot] = tuple(names)
-            rels[slot] = _integer_rows(rec["relations"], None, len(names), f"relations at slot {slot}")
-        for rec in data["actions"]:
-            key = (rec["basis"], rec["degree"])
-            if key not in keys or key in matrices:
-                raise FormatError(f"action record for an unknown or repeated (basis, degree) {key}")
-            matrices[key] = rec["matrix"]
-        for fb, (x, y, _) in enumerate(ring.flat):
-            for e in (0, 1):
-                act[(fb, e)] = _integer_rows(
-                    matrices.get((fb, e), ()),
-                    len(gens.get((y, e), ())),
-                    len(gens.get((x, e), ())),
-                    f"action matrix of (basis, degree) {(fb, e)}",
-                )
-    except KeyError as exc:
-        raise FormatError(f"missing field {exc}") from exc
-    except TypeError as exc:
-        raise FormatError(f"malformed record: {exc}") from exc
+    # each record is tested alone first: that is far cheaper than naming it
+    for n, rec in enumerate(_records(data, "values")):
+        if not (type(rec) is dict and type(rec.get("object")) is int and type(rec.get("degree")) is int
+                and type(rec.get("generators")) is list and type(rec.get("relations")) is list):
+            _typed(rec, f"value record {n}", object=int, degree=int, generators=list, relations=list)
+        slot, names = (rec["object"], rec["degree"]), rec["generators"]
+        if slot not in slots or slot in gens:
+            raise FormatError(f"value record for an unknown or repeated slot {slot}")
+        if any(type(g) is not str for g in names):
+            raise FormatError(f"generators at slot {slot} must be a list of strings")
+        gens[slot] = tuple(names)
+        rels[slot] = _integer_rows(rec["relations"], None, len(names), "relations at slot {}", slot)
+    for n, rec in enumerate(_records(data, "actions")):
+        if not (type(rec) is dict and type(rec.get("basis")) is int and type(rec.get("degree")) is int
+                and type(rec.get("matrix")) is list):
+            _typed(rec, f"action record {n}", basis=int, degree=int, matrix=list)
+        key = (rec["basis"], rec["degree"])
+        if key not in keys or key in matrices:
+            raise FormatError(f"action record for an unknown or repeated (basis, degree) {key}")
+        matrices[key] = rec["matrix"]
+    for fb, (x, y, _) in enumerate(ring.flat):
+        for e in (0, 1):
+            act[(fb, e)] = _integer_rows(
+                matrices.get((fb, e), ()),
+                len(gens.get((y, e), ())),
+                len(gens.get((x, e), ())),
+                "action matrix of (basis, degree) {}",
+                (fb, e),
+            )
     module = GradedModule(ring, gens, rels, act)
     module.validate()
     return module

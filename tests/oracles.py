@@ -988,30 +988,37 @@ def oracle_projective_dimension(module, cap):
 
 
 def oracle_kernel_of(f):
-    """The kernel module of f as the syzygy chain built it before a
-    syzygy was kept as kernel rows (`oracle_syzygies`): the action of
-    every basis element and degree, one product and one coordinates pass
-    per pair, into an ordinary `GradedModule`."""
-    from catring import intlin
-    from catring.modules import GradedModule, ModuleMap, _coordinates, _echelon_lattice, _kernel_rows
+    """The kernel module of f and its inclusion, on the dense engine above
+    and none of the package's kernel code.  At each slot s the kernel basis
+    is the HNF of the x over the source generators with x * f(s) in the
+    relation lattice of the target: the left kernel of f(s) stacked over
+    the target's relations, cut to its first columns.  The relations and
+    the action of the kernel are the coordinates of their images over that
+    basis.  An HNF is unique, and so are coordinates over independent rows,
+    so `modules.kernel_of` must give the same module and inclusion."""
+    from catring.modules import GradedModule, ModuleMap
 
-    M = f.source
-    ring = M.ring
-    basis_rows = _kernel_rows(f)
-    gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
-    lats = {s: _echelon_lattice(basis_rows[s], M.ngens(s)) for s in M.slots}
-    rels = {
-        s: _coordinates(lats[s], M.rels[s], "module relations must lie in the kernel")
-        for s in M.slots
-    }
+    M, N = f.source, f.target
+    basis = {}
+    for s in M.slots:
+        stacked = dense(f.mats[s], N.ngens(s)) + dense_relations(N, s)
+        basis[s] = dense_hnf([x[: M.ngens(s)] for x in dense_left_kernel(stacked, N.ngens(s))], M.ngens(s))
+
+    def coordinates(rows, s, what):
+        coords = [dense_solve_left(basis[s], M.ngens(s), row) for row in rows]
+        if None in coords:
+            raise ValueError(what)
+        return sparse(coords)
+
+    gens = {s: tuple(f"k{i}" for i in range(len(basis[s]))) for s in M.slots}
+    rels = {s: coordinates(dense_relations(M, s), s, "module relations must lie in the kernel") for s in M.slots}
     act = {}
-    for fb, (x, y, _) in enumerate(ring.flat):
+    for fb, (x, y, _) in enumerate(M.ring.flat):
         for e in (0, 1):
-            imgs = intlin.mat_mul(basis_rows[(y, e)], M.act[(fb, e)])
-            act[(fb, e)] = _coordinates(lats[(x, e)], imgs, "kernel is not action-stable")
-    kernel = GradedModule(ring, gens, rels, act)
-    incl = ModuleMap(kernel, M, basis_rows)
-    return kernel, incl
+            imgs = mat_mul(basis[(y, e)], dense_action(M, fb, e), M.ngens((x, e)))
+            act[(fb, e)] = coordinates(imgs, (x, e), "kernel is not action-stable")
+    kernel = GradedModule(M.ring, gens, rels, act)
+    return kernel, ModuleMap(kernel, M, {s: sparse(rows) for s, rows in basis.items()})
 
 
 def oracle_syzygies(module, length, rng=None):

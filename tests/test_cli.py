@@ -433,6 +433,14 @@ def test_invalid_module_content_exits_1(workdir, tmp_path, capsys):
         (["group", "restrict", "--order", "6", "--from", "6", "--to", "4", "--char", "1,0,0,0,0,0"], "--to"),
         (["group", "induce", "--order", "0", "--from", "1", "--to", "1", "--char", "1"], "--order"),
         (["pd", "-M", "witness.json", "--seed", "1"], "--seed"),
+        # each printed a wrong answer with exit 0, or a ZeroDivisionError traceback
+        (["group", "cosets", "--order", "0", "--left", "1", "--middle", "2", "--right", "1"], "--order"),
+        (["group", "cosets", "--order", "-4", "--left", "2", "--middle", "4", "--right", "2"], "--order"),
+        (["group", "cosets", "--order", "4", "--left", "-2", "--middle", "4", "--right", "2"], "--left"),
+        (["group", "cosets", "--order", "4", "--left", "0", "--middle", "4", "--right", "2"], "--left"),
+        (["group", "cosets", "--order", "4", "--left", "1", "--middle", "0", "--right", "1"], "--middle"),
+        (["group", "cosets", "--order", "4", "--left", "1", "--middle", "3", "--right", "1"], "--middle"),
+        (["group", "cosets", "--order", "4", "--left", "1", "--middle", "4", "--right", "8"], "--right"),
     ],
 )
 def test_out_of_range_flags_exit_2(workdir, tmp_path, capsys, argv, flag):
@@ -724,6 +732,37 @@ def _no_generator_order(data):
     del data["generator_order"]
 
 
+_MISSING = object()
+
+
+def _module_record(field, n, key, value):
+    """A corruption that sets `key` of record n of a module file's `field`
+    to `value`, deletes it when `value` is _MISSING, or replaces the whole
+    record by `value` when `key` is None.  The error must name the record
+    and the field (`names`)."""
+    record = {"values": "value record", "actions": "action record"}[field]
+
+    def corrupt(data):
+        if key is None:
+            data[field][n] = value
+        elif value is _MISSING:
+            del data[field][n][key]
+        else:
+            data[field][n][key] = value
+
+    change = "missing" if value is _MISSING else type(value).__name__ if key is None else value
+    corrupt.__name__ = f"_{field}_{n}_{key or 'record'}_{change}"
+    corrupt.names = (f"{record} {n} ",) if key is None else (f"{record} {n} ", repr(key))
+    return corrupt
+
+
+def _values_not_a_list(data):
+    data["values"] = {}
+
+
+_values_not_a_list.names = ("module file needs 'values' as a list, got dict",)
+
+
 @pytest.mark.parametrize(
     "base, corrupt",
     [
@@ -735,6 +774,17 @@ def _no_generator_order(data):
         ("ring4.json", _reversed_generator_order),
         ("ring4.json", _no_generator_order),
         ("yoneda.json", _drop_values),
+        *(
+            ("yoneda.json", _module_record(field, n, key, value))
+            for field, n, key in (("values", 0, "object"), ("values", 0, "degree"), ("actions", 2, "basis"))
+            for value in (True, 1.0)
+        ),
+        ("yoneda.json", _module_record("actions", 2, "matrix", 5)),
+        ("yoneda.json", _module_record("values", 0, "relations", 5)),
+        ("yoneda.json", _module_record("values", 0, "relations", _MISSING)),
+        ("yoneda.json", _module_record("values", 1, None, [])),
+        ("yoneda.json", _module_record("actions", 2, None, [])),
+        ("yoneda.json", _values_not_a_list),
         ("yoneda.json", _unknown_object),
         ("yoneda.json", _duplicate_slot),
         ("yoneda.json", _string_generator_list),
@@ -824,6 +874,8 @@ def test_malformed_files_exit_2(workdir, tmp_path, capsys, base, corrupt):
     # a named reason, not the text of a TypeError or a KeyError
     assert "not iterable" not in err and "not supported" not in err and "object is not" not in err
     assert "Traceback" not in err
+    # a module record of the wrong shape names the record and the field
+    assert all(name in err for name in getattr(corrupt, "names", ()))
 
 
 @pytest.mark.parametrize(

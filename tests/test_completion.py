@@ -210,7 +210,6 @@ def test_oracle_rerun_small():
         assert all(not tors for _, tors in res.values())
 
 
-@pytest.mark.slow
 def test_oracle_rerun_k4(ring4):
     res = oracle_complete(build_presentation(4), ring4.stabilized_at + 2)
     assert {p: n for p, (n, _) in res.items()} == ORACLE_RANKS_K4

@@ -53,6 +53,22 @@ def test_double_coset_representatives():
         double_cosets(4, 2, 2, 4)
 
 
+@pytest.mark.parametrize(
+    "k, left, middle, right",
+    [(0, 1, 2, 1), (-4, 2, 4, 2), (4, -2, 4, 2), (4, 0, 4, 2), (4, 1, 0, 1), (4, 1, 3, 1), (4, 1, -2, 1), (4, 2, 4, 0)],
+)
+def test_double_cosets_check_the_orders(k, left, middle, right):
+    # each returned a wrong list or raised ZeroDivisionError
+    with pytest.raises(ValueError):
+        double_cosets(k, left, middle, right)
+
+
+def test_inclusion_needs_positive_orders():
+    # raised ZeroDivisionError
+    with pytest.raises(ValueError, match="positive"):
+        restrict_character(character(4, 1), 0)
+
+
 def test_element_names():
     assert [element_name(g) for g in (0, 1, 2)] == ["e", "a", "a^2"]
 

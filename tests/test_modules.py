@@ -120,6 +120,15 @@ def test_yoneda_values(ring1, ring4):
     assert all(y.ngens((x, 1)) == 0 for x in ring4.objects)
 
 
+@pytest.mark.parametrize("eps", [2, -1])
+def test_yoneda_rejects_an_unknown_degree(ring2, eps):
+    # degree 2 used to give a module with no generators at all
+    with pytest.raises(ValueError, match=f"unknown degree {eps}"):
+        yoneda(ring2, 1, eps)
+    with pytest.raises(KeyError, match="unknown object 3"):
+        yoneda(ring2, 3, 0)
+
+
 def test_suspension_is_involution_and_shifts_yoneda(ring4):
     m = yoneda_cyclic_quotient(ring4, 2, 0, 1, 0)
     assert modules_equal(suspend(suspend(m)), m)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import random
 
 import pytest
@@ -100,9 +101,9 @@ def _empty_table_vector(table):
     [
         (_repeat_table_entry, r"repeated table entry \(0,0\)"),
         (_boolean_table_index, r"table entry \[True, \d+, \.\.\.\] needs integer indices"),
-        (_short_table_vector, r"table entry \(0,0\) has the wrong length"),
-        (_long_table_vector, r"table entry \(0,0\) has the wrong length"),
-        (_empty_table_vector, r"table entry \(0,0\) has the wrong length"),
+        (_short_table_vector, r"table entry \(0,0\): expected width 2, got 1$"),
+        (_long_table_vector, r"table entry \(0,0\): expected width 2, got 3$"),
+        (_empty_table_vector, r"table entry \(0,0\): expected width 2, got 0$"),
     ],
     ids=["repeated", "boolean", "short-vector", "long-vector", "empty-vector"],
 )
@@ -370,6 +371,71 @@ def test_module_shapes_are_format_errors(ring2, field, change, message):
     change(next(rec[field] for rec in records if rec[field] and rec[field][0]))
     with pytest.raises(FormatError, match=message):
         module_from_dict(ring2, data, "h")
+
+
+MODULE_WRONG_TYPES = [
+    *(
+        (
+            f"{key}-{type(value).__name__}",
+            _set_field([field, n, key], value),
+            f"{record} {n} needs '{key}' as an integer, got {type(value).__name__}",
+        )
+        for field, n, record, key in (
+            ("values", 0, "value record", "object"),
+            ("values", 0, "value record", "degree"),
+            ("actions", 2, "action record", "basis"),
+        )
+        for value in (True, 1.0)
+    ),
+    ("matrix-int", _set_field(["actions", 2, "matrix"], 5), r"action record 2 needs 'matrix' as a list, got int"),
+    ("relations-int", _set_field(["values", 0, "relations"], 5), r"value record 0 needs 'relations' as a list"),
+    ("generators-str", _set_field(["values", 0, "generators"], "ab"), r"value record 0 needs 'generators' as a list"),
+    ("values-object", _set_field(["values"], {}), r"module file needs 'values' as a list, got dict"),
+    ("actions-missing", _drop_field(["actions"]), r"module file needs 'actions' as a list, got NoneType"),
+    ("value-without-relations", _drop_field(["values", 0, "relations"]), r"value record 0 has no field 'relations'"),
+    ("value-list", _set_field(["values", 1], []), r"value record 1 needs an object, got list"),
+    ("action-list", _set_field(["actions", 2], []), r"action record 2 needs an object, got list"),
+    (
+        "matrix-row-int",
+        _set_field(["actions", 2, "matrix", 0], 5),
+        r"action matrix of \(basis, degree\) \(1, 0\) needs a list of coefficients, got 5",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message", [case[1:] for case in MODULE_WRONG_TYPES], ids=[case[0] for case in MODULE_WRONG_TYPES]
+)
+def test_module_fields_of_the_wrong_type_are_named(ring2, change, message):
+    # true and 1.0 used to load as 1, since (True, 0) and (1.0, 0) hash
+    # equal to (1, 0); the others escaped as "malformed record: ..." or
+    # "missing field ..." without the record
+    data = module_to_dict(yoneda_cyclic_quotient(ring2, 2, 0, 1, 0), "h")
+    change(data)
+    with pytest.raises(FormatError, match=message):
+        module_from_dict(ring2, data, "h")
+
+
+def test_benchmark_files_write_back_byte_for_byte(tmp_path, monkeypatch):
+    # every ring and module file the serve workload reads, and every module
+    # the query workload asks about, reads back to the same bytes
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    state = workloads.Serve().setup(0, str(tmp_path))
+    for k, h in state["hashes"].items():
+        data = load_json(tmp_path / f"ring{k}.json")
+        ring = ring_from_dict(data)
+        assert canonical_json(ring_to_dict(ring)) == canonical_json(data)
+        for i in range(len(state["modules"].get(k, ()))):
+            data = load_json(workloads.Serve.module_path(state, k, i))
+            assert canonical_json(module_to_dict(module_from_dict(ring, data, h), h)) == canonical_json(data)
+    for k in workloads.QUERY_RINGS:
+        ring = state["rings"][k]
+        small, large, targets = workloads.make_corpus(ring)
+        for m in small + large + targets:
+            text = canonical_json(module_to_dict(m, "h"))
+            assert canonical_json(module_to_dict(module_from_dict(ring, json.loads(text), "h"), "h")) == text
 
 
 def test_relation_word_generator_must_exist():
