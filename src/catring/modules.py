@@ -11,8 +11,10 @@ acts from the right.
 Every matrix here - relations, actions and the matrices of module maps -
 is a tuple of sparse rows {column: value} without zeros, the row format
 of `intlin.Lattice`, and `intlin.mat_mul` is the one product of such
-rows.  `GradedModule` and `ModuleMap` store the rows they are given;
-`GradedModule.validate` and `ModuleMap.check` check their shapes.  Every
+rows; only the functoriality check of `GradedModule.validate` sums its
+products row by row instead, without building a matrix.  `GradedModule`
+and `ModuleMap` store the rows they are given; `GradedModule.validate`
+and `ModuleMap.check` check their shapes.  Every
 output of `intlin` is such a row, and coordinates are rows {basis row
 index: coefficient}, so dense rows remain only in the JSON files, and
 `serialize.module_from_dict` is where they become sparse rows.
@@ -180,7 +182,9 @@ class GradedModule:
         product "x then v", and rho(x)rho(v) for "act by x, then by v".
         Equations between actions hold modulo the relations of the slot
         they land in; well-definedness makes that compatible with composing
-        actions.
+        actions.  Each pair is checked one generator row at a time: the row
+        of rho(u)rho(a) minus the row of rho(u.a) is summed in one dict and
+        tested against the relation lattice only when it is nonzero.
 
         Precondition: the ring passes `ring verify` (`verify_ring`), so its
         table is associative, units are two-sided units, and every basis
@@ -224,34 +228,38 @@ class GradedModule:
                 identity = [{i: 1} for i in range(ngens[(x, e)])]
                 if not self.agree((x, e), self.act[(fb, e)], identity):
                     raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
-        # functoriality through the structure constants, on letters
+        # functoriality through the structure constants, on letters: row i
+        # of rho(u)rho(a) minus row i of rho(u.a) = sum c * rho(b) over the
+        # table entry, in one dict, against the relations at (x, e)
+        act, table, flat, offset = self.act, ring.table, ring.flat, ring.offset
         letters = _letters(ring)
-        for fu, (x, y, _) in enumerate(ring.flat):
+        for fu, (x, y, _) in enumerate(flat):
             for fa in letters[y]:
-                z = ring.flat[fa][1]
-                off = ring.offset[(x, z)]
-                prod = {off + t: c for t, c in ring.table[(fu, fa)]}
+                z = flat[fa][1]
                 for e in (0, 1):
                     if not (ngens[(x, e)] and ngens[(z, e)]):
                         continue
-                    lhs = mat_mul(self.act[(fa, e)], self.act[(fu, e)])
-                    if not self.agree((x, e), lhs, _element_action(self, prod, (z, e))):
-                        raise ValueError(
-                            f"action is not functorial on basis pair ({fu}, {fa}) at degree {e}"
-                        )
-
-
-def _element_action(module: GradedModule, vec: dict, slot: Slot) -> list:
-    """Sparse rows of the action of the ring element sum c * b, over
-    vec = {flat basis index b: c} with every b ending at slot's object, on
-    the generators at `slot`: row i is the sum of c * (row i of b's action)."""
-    e, n = slot[1], module.ngens(slot)
-    if len(vec) == 1 and 1 in vec.values():  # a basis element acts by its own rows
-        return module.act[(next(iter(vec)), e)]
-    # row i of the result takes row i of each b's action, stacked b after b
-    stack = [row for fb in vec for row in module.act[(fb, e)]]
-    coeffs = list(vec.values())
-    return mat_mul([{k * n + i: c for k, c in enumerate(coeffs)} for i in range(n)], stack)
+                    off = offset[(x, z)]
+                    rows_u = act[(fu, e)]
+                    terms = [(act[(off + t, e)], c) for t, c in table[(fu, fa)]]
+                    # a lone basis element acts by its own rows
+                    rows_unit = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
+                    for i, row in enumerate(act[(fa, e)]):
+                        if rows_unit is not None and len(row) == 1:
+                            ((k, c),) = row.items()
+                            if c == 1 and rows_u[k] == rows_unit[i]:
+                                continue
+                        diff: dict[int, int] = {}
+                        for k, c in row.items():
+                            for j, v in rows_u[k].items():
+                                diff[j] = diff.get(j, 0) + c * v
+                        for rows_b, c in terms:
+                            for j, v in rows_b[i].items():
+                                diff[j] = diff.get(j, 0) - c * v
+                        if any(diff.values()) and diff not in self.relation_lattice((x, e)):
+                            raise ValueError(
+                                f"action is not functorial on basis pair ({fu}, {fa}) at degree {e}"
+                            )
 
 
 def zero_module(ring: CategoryRing) -> GradedModule:
@@ -457,7 +465,12 @@ class FreeModule(GradedModule):
     """Finite direct sum of representable modules, one per entry."""
 
     def __init__(self, ring: CategoryRing, entries):
+        """Raises ValueError naming an entry that is not an (object,
+        degree) pair of `ring`."""
         self.entries = tuple(entries)
+        for entry in self.entries:
+            if entry[0] not in ring.objects or entry[1] not in (0, 1):
+                raise ValueError(f"free module entry {entry}: needs an object of the ring and a degree 0 or 1")
         gens, act = {}, {}
         blocks = {}  # slot -> {entry index: (start, size)}
         for x in ring.objects:

@@ -115,6 +115,8 @@ class Presentation:
         if len(self.index) != len(self.generators):
             raise ValueError("duplicate generator")
         self.arrows = tuple(i for i, g in enumerate(self.generators) if g.kind != IDENTITY)
+        # (source, target) of each generator, None for an identity
+        self.arrow_ends = tuple(None if g.kind == IDENTITY else (g.source, g.target) for g in self.generators)
 
     def __eq__(self, other):
         return (
@@ -190,16 +192,15 @@ class Presentation:
             if source is None:
                 raise ValueError("empty word needs an attached object")
             return source, source
-        gens = self.generators
-        src = gens[word[0]].source
-        cur = src
+        arrow_ends = self.arrow_ends
+        src = cur = self.generators[word[0]].source
         for gi in word:
-            g = gens[gi]
-            if g.kind == IDENTITY:
+            ends = arrow_ends[gi]
+            if ends is None:
                 raise ValueError("identity generators may not appear inside paths")
-            if g.source != cur:
-                raise ValueError(f"word {word} is not composable at {g}")
-            cur = g.target
+            if ends[0] != cur:
+                raise ValueError(f"word {word} is not composable at {self.generators[gi]}")
+            cur = ends[1]
         return src, cur
 
     def validate(self) -> None:

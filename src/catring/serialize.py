@@ -282,12 +282,12 @@ def ring_from_dict(data: dict) -> CategoryRing:
         if () not in basis[(x, x)]:
             raise FormatError(f"component ({x}, {x}) needs the empty word [] in its basis")
     # every basis word is a path of arrows through its component
-    arrow_ends = {a: (pres.generators[a].source, pres.generators[a].target) for a in pres.arrows}
+    arrow_ends = pres.arrow_ends
     for (x, y), words in basis.items():
         for w in words:
             cur = x
             for gi in w:
-                ends = arrow_ends.get(gi) if type(gi) is int else None
+                ends = arrow_ends[gi] if type(gi) is int and 0 <= gi < len(arrow_ends) else None
                 if ends is None or ends[0] != cur:
                     raise FormatError(
                         f"basis word {list(w)} of component ({x},{y}) is not a path of arrows from {x}"
@@ -297,6 +297,7 @@ def ring_from_dict(data: dict) -> CategoryRing:
                 raise FormatError(f"basis word {list(w)} of component ({x},{y}) does not end at {y}")
 
     _, flat, _, offset = _flat_layout(pres.objects, basis)
+    size, width = len(flat), {pair: len(words) for pair, words in basis.items()}
     table = {}
     for entry in _records(data, "table"):
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -304,19 +305,21 @@ def ring_from_dict(data: dict) -> CategoryRing:
         u, v, vec = entry
         if not (type(u) is int and type(v) is int):
             raise FormatError(f"table entry [{u!r}, {v!r}, ...] needs integer indices")
-        if not (0 <= u < len(flat) and 0 <= v < len(flat)):
+        if not (0 <= u < size and 0 <= v < size):
             raise FormatError("table index out of range")
         (x, y, _), (y_v, z, _) = flat[u], flat[v]
         if y != y_v:
             raise FormatError("table has an entry for basis elements that do not compose")
-        vec = _integers(vec, len(basis[(x, z)]), "table entry ({},{})", u, v)
+        # the test alone first, as in `_integer_rows`, without a call per entry
+        if not (type(vec) is list and len(vec) == width[(x, z)] and _INT.issuperset(map(type, vec))):
+            _integers(vec, width[(x, z)], "table entry ({},{})", u, v)
         if (u, v) in table:
             raise FormatError(f"repeated table entry ({u},{v})")
         table[(u, v)] = tuple([(t, c) for t, c in enumerate(vec) if c])
     # every composable pair without an entry is a zero product
     for u, (_, y, _) in enumerate(flat):
         for z in pres.objects:
-            for v in range(offset[(y, z)], offset[(y, z)] + len(basis[(y, z)])):
+            for v in range(offset[(y, z)], offset[(y, z)] + width[(y, z)]):
                 table.setdefault((u, v), ())
 
     arrow_forms = {}
@@ -390,7 +393,12 @@ def _integer_rows(rows, nrows, ncols: int, what: str, where) -> list:
     (`_integers`), as sparse rows {column: value} without zeros; when
     `nrows` is not None there must be nrows of them.  FormatError names
     `what.format(where)`."""
-    out = [{j: c for j, c in enumerate(_integers(row, ncols, what, where)) if c} for row in rows]
+    out = []
+    for row in rows:
+        # the test alone first, as in `_integers`, without a call per row
+        if not (type(row) is list and len(row) == ncols and _INT.issuperset(map(type, row))):
+            _integers(row, ncols, what, where)
+        out.append({j: c for j, c in enumerate(row) if c})
     if nrows is not None and len(out) != nrows:
         raise FormatError(f"{what.format(where)}: expected {nrows} rows, got {len(out)}")
     return out
@@ -398,7 +406,8 @@ def _integer_rows(rows, nrows, ncols: int, what: str, where) -> list:
 
 def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedModule:
     """The module a module file holds, its rows made sparse here; raises
-    FormatError naming the record and the field on a malformed file, and
+    FormatError naming the record and the field on a malformed file, or
+    the slot or (basis, degree) pair whose record it leaves out, and
     ValueError (from `GradedModule.validate`) on content that is not a
     module."""
     _expect(data, "module")
@@ -407,6 +416,8 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
             "module file references a different ring "
             f"({data.get('ring_hash')!r} != {ring_hash!r})"
         )
+    # every slot and every (basis, degree) pair has its record, as
+    # `module_to_dict` writes it, so one module has one file
     slots = {(x, e) for x in ring.objects for e in (0, 1)}
     keys = {(fb, e) for fb in range(len(ring.flat)) for e in (0, 1)}
     gens, rels, matrices, act = {}, {}, {}, {}
@@ -422,6 +433,9 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
             raise FormatError(f"generators at slot {slot} must be a list of strings")
         gens[slot] = tuple(names)
         rels[slot] = _integer_rows(rec["relations"], None, len(names), "relations at slot {}", slot)
+    if len(gens) != len(slots):
+        slot = next((x, e) for x in ring.objects for e in (0, 1) if (x, e) not in gens)
+        raise FormatError(f"module file has no value record for slot {slot}")
     for n, rec in enumerate(_records(data, "actions")):
         if not (type(rec) is dict and type(rec.get("basis")) is int and type(rec.get("degree")) is int
                 and type(rec.get("matrix")) is list):
@@ -430,12 +444,15 @@ def module_from_dict(ring: CategoryRing, data: dict, ring_hash: str) -> GradedMo
         if key not in keys or key in matrices:
             raise FormatError(f"action record for an unknown or repeated (basis, degree) {key}")
         matrices[key] = rec["matrix"]
+    if len(matrices) != len(keys):
+        key = min(keys - matrices.keys())
+        raise FormatError(f"module file has no action record for (basis, degree) {key}")
     for fb, (x, y, _) in enumerate(ring.flat):
         for e in (0, 1):
             act[(fb, e)] = _integer_rows(
-                matrices.get((fb, e), ()),
-                len(gens.get((y, e), ())),
-                len(gens.get((x, e), ())),
+                matrices[(fb, e)],
+                len(gens[(y, e)]),
+                len(gens[(x, e)]),
                 "action matrix of (basis, degree) {}",
                 (fb, e),
             )

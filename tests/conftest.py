@@ -1,3 +1,4 @@
+import os
 import pathlib
 import sys
 import time
@@ -9,6 +10,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from catring import build_presentation, complete, presentation_c4
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """The environment for a subprocess that imports catring from the
+    source tree, as pytest's `pythonpath` setting does in this process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 # wall-clock cost of building the shared rings, charged to the completion
 # acceptance budget

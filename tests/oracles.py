@@ -16,8 +16,9 @@ projectivity by the full section system and the projective dimension
 without a syzygy chain, the syzygy chain that covers kernel modules with
 their whole action, Ext read off a resolution one level longer than
 its degree, module validation on every composable pair of
-basis monomials, the ring product by a dense loop over the table
-vectors of the ring's file (`file_table`),
+basis monomials, and on letters through whole action matrices, the
+ring product by a dense loop over the table vectors of the ring's file
+(`file_table`),
 normal forms by chained composition, the ring certificate's
 associativity check and the random associativity probe by products
 through that loop, and
@@ -1216,6 +1217,68 @@ def pairwise_validate(module):
                 if not agree((x, e), lhs, rhs):
                     raise ValueError(
                         f"action is not functorial on basis pair ({fu}, {fv}) at degree {e}"
+                    )
+
+
+def _element_action(module, vec: dict, slot):
+    """Sparse rows of the action of the ring element sum c * b, over
+    vec = {flat basis index b: c} with every b ending at slot's object, on
+    the generators at `slot`: row i is the sum of c * (row i of b's action)."""
+    from catring.intlin import mat_mul as sparse_mat_mul
+
+    e, n = slot[1], module.ngens(slot)
+    if len(vec) == 1 and 1 in vec.values():  # a basis element acts by its own rows
+        return module.act[(next(iter(vec)), e)]
+    # row i of the result takes row i of each b's action, stacked b after b
+    stack = [row for fb in vec for row in module.act[(fb, e)]]
+    coeffs = list(vec.values())
+    return sparse_mat_mul([{k * n + i: c for k, c in enumerate(coeffs)} for i in range(n)], stack)
+
+
+def oracle_letters_validate(module):
+    """`catring.modules.GradedModule.validate` before its letters loop was
+    fused: the same checks in the same order, with functoriality on each
+    (basis, letter) pair read off whole matrices - the sparse product
+    rho(u)rho(a), the action of the table product u.a (`_element_action`)
+    and `GradedModule.agree` between them.  It raises the same messages."""
+    from catring.intlin import mat_mul as sparse_mat_mul
+    from catring.modules import _check_rows, _letters
+
+    ring = module.ring
+    ngens = {s: len(g) for s, g in module.gens.items()}
+    for s in module.slots:
+        _check_rows(module.rels[s], None, ngens[s], "relations at slot", s)
+    for fb, (x, y, _) in enumerate(ring.flat):
+        for e in (0, 1):
+            what = "action matrix of (basis, degree)"
+            _check_rows(module.act[(fb, e)], ngens[(y, e)], ngens[(x, e)], what, (fb, e))
+    for fb, (x, y, _) in enumerate(ring.flat):
+        for e in (0, 1):
+            # well-defined on the quotient
+            if module.rels[(y, e)]:
+                lat = module.relation_lattice((x, e))
+                if any(row not in lat for row in sparse_mat_mul(module.rels[(y, e)], module.act[(fb, e)])):
+                    raise ValueError(f"action of basis {fb} not well-defined at degree {e}")
+    for x in ring.objects:
+        fb = ring.offset[(x, x)] + ring.unit_pos[x]
+        for e in (0, 1):
+            identity = [{i: 1} for i in range(ngens[(x, e)])]
+            if not module.agree((x, e), module.act[(fb, e)], identity):
+                raise ValueError(f"unit of object {x} does not act as identity at degree {e}")
+    # functoriality through the structure constants, on letters
+    letters = _letters(ring)
+    for fu, (x, y, _) in enumerate(ring.flat):
+        for fa in letters[y]:
+            z = ring.flat[fa][1]
+            off = ring.offset[(x, z)]
+            prod = {off + t: c for t, c in ring.table[(fu, fa)]}
+            for e in (0, 1):
+                if not (ngens[(x, e)] and ngens[(z, e)]):
+                    continue
+                lhs = sparse_mat_mul(module.act[(fa, e)], module.act[(fu, e)])
+                if not module.agree((x, e), lhs, _element_action(module, prod, (z, e))):
+                    raise ValueError(
+                        f"action is not functorial on basis pair ({fu}, {fa}) at degree {e}"
                     )
 
 

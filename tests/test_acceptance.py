@@ -41,7 +41,7 @@ from catring.groups import Character, character, trivial_character
 from catring.presentation import CONJUGATION, IDENTITY, INDUCTION, MULTIPLICATION, RESTRICTION
 from catring.serialize import load_json, module_from_dict, ring_to_dict
 
-from conftest import RING_BUILD_SECONDS
+from conftest import RING_BUILD_SECONDS, src_env
 from corpus import graded_group_grid
 from oracles import oracle_complete, oracle_graded_ext1, oracle_graded_hom
 
@@ -273,7 +273,7 @@ def test_criterion_8_determinism_and_stability(ring4, tmp_path):
 
         def run(args):
             proc = subprocess.run(
-                [sys.executable, "-m", "catring.cli", *args], capture_output=True
+                [sys.executable, "-m", "catring.cli", *args], env=src_env(), capture_output=True
             )
             assert proc.returncode == 0, proc.stderr
             return proc.stdout

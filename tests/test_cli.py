@@ -10,6 +10,7 @@ from catring import cli, completion, trivial_group_module, yoneda, yoneda_cyclic
 from catring.cli import build_parser, main
 from catring.serialize import canonical_json, content_hash, load_json, module_to_dict, ring_from_dict, ring_to_dict, save_json
 
+from conftest import src_env
 from corpus import verify_cases, with_empty_side_relation
 
 
@@ -150,6 +151,36 @@ def always_probing(argv, capsys, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "verify_ring", verify_unproved)
         return run_cli(argv, capsys)
+
+
+def test_module_check_work_counts(ring6, tmp_path, monkeypatch, capsys):
+    # a work-count guard on `module check` over the k=6 ring: `validate`
+    # checks functoriality on letters one row at a time and multiplies no
+    # matrix, so a representable module makes no `mat_mul` call and a
+    # cyclic quotient makes one per (basis, degree) pair whose target slot
+    # holds relations (the well-definedness check), 48 here.  Before the
+    # letters loop was fused, the same requests made 206 and 254 calls.
+    from catring import modules
+
+    ring_data = ring_to_dict(ring6)
+    save_json(tmp_path / "ring6.json", ring_data)
+    counted = [0]
+    mat_mul = modules.mat_mul
+
+    def counted_mat_mul(A, B):
+        counted[0] += 1
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(modules, "mat_mul", counted_mat_mul)
+    calls = {}
+    for name, m in (("yoneda", yoneda(ring6, 6, 0)), ("quotient", yoneda_cyclic_quotient(ring6, 6, 0, 1, 0))):
+        save_json(tmp_path / f"{name}.json", module_to_dict(m, ring_data["ring_hash"]))
+        counted[0] = 0
+        argv = ["module", "check", "--ring", str(tmp_path / "ring6.json"), str(tmp_path / f"{name}.json")]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("module ok")
+        calls[name] = counted[0]
+    assert calls == {"yoneda": 0, "quotient": 48}
 
 
 def test_ring_verify_prints_what_always_probing_prints(
@@ -397,6 +428,7 @@ def test_console_entry_point(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "catring.cli", "group", "cosets", "--order", "4",
          "--left", "2", "--middle", "4", "--right", "2"],
+        env=src_env(),
         capture_output=True,
         text=True,
     )
@@ -763,6 +795,22 @@ def _values_not_a_list(data):
 _values_not_a_list.names = ("module file needs 'values' as a list, got dict",)
 
 
+def _no_empty_value_record(data):
+    # slot (1, 1) of the representable of (2, 0) has no generators
+    del data["values"][1]
+
+
+_no_empty_value_record.names = ("module file has no value record for slot (1, 1)",)
+
+
+def _no_empty_action_record(data):
+    # basis 0 at degree 1 acts between empty slots: its matrix has no rows
+    del data["actions"][1]
+
+
+_no_empty_action_record.names = ("module file has no action record for (basis, degree) (0, 1)",)
+
+
 @pytest.mark.parametrize(
     "base, corrupt",
     [
@@ -785,6 +833,8 @@ _values_not_a_list.names = ("module file needs 'values' as a list, got dict",)
         ("yoneda.json", _module_record("values", 1, None, [])),
         ("yoneda.json", _module_record("actions", 2, None, [])),
         ("yoneda.json", _values_not_a_list),
+        ("yoneda.json", _no_empty_value_record),
+        ("yoneda.json", _no_empty_action_record),
         ("yoneda.json", _unknown_object),
         ("yoneda.json", _duplicate_slot),
         ("yoneda.json", _string_generator_list),

@@ -1,12 +1,13 @@
 """Every demo script runs to completion and prints exactly its pinned output
 (`fixtures/demos/<name>.stdout`)."""
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from conftest import src_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,10 +20,8 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (PINNED / f"{demo.stem}.stdout").read_text()

@@ -1,5 +1,3 @@
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -19,6 +17,7 @@ from catring.intlin import (
     xgcd,
 )
 
+from conftest import src_env
 from oracles import (
     DenseLattice,
     dense,
@@ -358,11 +357,8 @@ for call in (lambda: hnf([[1, 2, 3]], 2), lambda: solve_left([[1, 0]], 2, [1, 0,
 def test_dense_row_width_is_checked_under_optimize():
     # the width check must not be an assert, which python -O strips: an
     # extra target entry would land on the identity block of [A | I]
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", WIDTH_CHECK], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-O", "-c", WIDTH_CHECK], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

@@ -1,7 +1,5 @@
 import copy
 import itertools
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -48,6 +46,7 @@ from catring.modules import (
 )
 from catring.serialize import canonical_json, module_to_dict
 
+from conftest import src_env
 from corpus import build_corpus, graded_group_grid, trivial_modules_for
 from oracles import (
     _MapSystem,
@@ -67,6 +66,7 @@ from oracles import (
     oracle_hom_module,
     oracle_is_projective,
     oracle_kernel_of,
+    oracle_letters_validate,
     oracle_projective_dimension,
     oracle_section,
     oracle_syzygies,
@@ -127,6 +127,14 @@ def test_yoneda_rejects_an_unknown_degree(ring2, eps):
         yoneda(ring2, 1, eps)
     with pytest.raises(KeyError, match="unknown object 3"):
         yoneda(ring2, 3, 0)
+
+
+@pytest.mark.parametrize("entries, bad", [([(1, 2)], (1, 2)), ([(1, 0), (2, -1)], (2, -1)), ([(5, 0)], (5, 0))])
+def test_free_module_rejects_an_entry_off_the_ring(ring2, entries, bad):
+    # degree 2 used to give a zero module that passed `validate`, and the
+    # unknown object 5 a bare KeyError (1, 5)
+    with pytest.raises(ValueError, match=rf"free module entry \({bad[0]}, {bad[1]}\)"):
+        FreeModule(ring2, entries)
 
 
 def test_suspension_is_involution_and_shifts_yoneda(ring4):
@@ -431,11 +439,8 @@ def test_kernel_checks_survive_optimize():
     # `_hom_maps` would read lifts that are not there; a chain that does
     # not run from L to H would give a wrong word, and a character of
     # another subgroup a wrong multiplication
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", NOT_A_MODULE_MAP], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-O", "-c", NOT_A_MODULE_MAP], env=src_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
@@ -1197,12 +1202,14 @@ def _sparse_act(act):
     return {key: sparse(rows) for key, rows in act.items()}
 
 
-def _accepts(check, module) -> bool:
+def _rejection(check, module):
+    """The message of the ValueError `check` raises on `module`, or None
+    when it accepts it."""
     try:
         check(module)
-    except ValueError:
-        return False
-    return True
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _corruptions(module, rng, count):
@@ -1218,15 +1225,19 @@ def _corruptions(module, rng, count):
     return out
 
 
-def test_validate_matches_pairwise_oracle(ring1, ring2, ring3, ring4):
+def test_validate_matches_pairwise_oracle(ring1, ring2, ring3, ring4, ring6):
+    # the letters check accepts exactly the modules the all-pairs check
+    # accepts, and raises word for word what it raised before its letters
+    # loop was fused into one pass per row (`oracle_letters_validate`)
     rng = random.Random(11)
     verdicts = {True: 0, False: 0}
-    for ring in (ring1, ring2, ring3, ring4):
+    for ring in (ring1, ring2, ring3, ring4, ring6):
         for m in build_corpus(ring, rng, size=10):
             for candidate in [m, *_corruptions(m, rng, 8)]:
-                verdict = _accepts(GradedModule.validate, candidate)
-                assert verdict == _accepts(pairwise_validate, candidate)
-                verdicts[verdict] += 1
+                message = _rejection(GradedModule.validate, candidate)
+                assert message == _rejection(oracle_letters_validate, candidate)
+                assert (message is None) == (_rejection(pairwise_validate, candidate) is None)
+                verdicts[message is None] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 

@@ -96,6 +96,19 @@ def _empty_table_vector(table):
     table[0][2] = []
 
 
+def _table_index_past_the_basis(table):
+    table[0][1] = 10**6
+
+
+def _negative_table_index(table):
+    table[0][0] = -1
+
+
+def _noncomposable_table_entry(table):
+    # flat index 0 is the unit of object 1, and the last one starts at object 2
+    table.append([0, max(v for _, v, _ in table), [1]])
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -104,8 +117,11 @@ def _empty_table_vector(table):
         (_short_table_vector, r"table entry \(0,0\): expected width 2, got 1$"),
         (_long_table_vector, r"table entry \(0,0\): expected width 2, got 3$"),
         (_empty_table_vector, r"table entry \(0,0\): expected width 2, got 0$"),
+        (_table_index_past_the_basis, r"^table index out of range$"),
+        (_negative_table_index, r"^table index out of range$"),
+        (_noncomposable_table_entry, r"^table has an entry for basis elements that do not compose$"),
     ],
-    ids=["repeated", "boolean", "short-vector", "long-vector", "empty-vector"],
+    ids=["repeated", "boolean", "short-vector", "long-vector", "empty-vector", "past-the-basis", "negative", "noncomposable"],
 )
 def test_ring_table_indices_are_checked(ring2, change, message):
     data = ring_to_dict(ring2)
@@ -113,6 +129,18 @@ def test_ring_table_indices_are_checked(ring2, change, message):
     data["ring_hash"] = content_hash(data)
     with pytest.raises(FormatError, match=message):
         ring_from_dict(data)
+
+
+def test_a_table_entry_left_out_is_a_zero_product(ring2):
+    # `ring_to_dict` writes no entry for a zero product; a table without
+    # one reads it back as the empty row of a composable pair
+    data = ring_to_dict(ring2)
+    u, v, _ = data["table"].pop(3)
+    data["ring_hash"] = content_hash(data)
+    ring = ring_from_dict(data)
+    assert ring.table[(u, v)] == ()
+    assert ring.table.keys() == ring2.table.keys()
+    assert all(ring.table[key] == row for key, row in ring2.table.items() if key != (u, v))
 
 
 def _component_record(data):
@@ -412,6 +440,25 @@ def test_module_fields_of_the_wrong_type_are_named(ring2, change, message):
     # "missing field ..." without the record
     data = module_to_dict(yoneda_cyclic_quotient(ring2, 2, 0, 1, 0), "h")
     change(data)
+    with pytest.raises(FormatError, match=message):
+        module_from_dict(ring2, data, "h")
+
+
+@pytest.mark.parametrize(
+    "field, n, message",
+    [
+        ("values", 1, r"^module file has no value record for slot \(1, 1\)$"),
+        ("actions", 1, r"^module file has no action record for \(basis, degree\) \(0, 1\)$"),
+        ("actions", 0, r"^module file has no action record for \(basis, degree\) \(0, 0\)$"),
+    ],
+    ids=["empty-value", "empty-matrix", "matrix"],
+)
+def test_module_files_hold_every_record(ring2, field, n, message):
+    # a slot without generators and a matrix without rows still have their
+    # records: without them a file used to load to the same module as the
+    # file `module_to_dict` writes, so two files read as one module
+    data = module_to_dict(yoneda_cyclic_quotient(ring2, 2, 0, 1, 0), "h")
+    del data[field][n]
     with pytest.raises(FormatError, match=message):
         module_from_dict(ring2, data, "h")
 
