@@ -71,7 +71,10 @@ class Workspace:
     """A loaded ring file plus its content hash.
 
     Module files must reference this hash; anything else is rejected
-    before any computation runs.
+    before any computation runs.  A request uses it as a context manager:
+    on exit the ring's free-module store is emptied, since its modules
+    point back at the ring, so the ring and every module of the request
+    are freed when the command returns.
     """
 
     path: str
@@ -81,6 +84,12 @@ class Workspace:
     @classmethod
     def open(cls, path: str) -> "Workspace":
         return cls(path, *_read(path, "ring", lambda data: (ring_from_dict(data), data["ring_hash"])))
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.ring._free_modules.clear()
 
     def load_module(self, path: str):
         data = _read(path, "module", lambda data: data)
@@ -194,59 +203,59 @@ def cmd_ring_build(args) -> int:
 
 
 def cmd_ring_verify(args) -> int:
-    ws = Workspace.open(args.ring)
-    report = verify_ring(ws.ring)
-    failures = list(report.failures)
-    # the triple and torsion checks prove the probe's answer when they pass
-    if not report.associative:
-        failures.extend(random_associativity_probe(ws.ring, count=1000, max_len=6, seed=args.seed))
-    oracle_checked = False
-    if ws.ring.presentation.group_order == 4:
-        oracle = presentation_c4()
-        try:
-            eq = presentations_equivalent(
-                ws.ring.presentation, oracle, max_len=args.max_len, window=args.window, ring_p=ws.ring
-            )
-            oracle_checked = True
-            if not eq.equivalent:
-                failures.extend(eq.failures)
-        except (ValueError, CompletionError) as exc:
-            failures.append(f"hand-transcribed oracle comparison failed: {exc}")
-    payload = {
-        "ok": not failures,
-        "failures": failures,
-        "warnings": report.warnings,
-        "oracle_checked": oracle_checked,
-    }
-    lines = ["verify: " + ("ok" if not failures else "FAILED")]
-    lines += [f"  failure: {f}" for f in failures]
-    lines += [f"  warning: {w}" for w in report.warnings]
-    if oracle_checked:
-        lines.append("  checked against the hand-transcribed order-4 presentation")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if not failures else EXIT_MATH
+    with Workspace.open(args.ring) as ws:
+        report = verify_ring(ws.ring)
+        failures = list(report.failures)
+        # the triple and torsion checks prove the probe's answer when they pass
+        if not report.associative:
+            failures.extend(random_associativity_probe(ws.ring, count=1000, max_len=6, seed=args.seed))
+        oracle_checked = False
+        if ws.ring.presentation.group_order == 4:
+            oracle = presentation_c4()
+            try:
+                eq = presentations_equivalent(
+                    ws.ring.presentation, oracle, max_len=args.max_len, window=args.window, ring_p=ws.ring
+                )
+                oracle_checked = True
+                if not eq.equivalent:
+                    failures.extend(eq.failures)
+            except (ValueError, CompletionError) as exc:
+                failures.append(f"hand-transcribed oracle comparison failed: {exc}")
+        payload = {
+            "ok": not failures,
+            "failures": failures,
+            "warnings": report.warnings,
+            "oracle_checked": oracle_checked,
+        }
+        lines = ["verify: " + ("ok" if not failures else "FAILED")]
+        lines += [f"  failure: {f}" for f in failures]
+        lines += [f"  warning: {w}" for w in report.warnings]
+        if oracle_checked:
+            lines.append("  checked against the hand-transcribed order-4 presentation")
+        _emit(args, payload, "\n".join(lines))
+        return EXIT_OK if not failures else EXIT_MATH
 
 
 def cmd_ring_info(args) -> int:
-    ws = Workspace.open(args.ring)
-    ring = ws.ring
-    payload = {
-        "group_order": ring.presentation.group_order,
-        "objects": list(ring.objects),
-        "generators": [g.name() for g in ring.presentation.generators],
-        "total_rank": ring.total_rank(),
-        "stabilized_at": ring.stabilized_at,
-        "ring_hash": ws.ring_hash,
-        "ranks": {f"{x}->{y}": ring.rank(x, y)[0] for x in ring.objects for y in ring.objects},
-    }
-    text = (
-        f"ring over C_{ring.presentation.group_order}, hash {ws.ring_hash[:16]}...\n"
-        f"generators: {', '.join(g.name() for g in ring.presentation.generators)}\n"
-        f"total rank {ring.total_rank()}, stabilized at bound {ring.stabilized_at}\n"
-        + _rank_table(ring)
-    )
-    _emit(args, payload, text)
-    return EXIT_OK
+    with Workspace.open(args.ring) as ws:
+        ring = ws.ring
+        payload = {
+            "group_order": ring.presentation.group_order,
+            "objects": list(ring.objects),
+            "generators": [g.name() for g in ring.presentation.generators],
+            "total_rank": ring.total_rank(),
+            "stabilized_at": ring.stabilized_at,
+            "ring_hash": ws.ring_hash,
+            "ranks": {f"{x}->{y}": ring.rank(x, y)[0] for x in ring.objects for y in ring.objects},
+        }
+        text = (
+            f"ring over C_{ring.presentation.group_order}, hash {ws.ring_hash[:16]}...\n"
+            f"generators: {', '.join(g.name() for g in ring.presentation.generators)}\n"
+            f"total rank {ring.total_rank()}, stabilized at bound {ring.stabilized_at}\n"
+            + _rank_table(ring)
+        )
+        _emit(args, payload, text)
+        return EXIT_OK
 
 
 def cmd_group_cosets(args) -> int:
@@ -296,64 +305,64 @@ def _emit_character(args, along) -> int:
 
 
 def cmd_module_check(args) -> int:
-    ws = Workspace.open(args.ring)
-    ws.load_module(args.module)
-    _emit(args, {"ok": True}, "module ok")
-    return EXIT_OK
+    with Workspace.open(args.ring) as ws:
+        ws.load_module(args.module)
+        _emit(args, {"ok": True}, "module ok")
+        return EXIT_OK
 
 
 def cmd_ext(args) -> int:
-    ws = Workspace.open(args.ring)
-    M = ws.load_module(args.module_m)
-    N = ws.load_module(args.module_n)
-    res = ext(M, N, args.degree)
-    payload = {"degree": args.degree, "ext": _ext_payload(res)}
-    _emit(args, payload, f"Ext^{args.degree}: {res}")
-    return EXIT_OK
+    with Workspace.open(args.ring) as ws:
+        M = ws.load_module(args.module_m)
+        N = ws.load_module(args.module_n)
+        res = ext(M, N, args.degree)
+        payload = {"degree": args.degree, "ext": _ext_payload(res)}
+        _emit(args, payload, f"Ext^{args.degree}: {res}")
+        return EXIT_OK
 
 
 def cmd_uct(args) -> int:
-    ws = Workspace.open(args.ring)
-    M = ws.load_module(args.module_m)
-    N = ws.load_module(args.module_n)
-    terms = uct_terms(M, N)
-    payload = {
-        "hom": _ext_payload(terms.hom),
-        "ext1_shifted": _ext_payload(terms.ext1_shifted),
-        "pd_check": terms.pd_within_one,
-    }
-    note = "" if terms.pd_within_one else "\nnote: resolution longer than one; terms do not assemble into the short exact sequence"
-    _emit(
-        args,
-        payload,
-        f"Hom term: {terms.hom}\nExt1 of suspension: {terms.ext1_shifted}\npd_check: {terms.pd_within_one}{note}",
-    )
-    return EXIT_OK
+    with Workspace.open(args.ring) as ws:
+        M = ws.load_module(args.module_m)
+        N = ws.load_module(args.module_n)
+        terms = uct_terms(M, N)
+        payload = {
+            "hom": _ext_payload(terms.hom),
+            "ext1_shifted": _ext_payload(terms.ext1_shifted),
+            "pd_check": terms.pd_within_one,
+        }
+        note = "" if terms.pd_within_one else "\nnote: resolution longer than one; terms do not assemble into the short exact sequence"
+        _emit(
+            args,
+            payload,
+            f"Hom term: {terms.hom}\nExt1 of suspension: {terms.ext1_shifted}\npd_check: {terms.pd_within_one}{note}",
+        )
+        return EXIT_OK
 
 
 def cmd_pd(args) -> int:
-    ws = Workspace.open(args.ring)
-    M = ws.load_module(args.module_m)
-    pd = projective_dimension(M, args.cap)
-    value = "AboveCap" if pd is ABOVE_CAP else pd
-    _emit(args, {"projective_dimension": value, "cap": args.cap}, f"projective dimension: {value}")
-    return EXIT_OK
+    with Workspace.open(args.ring) as ws:
+        M = ws.load_module(args.module_m)
+        pd = projective_dimension(M, args.cap)
+        value = "AboveCap" if pd is ABOVE_CAP else pd
+        _emit(args, {"projective_dimension": value, "cap": args.cap}, f"projective dimension: {value}")
+        return EXIT_OK
 
 
 def cmd_resolve(args) -> int:
-    ws = Workspace.open(args.ring)
-    M = ws.load_module(args.module_m)
-    res = free_resolution(M, args.length)
-    steps = [
-        {"step": n, "entries": [[obj, eps] for obj, eps in free.entries]}
-        for n, free in enumerate(res.frees)
-    ]
-    lines = []
-    for step in steps:
-        entries = ", ".join(f"Y[{obj},{eps}]" for obj, eps in step["entries"]) or "0"
-        lines.append(f"F_{step['step']}: {entries}")
-    _emit(args, {"steps": steps}, "\n".join(lines))
-    return EXIT_OK
+    with Workspace.open(args.ring) as ws:
+        M = ws.load_module(args.module_m)
+        res = free_resolution(M, args.length)
+        steps = [
+            {"step": n, "entries": [[obj, eps] for obj, eps in free.entries]}
+            for n, free in enumerate(res.frees)
+        ]
+        lines = []
+        for step in steps:
+            entries = ", ".join(f"Y[{obj},{eps}]" for obj, eps in step["entries"]) or "0"
+            lines.append(f"F_{step['step']}: {entries}")
+        _emit(args, {"steps": steps}, "\n".join(lines))
+        return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .intlin import Lattice
 from .presentation import IDENTITY, Presentation
@@ -132,6 +133,16 @@ class RingElement:
         return self.ring.element_str(self)
 
 
+class ArrowForm(NamedTuple):
+    """The normal form of one arrow, source -> target, as a row of the
+    form of `RingElement.row`.  It holds no ring, so the arrow forms a
+    ring keeps tie no reference cycle through it."""
+
+    source: int
+    target: int
+    row: tuple
+
+
 def _flat_layout(objects, basis):
     """(pairs, flat, flat_of, offset): the object pairs in order, every
     basis word as (source, target, word) at its flat index, the flat
@@ -169,11 +180,12 @@ class CategoryRing:
         self.pairs, self.flat, self.flat_of, self.offset = _flat_layout(self.objects, basis)
         self.unit_pos = {x: basis[(x, x)].index(()) for x in self.objects}
         # arrow_forms maps each arrow's generator index to its normal form, {pos: c}
-        gens = presentation.generators
+        ends = presentation.arrow_ends
         self.arrow_forms = {
-            gi: self.element(gens[gi].source, gens[gi].target, vec) for gi, vec in arrow_forms.items()
+            gi: ArrowForm(*ends[gi], _reduced(torsion[ends[gi]], vec)) for gi, vec in arrow_forms.items()
         }
-        # entry tuple -> free module, filled by `modules.free_module`
+        # entry tuple -> free module, filled by `modules.free_module`; its
+        # modules point back at the ring, so `cli.Workspace` empties it
         self._free_modules: dict[tuple, object] = {}
 
     # -- elements ------------------------------------------------------

@@ -39,7 +39,9 @@ _MODULUS = frozenset({int, type(None)})  # a torsion modulus, or null for a free
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    # parsed JSON and the writers' dicts hold no cycle, so the encoder's
+    # circularity scan only costs time; the bytes are the same
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False)
 
 
 def content_hash(data) -> str:
@@ -274,8 +276,11 @@ def ring_from_dict(data: dict) -> CategoryRing:
             raise FormatError(f"component {pair} needs its basis as a list of words, each a list")
         if type(mods) is not list or len(mods) != len(words) or not _MODULUS.issuperset(map(type, mods)):
             raise FormatError(f"component {pair} needs a torsion list of one integer or null modulus per basis word")
+        if 0 in mods:
+            # `ring_to_dict` writes a free slot as null, so one ring has one file
+            raise FormatError(f"component {pair} has torsion modulus 0; a free slot is null")
         basis[pair] = [tuple(w) for w in words]
-        torsion[pair] = [m if m else None for m in mods]
+        torsion[pair] = list(mods)
     if basis.keys() != {(x, y) for x in pres.objects for y in pres.objects}:
         raise FormatError("components do not cover the object pairs")
     for x in pres.objects:

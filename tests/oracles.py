@@ -196,6 +196,24 @@ def _xgcd(a, b):
     return x, y, g
 
 
+# -- component ranks from the orbit count ---------------------------------
+
+
+def orbit_ranks(k):
+    """{(h, l): k*gcd(h, l)/lcm(h, l)} over the subgroup orders h, l of C_k:
+    the rank each component H -> L of the completed ring should have.
+
+    If the ring is the KK^G-category on the objects C(G/H), the component
+    is K^H(C(G/L)) by induction-restriction.  As an H-set, G/L has
+    k/|HL| orbits, each with stabilizer H n L, so its rank is
+    (k/|HL|)*|H n L|, and in a cyclic group |HL| = lcm(h, l) and
+    |H n L| = gcd(h, l).  This motivates the formula; the rank tests are
+    its check.  It is kept out of the completion and its certificate.
+    """
+    orders = [d for d in range(1, k + 1) if k % d == 0]
+    return {(h, l): k * gcd(h, l) ** 2 // (h * l) for h in orders for l in orders}
+
+
 # -- abelian group oracles by enumeration --------------------------------
 
 
@@ -1301,10 +1319,11 @@ def file_table(ring):
     return table
 
 
-def coefficients(elem):
-    """The coefficient list of a ring element over its component's basis:
-    its row written into a list, as a ring file holds it."""
-    vec = [0] * len(elem.ring.basis[(elem.source, elem.target)])
+def coefficients(ring, elem):
+    """The coefficient list of a ring element or an arrow normal form of
+    `ring` over its component's basis: its row written into a list, as a
+    ring file holds it."""
+    vec = [0] * len(ring.basis[(elem.source, elem.target)])
     for t, c in elem.row:
         vec[t] = c
     return vec
@@ -1321,10 +1340,10 @@ def oracle_compose(ring, x, y, table=None):
     out = [0] * len(ring.basis[(x.source, y.target)])
     off_x = ring.offset[(x.source, x.target)]
     off_y = ring.offset[(y.source, y.target)]
-    for i, a in enumerate(coefficients(x)):
+    for i, a in enumerate(coefficients(ring, x)):
         if not a:
             continue
-        for j, b in enumerate(coefficients(y)):
+        for j, b in enumerate(coefficients(ring, y)):
             if not b:
                 continue
             vec = table[(off_x + i, off_y + j)]
@@ -1378,7 +1397,7 @@ def chained_normal_form(ring, data, source=None, target=None, table=None):
         elem = ring.unit(src)
         for gi in stripped:
             elem = oracle_compose(ring, elem, ring.arrow_forms[gi], table)
-        acc = acc + ring.element(src, tgt, {t: c * v for t, v in enumerate(coefficients(elem))})
+        acc = acc + ring.element(src, tgt, {t: c * v for t, v in enumerate(coefficients(ring, elem))})
     return acc
 
 
@@ -1497,7 +1516,7 @@ def oracle_verify_ring(ring):
 
     # a modulus d of basis u holds when d times each product with u is 0
     def killed(d, prod):
-        return ring.element(prod.source, prod.target, {t: d * c for t, c in enumerate(coefficients(prod))}).is_zero()
+        return ring.element(prod.source, prod.target, {t: d * c for t, c in enumerate(coefficients(ring, prod))}).is_zero()
 
     flat = [(x, y, i) for x, y in ring.pairs for i in range(len(ring.basis[(x, y)]))]
     for x, y, i in flat:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import pathlib
 import subprocess
@@ -676,6 +677,10 @@ def _torsion_not_a_list(data):
     data["components"][0]["torsion"] = 5
 
 
+def _zero_torsion_modulus(data):
+    data["components"][0]["torsion"][0] = 0
+
+
 def _basis_word_out_of_range(data):
     comp = next(c for c in data["components"] if c["basis"])
     comp["basis"][-1] = [99]
@@ -855,6 +860,7 @@ _no_empty_action_record.names = ("module file has no action record for (basis, d
         ("ring4.json", _string_table_entry),
         ("ring4.json", _basis_word_out_of_range),
         ("ring4.json", _short_torsion_list),
+        ("ring4.json", _zero_torsion_modulus),
         ("ring4.json", _table_vector_not_a_list),
         ("ring4.json", _short_table_vector),
         ("ring4.json", _long_table_vector),
@@ -1086,3 +1092,30 @@ def test_parser_is_built_once_without_leaking_state(workdir, capsys):
     assert fresh[2][1].startswith("ring over C_4")
     assert build_parser() is build_parser()
     assert [run(argv) for argv in calls] == fresh
+
+
+def test_requests_leave_no_cyclic_garbage(workdir, capsys):
+    # a request's ring and modules are freed by reference counting when
+    # the command returns: the collector finds nothing left behind
+    ring, m = str(workdir / "ring4.json"), str(workdir / "witness.json")
+    requests = (
+        ["ring", "info", ring],
+        ["ring", "verify", ring],
+        ["module", "check", "--ring", ring, m],
+        ["ext", "--ring", ring, "-M", m, "-N", m, "--degree", "1"],
+        ["uct", "--ring", ring, "-M", m, "-N", m],
+        ["pd", "--ring", ring, "-M", m],
+        ["resolve", "--ring", ring, "-M", m, "--length", "2"],
+    )
+    # the first use of the parser leaves garbage once
+    assert run_cli(requests[0], capsys)[0] == 0
+    for argv in requests:
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(argv)
+        finally:
+            garbage = gc.collect()
+            gc.enable()
+        capsys.readouterr()
+        assert (code, garbage) == (0, 0), argv

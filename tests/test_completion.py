@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -40,6 +42,7 @@ from oracles import (
     oracle_echelons,
     oracle_random_associativity_probe,
     oracle_verify_ring,
+    orbit_ranks,
 )
 
 # Frozen output of the independent brute-force oracle (tests below re-run
@@ -76,6 +79,39 @@ def test_frozen_oracle_ranks(ring1, ring2, ring3, ring4):
             assert ring.rank(*pair)[1] == ()
     for pair, n in ORACLE_RANKS_K4.items():
         assert ring4.rank(*pair)[0] == n
+
+
+def test_component_ranks_follow_the_orbit_count(ring1, ring2, ring3, ring4, ring6):
+    # every component H -> L has rank k*gcd(h, l)/lcm(h, l) (`orbit_ranks`)
+    for k, ring, total in ((1, ring1, 1), (2, ring2, 6), (3, ring3, 8), (4, ring4, 22), (6, ring6, 48)):
+        assert {pair: ring.rank(*pair)[0] for pair in ring.pairs} == orbit_ranks(k), k
+        assert ring.total_rank() == total
+
+
+@pytest.mark.parametrize(
+    "k, family, stabilizes",
+    [
+        (2, "double_coset", True),
+        (2, "frobenius", True),
+        (3, "double_coset", True),
+        (3, "frobenius", True),
+        (2, "conjugation_power", False),
+        (3, "conjugation_restriction", False),
+    ],
+)
+def test_a_dropped_relation_family_fails_the_rank_oracle(k, family, stabilizes):
+    # the rank oracle sees a missing family: the ring completes with other
+    # ranks, or the completion does not stabilize
+    pres = build_presentation(k)
+    kept = [rel for rel in pres.relations if rel.tag != family]
+    assert len(kept) < len(pres.relations)
+    dropped = Presentation(k, pres.generators, kept, pres.family_counts)
+    if stabilizes:
+        ring = complete(dropped)
+        assert {pair: ring.rank(*pair)[0] for pair in ring.pairs} != orbit_ranks(k)
+    else:
+        with pytest.raises(NotStabilizedError):
+            complete(dropped)
 
 
 def test_ring_bytes_are_pinned(ring2, ring3, ring4):
@@ -254,7 +290,8 @@ def test_idempotence_and_linearity_of_normal_form(ring4):
     a = normal_form(ring4, ((2, (c1,)), (3, (c1, c1, c1, c1))), source=1, target=1)
     b = normal_form(ring4, (c1,))
     c = normal_form(ring4, (c1,) * 4)
-    assert coefficients(a) == [2 * x + 3 * y for x, y in zip(coefficients(b), coefficients(c))]
+    expected = [2 * x + 3 * y for x, y in zip(coefficients(ring4, b), coefficients(ring4, c))]
+    assert coefficients(ring4, a) == expected
 
 
 def seeded_combinations(ring, rng, count):
@@ -381,7 +418,8 @@ def test_elements_are_reduced_rows(ring1, ring2, ring3, ring4, ring6):
     # every element is its row: int (pos, c) pairs, pos ascending inside
     # the component, c nonzero and reduced into the slot's torsion
     for ring in (ring1, ring2, ring3, ring4, ring6, with_torsion(ring4)):
-        elems = [*ring.arrow_forms.values(), *(ring.unit(x) for x in ring.objects)]
+        forms = list(ring.arrow_forms.values())
+        elems = [ring.unit(x) for x in ring.objects]
         for x, y in ring.pairs:
             words = ring.basis[(x, y)]
             elems += [ring.basis_element(x, y, pos) for pos in range(len(words))]
@@ -391,12 +429,17 @@ def test_elements_are_reduced_rows(ring1, ring2, ring3, ring4, ring6):
             u = ring.element(x, y, {t: t % 4 - 1 for t in range(len(ring.basis[(x, y)]))})
             v = ring.element(y, z, {t: 3 - t % 7 for t in range(len(ring.basis[(y, z)]))})
             elems.append(ring.compose(u, v))
-        for e in elems:
+        for e in (*forms, *elems):
             mods = ring.torsion[(e.source, e.target)]
             assert type(e.row) is tuple
             assert all(type(t) is int and type(c) is int for t, c in e.row), e.row
             assert [t for t, _ in e.row] == sorted({t for t, _ in e.row}), e.row
             assert all(0 <= t < len(mods) and c and (not mods[t] or c == c % mods[t]) for t, c in e.row), e.row
+            same = ring.element(e.source, e.target, dict(e.row)) + ring.zero(e.source, e.target)
+            # an arrow form holds no ring: it is its (source, target, row)
+            assert (same.source, same.target, same.row) == (e.source, e.target, e.row)
+            assert same.is_zero() == (same == ring.zero(e.source, e.target)) == (not e.row)
+        for e in elems:
             same = ring.element(e.source, e.target, dict(e.row)) + ring.zero(e.source, e.target)
             assert same == e and hash(same) == hash(e)
             assert e.is_zero() == (e == ring.zero(e.source, e.target))
@@ -635,3 +678,20 @@ def test_k6_completes_and_verifies():
     # built from the sparse table, satisfy the dense table's products
     for obj in ring.objects:
         yoneda(ring, obj, 0).validate()
+
+
+def test_a_ring_is_freed_by_reference_counting(ring2):
+    # no reference cycle runs through a ring (its arrow forms hold none),
+    # so with the collector off a ring dies on `del`
+    makers = (lambda: complete(build_presentation(2)), lambda: ring_from_dict(ring_to_dict(ring2)))
+    gc.disable()
+    try:
+        for make in makers:
+            ring = make()
+            assert verify_ring(ring).ok
+            assert normal_form(ring, ring.presentation.arrows[:1]).row
+            ref = weakref.ref(ring)
+            del ring
+            assert ref() is None
+    finally:
+        gc.enable()

@@ -265,6 +265,16 @@ def test_ring_fields_of_the_wrong_type_are_named(ring2, change, message):
         ring_from_dict(data)
 
 
+def test_torsion_modulus_zero_is_rejected(ring2):
+    # `ring_to_dict` writes a free slot as null; a 0 used to load as null
+    # too, so a second file read as the same ring and wrote back otherwise
+    data = ring_to_dict(ring2)
+    data["components"][0]["torsion"][0] = 0
+    data["ring_hash"] = content_hash(data)
+    with pytest.raises(FormatError, match=r"component \(1, 1\) has torsion modulus 0; a free slot is null"):
+        ring_from_dict(data)
+
+
 def test_ring_hash_detects_tampering(ring2, tmp_path):
     d = ring_to_dict(ring2)
     d["max_len"] = d["max_len"] + 1
