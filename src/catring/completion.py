@@ -71,7 +71,7 @@ class _PairSpace:
         self.words: list[tuple] = []
         self.ids: dict[tuple, int] = {}
         self.starts: list[int] = []
-        self.lattice = Lattice(0)  # sparse rows only, so no dense width
+        self.lattice = Lattice()
         self.lattice.changed = set()
 
     def add_word(self, path: tuple) -> None:

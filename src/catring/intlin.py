@@ -1,24 +1,24 @@
-"""Exact integer linear algebra on row vectors.
+"""Exact integer linear algebra on sparse row vectors.
 
 Everything here works over Z with arbitrary-precision ints; there is no
-floating point anywhere.  A matrix is a list of rows.  A row is either a
-dense list (or tuple) of ints or a sparse dict {column: value}; a sparse
-row given as input may hold zero entries, but none is ever stored.  The
-number of columns is passed explicitly wherever dense rows may go in, so
-that empty matrices keep their shape.  Every output is a sparse row
-without zeros, so a zero row or a zero solution is `{}`, which is falsy:
-test a solution with `is not None`.  `Lattice` is the
+floating point anywhere.  A matrix is a list of rows, and every row, in
+and out, is a sparse dict {column: value}; a row given as input may
+hold zero entries, but none is ever stored.  No function takes a column
+count: the columns are the dict keys, any ints.  Every output is a
+sparse row without zeros, so a zero row or a zero solution is `{}`,
+which is falsy: test a solution with `is not None`.  `Lattice` is the
 package's one integer echelon, used by the module algebra and by the
-ring completion alike.  Its rows are sparse, kept in a dict keyed by
-pivot column, and a row's pivot is its leftmost (smallest) column, so
+ring completion alike.  Its rows are kept in a dict keyed by pivot
+column, and a row's pivot is its leftmost (smallest) column, so
 elimination costs scale with the nonzero entries.  `Lattice.reduce`
 gives the unique normal form of a coset, which the completion reads its
 rings off, and `group_invariants` reads the Smith form off alternating
-echelons.  The sparse rows are also the module algebra's one data
-format, and `mat_mul` is their one product.  `hnf` and `left_kernel`
-return the rows of a canonical lattice, and `Lattice.coordinates` and
-`solve_left` return {row index: coefficient}.  The convention throughout
-the package is that maps act on row vectors from the right: v |-> v * A.
+Hermite forms (`hnf`).  The sparse rows are also the module algebra's
+one data format, and `mat_mul` is their one product.  `hnf` and
+`left_kernel` return the rows of a canonical lattice, and
+`Lattice.coordinates` and `solve_left` return {row index: coefficient}.
+The convention throughout the package is that maps act on row vectors
+from the right: v |-> v * A.
 """
 
 from __future__ import annotations
@@ -41,16 +41,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _sparse(vec, n: int) -> dict[int, int]:
-    """A fresh {column: value} copy of a dense or dict row, without zeros.
-    Raises ValueError unless a dense row has width n."""
-    if isinstance(vec, dict):
-        if 0 in vec.values():
-            return {j: c for j, c in vec.items() if c}
-        return dict(vec)
-    if len(vec) != n:
-        raise ValueError(f"dense row of width {len(vec)} where {n} columns are expected")
-    return {j: c for j, c in enumerate(vec) if c}
+def _sparse(vec: dict) -> dict[int, int]:
+    """A fresh copy of a sparse row, without zeros."""
+    if 0 in vec.values():
+        return {j: c for j, c in vec.items() if c}
+    return dict(vec)
 
 
 def _axpy(vec: dict, q: int, row: dict) -> None:
@@ -70,9 +65,8 @@ class Lattice:
     in `pivots`, a dict keyed by the pivot column of each row.  A pivot is
     the leftmost nonzero entry of its row, so every column is the pivot of
     at most one row.  `add` keeps the echelon shape using gcd row
-    operations, so membership tests and reductions are exact.  `n` is the
-    width of dense rows; a lattice fed only sparse rows may use any int
-    columns.
+    operations, so membership tests and reductions are exact.  Columns
+    may be any ints.
 
     `changed` is None by default.  When it is a set, `add` and
     `canonicalize` put into it the pivot column of every row they create
@@ -81,10 +75,10 @@ class Lattice:
     place.
     """
 
-    __slots__ = ["n", "pivots", "changed"]
+    __slots__ = ["pivots", "changed"]
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, _width=None):
+        """`_width` is read by nothing: the benchmark's `_vanishes` still passes one."""
         self.pivots: dict[int, dict[int, int]] = {}
         self.changed: set[int] | None = None
 
@@ -96,13 +90,12 @@ class Lattice:
 
     def copy(self) -> "Lattice":
         other = object.__new__(Lattice)
-        other.n = self.n
         other.pivots = {j: dict(row) for j, row in self.pivots.items()}
         other.changed = None if self.changed is None else set(self.changed)
         return other
 
     def add(self, vec0) -> None:
-        vec = _sparse(vec0, self.n)
+        vec = _sparse(vec0)
         pivots = self.pivots
         while vec:
             j = min(vec)
@@ -141,7 +134,7 @@ class Lattice:
         their |pivot| depend only on the lattice, so the normal form of
         each coset is unique, whether or not the basis is canonical.
         """
-        vec = _sparse(vec0, self.n)
+        vec = _sparse(vec0)
         pivots = self.pivots
         while vec:
             # only columns right of the one reduced change, so this ends
@@ -168,7 +161,7 @@ class Lattice:
         along the pivots finds it: each pivot entry of what is left of vec
         fixes one coefficient.
         """
-        vec = _sparse(vec0, self.n)
+        vec = _sparse(vec0)
         pivots = self.pivots
         coords = {}
         for i, j in enumerate(sorted(pivots)):
@@ -216,43 +209,50 @@ class Lattice:
         return len(self.pivots)
 
 
-def hnf(rows, ncols: int) -> list[dict[int, int]]:
+def hnf(rows) -> list[dict[int, int]]:
     """Canonical row Hermite normal form of the lattice spanned by rows."""
-    lat = Lattice(ncols)
+    lat = Lattice()
     for row in rows:
         lat.add(row)
     lat.canonicalize()
     return lat.rows
 
 
+def _width(rows) -> int:
+    """One past the largest column of the rows, or 0 if they have none."""
+    return 1 + max(map(max, filter(None, rows)), default=-1)
+
+
 def _augmented_echelon(rows, ncols: int) -> Lattice:
-    # Echelon of [A | I]; integer row ops act on both halves, so the right
-    # half records the combination producing each echelon row.
-    m = len(rows)
-    lat = Lattice(ncols + m)
+    # Echelon of [A | I], with I from column ncols on, right of every
+    # column of A; integer row ops act on both halves, so the right half
+    # records the combination producing each echelon row.
+    lat = Lattice()
     for i, row in enumerate(rows):
-        aug = _sparse(row, ncols)
+        aug = _sparse(row)
         aug[ncols + i] = 1
         lat.add(aug)
     return lat
 
 
-def left_kernel(rows, ncols: int) -> list[dict[int, int]]:
+def left_kernel(rows) -> list[dict[int, int]]:
     """Basis of {x : x * A == 0}, in HNF."""
+    ncols = _width(rows)
     lat = _augmented_echelon(rows, ncols)
     ker = [
         {jj - ncols: c for jj, c in row.items()}
         for j, row in sorted(lat.pivots.items())
         if j >= ncols
     ]
-    return hnf(ker, len(rows))
+    return hnf(ker)
 
 
-def solve_left(rows, ncols: int, target) -> dict[int, int] | None:
+def solve_left(rows, target) -> dict[int, int] | None:
     """Some x, as {row index: coefficient}, with x * A == target, or None
     if no integer solution exists."""
+    ncols = _width([*rows, target])
     lat = _augmented_echelon(rows, ncols)
-    vec = _sparse(target, ncols)
+    vec = _sparse(target)
     for j, row in sorted(lat.pivots.items()):
         if j >= ncols:
             break
@@ -274,21 +274,13 @@ def group_invariants(rel_rows, ngens: int) -> tuple[int, tuple[int, ...]]:
     corner by a proper divisor, so the loop ends.  The diagonal is then
     brought into the divisibility chain by gcd and lcm.
     """
-    lat = Lattice(ngens)
-    for row in rel_rows:
-        lat.add(row)
-    lat.canonicalize()
-    rows = lat.rows
+    rows = hnf(rel_rows)
     while any(len(row) > 1 for row in rows):
         cols: dict[int, dict[int, int]] = {}
         for i, row in enumerate(rows):
             for j, c in row.items():
                 cols.setdefault(j, {})[i] = c
-        lat = Lattice(len(rows))
-        for col in cols.values():
-            lat.add(col)
-        lat.canonicalize()
-        rows = lat.rows
+        rows = hnf(cols.values())
     diag = [abs(c) for row in rows for c in row.values()]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

@@ -14,9 +14,9 @@ of `intlin.Lattice`, and `intlin.mat_mul` is the one product of such
 rows; only the functoriality check of `GradedModule.validate` sums its
 products row by row instead, without building a matrix.  `GradedModule`
 and `ModuleMap` store the rows they are given; `GradedModule.validate`
-and `ModuleMap.check` check their shapes.  Every
-output of `intlin` is such a row, and coordinates are rows {basis row
-index: coefficient}, so dense rows remain only in the JSON files, and
+and `ModuleMap.check` check their shapes.  Every input and output of
+`intlin` is such a row, and coordinates are rows {basis row index:
+coefficient}, so dense rows remain only in the JSON files, and
 `serialize.module_from_dict` is where they become sparse rows.
 
 The completed rings in scope are concentrated in degree 0 (every
@@ -146,7 +146,7 @@ class GradedModule:
         by every caller: read it, or mutate a copy."""
         lat = self._rel_lattices.get(slot)
         if lat is None:
-            lat = self._rel_lattices[slot] = Lattice(self.ngens(slot))
+            lat = self._rel_lattices[slot] = Lattice()
             for row in self.rels[slot]:
                 lat.add(row)
         return lat
@@ -348,7 +348,7 @@ def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModul
         if e == e0:
             for fu in range(len(ring.basis[(w, x0)])):
                 rows.extend(mat_mul([vec], module.act[(ring.offset[(w, x0)] + fu, e0)]))
-        rels[s] = hnf(rows, module.ngens(s))
+        rels[s] = hnf(rows)
     return GradedModule(module.ring, module.gens, rels, module.act)
 
 
@@ -416,13 +416,13 @@ def identity_map(module: GradedModule) -> ModuleMap:
 # -- solution lattices ------------------------------------------------
 
 
-def _kernel_head(rows, ncols: int, keep: int) -> list:
+def _kernel_head(rows, keep: int) -> list:
     """HNF basis of the x with x * rows[:keep] in the span of rows[keep:]:
     the left kernel of `rows`, cut to its first `keep` columns."""
-    return hnf([{j: c for j, c in k.items() if j < keep} for k in left_kernel(rows, ncols)], keep)
+    return hnf([{j: c for j, c in k.items() if j < keep} for k in left_kernel(rows)])
 
 
-def _echelon_lattice(basis, ncols: int) -> Lattice:
+def _echelon_lattice(basis) -> Lattice:
     """The lattice whose own rows are exactly the sparse rows of `basis`.
 
     `basis` must be in row-echelon form, as every HNF from `_kernel_head`
@@ -430,7 +430,7 @@ def _echelon_lattice(basis, ncols: int) -> Lattice:
     lattice would not be coordinates over `basis`, so that raises
     ValueError.
     """
-    lat = Lattice(ncols)
+    lat = Lattice()
     for row in basis:
         lat.add(row)
     # adding echelon rows in order leaves each one untouched
@@ -623,7 +623,7 @@ def _kernel_rows(f: ModuleMap) -> dict:
     it, never mutate it."""
     if f._kernel is None:
         M, N = f.source, f.target
-        f._kernel = {s: _kernel_head([*f.mats[s], *N.rels[s]], N.ngens(s), M.ngens(s)) for s in M.slots}
+        f._kernel = {s: _kernel_head([*f.mats[s], *N.rels[s]], M.ngens(s)) for s in M.slots}
     return f._kernel
 
 
@@ -638,7 +638,7 @@ def kernel_of(f: ModuleMap) -> tuple[GradedModule, ModuleMap]:
     """
     M = f.source
     basis_rows = _kernel_rows(f)
-    lats = {s: _echelon_lattice(basis_rows[s], M.ngens(s)) for s in M.slots}
+    lats = {s: _echelon_lattice(basis_rows[s]) for s in M.slots}
     gens = {s: tuple(f"k{i}" for i in range(len(basis_rows[s]))) for s in M.slots}
     rels = {s: _coordinates(lats[s], M.rels[s], "module relations must lie in the kernel") for s in M.slots}
     act = {}
@@ -830,10 +830,9 @@ def _cohomology(cover: ModuleMap, N: GradedModule, n: int):
     """
     F = cover.source
     starts, vectors, rows = _kernel_equations(cover, N)
-    slots_c = [s for s, _ in vectors]
-    rels_c = _block_diagonal((N.rels[s], N.ngens(s)) for s in slots_c)
-    basis = _kernel_head([*rows, *rels_c], sum(map(N.ngens, slots_c)), starts[-1])
-    lat = _echelon_lattice(basis, starts[-1])
+    rels_c = _block_diagonal((N.rels[s], N.ngens(s)) for s, _ in vectors)
+    basis = _kernel_head([*rows, *rels_c], starts[-1])
+    lat = _echelon_lattice(basis)
     coboundaries = []
     if n:
         G = cover.target
@@ -941,7 +940,7 @@ def _hom_maps(cover: ModuleMap, N: GradedModule, solutions: list) -> list:
         if not N.ngens(s):
             lifts.extend((s, {}) for _ in range(n))  # every map is zero at s
             continue
-        ker = left_kernel([*({p: 1} for p in range(n)), *cover.mats[s], *M.rels[s]], n)
+        ker = left_kernel([*({p: 1} for p in range(n)), *cover.mats[s], *M.rels[s]])
         if [{j: c for j, c in row.items() if j < n} for row in ker[:n]] != [{p: 1} for p in range(n)]:
             raise ValueError("the cover is not onto")
         lifts.extend((s, {g - n: -c for g, c in row.items() if n <= g < n + F.ngens(s)}) for row in ker[:n])
@@ -1050,7 +1049,7 @@ def _splits(cover: ModuleMap) -> bool:
         target.update({neq + q: c for q, c in pi[upos].items()})
         rows.extend({neq + q: c for q, c in rrow.items()} for rrow in M.rels[slot])
         neq += M.ngens(slot)
-    return solve_left(rows, neq, target) is not None
+    return solve_left(rows, target) is not None
 
 
 def projective_dimension(module: GradedModule, cap: int):

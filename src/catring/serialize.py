@@ -276,9 +276,12 @@ def ring_from_dict(data: dict) -> CategoryRing:
             raise FormatError(f"component {pair} needs its basis as a list of words, each a list")
         if type(mods) is not list or len(mods) != len(words) or not _MODULUS.issuperset(map(type, mods)):
             raise FormatError(f"component {pair} needs a torsion list of one integer or null modulus per basis word")
-        if 0 in mods:
-            # `ring_to_dict` writes a free slot as null, so one ring has one file
-            raise FormatError(f"component {pair} has torsion modulus 0; a free slot is null")
+        bad = next((m for m in mods if m is not None and m < 2), None)
+        if bad is not None:
+            # `ring_to_dict` writes a free slot as null and the completion a
+            # modulus as |pivot| >= 2, so one ring has one file
+            why = "a free slot is null" if bad == 0 else "a modulus is at least 2"
+            raise FormatError(f"component {pair} has torsion modulus {bad}; {why}")
         basis[pair] = [tuple(w) for w in words]
         torsion[pair] = list(mods)
     if basis.keys() != {(x, y) for x in pres.objects for y in pres.objects}:

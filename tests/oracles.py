@@ -783,7 +783,8 @@ def dense(rows, n):
 
 
 def sparse(rows):
-    """Dense rows as sparse {column: value} rows, the rows modules take."""
+    """Dense rows as sparse {column: value} rows, the rows modules and
+    `intlin` take."""
     return [{j: c for j, c in enumerate(row) if c} for row in rows]
 
 
@@ -908,14 +909,14 @@ def oracle_hom_module(M, N):
 
     system = _MapSystem(M, N)
     var_off, nvars = system.var_off, system.nvars
-    sols = _kernel_head(system.rows(), len(system.equations), nvars)
+    sols = _kernel_head(system.rows(), nvars)
     null_vecs = []
     for s in M.slots:
         gn, off = N.ngens(s), var_off[s]
         for p in range(M.ngens(s)):
             for rrow in N.rels[s]:
                 null_vecs.append({off + p * gn + q: c for q, c in rrow.items()})
-    lat = _echelon_lattice(sols, nvars)
+    lat = _echelon_lattice(sols)
     coords = _coordinates(lat, null_vecs, "null map outside the solution lattice")
     free, tors = group_invariants(coords, len(sols))
     return AbInvariants(free, tors)
@@ -983,7 +984,7 @@ def oracle_is_projective(module):
     if any(module.value_invariants(s).torsion for s in module.slots):
         return False
     system, targets = _section_system(free_cover(module))
-    return solve_left(system.rows(), len(targets), targets) is not None
+    return solve_left(system.rows(), sparse([targets])[0]) is not None
 
 
 def oracle_projective_dimension(module, cap):
@@ -1091,9 +1092,9 @@ def _cohomology(N, slots_b, g_mat, slots_c, f_rows):
     def presented(slots):
         return sum(N.ngens(s) for s in slots), _block_diagonal((N.rels[s], N.ngens(s)) for s in slots)
 
-    (ngens_b, rels_b), (ngens_c, rels_c) = presented(slots_b), presented(slots_c)
-    basis = _kernel_head([*g_mat, *rels_c], ngens_c, ngens_b)
-    lat = _echelon_lattice(basis, ngens_b)
+    (ngens_b, rels_b), (_, rels_c) = presented(slots_b), presented(slots_c)
+    basis = _kernel_head([*g_mat, *rels_c], ngens_b)
+    lat = _echelon_lattice(basis)
     coords = _coordinates(lat, [*f_rows, *rels_b], "image does not lie in the kernel")
     free, tors = group_invariants(coords, len(basis))
     return AbInvariants(free, tors)
@@ -1198,7 +1199,7 @@ def pairwise_validate(module):
 
     def agree(slot, A, B):
         lat = module.relation_lattice(slot)
-        return all([a - b for a, b in zip(ra, rb)] in lat for ra, rb in zip(A, B))
+        return all(d in lat for d in sparse([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]))
 
     act = {(fb, e): dense_action(module, fb, e) for fb in range(len(ring.flat)) for e in (0, 1)}
     table = file_table(ring)
@@ -1208,7 +1209,7 @@ def pairwise_validate(module):
             # well-defined on the quotient
             lat = module.relation_lattice((x, e))
             for row in dense_relations(module, (y, e)):
-                img = mat_mul([row], mat, module.ngens((x, e)))[0]
+                (img,) = sparse(mat_mul([row], mat, module.ngens((x, e))))
                 if img not in lat:
                     raise ValueError(f"action of basis {fb} not well-defined at degree {e}")
     for x in ring.objects:

@@ -681,6 +681,14 @@ def _zero_torsion_modulus(data):
     data["components"][0]["torsion"][0] = 0
 
 
+def _unit_torsion_modulus(data):
+    data["components"][0]["torsion"][0] = 1
+
+
+def _negative_torsion_modulus(data):
+    data["components"][0]["torsion"][0] = -2
+
+
 def _basis_word_out_of_range(data):
     comp = next(c for c in data["components"] if c["basis"])
     comp["basis"][-1] = [99]
@@ -861,6 +869,8 @@ _no_empty_action_record.names = ("module file has no action record for (basis, d
         ("ring4.json", _basis_word_out_of_range),
         ("ring4.json", _short_torsion_list),
         ("ring4.json", _zero_torsion_modulus),
+        ("ring4.json", _unit_torsion_modulus),
+        ("ring4.json", _negative_torsion_modulus),
         ("ring4.json", _table_vector_not_a_list),
         ("ring4.json", _short_table_vector),
         ("ring4.json", _long_table_vector),

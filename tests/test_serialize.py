@@ -275,6 +275,18 @@ def test_torsion_modulus_zero_is_rejected(ring2):
         ring_from_dict(data)
 
 
+@pytest.mark.parametrize("modulus", [-2, -1, 1])
+def test_torsion_modulus_below_two_is_rejected(ring2, modulus):
+    # the completion writes a modulus as |pivot| >= 2; -d used to load as a
+    # second file of the ring with modulus d, and 1 as a modulus that kills
+    # its basis word
+    data = ring_to_dict(ring2)
+    data["components"][0]["torsion"][0] = modulus
+    data["ring_hash"] = content_hash(data)
+    with pytest.raises(FormatError, match=rf"component \(1, 1\) has torsion modulus {modulus}; a modulus is at least 2"):
+        ring_from_dict(data)
+
+
 def test_ring_hash_detects_tampering(ring2, tmp_path):
     d = ring_to_dict(ring2)
     d["max_len"] = d["max_len"] + 1

@@ -9,20 +9,25 @@ zero; these tests catch that in the ordinary suite.
 
 import importlib.util
 import pathlib
+import sys
 
 from catring import cli, modules, verify_ring, yoneda_cyclic_quotient
 from catring.serialize import module_to_dict, ring_to_dict, save_json
 
 from corpus import bumped_table_entry, with_torsion
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(stem):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_perfbench("tracing")
 
 
 def test_tracer_counts_modules_and_cli_calls(ring2, tmp_path, capsys):
@@ -137,3 +142,15 @@ def test_tracer_table_nnz_counts_the_written_table_entries(ring1, ring2, ring3, 
     # {pos: c} dict row reads its positions and would count them as zero,
     # so this test also fails a switch to that row form
     assert any(len(row) == 1 and row[0][0] == 0 for row in ring6.table.values())
+
+
+def test_benchmark_vanishing_check_runs_on_intlin(ring2, monkeypatch):
+    # the query workload checks each resolution with `_vanishes`, which
+    # builds `intlin.Lattice(ngens)`: a constructor change that breaks the
+    # benchmark fails here.  workloads.py imports its sibling as `tracing`
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())
+    workloads = load_perfbench("workloads")
+    m = yoneda_cyclic_quotient(ring2, 2, 0, 1, 0)
+    res = modules.free_resolution(m, 1)
+    assert workloads._vanishes(modules.compose_maps(res.differentials[0], res.augmentation))
+    assert not workloads._vanishes(modules.identity_map(m))
