@@ -17,6 +17,10 @@ Hermite forms (`hnf`).  The sparse rows are also the module algebra's
 one data format, and `mat_mul` is their one product.  `hnf` and
 `left_kernel` return the rows of a canonical lattice, and
 `Lattice.coordinates` and `solve_left` return {row index: coefficient}.
+`left_kernel` and `solve_left` run on the augmented echelon [A | I], and
+only rows whose coordinates are read get an identity column: `left_kernel`
+gives one to the first `keep` rows only, and `solve_left` builds [A | I]
+only once a plain `Lattice` has shown that a solution exists.
 The convention throughout the package is that maps act on row vectors
 from the right: v |-> v * A.
 """
@@ -223,44 +227,82 @@ def _width(rows) -> int:
     return 1 + max(map(max, filter(None, rows)), default=-1)
 
 
-def _augmented_echelon(rows, ncols: int) -> Lattice:
+def _augmented_echelon(rows, ncols: int, keep: int) -> Lattice:
     # Echelon of [A | I], with I from column ncols on, right of every
-    # column of A; integer row ops act on both halves, so the right half
-    # records the combination producing each echelon row.
+    # column of A, but only on the first `keep` rows: row i gets e_i
+    # when i < keep, and the rows past `keep` are added bare.  Integer
+    # row ops act on both halves, so the right half records the
+    # combination of the first `keep` rows producing each echelon row.
     lat = Lattice()
     for i, row in enumerate(rows):
-        aug = _sparse(row)
-        aug[ncols + i] = 1
-        lat.add(aug)
+        if i < keep:
+            row = {**row, ncols + i: 1}
+        lat.add(row)
     return lat
 
 
-def left_kernel(rows) -> list[dict[int, int]]:
-    """Basis of {x : x * A == 0}, in HNF."""
+def left_kernel(rows, keep: int | None = None) -> list[dict[int, int]]:
+    """HNF basis of {x in Z^keep : x * rows[:keep] in span(rows[keep:])};
+    with `keep` left out it is len(rows), and this is {x : x * A == 0}.
+
+    Only the first `keep` rows get an identity column: the echelon of
+    `_augmented_echelon(rows, ncols, keep)` spans
+        L = {(y * A_top + z * A_bot, y) : y in Z^keep, z in Z^(len - keep)},
+    A_top = rows[:keep], A_bot = rows[keep:].  The members of L that vanish
+    left of `ncols` are the (0, y) with y * A_top in span(A_bot), which is
+    the set asked for.  They are spanned by the echelon rows pivoted at or
+    right of `ncols`: in an echelon basis, a member whose leftmost entry
+    lies at column j or right of it is a combination of the rows pivoted
+    at j or right of it, since the coefficient of the row with the
+    leftmost pivot used would leave an entry left of j.  So those rows,
+    shifted back by `ncols`, span the set, and one HNF makes the basis
+    canonical.  The set is also the projection onto the
+    first `keep` coordinates of the full left kernel (y extends to a
+    kernel vector (y, -z) exactly when y * A_top = z * A_bot), and the HNF
+    is unique, so this equals the HNF of the full kernel cut to its first
+    `keep` columns.
+
+    Raises ValueError unless 0 <= keep <= len(rows).
+    """
+    if keep is None:
+        keep = len(rows)
+    elif not 0 <= keep <= len(rows):
+        raise ValueError(f"keep must lie in 0..{len(rows)}, got {keep}")
     ncols = _width(rows)
-    lat = _augmented_echelon(rows, ncols)
-    ker = [
+    lat = _augmented_echelon(rows, ncols, keep)
+    return hnf(
         {jj - ncols: c for jj, c in row.items()}
         for j, row in sorted(lat.pivots.items())
         if j >= ncols
-    ]
-    return hnf(ker)
+    )
 
 
 def solve_left(rows, target) -> dict[int, int] | None:
     """Some x, as {row index: coefficient}, with x * A == target, or None
-    if no integer solution exists."""
-    ncols = _width([*rows, target])
-    lat = _augmented_echelon(rows, ncols)
+    if no integer solution exists.
+
+    Solvability is membership of the target in the row lattice of A, which
+    a plain `Lattice` decides; only a solvable system pays for the echelon
+    of [A | I], whose right half records how each echelon row combines
+    the rows of A.  Its rows pivoted left of `ncols`, cut to A's columns,
+    are an echelon basis of that row lattice with the same pivots, so
+    back-substitution along them brings a member to zero on A's columns,
+    every quotient exact, and leaves -x in the identity block.
+    """
+    lat = Lattice()
+    for row in rows:
+        lat.add(row)
+    if target not in lat:
+        return None
+    ncols = _width(rows)  # a member has no nonzero entry right of A's columns
+    lat = _augmented_echelon(rows, ncols, len(rows))
     vec = _sparse(target)
     for j, row in sorted(lat.pivots.items()):
         if j >= ncols:
             break
         b = vec.get(j)
-        if b and b % row[j] == 0:
+        if b:
             _axpy(vec, -(b // row[j]), row)
-    if any(j < ncols for j in vec):
-        return None
     return {j - ncols: -c for j, c in vec.items()}
 
 

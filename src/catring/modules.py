@@ -416,16 +416,10 @@ def identity_map(module: GradedModule) -> ModuleMap:
 # -- solution lattices ------------------------------------------------
 
 
-def _kernel_head(rows, keep: int) -> list:
-    """HNF basis of the x with x * rows[:keep] in the span of rows[keep:]:
-    the left kernel of `rows`, cut to its first `keep` columns."""
-    return hnf([{j: c for j, c in k.items() if j < keep} for k in left_kernel(rows)])
-
-
 def _echelon_lattice(basis) -> Lattice:
     """The lattice whose own rows are exactly the sparse rows of `basis`.
 
-    `basis` must be in row-echelon form, as every HNF from `_kernel_head`
+    `basis` must be in row-echelon form, as every HNF from `left_kernel`
     is; otherwise `add` would rewrite its rows, and coordinates over the
     lattice would not be coordinates over `basis`, so that raises
     ValueError.
@@ -623,7 +617,7 @@ def _kernel_rows(f: ModuleMap) -> dict:
     it, never mutate it."""
     if f._kernel is None:
         M, N = f.source, f.target
-        f._kernel = {s: _kernel_head([*f.mats[s], *N.rels[s]], M.ngens(s)) for s in M.slots}
+        f._kernel = {s: left_kernel([*f.mats[s], *N.rels[s]], M.ngens(s)) for s in M.slots}
     return f._kernel
 
 
@@ -831,7 +825,7 @@ def _cohomology(cover: ModuleMap, N: GradedModule, n: int):
     F = cover.source
     starts, vectors, rows = _kernel_equations(cover, N)
     rels_c = _block_diagonal((N.rels[s], N.ngens(s)) for s, _ in vectors)
-    basis = _kernel_head([*rows, *rels_c], starts[-1])
+    basis = left_kernel([*rows, *rels_c], starts[-1])
     lat = _echelon_lattice(basis)
     coboundaries = []
     if n:
@@ -922,14 +916,15 @@ def _hom_maps(cover: ModuleMap, N: GradedModule, solutions: list) -> list:
     f(m) = tau(x) for a lift x of m, so f is tau on lifts of M's
     generators, read off `_yoneda_images`.  One left kernel per slot lifts
     every generator of M(s): take the rows of the identity on M(s), of pi
-    at s and of M's relations R at s, n = M.ngens(s) columns.  The
-    kernel holds the (a, x, y) with a + x pi + y R = 0.  `free_cover`
+    at s and of M's relations R at s, n = M.ngens(s) columns, and keep
+    the coordinates of the first two blocks, the only ones read.  The
+    kernel holds the (a, x) with a + x pi in the span of R.  `free_cover`
     puts each generator e_p of M(s) in the span of pi's and R's rows, so
-    some (e_p, x, y) lies in the kernel, and the kernel's projection onto
+    some (e_p, x) lies in the kernel, and the kernel's projection onto
     its first n columns is all of Z^n.  Its HNF therefore has pivots 1 on
-    those columns and zeros above them: its first n rows are
-    (e_p, x_p, y_p), and -x_p pi = e_p modulo R.  A cover that is not
-    onto fails that, and raises ValueError.
+    those columns and zeros above them: its first n rows are (e_p, x_p),
+    and -x_p pi = e_p modulo R.  A cover that is not onto fails that,
+    and raises ValueError.
     """
     if not solutions:
         return []
@@ -940,10 +935,11 @@ def _hom_maps(cover: ModuleMap, N: GradedModule, solutions: list) -> list:
         if not N.ngens(s):
             lifts.extend((s, {}) for _ in range(n))  # every map is zero at s
             continue
-        ker = left_kernel([*({p: 1} for p in range(n)), *cover.mats[s], *M.rels[s]])
+        pi = cover.mats[s]
+        ker = left_kernel([*({p: 1} for p in range(n)), *pi, *M.rels[s]], n + len(pi))
         if [{j: c for j, c in row.items() if j < n} for row in ker[:n]] != [{p: 1} for p in range(n)]:
             raise ValueError("the cover is not onto")
-        lifts.extend((s, {g - n: -c for g, c in row.items() if n <= g < n + F.ngens(s)}) for row in ker[:n])
+        lifts.extend((s, {g - n: -c for g, c in row.items() if g >= n}) for row in ker[:n])
     rows = _yoneda_images(F, N, lifts, _hom_free_into(F, N))
     cols = list(itertools.accumulate((N.ngens(s) for s, _ in lifts), initial=0))
     maps = []
@@ -1035,7 +1031,10 @@ def _splits(cover: ModuleMap) -> bool:
       - tau(e_j) * pi = pi(e_j) at slot_j, entry after entry, modulo the
         relations of M there, which become slack rows after the unknowns.
     Two module maps out of F agree once they agree on the units, so the
-    second block is exactly tau then pi equal to pi.
+    second block is exactly tau then pi equal to pi.  Only solvability
+    is read, and `solve_left` decides it on a plain `Lattice` of the
+    rows: a cover with no section, the common case, never pays for the
+    identity block of [A | I].
     """
     F, M = cover.source, cover.target
     var, vectors, rows = _kernel_equations(cover, F)

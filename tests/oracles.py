@@ -7,6 +7,7 @@ enumerating elements and counting, never by Smith reduction.
 
 The last sections keep slow predecessors of fast paths instead: the
 dense integer echelon that `catring.intlin` replaced with sparse rows,
+its sparse left kernel and solve with an identity column on every row,
 the dense Smith form and the dense matrix product it replaced with
 `Lattice` echelons and sparse rows, the completion's own max-pivot
 echelon that `intlin.Lattice` replaced, the completion's echelon fed
@@ -510,6 +511,61 @@ def dense_solve_left(rows, ncols, target):
     return [-x for x in vec[ncols:]]
 
 
+# `catring.intlin`'s left kernel and solve before only the rows whose
+# coordinates are read got an identity column: the echelon of [A | I]
+# with e_i on every row, built whether or not the solve has an answer,
+# and the kernel's HNF cut to its first `keep` columns and put in HNF
+# again.
+
+
+def _full_augmented_echelon(rows, ncols):
+    from catring.intlin import Lattice
+
+    lat = Lattice()
+    for i, row in enumerate(rows):
+        aug = {j: c for j, c in row.items() if c}
+        aug[ncols + i] = 1
+        lat.add(aug)
+    return lat
+
+
+def _sparse_width(rows):
+    return 1 + max((j for row in rows for j in row), default=-1)
+
+
+def oracle_kernel_head(rows, keep):
+    """HNF basis of the x in Z^keep with x * rows[:keep] in the span of
+    rows[keep:]: the HNF of the whole left kernel, cut to its first
+    `keep` columns."""
+    from catring.intlin import hnf
+
+    ncols = _sparse_width(rows)
+    lat = _full_augmented_echelon(rows, ncols)
+    ker = hnf([{j - ncols: c for j, c in row.items()} for p, row in sorted(lat.pivots.items()) if p >= ncols])
+    return hnf([{j: c for j, c in row.items() if j < keep} for row in ker])
+
+
+def oracle_solve_left(rows, target):
+    """Some x, as {row index: coefficient}, with x * rows == target, or
+    None: back-substitution on [A | I] along the pivots left of A's
+    identity block, which is built whatever the answer."""
+    ncols = _sparse_width([*rows, target])
+    lat = _full_augmented_echelon(rows, ncols)
+    vec = {j: c for j, c in target.items() if c}
+    for j, row in sorted(lat.pivots.items()):
+        if j >= ncols:
+            break
+        b = vec.get(j)
+        if b and b % row[j] == 0:
+            q = b // row[j]
+            for jj, c in row.items():
+                vec[jj] = vec.get(jj, 0) - q * c
+            vec = {jj: c for jj, c in vec.items() if c}
+    if any(j < ncols for j in vec):
+        return None
+    return {j - ncols: -c for j, c in vec.items()}
+
+
 # -- the completion's max-pivot echelon ------------------------------------
 #
 # The echelon `catring.completion` kept per object pair before it moved
@@ -904,12 +960,12 @@ def oracle_hom_module(M, N):
     computed them before it solved on the Yoneda units of M's cover: the
     solution lattice of the all-basis `_MapSystem`, modulo the maps whose
     every row lies in N's relations."""
-    from catring.intlin import group_invariants
-    from catring.modules import AbInvariants, _coordinates, _echelon_lattice, _kernel_head
+    from catring.intlin import group_invariants, left_kernel
+    from catring.modules import AbInvariants, _coordinates, _echelon_lattice
 
     system = _MapSystem(M, N)
     var_off, nvars = system.var_off, system.nvars
-    sols = _kernel_head(system.rows(), nvars)
+    sols = left_kernel(system.rows(), nvars)
     null_vecs = []
     for s in M.slots:
         gn, off = N.ngens(s), var_off[s]
@@ -1086,14 +1142,14 @@ def _cohomology(N, slots_b, g_mat, slots_c, f_rows):
     """ker(g)/im(f) inside B, for g: B -> C, where B and C are the sums of
     N(s) over `slots_b` and over `slots_c`, each presented by N's
     relations."""
-    from catring.intlin import group_invariants
-    from catring.modules import AbInvariants, _block_diagonal, _coordinates, _echelon_lattice, _kernel_head
+    from catring.intlin import group_invariants, left_kernel
+    from catring.modules import AbInvariants, _block_diagonal, _coordinates, _echelon_lattice
 
     def presented(slots):
         return sum(N.ngens(s) for s in slots), _block_diagonal((N.rels[s], N.ngens(s)) for s in slots)
 
     (ngens_b, rels_b), (_, rels_c) = presented(slots_b), presented(slots_c)
-    basis = _kernel_head([*g_mat, *rels_c], ngens_b)
+    basis = left_kernel([*g_mat, *rels_c], ngens_b)
     lat = _echelon_lattice(basis)
     coords = _coordinates(lat, [*f_rows, *rels_b], "image does not lie in the kernel")
     free, tors = group_invariants(coords, len(basis))

@@ -23,6 +23,8 @@ from oracles import (
     dense_solve_left,
     mat_identity,
     mat_mul,
+    oracle_kernel_head,
+    oracle_solve_left,
     snf_diagonal,
     sparse,
 )
@@ -256,6 +258,78 @@ def test_outputs_are_sparse_rows_equal_to_dense_oracle():
                 assert all(type(row) is dict and all(row.values()) for row in got), form
                 assert dense(got, width) == want, form
     assert zero_solutions
+
+
+def kept_systems(rng):
+    """Seeded sparse systems, each with the keeps {0, 1, len // 2, len}
+    that lie in range.  The last rows are often zero rows, copies or
+    combinations of earlier rows; rows hold some stored zeros, and the
+    columns of some systems are moved onto negative columns."""
+    for _ in range(120):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        rows = sparse_matrix(rng, m, n)
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(["zero", "copy", "combination"])
+            if kind == "zero" or not rows:
+                rows.append([0] * n)
+            elif kind == "copy":
+                rows.append(list(rng.choice(rows)))
+            else:
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                rows.append(mat_mul([coeffs], rows, n)[0])
+        given = shifted(as_dicts(rng, rows, True), rng.choice([0, 0, -n - 2, 3]))
+        for keep in sorted({k for k in (0, 1, len(rows) // 2, len(rows)) if k <= len(rows)}):
+            yield rows, given, keep
+
+
+def test_left_kernel_keeps_only_the_coordinates_it_reads():
+    # the echelon with identity columns on the first `keep` rows alone
+    # gives the HNF of the whole kernel cut to `keep` columns, and every
+    # row x of it has x * rows[:keep] in the span of rows[keep:]
+    rng = random.Random(21)
+    seen = set()
+    for rows, given, keep in kept_systems(rng):
+        got = left_kernel(given, keep)
+        assert got == oracle_kernel_head(given, keep), (rows, keep)
+        assert all(type(row) is dict and all(row.values()) for row in got)
+        assert all(0 <= j < keep for row in got for j in row)
+        span = Lattice()
+        for row in given[keep:]:
+            span.add(row)
+        assert all(intlin.mat_mul([x], given)[0] in span for x in got)
+        seen.add((keep == 0, keep == len(rows), bool(got)))
+    assert left_kernel(given) == left_kernel(given, len(given)) == oracle_kernel_head(given, len(given))
+    assert {(False, False, True), (False, True, True), (True, False, False)} <= seen, seen
+
+
+def test_solve_left_matches_the_always_augmented_solve():
+    # the plain membership test decides, and a solvable system gives the
+    # x the full [A | I] gave, with x * A == target
+    rng = random.Random(22)
+    solved = unsolved = 0
+    for rows, given, _ in kept_systems(rng):
+        off = min((j for row in given for j in row), default=0)
+        targets = intlin.mat_mul([{i: rng.randint(-3, 3) for i in range(len(given))}], given)
+        targets += [{off + j: rng.randint(-3, 3) for j in range(rng.randint(0, 4))} for _ in range(2)]
+        for target in targets:
+            x = solve_left(given, target)
+            assert x == oracle_solve_left(given, target), (rows, target)
+            if x is None:
+                unsolved += 1
+            else:
+                solved += 1
+                (product,) = intlin.mat_mul([x], given)
+                assert {j: c for j, c in product.items() if c} == {j: c for j, c in target.items() if c}
+    assert solved > 100 and unsolved > 100, (solved, unsolved)
+
+
+def test_left_kernel_rejects_a_keep_outside_its_rows():
+    rows = [{0: 1}, {0: 2}]
+    for keep in (-1, 3):
+        with pytest.raises(ValueError, match="keep"):
+            left_kernel(rows, keep)
+    assert left_kernel(rows, 0) == [] and left_kernel([], 0) == []
+    assert left_kernel(rows, 1) == [{0: 2}] and left_kernel(rows, 2) == [{0: 2, 1: -1}]
 
 
 def test_lattice_membership_matches_dense_oracle():

@@ -987,6 +987,27 @@ def test_resolution_queries_pin_their_work(ring4, monkeypatch):
         assert (len(products), len(back_substitutions), len(kernels), len(covers)) == want
 
 
+def test_identity_columns_of_an_above_cap_projective_dimension(ring4, monkeypatch):
+    # work-count guard on [A | I]: only rows whose coordinates are read
+    # get an identity column.  The kernel rows of a level read the first
+    # M.ngens(s) rows' coordinates, and a split test without a section
+    # builds no [A | I] at all.  When every row got one and every split
+    # test built [A | I], the same call made 28 augmented echelons with 48
+    # identity columns in all, and 153 `Lattice.add` calls instead of 139
+    keeps = []
+    augmented = intlin._augmented_echelon
+
+    def counted(rows, ncols, keep):
+        keeps.append(keep)
+        return augmented(rows, ncols, keep)
+
+    monkeypatch.setattr(intlin, "_augmented_echelon", counted)
+    pd = projective_dimension(yoneda_cyclic_quotient(ring4, 4, 0, 1, 0), 3)
+    monkeypatch.undo()
+    assert pd is ABOVE_CAP
+    assert (len(keeps), sum(keeps)) == (24, 28)
+
+
 def test_map_system_rows_are_sparse_without_zeros(ring4):
     # the unit acts as the identity on both sides of Hom(Y, Y), so its
     # commutation equations cancel a variable to an explicit zero
