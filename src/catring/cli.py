@@ -35,11 +35,12 @@ from .completion import (
     NotStabilizedError,
     complete,
     normal_form,
+    presentations_equivalent,
     random_associativity_probe,
     verify_ring,
 )
 from .modules import ABOVE_CAP, ext, free_resolution, projective_dimension, uct_terms
-from .presentation import build_presentation, presentation_c4, presentations_equivalent
+from .presentation import build_presentation, presentation_c4
 from .serialize import (
     FormatError,
     content_hash,
@@ -152,6 +153,10 @@ def _character_text(chi: groups.Character) -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _ranks(ring) -> dict:
+    return {f"{x}->{y}": ring.rank(x, y)[0] for x in ring.objects for y in ring.objects}
+
+
 def _rank_table(ring) -> str:
     objs = ring.objects
     width = max(5, max(len(str(o)) for o in objs) + 2)
@@ -190,7 +195,7 @@ def cmd_ring_build(args) -> int:
         "ring_hash": data["ring_hash"],
         "stabilized_at": ring.stabilized_at,
         "total_rank": ring.total_rank(),
-        "ranks": {f"{x}->{y}": ring.rank(x, y)[0] for x in ring.objects for y in ring.objects},
+        "ranks": _ranks(ring),
         "output": args.output,
     }
     _emit(
@@ -246,7 +251,7 @@ def cmd_ring_info(args) -> int:
             "total_rank": ring.total_rank(),
             "stabilized_at": ring.stabilized_at,
             "ring_hash": ws.ring_hash,
-            "ranks": {f"{x}->{y}": ring.rank(x, y)[0] for x in ring.objects for y in ring.objects},
+            "ranks": _ranks(ring),
         }
         text = (
             f"ring over C_{ring.presentation.group_order}, hash {ws.ring_hash[:16]}...\n"
@@ -378,6 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     completing = argparse.ArgumentParser(add_help=False, parents=[shared])
     completing.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, help="completion length cap")
     completing.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="stabilization window")
+    # the subcommands that compute over a module M of a ring file
+    on_module = argparse.ArgumentParser(add_help=False, parents=[shared])
+    on_module.add_argument("--ring", required=True)
+    on_module.add_argument("-M", dest="module_m", required=True)
 
     parser = argparse.ArgumentParser(prog="catring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -424,28 +433,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module", help="module JSON file")
     p.set_defaults(func=cmd_module_check)
 
-    p = sub.add_parser("ext", parents=[shared])
-    p.add_argument("--ring", required=True)
-    p.add_argument("-M", dest="module_m", required=True)
+    p = sub.add_parser("ext", parents=[on_module])
     p.add_argument("-N", dest="module_n", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=cmd_ext)
 
-    p = sub.add_parser("uct", parents=[shared])
-    p.add_argument("--ring", required=True)
-    p.add_argument("-M", dest="module_m", required=True)
+    p = sub.add_parser("uct", parents=[on_module])
     p.add_argument("-N", dest="module_n", required=True)
     p.set_defaults(func=cmd_uct)
 
-    p = sub.add_parser("pd", parents=[shared])
-    p.add_argument("--ring", required=True)
-    p.add_argument("-M", dest="module_m", required=True)
+    p = sub.add_parser("pd", parents=[on_module])
     p.add_argument("--cap", type=int, default=3)
     p.set_defaults(func=cmd_pd)
 
-    p = sub.add_parser("resolve", parents=[shared])
-    p.add_argument("--ring", required=True)
-    p.add_argument("-M", dest="module_m", required=True)
+    p = sub.add_parser("resolve", parents=[on_module])
     p.add_argument("--length", type=int, required=True)
     p.set_defaults(func=cmd_resolve)
 

@@ -26,17 +26,19 @@ instances, the certified table is exactly the presented ring's.
 
 Torsion never appears for the rings in scope but is carried faithfully:
 slots with a modulus keep their coefficients reduced into [0, d).
+Rings and presentations are checked here too: `verify_ring` and
+`presentations_equivalent` check relations by one `_failing_relations`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .intlin import Lattice
-from .presentation import IDENTITY, Presentation
+from .presentation import IDENTITY, Presentation, Relation
 
 
 class CompletionError(Exception):
@@ -144,17 +146,17 @@ class ArrowForm(NamedTuple):
 
 
 def _flat_layout(objects, basis):
-    """(pairs, flat, flat_of, offset): the object pairs in order, every
-    basis word as (source, target, word) at its flat index, the flat
-    index of each such triple, and the flat index of each pair's first
-    word.  Pairs run x-major over `objects`, words in basis order."""
+    """(pairs, flat, offset): the object pairs in order, every basis word
+    as (source, target, word) at its flat index, and the flat index of
+    each pair's first word.  Pairs run x-major over `objects`, words in
+    basis order."""
     pairs = [(x, y) for x in objects for y in objects]
     flat: list[tuple[int, int, tuple]] = []
     offset: dict[tuple[int, int], int] = {}
     for pair in pairs:
         offset[pair] = len(flat)
         flat.extend((pair[0], pair[1], w) for w in basis[pair])
-    return pairs, flat, {key: n for n, key in enumerate(flat)}, offset
+    return pairs, flat, offset
 
 
 class CategoryRing:
@@ -177,7 +179,7 @@ class CategoryRing:
         self.stabilized_at = stabilized_at
         self.max_len = max_len
         self.window = window
-        self.pairs, self.flat, self.flat_of, self.offset = _flat_layout(self.objects, basis)
+        self.pairs, self.flat, self.offset = _flat_layout(self.objects, basis)
         self.unit_pos = {x: basis[(x, x)].index(()) for x in self.objects}
         # arrow_forms maps each arrow's generator index to its normal form, {pos: c}
         ends = presentation.arrow_ends
@@ -301,11 +303,7 @@ def _echelons(pres: Presentation, max_len: int):
                     top.append(word)
             layer[x] = top
 
-    # each relation as its differences of consecutive sides: (coefficient, word) terms
-    differences = [
-        (rel, rel.max_word_len(), [[*s1, *((-c, w) for c, w in s2)] for s1, s2 in zip(rel.sides, rel.sides[1:])])
-        for rel in pres.relations
-    ]
+    differences = [(rel, rel.max_word_len(), rel.differences()) for rel in pres.relations]
 
     def add_instances(bound: int) -> None:
         # the relation instances of padded length `bound` with an empty right pad
@@ -426,7 +424,7 @@ def _snapshot(objects, spaces, bound: int, trajectory: list[int]):
         return None
 
     # closure certificate + table, object triple by triple, then u and v
-    _, flat, _, offset = _flat_layout(objects, basis)
+    _, flat, offset = _flat_layout(objects, basis)
     block = {pair: range(offset[pair], offset[pair] + len(words)) for pair, words in basis.items()}
     table = {}
     for x, y, z in itertools.product(objects, repeat=3):
@@ -511,7 +509,8 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
     order) or a tuple of (coefficient, word) pairs.  Endpoints are
     inferred from the words where possible; combinations containing only
     empty words need `source` (= `target`).  An empty `data` is the empty
-    word, whose normal form is the unit of `source`.
+    word, whose normal form is the unit of `source`.  Raises ValueError
+    on a letter that is no generator index of the ring's presentation.
     """
     pres = ring.presentation
     if data and isinstance(data[0], int):
@@ -521,10 +520,10 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
 
     endpoints = None
     for _, w in data:
+        pres.check_indices(w)
         stripped = tuple(gi for gi in w if pres.generators[gi].kind != IDENTITY)
-        if stripped:
+        if stripped and endpoints is None:
             endpoints = pres.word_endpoints(stripped)
-            break
     if endpoints is None:
         if source is None:
             raise ValueError("combination of identity words needs a source object")
@@ -535,30 +534,97 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
 
     acc: dict[int, int] = {}
     for c, w in data:
-        stripped = []
+        row = ring.unit(src).row
         cur = src
         for gi in w:
             g = pres.generators[gi]
             if g.source != cur:
                 raise ValueError(f"word {w} is not composable")
             if g.kind != IDENTITY:
-                stripped.append(gi)
+                row = _right_step(ring, row, src, gi)
             cur = g.target
         if cur != tgt:
             raise ValueError("summands are not parallel")
-        row = ring.unit(src).row
-        for gi in stripped:
-            row = _right_step(ring, row, src, gi)
         for pos, v in row:
             acc[pos] = acc.get(pos, 0) + c * v
     return ring.element(src, tgt, acc)
 
 
-def side_forms(ring: CategoryRing, source: int, target: int, sides) -> list[RingElement]:
-    """The normal forms of relation sides, source -> target.  A side is a
-    combination, so an empty one is 0, not the empty word."""
-    zero = ring.zero(source, target)
-    return [normal_form(ring, side, source=source, target=target) if side else zero for side in sides]
+def _failing_relations(ring: CategoryRing, relations):
+    """The relations whose sides do not all have one normal form in
+    `ring`, in order.  A side is a combination, so an empty one is 0, not
+    the empty word."""
+    for rel in relations:
+        forms = {normal_form(ring, side, source=rel.source, target=rel.target).row if side else () for side in rel.sides}
+        if len(forms) > 1:
+            yield rel
+
+
+@dataclass
+class EquivalenceReport:
+    """Outcome of comparing two presentations of the same ring."""
+
+    equivalent: bool
+    failures: list[str] = field(default_factory=list)
+
+    def __bool__(self):
+        return self.equivalent
+
+
+def presentations_equivalent(
+    p: Presentation,
+    q: Presentation,
+    *,
+    max_len: int = DEFAULT_MAX_LEN,
+    window: int = DEFAULT_WINDOW,
+    ring_p=None,
+    ring_q=None,
+) -> EquivalenceReport:
+    """Decide whether p and q present the same ring.
+
+    The generator sets must match bijectively by kind and subgroup data
+    (otherwise ValueError).  Under that bijection, every relation of p
+    must hold in the ring presented by q and vice versa; failures are
+    listed in the report, p's relations first.
+
+    Each direction checks normal forms in the receiving ring when it is
+    passed in.  Otherwise it passes at the first bound, up to `max_len`,
+    where `certify_or_complete` reduces the `Relation.differences` of
+    every translated relation to zero against the receiving echelon; each
+    echelon row is an integer combination of relation instances, so this
+    is sound.  These consecutive differences span the same group J_B
+    holds as the first side minus each other side, and a word has a
+    nonzero coefficient in a member of one family exactly when it has one
+    in the other, so `longest <= bound` and membership fail on both at the
+    same bounds, and the answer comes at the same bound.  If the
+    completion's stopping rule is met first, normal forms are compared in
+    that ring.  So a presentation whose completion never stabilizes can
+    still be certified to contain the other's relations.
+    """
+    key_p, key_q = p.index.keys(), q.index.keys()
+    if key_p != key_q:
+        raise ValueError(f"generator sets are not bijective: missing={sorted(key_q - key_p)} extra={sorted(key_p - key_q)}")
+
+    failures: list[str] = []
+
+    def check(src_pres, dst_pres, dst_ring, direction):
+        translate = {i: dst_pres.index[key] for key, i in src_pres.index.items()}
+
+        def move(side):
+            return tuple((c, tuple(translate[gi] for gi in w)) for c, w in side)
+
+        moved = [Relation(rel.tag, rel.source, rel.target, tuple(map(move, rel.sides))) for rel in src_pres.relations]
+        if dst_ring is None:
+            combinations = [(rel.source, rel.target, terms) for rel in moved for terms in rel.differences()]
+            dst_ring = certify_or_complete(dst_pres, combinations, max_len, window)
+            if dst_ring is None:
+                return
+        for rel in _failing_relations(dst_ring, moved):
+            failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
+
+    check(p, q, ring_q, "left-in-right")
+    check(q, p, ring_p, "right-in-left")
+    return EquivalenceReport(not failures, failures)
 
 
 def _right_step(ring: CategoryRing, row: tuple, source: int, arrow: int) -> tuple:
@@ -691,7 +757,7 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
 
     A basis element must be the normal form of its own word; module
     validation on letters (`GradedModule.validate`) relies on it, along
-    with the unit laws and associativity.
+    with the unit laws and associativity, which both read `products`.
 
     The associativity check compares (u.v).w with u.(v.w) through
     `_product` on every composable basis triple, in the order x -> y ->
@@ -741,24 +807,8 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     warnings: list[str] = []
     pres = ring.presentation
 
-    for rel in pres.relations:
-        forms = side_forms(ring, rel.source, rel.target, rel.sides)
-        for other in forms[1:]:
-            if other != forms[0]:
-                failures.append(
-                    f"relation {rel.tag} ({rel.source}->{rel.target}) does not hold in the table"
-                )
-                break
-
-    for (x, y) in ring.pairs:
-        for pos, word in enumerate(ring.basis[(x, y)]):
-            b = ring.basis_element(x, y, pos)
-            if normal_form(ring, word, source=x, target=y) != b:
-                failures.append(f"basis {pos} of ({x},{y}) is not the normal form of its word {list(word)}")
-            if ring.unit(x).then(b) != b:
-                failures.append(f"left unit fails on basis {pos} of ({x},{y})")
-            if b.then(ring.unit(y)) != b:
-                failures.append(f"right unit fails on basis {pos} of ({x},{y})")
+    for rel in _failing_relations(ring, pres.relations):
+        failures.append(f"relation {rel.tag} ({rel.source}->{rel.target}) does not hold in the table")
 
     torsion, offset = ring.torsion, ring.offset
 
@@ -770,6 +820,16 @@ def verify_ring(ring: CategoryRing) -> VerificationReport:
     # basis element reduced to a non-unit multiple of itself
     associative = all(c in (1, -1) for e in elements for _, c in e)
     products = {(a, b): _product(ring, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in ring.table}
+    unit = {x: offset[(x, x)] + ring.unit_pos[x] for x in ring.objects}
+
+    for u, (x, y, word) in enumerate(ring.flat):
+        pos = u - offset[(x, y)]
+        if normal_form(ring, word, source=x, target=y).row != elements[u]:
+            failures.append(f"basis {pos} of ({x},{y}) is not the normal form of its word {list(word)}")
+        if products[(unit[x], u)] != elements[u]:
+            failures.append(f"left unit fails on basis {pos} of ({x},{y})")
+        if products[(u, unit[y])] != elements[u]:
+            failures.append(f"right unit fails on basis {pos} of ({x},{y})")
     block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
     objs = ring.objects
     for x in objs:

@@ -14,11 +14,14 @@ A word is a tuple of generator indices in application order: the path
 empty tuple is the identity of whichever object the enclosing relation
 attaches it to.  A relation is a list of two or more parallel sides
 declared equal; each side is a Z-linear combination of words.
+
+This layer imports only `groups`; whether two presentations present one
+ring is decided with the rings, in `completion.presentations_equivalent`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .groups import (
@@ -95,6 +98,12 @@ class Relation:
 
     def max_word_len(self) -> int:
         return max(len(w) for side in self.sides for _, w in side)
+
+    def differences(self) -> tuple[tuple[tuple[int, Word], ...], ...]:
+        """Each side minus the next, as (coefficient, word) terms: the
+        combinations that vanish exactly when the relation holds.  Terms
+        are not collected."""
+        return tuple((*s1, *((-c, w) for c, w in s2)) for s1, s2 in zip(self.sides, self.sides[1:]))
 
 
 class Presentation:
@@ -186,12 +195,20 @@ class Presentation:
 
     # -- structural checks --------------------------------------------
 
+    def check_indices(self, word: Word) -> None:
+        """Raise ValueError on the first letter that is no generator index."""
+        for gi in word:
+            if type(gi) is not int or not 0 <= gi < len(self.generators):
+                raise ValueError(f"generator index {gi!r} is not in range({len(self.generators)})")
+
     def word_endpoints(self, word: Word, source: int | None = None) -> tuple[int, int]:
-        """(source, target) of a word; empty words need the source hint."""
+        """(source, target) of a word; empty words need the source hint.
+        Raises ValueError on a letter that is no generator index."""
         if not word:
             if source is None:
                 raise ValueError("empty word needs an attached object")
             return source, source
+        self.check_indices(word)
         arrow_ends = self.arrow_ends
         src = cur = self.generators[word[0]].source
         for gi in word:
@@ -430,82 +447,3 @@ def presentation_c4() -> Presentation:
     out = Presentation(4, gens, rels, counts)
     out.validate()
     return out
-
-
-@dataclass
-class EquivalenceReport:
-    """Outcome of comparing two presentations of the same ring."""
-
-    equivalent: bool
-    failures: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.equivalent
-
-
-def presentations_equivalent(
-    p: Presentation,
-    q: Presentation,
-    *,
-    max_len: int = 12,
-    window: int = 2,
-    ring_p=None,
-    ring_q=None,
-) -> EquivalenceReport:
-    """Decide whether p and q present the same ring.
-
-    The generator sets must match bijectively by kind and subgroup data
-    (otherwise ValueError).  Under that bijection, every relation of p
-    must hold in the ring presented by q and vice versa; failures are
-    listed in the report, p's relations first.
-
-    Where the ring of the receiving presentation is passed in, each
-    relation is checked by comparing normal forms in it.  Otherwise
-    `completion.certify_or_complete` grows the receiving presentation's
-    relation-instance echelon bound by bound up to `max_len`, and the
-    direction passes at the first bound where every translated relation
-    reduces to zero against it.  This is sound: each echelon row is an
-    integer combination of padded relation instances, so a relation that
-    reduces to zero lies in the two-sided ideal they generate.  When no
-    bound certifies every relation, the receiving presentation's
-    completion is used instead (its stopping rule runs on the same
-    echelon, so the fallback costs no more than `complete`, and raises
-    as `complete` does) and normal forms are compared, which lists the
-    same failures in the same order as comparing normal forms
-    throughout.  A presentation whose completion never stabilizes can
-    therefore still be certified to contain the other's relations.
-    """
-    from .completion import certify_or_complete, side_forms
-
-    key_p = {(g.kind, g.H, g.L) for g in p.generators}
-    key_q = {(g.kind, g.H, g.L) for g in q.generators}
-    if key_p != key_q:
-        missing = sorted(key_q - key_p)
-        extra = sorted(key_p - key_q)
-        raise ValueError(f"generator sets are not bijective: missing={missing} extra={extra}")
-
-    failures: list[str] = []
-
-    def check(src_pres, dst_pres, dst_ring, direction):
-        translate = {i: dst_pres.gen(g.kind, g.H, g.L) for i, g in enumerate(src_pres.generators)}
-        moved = [
-            (rel, [tuple((c, tuple(translate[gi] for gi in w)) for c, w in side) for side in rel.sides])
-            for rel in src_pres.relations
-        ]
-        if dst_ring is None:
-            differences = [
-                (rel.source, rel.target, sides[0] + tuple((-c, w) for c, w in other))
-                for rel, sides in moved
-                for other in sides[1:]
-            ]
-            dst_ring = certify_or_complete(dst_pres, differences, max_len, window)
-            if dst_ring is None:
-                return
-        for rel, sides in moved:
-            forms = side_forms(dst_ring, rel.source, rel.target, sides)
-            if any(other != forms[0] for other in forms[1:]):
-                failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
-
-    check(p, q, ring_q, "left-in-right")
-    check(q, p, ring_p, "right-in-left")
-    return EquivalenceReport(not failures, failures)

@@ -304,7 +304,7 @@ def ring_from_dict(data: dict) -> CategoryRing:
             if cur != y:
                 raise FormatError(f"basis word {list(w)} of component ({x},{y}) does not end at {y}")
 
-    _, flat, _, offset = _flat_layout(pres.objects, basis)
+    _, flat, offset = _flat_layout(pres.objects, basis)
     size, width = len(flat), {pair: len(words) for pair, words in basis.items()}
     table = {}
     for entry in _records(data, "table"):

@@ -1604,7 +1604,7 @@ def completing_presentations_equivalent(p, q, *, max_len=12, window=2, ring_p=No
     presentations are completed (unless their rings are passed in) and
     every translated relation is compared by chained normal forms."""
     from catring import complete
-    from catring.presentation import EquivalenceReport
+    from catring.completion import EquivalenceReport
 
     key_p = {(g.kind, g.H, g.L) for g in p.generators}
     key_q = {(g.kind, g.H, g.L) for g in q.generators}

@@ -1,8 +1,11 @@
+import ast
 import inspect
+import pathlib
 import random
 
 import pytest
 
+import catring
 from catring import (
     NotStabilizedError,
     build_presentation,
@@ -317,8 +320,73 @@ def test_default_words_follow_the_first_chain(k):
 
 
 def test_equivalence_defaults_are_the_completion_defaults():
-    # presentation cannot import completion at load time, so the defaults
-    # of presentations_equivalent are written out; they must not drift
+    # `ring verify` compares the order-4 oracle at the bounds that `ring
+    # build` completes at; presentations_equivalent lives in the completion
+    # and takes its defaults from there, and must keep doing so
     params = inspect.signature(presentations_equivalent).parameters
     defaults = (params["max_len"].default, params["window"].default)
     assert defaults == (completion.DEFAULT_MAX_LEN, completion.DEFAULT_WINDOW)
+
+
+# the modules below the completion; neither may reach up into it, even
+# from inside a function
+LOWER_LAYERS = ("presentation.py", "groups.py")
+UPPER_LAYERS = {"completion", "modules", "serialize", "cli"}
+
+
+def upper_layer_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every import of an upper layer in `source`."""
+    reached = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import completion` names the module among the aliases
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        reached += [(node.lineno, m) for m in modules if UPPER_LAYERS & set(m.split("."))]
+    return reached
+
+
+@pytest.mark.parametrize("name", LOWER_LAYERS)
+def test_lower_layers_import_no_upper_layer(name):
+    assert upper_layer_imports(pathlib.Path(catring.__file__).with_name(name).read_text()) == []
+
+
+def test_layer_guard_sees_every_form_of_import():
+    source = (
+        "import os\n"
+        "from .groups import subgroups\n"
+        "def f():\n"
+        "    from .completion import normal_form\n"
+        "    from . import cli\n"
+        "    import catring.modules\n"
+        "    from catring.serialize import load_json\n"
+    )
+    assert upper_layer_imports(source) == [
+        (4, "completion"), (5, "cli"), (6, "catring.modules"), (7, "catring.serialize")
+    ]
+
+
+def test_generator_index_outside_the_presentation_is_rejected(ring2):
+    # at k=2, -1 used to wrap to i[2,1]: its endpoints were (1, 2), a
+    # relation on it passed `validate` and `complete` failed on a bare
+    # KeyError; `normal_form` raised KeyError on -1 and IndexError on 99
+    p = build_presentation(2)
+    i21 = p.gen(INDUCTION, 2, 1)
+    for bad in (-1, len(p.generators), 99, True):
+        with pytest.raises(ValueError, match=f"generator index {bad!r} is not in range\\(6\\)"):
+            p.word_endpoints((bad,))
+        with pytest.raises(ValueError, match=f"generator index {bad!r}"):
+            normal_form(ring2, (bad,))
+        with pytest.raises(ValueError, match=f"generator index {bad!r}"):
+            normal_form(ring2, ((1, (i21,)), (1, (bad,))))
+    assert p.word_endpoints((i21,)) == (1, 2)
+
+    bad = Relation("bad", 1, 2, (((1, (-1,)),), ((1, (i21,)),)))
+    q = Presentation(2, p.generators, p.relations + (bad,), p.family_counts)
+    with pytest.raises(ValueError, match="generator index -1"):
+        q.validate()
+    with pytest.raises(ValueError, match="generator index -1"):
+        complete(q)

@@ -100,8 +100,20 @@ def test_tracer_counts_ring_verify(ring4, tmp_path, capsys):
         _, calls = tracer.self_times()
         for span in ("completion.verify_ring", "completion.normal_form", "cli.main"):
             assert calls.get(span, 0) > 0, (name, span)
-        assert tracer.counts.get("completion.compose", 0) > 0, name
+        # the unit laws read the table of basis products, and the probe
+        # multiplies rows: `ring verify` composes no elements
+        assert tracer.counts["completion.compose"] == 0, name
         assert (calls.get("completion.random_associativity_probe", 0) > 0) is (name == "bumped")
+
+    # the counter itself still sees every composition
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ring4.unit(1).then(ring4.unit(1))
+    finally:
+        tracer.uninstall()
+    tracing.assert_clean()
+    assert tracer.counts["completion.compose"] == 1
 
 
 def test_tracer_sees_chain_products_inside_free_cover(ring4):
