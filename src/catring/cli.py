@@ -383,9 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     completing = argparse.ArgumentParser(add_help=False, parents=[shared])
     completing.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, help="completion length cap")
     completing.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="stabilization window")
-    # the subcommands that compute over a module M of a ring file
-    on_module = argparse.ArgumentParser(add_help=False, parents=[shared])
-    on_module.add_argument("--ring", required=True)
+    # the subcommands that read a ring file, and those over its module M
+    on_ring = argparse.ArgumentParser(add_help=False, parents=[shared])
+    on_ring.add_argument("--ring", required=True)
+    on_module = argparse.ArgumentParser(add_help=False, parents=[on_ring])
     on_module.add_argument("-M", dest="module_m", required=True)
 
     parser = argparse.ArgumentParser(prog="catring", description=__doc__)
@@ -428,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     module = sub.add_parser("module", help="module file operations")
     module_sub = module.add_subparsers(dest="module_command", required=True)
-    p = module_sub.add_parser("check", parents=[shared])
-    p.add_argument("--ring", required=True)
+    p = module_sub.add_parser("check", parents=[on_ring])
     p.add_argument("module", help="module JSON file")
     p.set_defaults(func=cmd_module_check)
 

@@ -281,7 +281,6 @@ def _echelons(pres: Presentation, max_len: int):
     leading word.  The HNF of a lattice is unique, so E_B equals the
     canonical echelon of every instance fed at once.
     """
-    pres.validate()
     gens = pres.generators
     objects = pres.objects
     spaces = {(x, y): _PairSpace() for x in objects for y in objects}

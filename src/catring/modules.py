@@ -336,7 +336,10 @@ def trivial_group_module(ring: CategoryRing, degree0=(), degree1=()) -> GradedMo
 def quotient_by_element(module: GradedModule, slot: Slot, vector) -> GradedModule:
     """Quotient by the submodule generated by one element of one slot,
     given as a {column: value} row; a zero value in it is dropped.  Raises
-    ValueError naming the slot unless the row fits the slot's generators."""
+    ValueError naming the slot unless it is a slot of the module and the
+    row fits the slot's generators."""
+    if slot not in module.slots:
+        raise ValueError(f"element at slot {slot}: needs an object of the ring and a degree 0 or 1")
     ring = module.ring
     x0, e0 = slot
     vec = {j: c for j, c in vector.items() if c} if isinstance(vector, dict) else vector

@@ -15,8 +15,10 @@ empty tuple is the identity of whichever object the enclosing relation
 attaches it to.  A relation is a list of two or more parallel sides
 declared equal; each side is a Z-linear combination of words.
 
-This layer imports only `groups`; whether two presentations present one
-ring is decided with the rings, in `completion.presentations_equivalent`.
+A presentation is valid by construction: `Presentation` runs `validate`
+when it is built.  This layer imports only `groups`; whether two
+presentations present one ring is decided with the rings, in
+`completion.presentations_equivalent`.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ class Relation:
 class Presentation:
     """Quiver plus relations for the category ring of C_k.
 
-    Treat instances as immutable.  `family_counts` records how many
+    Treat instances as immutable.  The constructor ends with `validate`,
+    so every instance is valid.  `family_counts` records how many
     relations each family contributed; families that turned out empty for
     this k appear with count 0.
     """
@@ -126,6 +129,7 @@ class Presentation:
         self.arrows = tuple(i for i, g in enumerate(self.generators) if g.kind != IDENTITY)
         # (source, target) of each generator, None for an identity
         self.arrow_ends = tuple(None if g.kind == IDENTITY else (g.source, g.target) for g in self.generators)
+        self.validate()
 
     def __eq__(self, other):
         return (
@@ -142,7 +146,11 @@ class Presentation:
         )
 
     def gen(self, kind: str, H: int, L: int | None = None) -> int:
-        return self.index[(kind, H, L)]
+        """The index of a generator; ValueError names a missing one."""
+        try:
+            return self.index[(kind, H, L)]
+        except KeyError:
+            raise ValueError(f"C_{self.group_order} has no {kind} generator {Generator(kind, H, L).name()}") from None
 
     # -- word builders over the minimized alphabet --------------------
 
@@ -168,30 +176,14 @@ class Presentation:
 
     def restriction_word(self, H: int, L: int, chain=None) -> Word:
         """The composite restriction from object H down to object L, along
-        `chain` (orders from L up to H), by default the first of
-        `_all_chains`, the canonical one."""
-        if H % L != 0:
-            raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
-        chain = list(chain if chain is not None else _all_chains(L, H)[0])
-        if chain[:1] != [L] or chain[-1:] != [H]:
-            raise ValueError(f"chain {chain} does not run from {L} to {H}")
-        word = []
-        for low, up in zip(chain[-2::-1], chain[:0:-1]):
-            word.append(self.gen(RESTRICTION, up, low))
-        return tuple(word)
+        `chain` (orders from L up to H) from the top; `gen` names a step
+        that is no covering pair."""
+        return tuple(self.gen(RESTRICTION, up, low) for low, up in reversed(_chain_steps(L, H, chain)))
 
     def induction_word(self, L: int, H: int, chain=None) -> Word:
         """The composite induction from object L up to object H, along
-        `chain` as in `restriction_word`."""
-        if H % L != 0:
-            raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
-        chain = list(chain if chain is not None else _all_chains(L, H)[0])
-        if chain[:1] != [L] or chain[-1:] != [H]:
-            raise ValueError(f"chain {chain} does not run from {L} to {H}")
-        word = []
-        for low, up in zip(chain, chain[1:]):
-            word.append(self.gen(INDUCTION, up, low))
-        return tuple(word)
+        `chain` as in `restriction_word`, its steps taken from the bottom."""
+        return tuple(self.gen(INDUCTION, up, low) for low, up in _chain_steps(L, H, chain))
 
     # -- structural checks --------------------------------------------
 
@@ -222,7 +214,8 @@ class Presentation:
 
     def validate(self) -> None:
         """Check every generator runs between objects and every relation
-        is parallel and built from emitted generators."""
+        is parallel and built from emitted generators; the constructor
+        runs it, and it raises ValueError naming what is not."""
         for g in self.generators:
             if not all(type(o) is int and o in self.objects for o in (g.source, g.target)):
                 raise ValueError(f"generator {g.name()} runs {g.source}->{g.target}, which are not both objects")
@@ -255,6 +248,18 @@ def _all_chains(low: int, high: int) -> list[tuple[int, ...]]:
         for tail in _all_chains(low * p, high):
             chains.append((low,) + tail)
     return sorted(chains)
+
+
+def _chain_steps(L: int, H: int, chain) -> list[tuple[int, int]]:
+    """The (low, up) steps of `chain`, orders from L up to H, by default
+    the first of `_all_chains`, the canonical one.  ValueError unless L
+    divides H and the chain runs from L to H."""
+    if H % L != 0:
+        raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
+    chain = list(chain if chain is not None else _all_chains(L, H)[0])
+    if chain[:1] != [L] or chain[-1:] != [H]:
+        raise ValueError(f"chain {chain} does not run from {L} to {H}")
+    return list(zip(chain, chain[1:]))
 
 
 def _is_prime(n: int) -> bool:
@@ -391,9 +396,7 @@ def build_presentation(k: int) -> Presentation:
             induced = induce_character(character(L, j), H)
             emit("frobenius", H, H, ((1, lhs),), pres.multiplication_side(H, induced))
 
-    out = Presentation(k, gens, rels, counts)
-    out.validate()
-    return out
+    return Presentation(k, gens, rels, counts)
 
 
 def presentation_c4() -> Presentation:
@@ -444,6 +447,4 @@ def presentation_c4() -> Presentation:
         Relation("frobenius", 4, 4, (((1, (r42, m2, i42)),), ((1, (m4,)), (1, (m4, m4, m4))))),
     ]
     counts = {"power": 3, "commutation": 9, "double_coset": 2, "frobenius": 3}
-    out = Presentation(4, gens, rels, counts)
-    out.validate()
-    return out
+    return Presentation(4, gens, rels, counts)

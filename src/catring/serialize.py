@@ -154,7 +154,6 @@ def presentation_from_dict(data: dict) -> Presentation:
         raise FormatError("presentation needs 'family_counts' as an integer count per family name")
     try:
         p = Presentation(order, gens, rels, counts)
-        p.validate()
     except ValueError as exc:
         raise FormatError(f"invalid presentation: {exc}") from exc
     if list(p.objects) != objects:
@@ -290,18 +289,15 @@ def ring_from_dict(data: dict) -> CategoryRing:
         if () not in basis[(x, x)]:
             raise FormatError(f"component ({x}, {x}) needs the empty word [] in its basis")
     # every basis word is a path of arrows through its component
-    arrow_ends = pres.arrow_ends
     for (x, y), words in basis.items():
         for w in words:
-            cur = x
-            for gi in w:
-                ends = arrow_ends[gi] if type(gi) is int and 0 <= gi < len(arrow_ends) else None
-                if ends is None or ends[0] != cur:
-                    raise FormatError(
-                        f"basis word {list(w)} of component ({x},{y}) is not a path of arrows from {x}"
-                    )
-                cur = ends[1]
-            if cur != y:
+            try:
+                src, tgt = pres.word_endpoints(w, x)
+            except ValueError:
+                src = tgt = None
+            if src != x:
+                raise FormatError(f"basis word {list(w)} of component ({x},{y}) is not a path of arrows from {x}")
+            if tgt != y:
                 raise FormatError(f"basis word {list(w)} of component ({x},{y}) does not end at {y}")
 
     _, flat, offset = _flat_layout(pres.objects, basis)

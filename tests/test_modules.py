@@ -421,6 +421,10 @@ for read in (
     lambda: _hom_maps(zero_cover, y, [{0: 1}]),
     lambda: build_presentation(6).restriction_word(6, 1, [2, 6]),
     lambda: build_presentation(6).induction_word(1, 6, [1, 3]),
+    lambda: build_presentation(6).restriction_word(6, 1, [1, 6]),
+    lambda: build_presentation(6).induction_word(1, 6, [1, 6]),
+    lambda: build_presentation(6).restriction_word(6, 1, [1, 2, 2, 6]),
+    lambda: build_presentation(6).induction_word(1, 6, [1, 2, 2, 6]),
     lambda: pres.multiplication_side(4, Character(2, (1, 0))),
 ):
     try:
@@ -435,8 +439,9 @@ def test_kernel_checks_survive_optimize():
     # character checks are not asserts, which python -O strips:
     # `kernel_of` would store None for the rows it cannot express, and
     # `_hom_maps` would read lifts that are not there; a chain that does
-    # not run from L to H would give a wrong word, and a character of
-    # another subgroup a wrong multiplication
+    # not run from L to H would give a wrong word, one with a step that is
+    # no covering pair a bare KeyError, and a character of another
+    # subgroup a wrong multiplication
     proc = subprocess.run(
         [sys.executable, "-O", "-c", NOT_A_MODULE_MAP], env=src_env(), capture_output=True, text=True, timeout=120
     )
@@ -447,6 +452,10 @@ def test_kernel_checks_survive_optimize():
         "ValueError the cover is not onto",
         "ValueError chain [2, 6] does not run from 1 to 6",
         "ValueError chain [1, 3] does not run from 1 to 6",
+        "ValueError C_6 has no restriction generator r[6,1]",
+        "ValueError C_6 has no induction generator i[6,1]",
+        "ValueError C_6 has no restriction generator r[2,2]",
+        "ValueError C_6 has no induction generator i[2,2]",
         "ValueError character of the order-2 subgroup, not of the order-4 one",
     ]
 
@@ -1156,6 +1165,20 @@ def test_quotient_rejects_an_element_that_does_not_fit_its_slot(ring2):
         with pytest.raises(ValueError, match=r"element at slot \(1, 0\)"):
             quotient_by_element(m, (1, 0), vector)
     assert quotient_by_element(m, (1, 0), {0: 1, 1: 0}).rels[(1, 0)] == ({0: 1}, {1: 1})
+
+
+@pytest.mark.parametrize(
+    "quotient, slot",
+    [
+        (lambda ring: yoneda_cyclic_quotient(ring, 1, 0, 3, 0), (3, 0)),
+        (lambda ring: quotient_by_element(yoneda(ring, 1, 0), (1, 2), {0: 1}), (1, 2)),
+    ],
+    ids=["unknown-object", "unknown-degree"],
+)
+def test_quotient_rejects_a_slot_the_module_lacks(ring2, quotient, slot):
+    # both used to fail on a bare KeyError naming the slot
+    with pytest.raises(ValueError, match=rf"element at slot \({slot[0]}, {slot[1]}\): needs an object"):
+        quotient(ring2)
 
 
 def test_validate_rejects_dict_columns_out_of_range(ring2):

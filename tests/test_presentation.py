@@ -23,6 +23,7 @@ from catring.presentation import (
     INDUCTION,
     MULTIPLICATION,
     RESTRICTION,
+    Generator,
     Presentation,
     Relation,
     _all_chains,
@@ -329,13 +330,15 @@ def test_equivalence_defaults_are_the_completion_defaults():
 
 
 # the modules below the completion; neither may reach up into it, even
-# from inside a function
-LOWER_LAYERS = ("presentation.py", "groups.py")
+# from inside a function.  intlin, the bottom layer, imports no catring
+# module at all.
 UPPER_LAYERS = {"completion", "modules", "serialize", "cli"}
+CATRING_MODULES = {"catring"} | {path.stem for path in pathlib.Path(catring.__file__).parent.glob("*.py")}
+FORBIDDEN_IMPORTS = {"presentation.py": UPPER_LAYERS, "groups.py": UPPER_LAYERS, "intlin.py": CATRING_MODULES}
 
 
-def upper_layer_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) of every import of an upper layer in `source`."""
+def upper_layer_imports(source: str, forbidden=UPPER_LAYERS) -> list[tuple[int, str]]:
+    """(line, module) of every import of a `forbidden` module in `source`."""
     reached = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -345,13 +348,14 @@ def upper_layer_imports(source: str) -> list[tuple[int, str]]:
             modules = [node.module or ""] + [alias.name for alias in node.names]
         else:
             continue
-        reached += [(node.lineno, m) for m in modules if UPPER_LAYERS & set(m.split("."))]
+        reached += [(node.lineno, m) for m in modules if forbidden & set(m.split("."))]
     return reached
 
 
-@pytest.mark.parametrize("name", LOWER_LAYERS)
+@pytest.mark.parametrize("name", FORBIDDEN_IMPORTS)
 def test_lower_layers_import_no_upper_layer(name):
-    assert upper_layer_imports(pathlib.Path(catring.__file__).with_name(name).read_text()) == []
+    source = pathlib.Path(catring.__file__).with_name(name).read_text()
+    assert upper_layer_imports(source, FORBIDDEN_IMPORTS[name]) == []
 
 
 def test_layer_guard_sees_every_form_of_import():
@@ -367,12 +371,16 @@ def test_layer_guard_sees_every_form_of_import():
     assert upper_layer_imports(source) == [
         (4, "completion"), (5, "cli"), (6, "catring.modules"), (7, "catring.serialize")
     ]
+    # the bottom layer may not even import a lower one
+    source = "from math import gcd\nfrom . import groups\nimport catring\nfrom .presentation import Word\n"
+    assert upper_layer_imports(source, CATRING_MODULES) == [(2, "groups"), (3, "catring"), (4, "presentation")]
 
 
 def test_generator_index_outside_the_presentation_is_rejected(ring2):
     # at k=2, -1 used to wrap to i[2,1]: its endpoints were (1, 2), a
     # relation on it passed `validate` and `complete` failed on a bare
-    # KeyError; `normal_form` raised KeyError on -1 and IndexError on 99
+    # KeyError; `normal_form` raised KeyError on -1 and IndexError on 99.
+    # Such a presentation now fails when it is built.
     p = build_presentation(2)
     i21 = p.gen(INDUCTION, 2, 1)
     for bad in (-1, len(p.generators), 99, True):
@@ -385,8 +393,48 @@ def test_generator_index_outside_the_presentation_is_rejected(ring2):
     assert p.word_endpoints((i21,)) == (1, 2)
 
     bad = Relation("bad", 1, 2, (((1, (-1,)),), ((1, (i21,)),)))
-    q = Presentation(2, p.generators, p.relations + (bad,), p.family_counts)
     with pytest.raises(ValueError, match="generator index -1"):
-        q.validate()
-    with pytest.raises(ValueError, match="generator index -1"):
-        complete(q)
+        Presentation(2, p.generators, p.relations + (bad,), p.family_counts)
+
+
+def test_equivalence_never_sees_an_unchecked_presentation():
+    # `presentations_equivalent(q, build_presentation(2))` translated q's
+    # words before anything checked q, and failed on a bare KeyError: -1
+    p = build_presentation(2)
+    bad = Relation("bad", 1, 2, (((1, (-1,)),), ((1, (p.gen(INDUCTION, 2, 1),)),)))
+    with pytest.raises(ValueError, match=r"generator index -1 is not in range\(6\)"):
+        presentations_equivalent(Presentation(2, p.generators, p.relations + (bad,), p.family_counts), p)
+
+
+ONE = ((1, ()),)
+
+
+@pytest.mark.parametrize(
+    "generator, relation, reason",
+    [
+        (Generator(RESTRICTION, 3, 1), None, r"generator r\[3,1\] runs 3->1, which are not both objects"),
+        (None, Relation("bad", 3, 3, (ONE, ONE)), r"bad: runs 3->3, which are not both objects"),
+        (None, Relation("bad", 1, 1, (ONE,)), "bad: a relation needs at least two sides"),
+        (None, Relation("bad", 1, 1, (((1.5, ()),), ONE)), "bad: non-integer coefficient"),
+        (None, Relation("bad", 1, 1, (((1, (5,)),), ONE)), r"bad: word \(5,\) runs 1->2, expected 1->1"),
+        (None, Relation("bad", 1, 2, (((1, (-1,)),), ((1, (5,)),))), r"generator index -1 is not in range\(6\)"),
+    ],
+    ids=["generator-off-the-objects", "ends-off-the-objects", "one-side", "float-coefficient", "word-elsewhere", "index-minus-one"],
+)
+def test_a_presentation_is_checked_when_it_is_built(generator, relation, reason):
+    p = build_presentation(2)
+    assert p.gen(INDUCTION, 2, 1) == 5
+    gens = p.generators + ((generator,) if generator else ())
+    rels = p.relations + ((relation,) if relation else ())
+    with pytest.raises(ValueError, match=reason):
+        Presentation(2, gens, rels, p.family_counts)
+
+
+@pytest.mark.parametrize("chain, low, up", [([1, 6], 1, 6), ([1, 2, 2, 6], 2, 2)], ids=["one-step", "repeated-order"])
+def test_a_chain_step_that_is_no_covering_pair_is_named(chain, low, up):
+    # the first used to fail on a bare KeyError: ('restriction', 6, 1)
+    p = build_presentation(6)
+    with pytest.raises(ValueError, match=rf"C_6 has no restriction generator r\[{up},{low}\]"):
+        p.restriction_word(6, 1, chain)
+    with pytest.raises(ValueError, match=rf"C_6 has no induction generator i\[{up},{low}\]"):
+        p.induction_word(1, 6, chain)
