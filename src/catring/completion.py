@@ -26,7 +26,8 @@ instances, the certified table is exactly the presented ring's.
 
 Torsion never appears for the rings in scope but is carried faithfully:
 slots with a modulus keep their coefficients reduced into [0, d).
-Rings and presentations are checked here too: `verify_ring` and
+Rings and presentations are checked here too: `verify_ring` certifies
+that a table is the ring its presentation presents, and it and
 `presentations_equivalent` check relations by one `_failing_relations`.
 """
 
@@ -518,11 +519,13 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
         data = ((1, ()),)
 
     endpoints = None
-    for _, w in data:
+    arrows = []
+    for c, w in data:
         pres.check_indices(w)
         stripped = tuple(gi for gi in w if pres.generators[gi].kind != IDENTITY)
         if stripped and endpoints is None:
             endpoints = pres.word_endpoints(stripped)
+        arrows.append((c, stripped))
     if endpoints is None:
         if source is None:
             raise ValueError("combination of identity words needs a source object")
@@ -531,32 +534,54 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
     if source is not None and source != src or target is not None and target != tgt:
         raise ValueError(f"declared endpoints ({source},{target}) do not match words ({src},{tgt})")
 
-    acc: dict[int, int] = {}
-    for c, w in data:
-        row = ring.unit(src).row
+    for _, w in data:
         cur = src
         for gi in w:
             g = pres.generators[gi]
             if g.source != cur:
                 raise ValueError(f"word {w} is not composable")
-            if g.kind != IDENTITY:
-                row = _right_step(ring, row, src, gi)
             cur = g.target
         if cur != tgt:
             raise ValueError("summands are not parallel")
-        for pos, v in row:
+    return RingElement(ring, src, tgt, _acted(ring, {(): ring.unit(src).row}, src, arrows, tgt))
+
+
+def _extended(ring: CategoryRing, forms: dict, source: int, word: tuple) -> tuple:
+    """`forms[()]`, a row over (source, y), acted on by `word`, a path of
+    arrows from y: the row of the longest prefix in `forms`, then one
+    `_right_step` per further letter.  `forms` keeps the row of every
+    prefix it is given, so each prefix is stepped once per `forms`."""
+    n = len(word)
+    while word[:n] not in forms:
+        n -= 1
+    row = forms[word[:n]]
+    for m in range(n, len(word)):
+        row = forms[word[:m + 1]] = _right_step(ring, row, source, word[m])
+    return row
+
+
+def _acted(ring: CategoryRing, forms: dict, source: int, side, target: int) -> tuple:
+    """`forms[()]` acted on by `side`, a combination of words as
+    `_extended` takes them, ending at `target`: the sum of c times the
+    row of each word w, reduced.  An empty side is 0."""
+    acc: dict[int, int] = {}
+    for c, w in side:
+        for pos, v in _extended(ring, forms, source, w):
             acc[pos] = acc.get(pos, 0) + c * v
-    return ring.element(src, tgt, acc)
+    return _reduced(ring.torsion[(source, target)], acc)
 
 
-def _failing_relations(ring: CategoryRing, relations):
-    """The relations whose sides do not all have one normal form in
-    `ring`, in order.  A side is a combination, so an empty one is 0, not
+def _failing_relations(ring: CategoryRing, relations, starts):
+    """The relations, in order, two of whose sides act differently on one
+    of the start rows (`_acted`).  `starts[y]` lists (x, row) pairs, each
+    row over (x, y).  A side is a combination, so an empty one is 0, not
     the empty word."""
+    forms = {y: [(x, {(): row}) for x, row in rows] for y, rows in starts.items()}
     for rel in relations:
-        forms = {normal_form(ring, side, source=rel.source, target=rel.target).row if side else () for side in rel.sides}
-        if len(forms) > 1:
-            yield rel
+        for x, known in forms[rel.source]:
+            if len({_acted(ring, known, x, side, rel.target) for side in rel.sides}) > 1:
+                yield rel
+                break
 
 
 @dataclass
@@ -618,7 +643,8 @@ def presentations_equivalent(
             dst_ring = certify_or_complete(dst_pres, combinations, max_len, window)
             if dst_ring is None:
                 return
-        for rel in _failing_relations(dst_ring, moved):
+        units = {x: [(x, dst_ring.unit(x).row)] for x in dst_ring.objects}
+        for rel in _failing_relations(dst_ring, moved, units):
             failures.append(f"{direction}: relation {rel.tag} {rel.source}->{rel.target} does not reduce to zero")
 
     check(p, q, ring_q, "left-in-right")
@@ -629,7 +655,7 @@ def presentations_equivalent(
 def _right_step(ring: CategoryRing, row: tuple, source: int, arrow: int) -> tuple:
     """`row` then `arrow`: the `_product` of a row over (source, source of
     `arrow`) with the normal form of `arrow`.  This is one letter of
-    `normal_form`."""
+    `_extended`."""
     form = ring.arrow_forms[arrow]
     return _product(ring, row, (source, form.source), form.row, (form.source, form.target))
 
@@ -668,14 +694,12 @@ def _product(ring: CategoryRing, xs: tuple, pair_x, ys: tuple, pair_y) -> tuple:
 class VerificationReport:
     """Failures are hard errors; warnings flag unusual but valid data.
 
-    `associative` is True when the table passed `verify_ring`'s triple
-    and torsion checks, which proves that `random_associativity_probe`
-    finds no failing triple (see `verify_ring`).
+    `ok` when there is no failure: then `verify_ring`'s certificate
+    proved that the table is the ring its presentation presents.
     """
 
     failures: list[str]
     warnings: list[str]
-    associative: bool
 
     @property
     def ok(self) -> bool:
@@ -689,10 +713,11 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     the seed.  Each triple draws a start object and three words of at
     most `max_len` letters.  The normal form of each distinct drawn
     (source, word) is computed once per call, as its row: the form of
-    its prefix one letter shorter, then that letter (`_right_step`, the
-    step of `normal_form`'s loop), so it equals `normal_form`'s.  (uv)w
-    and u(vw) are then compared through `_product`, the product that
-    `compose` and `verify_ring` use too.  The forms are kept for the call
+    its prefix one letter shorter, then that letter (`_extended`, which
+    `normal_form` steps words through too), so it equals `normal_form`'s.
+    (uv)w and u(vw) are then compared through `_product`, the product
+    that `compose` uses too.  `ring verify` runs the probe only on a ring
+    that `verify_ring` rejects.  The forms are kept for the call
     only, and no draw depends on them, so the draws and the failing
     triples are those of one `normal_form` per drawn word and
     `RingElement` products per triple.
@@ -712,8 +737,8 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     failures = []
     outgoing = {x: [a for a in arrows if gens[a].source == x] for x in ring.objects}
     target_of = {a: gens[a].target for a in arrows}
-    # (source, word) -> the row of its normal form
-    forms = {(x, ()): ring.unit(x).row for x in ring.objects}
+    # source -> {word: the row of its normal form}
+    forms = {x: {(): ring.unit(x).row} for x in ring.objects}
 
     def random_word(start):
         length = rng.randint(0, max_len)
@@ -728,22 +753,12 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
             cur = target_of[a]
         return tuple(path), cur
 
-    def form(source, word):
-        # extend the longest prefix with a known form, one letter at a time
-        n = len(word)
-        while (source, word[:n]) not in forms:
-            n -= 1
-        vec = forms[(source, word[:n])]
-        for m in range(n, len(word)):
-            vec = forms[(source, word[:m + 1])] = _right_step(ring, vec, source, word[m])
-        return vec
-
     for _ in range(count):
         x = rng.choice(ring.objects)
         u, y = random_word(x)
         v, z = random_word(y)
         w, end = random_word(z)
-        eu, ev, ew = form(x, u), form(y, v), form(z, w)
+        eu, ev, ew = _extended(ring, forms[x], x, u), _extended(ring, forms[y], y, v), _extended(ring, forms[z], z, w)
         lhs = _product(ring, _product(ring, eu, (x, y), ev, (y, z)), (x, z), ew, (z, end))
         if lhs != _product(ring, eu, (x, y), _product(ring, ev, (y, z), ew, (z, end)), (y, end)):
             failures.append(f"associativity fails on words {u} {v} {w}")
@@ -751,124 +766,100 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
 
 
 def verify_ring(ring: CategoryRing) -> VerificationReport:
-    """Check relations, normal basis words, unit laws and associativity
-    on the whole table.
+    """Certify that the table is the ring A_P = Z<Q>/I its presentation P
+    presents, I the ideal of P's relations.
 
-    A basis element must be the normal form of its own word; module
-    validation on letters (`GradedModule.validate`) relies on it, along
-    with the unit laws and associativity, which both read `products`.
+    Let M be the Z-module with one generator e_u per basis slot u, of
+    order its torsion modulus, so that the reduced rows are its elements
+    (`_reduced`); a letter g acts on it by e_u.g = `_right_step`.  The
+    checks, each with its own failure lines, in order:
 
-    The associativity check compares (u.v).w with u.(v.w) through
-    `_product` on every composable basis triple, in the order x -> y ->
-    z -> w and then the basis positions.
+    (a) every relation of P acts as zero on every e_u (`_failing_relations`);
+    (b) d (e_u.g) = 0 for every modulus d of u and every letter g;
+    (c) 1.word(u) = e_u: every basis element is the normal form of its word;
+    (d) table[(u, v)] = e_u.word(v), by prefixes: table[(u, 1)] = e_u, and
+        table[(u, v)] = table[(u, v')].g where word(v) = word(v') g;
+    (e) if (a)-(d) pass: every word(u) g - e_u.g and every d word(u) lies in
+        I, as `certify_or_complete` certifies, or else has normal form 0 in
+        the ring it completes.
 
-    The triples multiply basis elements with coefficient 1 only, so they
-    never test that a torsion modulus d of basis u holds in the table.
-    After them, for every such u, d*(u.v) and d*(t.u) must reduce to 0
-    for every composable basis v after u and t before it: products with
-    u are then well defined on Z/d.  Each violation is one failure, in
-    the flat order of u, then of v, then of t.
-
-    `associative` is True when neither the triple loop nor the torsion
-    loops append a failure, and no modulus is d <= -3 (see below).  Then
-    `random_associativity_probe` returns [] for every seed, count and
-    word length, so `ring verify` runs it only when `associative` is
-    False.  Proof.  Write R for the reduction of a vector into the
-    torsion of its component (`_reduced`), so that R(x) = R(y) exactly
-    when x and y are congruent (x ~ y) modulo that torsion, and
-    R(x + y) = R(R(x) + y), R(n x) = R(n R(x)).  Write T for the product
-    of integer vectors that sums coefficient products times table rows;
-    it is bilinear, and `_product(x, y)` is R(T(x, y)).  Let
-    E_p = R(e_p) be the reduced basis element of slot p (`elements`):
-    it is e_p on a free slot or a modulus d >= 2, -e_p for d = -2, and 0
-    for d = 1 or -1, where every reduced vector is 0 too.  (A modulus
-    d <= -3 reduces 1 to 1 + d, not a unit, so the checks would only see
-    multiples; no completion writes one, and `associative` is then False.)
-    So a reduced vector is a sum a = sum_i a_i E_i.
-
-    (1) Let delta ~ 0 be an integer vector that is 0 on the slots with
-    E_p = 0, and c a reduced vector.  Then delta = sum_p k_p d_p e_p over
-    slots with |d_p| >= 2, where e_p = +-E_p, and the torsion loops showed
-    R(d_p P_pq) = 0 and R(d_p P_qp) = 0 for P_pq = R(T(E_p, E_q)) and every
-    composable q.  By bilinearity T(delta, c) ~ 0 and T(c, delta) ~ 0.
-
-    (2) Let a, b, c be reduced.  R(T(a, b)) and z = sum_ij a_i b_j P_ij are
-    congruent and both 0 on the slots with E_p = 0, so by (1)
-    (ab)c = R(T(R(T(a, b)), c)) = R(T(z, c)) = R(sum_ijk a_i b_j c_k L_ijk)
-    with L_ijk = R(T(P_ij, E_k)), the left side of the triple check.  In the
-    same way a(bc) = R(sum_ijk a_i b_j c_k Q_ijk) with its right side
-    Q_ijk = R(T(E_i, P_jk)).  The triple loop found L_ijk = Q_ijk for every
-    basis triple, so (ab)c = a(bc).  The probe compares exactly these two
-    `_product`s on reduced vectors, so no triple it draws fails, whatever
-    the seed, the word lengths or the arrow forms.
+    Proof.  By (b) each letter acts on M, and by (a) I acts as zero, so M
+    is a right A_P-module.  phi(a) = 1.a maps A_P onto M by (c).  By (e),
+    psi(e_u) = [word(u)] is a well-defined A_P-linear map M -> A_P with
+    psi(1) = 1, so psi(phi(a)) = psi(1).a = a and phi is an isomorphism.
+    By (c) and (d), table[(u, v)] = (1.word(u)).word(v) = phi(word(u) word(v)):
+    the table is A_P's product carried along phi.  So it is associative
+    and unital, P's relations and the torsion hold in it, and
+    `random_associativity_probe` finds nothing on a ring that passes.
     """
     failures: list[str] = []
     warnings: list[str] = []
-    pres = ring.presentation
+    pres, torsion, offset, flat = ring.presentation, ring.torsion, ring.offset, ring.flat
+    gens = pres.generators
+    outgoing = {x: [a for a in pres.arrows if gens[a].source == x] for x in ring.objects}
+    elements = [ring.basis_element(x, y, u - offset[(x, y)]).row for u, (x, y, _) in enumerate(flat)]
+    moduli = [torsion[(x, y)][u - offset[(x, y)]] for u, (x, y, _) in enumerate(flat)]
+    into = {y: [u for u, (_, z, _) in enumerate(flat) if z == y] for y in ring.objects}
 
-    for rel in _failing_relations(ring, pres.relations):
+    def name(u):
+        x, y, _ = flat[u]
+        return f"basis {u - offset[(x, y)]} of ({x},{y})"
+
+    # (a)
+    starts = {y: [(flat[u][0], elements[u]) for u in us] for y, us in into.items()}
+    for rel in _failing_relations(ring, pres.relations, starts):
         failures.append(f"relation {rel.tag} ({rel.source}->{rel.target}) does not hold in the table")
 
-    torsion, offset = ring.torsion, ring.offset
+    # (b), with e_u.g for every letter g
+    acted = {(u, a): _right_step(ring, elements[u], x, a) for u, (x, y, _) in enumerate(flat) for a in outgoing[y]}
+    for (u, a), row in acted.items():
+        d = moduli[u]
+        if d and _reduced(torsion[(flat[u][0], gens[a].target)], {t: d * c for t, c in row}):
+            failures.append(f"torsion modulus {d} of {name(u)} fails on letter {a}")
 
-    # each basis element, as `basis_element` reduces it, and every product
-    # u.v of two composable ones, as `compose` gives it
-    pair_of = [(x, y) for x, y, _ in ring.flat]
-    elements = [_reduced(torsion[pair], {a - offset[pair]: 1}) for a, pair in enumerate(pair_of)]
-    # False once a check below fails, or when a modulus d <= -3 leaves a
-    # basis element reduced to a non-unit multiple of itself
-    associative = all(c in (1, -1) for e in elements for _, c in e)
-    products = {(a, b): _product(ring, elements[a], pair_of[a], elements[b], pair_of[b]) for a, b in ring.table}
-    unit = {x: offset[(x, x)] + ring.unit_pos[x] for x in ring.objects}
-
-    for u, (x, y, word) in enumerate(ring.flat):
-        pos = u - offset[(x, y)]
+    # (c)
+    for u, (x, y, word) in enumerate(flat):
         if normal_form(ring, word, source=x, target=y).row != elements[u]:
-            failures.append(f"basis {pos} of ({x},{y}) is not the normal form of its word {list(word)}")
-        if products[(unit[x], u)] != elements[u]:
-            failures.append(f"left unit fails on basis {pos} of ({x},{y})")
-        if products[(u, unit[y])] != elements[u]:
-            failures.append(f"right unit fails on basis {pos} of ({x},{y})")
-    block = {pair: range(offset[pair], offset[pair] + len(ring.basis[pair])) for pair in ring.pairs}
-    objs = ring.objects
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                for w_obj in objs:
-                    for i, u in enumerate(block[(x, y)]):
-                        for j, v in enumerate(block[(y, z)]):
-                            uv = products[(u, v)]
-                            for t, w in enumerate(block[(z, w_obj)]):
-                                lhs = _product(ring, uv, (x, z), elements[w], (z, w_obj))
-                                rhs = _product(ring, elements[u], (x, y), products[(v, w)], (y, w_obj))
-                                if lhs != rhs:
-                                    associative = False
-                                    failures.append(
-                                        f"associativity fails on basis triple "
-                                        f"({x},{y},{i}) ({y},{z},{j}) ({z},{w_obj},{t})"
-                                    )
+            failures.append(f"{name(u)} is not the normal form of its word {list(word)}")
 
-    def kills(d, prod, pair):
-        return not _reduced(torsion[pair], {t: d * c for t, c in prod})
-
-    for u, (x, y) in enumerate(pair_of):
-        i = u - offset[(x, y)]
-        d = torsion[(x, y)][i]
-        if not d:
+    # (d), on the table's rows as `_product` reads them
+    entries = {(u, v): _reduced(torsion[(flat[u][0], flat[v][1])], dict(row)) for (u, v), row in ring.table.items()}
+    position = {(x, word): u for u, (x, _, word) in enumerate(flat)}
+    for v, (y, _, word) in enumerate(flat):
+        if not word:
+            failures += [f"right unit fails on {name(u)}" for u in into[y] if entries[(u, v)] != elements[u]]
             continue
-        where = f"torsion modulus {d} of basis {i} of ({x},{y}) fails on"
-        for v, (src, z) in enumerate(pair_of):
-            if src == y and not kills(d, products[(u, v)], (x, z)):
-                associative = False
-                failures.append(f"{where} its product with basis {v - offset[(y, z)]} of ({y},{z})")
-        for t, (w_obj, tgt) in enumerate(pair_of):
-            if tgt == x and not kills(d, products[(t, u)], (w_obj, y)):
-                associative = False
-                failures.append(f"{where} the product of basis {t - offset[(w_obj, x)]} of ({w_obj},{x}) with it")
+        prefix = position.get((y, word[:-1]))
+        if prefix is None:
+            failures.append(f"{name(v)} has the prefix {list(word[:-1])}, which is no basis word")
+            continue
+        for u in into[y]:
+            if entries[(u, v)] != _right_step(ring, entries[(u, prefix)], flat[u][0], word[-1]):
+                failures.append(f"{name(u)} times {name(v)} is not {name(u)} acted on by its word {list(word)}")
+
+    if not failures:
+        # (e): each combination as `certify_or_complete` takes it, with the
+        # failure line it gives when it is not in the relation ideal
+        checks = []
+        for u, (x, y, word) in enumerate(flat):
+            for a in outgoing[y]:
+                z = gens[a].target
+                terms = ((1, word + (a,)), *((-c, ring.basis[(x, z)][t]) for t, c in acted[(u, a)]))
+                checks.append(((x, z, terms), f"{name(u)} acted on by letter {a} is not its word times {a}"))
+            if moduli[u]:
+                checks.append(((x, y, ((moduli[u], word),)), f"torsion modulus {moduli[u]} of {name(u)} does not hold"))
+        try:
+            presented = certify_or_complete(pres, [c for c, _ in checks], ring.max_len, ring.window)
+        except CompletionError as exc:
+            failures.append(f"the presentation does not certify the table: {exc}")
+        else:
+            for (x, y, terms), line in checks if presented is not None else ():
+                if normal_form(presented, terms, source=x, target=y).row:
+                    failures.append(f"{line} in the presented ring")
 
     for pair in ring.pairs:
         mods = [m for m in ring.torsion[pair] if m]
         if mods:
             warnings.append(f"component {pair} carries torsion moduli {mods}")
 
-    return VerificationReport(failures, warnings, associative)
+    return VerificationReport(failures, warnings)

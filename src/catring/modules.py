@@ -186,14 +186,14 @@ class GradedModule:
         of rho(u)rho(a) minus the row of rho(u.a) is summed in one dict and
         tested against the relation lattice only when it is nonzero.
 
-        Precondition: the ring passes `ring verify` (`verify_ring`), so its
-        table is associative, units are two-sided units, and every basis
-        element is the normal form of its own word.  Then this check
-        accepts exactly the modules that the check on all composable pairs
-        accepts (`pairwise_validate` in the test oracles).  Proof: let L be
-        the set of elements v with rho(x.v) = rho(x)rho(v) for every basis
-        monomial x.  The table is bilinear, so the equation then holds for
-        every element x, and L is closed under sums.  L holds every letter
+        Precondition: the ring passes `verify_ring`, whose certificate
+        makes its table associative, its units two-sided and every basis
+        element the normal form of its own word.  Then this check accepts
+        exactly the modules that the check on all composable pairs accepts
+        (`pairwise_validate` in the test oracles).  Proof: let L be the set
+        of elements v with rho(x.v) = rho(x)rho(v) for every basis monomial
+        x.  The table is bilinear, so the equation then holds for every
+        element x, and L is closed under sums.  L holds every letter
         (checked here), hence every arrow normal form, and every unit
         (x.1 = x, and units act as identities).  L is closed under
         products: for v, g in L,

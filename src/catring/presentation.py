@@ -178,12 +178,12 @@ class Presentation:
         """The composite restriction from object H down to object L, along
         `chain` (orders from L up to H) from the top; `gen` names a step
         that is no covering pair."""
-        return tuple(self.gen(RESTRICTION, up, low) for low, up in reversed(_chain_steps(L, H, chain)))
+        return tuple(self.gen(RESTRICTION, up, low) for low, up in reversed(_chain_steps(self, L, H, chain)))
 
     def induction_word(self, L: int, H: int, chain=None) -> Word:
         """The composite induction from object L up to object H, along
         `chain` as in `restriction_word`, its steps taken from the bottom."""
-        return tuple(self.gen(INDUCTION, up, low) for low, up in _chain_steps(L, H, chain))
+        return tuple(self.gen(INDUCTION, up, low) for low, up in _chain_steps(self, L, H, chain))
 
     # -- structural checks --------------------------------------------
 
@@ -200,17 +200,18 @@ class Presentation:
             if source is None:
                 raise ValueError("empty word needs an attached object")
             return source, source
-        self.check_indices(word)
-        arrow_ends = self.arrow_ends
-        src = cur = self.generators[word[0]].source
+        arrow_ends, count = self.arrow_ends, len(self.generators)
+        cur = None
         for gi in word:
+            if type(gi) is not int or not 0 <= gi < count:
+                self.check_indices(word)  # raises: gi is the first bad letter
             ends = arrow_ends[gi]
             if ends is None:
                 raise ValueError("identity generators may not appear inside paths")
-            if ends[0] != cur:
+            if cur is not None and ends[0] != cur:
                 raise ValueError(f"word {word} is not composable at {self.generators[gi]}")
             cur = ends[1]
-        return src, cur
+        return arrow_ends[word[0]][0], cur
 
     def validate(self) -> None:
         """Check every generator runs between objects and every relation
@@ -250,10 +251,13 @@ def _all_chains(low: int, high: int) -> list[tuple[int, ...]]:
     return sorted(chains)
 
 
-def _chain_steps(L: int, H: int, chain) -> list[tuple[int, int]]:
+def _chain_steps(pres: Presentation, L: int, H: int, chain) -> list[tuple[int, int]]:
     """The (low, up) steps of `chain`, orders from L up to H, by default
     the first of `_all_chains`, the canonical one.  ValueError unless L
-    divides H and the chain runs from L to H."""
+    and H are objects, L divides H and the chain runs from L to H."""
+    for order in (L, H):
+        if order not in pres.objects:
+            raise ValueError(f"C_{pres.group_order} has no object of order {order!r}")
     if H % L != 0:
         raise ValueError(f"order-{L} subgroup not contained in order-{H} one")
     chain = list(chain if chain is not None else _all_chains(L, H)[0])

@@ -29,6 +29,7 @@ presentation equivalence by completing both presentations.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
 
@@ -1508,15 +1509,27 @@ def oracle_random_associativity_probe(ring, count=1000, max_len=6, seed=0):
     return failures
 
 
-def oracle_verify_ring(ring):
-    """`catring.completion.verify_ring` before its associativity check
-    moved to sparse table rows: every composable basis triple is checked
-    with three `oracle_compose` products, and so is every product with a
-    torsion basis element.  Normal forms are `chained_normal_form`'s, so
-    no product here goes through the package's own.  `associative` is
-    True when neither check fails and no modulus is d <= -3."""
-    from catring.completion import VerificationReport
+@dataclass
+class OracleReport:
+    """What `oracle_verify_ring` found; `ok` when there is no failure."""
 
+    failures: list[str]
+    warnings: list[str]
+    associative: bool
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def oracle_verify_ring(ring):
+    """`catring.completion.verify_ring` before its certificate: the
+    relations and normal basis words, the unit laws, every composable
+    basis triple checked with three `oracle_compose` products, and every
+    product with a torsion basis element.  Normal forms are
+    `chained_normal_form`'s, so no product here goes through the
+    package's own.  `associative` is True when neither the triple nor
+    the torsion check fails and no modulus is d <= -3."""
     failures: list[str] = []
     warnings: list[str] = []
     pres = ring.presentation
@@ -1596,7 +1609,7 @@ def oracle_verify_ring(ring):
         if mods:
             warnings.append(f"component {pair} carries torsion moduli {mods}")
 
-    return VerificationReport(failures, warnings, associative)
+    return OracleReport(failures, warnings, associative)
 
 
 def completing_presentations_equivalent(p, q, *, max_len=12, window=2, ring_p=None, ring_q=None):

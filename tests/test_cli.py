@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import gc
 import json
 import pathlib
@@ -8,8 +7,9 @@ import sys
 
 import pytest
 
-from catring import cli, completion, trivial_group_module, yoneda, yoneda_cyclic_quotient
+from catring import cli, complete, completion, trivial_group_module, yoneda, yoneda_cyclic_quotient
 from catring.cli import build_parser, main
+from catring.presentation import INDUCTION, MULTIPLICATION, Presentation, Relation
 from catring.serialize import canonical_json, content_hash, load_json, module_to_dict, ring_from_dict, ring_to_dict, save_json
 
 from conftest import src_env
@@ -96,21 +96,13 @@ def test_ring_verify_fails_an_empty_relation_side(ring2, tmp_path, capsys):
 
 
 def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
-    # a work-count guard on one k=4 `ring verify` at the default seed: the
-    # relation, basis-word and order-4 oracle checks make 99 `normal_form`
-    # calls, and no `compose` call is made: the unit laws read the table of
-    # basis products that the triple check builds (they made 44 `compose`
-    # calls before).  The probe makes
-    # neither: it steps each distinct drawn (source, word) from its prefix,
-    # one right-action step per distinct nonempty prefix (1 049), and
-    # multiplies sparse vectors.  Before right-action steps multiplied by
-    # the arrow's normal form, 60 more `compose` calls built cached rows of
-    # "then arrow" (104 in all).  Before that, the probe took one
-    # `normal_form` per distinct drawn word (858, with 4 201 right-action
-    # steps among them) and four `compose` calls per triple, and the same
-    # request made 957 `normal_form` and 4 104 `compose` calls; before the
-    # probe kept its normal forms and the triple check ran on sparse table
-    # rows, 3 099 and 8 172.
+    # a work-count guard on one k=4 `ring verify` at the default seed, so
+    # that a returning triple loop or a probe run on a certified ring shows
+    # up as more work: the certificate makes one `normal_form` call per
+    # basis word, 22, and no `compose` call, and the request steps letters
+    # 557 times (522 in `verify_ring`).  The probe, run directly, steps each
+    # distinct drawn (source, word) from its prefix, 1 049 times, and
+    # calls neither.
     from catring import completion
 
     calls = []
@@ -133,24 +125,30 @@ def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
 
     monkeypatch.setattr(completion, "normal_form", counted_normal_form)
     monkeypatch.setattr(completion.CategoryRing, "compose", counted_compose)
+    monkeypatch.setattr(completion, "_right_step", counted_right_step)
     code, out, _ = run_cli(["ring", "verify", str(workdir / "ring4.json")], capsys)
     assert code == 0 and out.startswith("verify: ok")
-    assert (len(calls), composes[0]) == (99, 0)
+    assert (len(calls), steps[0], composes[0]) == (22, 557, 0)
 
     calls.clear()
-    monkeypatch.setattr(completion, "_right_step", counted_right_step)
+    steps[0] = 0
     ring = ring_from_dict(load_json(workdir / "ring4.json"))
     assert completion.random_associativity_probe(ring, count=1000, max_len=6, seed=0) == []
-    assert calls == []
-    assert steps[0] == 1049
+    assert (len(calls), steps[0], composes[0]) == (0, 1049, 0)
 
 
 def always_probing(argv, capsys, monkeypatch):
-    """`run_cli` with `ring verify` running the probe whatever the triple
-    and torsion checks found, as it did before they proved its answer."""
+    """`run_cli` with `ring verify` running the probe whatever the
+    certificate found, as it did before the certificate proved its
+    answer: the report it reads is never `ok`, but lists the same
+    failures and warnings."""
+
+    class Unproved(completion.VerificationReport):
+        ok = False
 
     def verify_unproved(ring):
-        return dataclasses.replace(completion.verify_ring(ring), associative=False)
+        report = completion.verify_ring(ring)
+        return Unproved(report.failures, report.warnings)
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "verify_ring", verify_unproved)
@@ -191,15 +189,13 @@ def test_ring_verify_prints_what_always_probing_prints(
     ring1, ring2, ring3, ring4, ring6, ring_c4_hand, tmp_path, capsys, monkeypatch
 ):
     # skipping a probe whose answer is proved changes no byte of stdout and
-    # no exit code.  On a file the checks do not prove, `always_probing`
+    # no exit code.  On a file the certificate rejects, `always_probing`
     # runs the same code as `run_cli`, so one such file stands for them:
     # there the seed still picks the failure lines.
     cases = verify_cases(ring1, ring2, ring3, ring4, ring_c4_hand) + [("valid k=6", ring6)]
-    proved = [(label, ring) for label, ring in cases if completion.verify_ring(ring).associative]
+    proved = [(label, ring) for label, ring in cases if completion.verify_ring(ring).ok]
     unproved = next((label, ring) for label, ring in cases if (label, ring) not in proved)
-    assert [label for label, _ in proved] == [
-        label for label, _ in cases if label.startswith("valid") or "arrow form" in label
-    ]
+    assert [label for label, _ in proved] == [label for label, _ in cases if label.startswith("valid")]
     for n, (label, ring) in enumerate([*proved, unproved]):
         path = tmp_path / f"ring{n}.json"
         save_json(path, ring_to_dict(ring))
@@ -228,6 +224,31 @@ def test_ring_verify_rejects_basis_words_out_of_normal_form(workdir, tmp_path, c
         "  failure: basis 2 of (1,1) is not the normal form of its word [3, 3, 3]",
         "  failure: basis 3 of (1,1) is not the normal form of its word [3, 3]",
     ]
+
+
+def test_ring_verify_rejects_a_quotient_of_the_presented_ring(ring2, tmp_path, capsys):
+    # completing the k=2 presentation plus m[2] = 1 gives a rank-5 table;
+    # filed under the k=2 presentation, whose ring has rank 6, it
+    # satisfies every relation and is associative, but the relations do
+    # not derive what it does with m[2], so the certificate's last check
+    # rejects it (the relation, unit, triple and torsion checks passed it)
+    p = ring2.presentation
+    m = p.gen(MULTIPLICATION, 2)
+    assert (m, p.gen(INDUCTION, 2, 1)) == (3, 5)
+    one = Relation("m_is_one", 2, 2, (((1, (m,)),), ((1, ()),)))
+    data = ring_to_dict(complete(Presentation(2, p.generators, p.relations + (one,), p.family_counts)))
+    assert data["presentation"] != ring_to_dict(ring2)["presentation"]
+    data["presentation"] = ring_to_dict(ring2)["presentation"]
+    data["ring_hash"] = content_hash(data)
+    save_json(tmp_path / "quotient.json", data)
+    assert ring_from_dict(data).total_rank() == 5 < ring2.total_rank()
+    code, out, _ = run_cli(["ring", "verify", str(tmp_path / "quotient.json")], capsys)
+    assert code == 1
+    assert out == (
+        "verify: FAILED\n"
+        "  failure: basis 0 of (2,1) acted on by letter 5 is not its word times 5 in the presented ring\n"
+        "  failure: basis 0 of (2,2) acted on by letter 3 is not its word times 3 in the presented ring\n"
+    )
 
 
 def test_ring_verify_k2_skips_oracle(tmp_path, capsys):

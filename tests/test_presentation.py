@@ -438,3 +438,16 @@ def test_a_chain_step_that_is_no_covering_pair_is_named(chain, low, up):
         p.restriction_word(6, 1, chain)
     with pytest.raises(ValueError, match=rf"C_6 has no induction generator i\[{up},{low}\]"):
         p.induction_word(1, 6, chain)
+
+
+@pytest.mark.parametrize(
+    "word, args, order",
+    [("restriction", (6, 0), 0), ("induction", (0, 6), 0), ("restriction", (6, -2), -2)],
+    ids=["restrict-to-0", "induce-from-0", "restrict-to-minus-2"],
+)
+def test_a_chain_end_that_is_no_object_is_named(word, args, order):
+    # these used to fail on a bare ZeroDivisionError (order 0) and
+    # IndexError (order -2)
+    p = build_presentation(6)
+    with pytest.raises(ValueError, match=rf"C_6 has no object of order {order}$"):
+        getattr(p, f"{word}_word")(*args)

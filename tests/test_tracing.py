@@ -77,14 +77,14 @@ def test_tracer_counts_modules_and_cli_calls(ring2, tmp_path, capsys):
 
 
 def test_tracer_counts_ring_verify(ring4, tmp_path, capsys):
-    # a table that passes the triple and torsion checks proves the probe's
-    # answer, so `ring verify` skips it; a bumped table entry fails those
-    # checks and runs it, through the binding the tracer wraps
+    # a table that passes the certificate proves the probe's answer, so
+    # `ring verify` skips it; a bumped table entry fails the certificate
+    # and runs it, through the binding the tracer wraps
     tracing = load_tracing()
     units = {ring4.offset[(x, x)] + ring4.unit_pos[x] for x in ring4.objects}
     key = next(k for k, v in sorted(ring4.table.items()) if units.isdisjoint(k) and any(v))
     bumped = bumped_table_entry(ring4, key)
-    assert not verify_ring(bumped).associative
+    assert not verify_ring(bumped).ok
     for name, ring, expected in (("ring4", ring4, 0), ("bumped", bumped, 1)):
         save_json(tmp_path / f"{name}.json", ring_to_dict(ring))
         tracer = tracing.Tracer()
@@ -100,8 +100,8 @@ def test_tracer_counts_ring_verify(ring4, tmp_path, capsys):
         _, calls = tracer.self_times()
         for span in ("completion.verify_ring", "completion.normal_form", "cli.main"):
             assert calls.get(span, 0) > 0, (name, span)
-        # the unit laws read the table of basis products, and the probe
-        # multiplies rows: `ring verify` composes no elements
+        # the certificate and the probe multiply rows: `ring verify`
+        # composes no elements
         assert tracer.counts["completion.compose"] == 0, name
         assert (calls.get("completion.random_associativity_probe", 0) > 0) is (name == "bumped")
 
