@@ -8,15 +8,17 @@ Exit codes are a stable contract, one per error class:
 
 - 0: success.
 - 1: mathematical failure.  Completion does not stabilize, a ring fails
-  verification (a failed completion of the order-4 oracle is reported as
-  one of its named failures), or a module file's
+  verification (`ring verify` completes within the ring file's own
+  `max_len` and `window`, and a failed completion of the order-4 oracle
+  is reported as one of its named failures), or a module file's
   content is not a valid module (it fails `GradedModule.validate`); the
   last prints `error: <path>: <reason>`.
 - 2: usage or file error.  A file cannot be read or written, is
-  malformed (`FormatError`) or names a different ring; a flag is out of
-  range (`--cap` < 1, `--length` < 0, `--degree` < 0, `--window` < 1,
-  `--max-len` < 1, an `--order` below 1, or a `--from`, `--to`,
-  `--left`, `--middle` or `--right` that does not divide `--order`).
+  malformed (`FormatError`) or names a different ring; a flag is
+  unknown to its subcommand or out of range (`--cap` < 1, `--length` <
+  0, `--degree` < 0, `ring build`'s `--window` < 1 or `--max-len` < 1,
+  an `--order` below 1, or a `--from`, `--to`, `--left`, `--middle` or
+  `--right` that does not divide `--order`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .completion import (
     CompletionError,
     NotStabilizedError,
     complete,
-    normal_form,
     presentations_equivalent,
-    random_associativity_probe,
     verify_ring,
 )
+# unused here: bound for `perfbench/tracing.py`, which wraps them in this namespace too
+from .completion import normal_form, random_associativity_probe  # noqa: F401
 from .modules import ABOVE_CAP, ext, free_resolution, projective_dimension, uct_terms
 from .presentation import build_presentation, presentation_c4
 from .serialize import (
@@ -211,15 +213,12 @@ def cmd_ring_verify(args) -> int:
     with Workspace.open(args.ring) as ws:
         report = verify_ring(ws.ring)
         failures = list(report.failures)
-        # the certificate proves the probe's answer when it passes
-        if not report.ok:
-            failures.extend(random_associativity_probe(ws.ring, count=1000, max_len=6, seed=args.seed))
         oracle_checked = False
         if ws.ring.presentation.group_order == 4:
             oracle = presentation_c4()
             try:
                 eq = presentations_equivalent(
-                    ws.ring.presentation, oracle, max_len=args.max_len, window=args.window, ring_p=ws.ring
+                    ws.ring.presentation, oracle, max_len=ws.ring.max_len, window=ws.ring.window, ring_p=ws.ring
                 )
                 oracle_checked = True
                 if not eq.equivalent:
@@ -379,10 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     leaves no state in it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
-    # only the subcommands that run a completion take its parameters
-    completing = argparse.ArgumentParser(add_help=False, parents=[shared])
-    completing.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, help="completion length cap")
-    completing.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="stabilization window")
     # the subcommands that read a ring file, and those over its module M
     on_ring = argparse.ArgumentParser(add_help=False, parents=[shared])
     on_ring.add_argument("--ring", required=True)
@@ -394,18 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ring = sub.add_parser("ring", help="build, verify and inspect ring files")
     ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-    p = ring_sub.add_parser("build", parents=[completing])
+    p = ring_sub.add_parser("build", parents=[shared])
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, help="completion length cap")
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="stabilization window")
     p.add_argument("--order", type=int, required=True, help="cyclic group order")
     p.add_argument("-o", "--output", required=True, help="ring JSON output path")
     p.set_defaults(func=cmd_ring_build)
-    p = ring_sub.add_parser("verify", parents=[completing])
+    p = ring_sub.add_parser("verify", parents=[shared])
     p.add_argument("ring", help="ring JSON file")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the randomized associativity probe, which runs only when the certificate rejects the ring",
-    )
     p.set_defaults(func=cmd_ring_verify)
     p = ring_sub.add_parser("info", parents=[shared])
     p.add_argument("ring", help="ring JSON file")

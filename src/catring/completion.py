@@ -21,8 +21,12 @@ is a pure torsion row d*w = 0 giving a basis slot with modulus d) and
 the product of every two surviving basis words has length at most B and
 reduces inside the bound.  Completion stops when `window` consecutive
 bounds are certified with identical basis, torsion and multiplication
-table; since every echelon row is an integer combination of relation
-instances, the certified table is exactly the presented ring's.
+table.  Every echelon row is an integer combination of relation
+instances, so each table entry is correct modulo the relation ideal,
+and the basis words span the presented ring A_P.  The stopping rule does
+not show that the basis is independent in A_P or that the table is
+associative; `verify_ring` proves both, and `complete` (so `ring build`)
+does not run it.
 
 Torsion never appears for the rings in scope but is carried faithfully:
 slots with a modulus keep their coefficients reduced into [0, d).
@@ -512,20 +516,33 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
     word, whose normal form is the unit of `source`.  Raises ValueError
     on a letter that is no generator index of the ring's presentation.
     """
-    pres = ring.presentation
+    gens = ring.presentation.generators
     if data and isinstance(data[0], int):
         data = ((1, tuple(data)),)
     elif data == ():
         data = ((1, ()),)
 
-    endpoints = None
-    arrows = []
+    # one walk per word checks its letters, identity letters included, and
+    # keeps its ends and its arrows; the first word with an arrow fixes the
+    # endpoints, which every word is then checked against
+    endpoints, walks = None, []
     for c, w in data:
-        pres.check_indices(w)
-        stripped = tuple(gi for gi in w if pres.generators[gi].kind != IDENTITY)
+        start = cur = None
+        stripped = []
+        for gi in w:
+            if type(gi) is not int or not 0 <= gi < len(gens):
+                raise ValueError(f"generator index {gi!r} is not in range({len(gens)})")
+            g = gens[gi]
+            if cur is None:
+                start = g.source
+            elif g.source != cur:
+                raise ValueError(f"word {w} is not composable")
+            cur = g.target
+            if g.kind != IDENTITY:
+                stripped.append(gi)
         if stripped and endpoints is None:
-            endpoints = pres.word_endpoints(stripped)
-        arrows.append((c, stripped))
+            endpoints = (start, cur)
+        walks.append((w, start, cur, (c, tuple(stripped))))
     if endpoints is None:
         if source is None:
             raise ValueError("combination of identity words needs a source object")
@@ -533,16 +550,12 @@ def normal_form(ring: CategoryRing, data, source: int | None = None, target: int
     src, tgt = endpoints
     if source is not None and source != src or target is not None and target != tgt:
         raise ValueError(f"declared endpoints ({source},{target}) do not match words ({src},{tgt})")
-
-    for _, w in data:
-        cur = src
-        for gi in w:
-            g = pres.generators[gi]
-            if g.source != cur:
-                raise ValueError(f"word {w} is not composable")
-            cur = g.target
-        if cur != tgt:
+    for w, start, end, _ in walks:
+        if start is not None and start != src:
+            raise ValueError(f"word {w} is not composable")
+        if (src if start is None else end) != tgt:
             raise ValueError("summands are not parallel")
+    arrows = [term for _, _, _, term in walks]
     return RingElement(ring, src, tgt, _acted(ring, {(): ring.unit(src).row}, src, arrows, tgt))
 
 
@@ -716,11 +729,11 @@ def random_associativity_probe(ring: CategoryRing, count: int = 1000, max_len: i
     its prefix one letter shorter, then that letter (`_extended`, which
     `normal_form` steps words through too), so it equals `normal_form`'s.
     (uv)w and u(vw) are then compared through `_product`, the product
-    that `compose` uses too.  `ring verify` runs the probe only on a ring
-    that `verify_ring` rejects.  The forms are kept for the call
-    only, and no draw depends on them, so the draws and the failing
-    triples are those of one `normal_form` per drawn word and
-    `RingElement` products per triple.
+    that `compose` uses too.  `ring verify` does not run the probe: on a
+    ring that `verify_ring` accepts, its answer is proved empty.  The
+    forms are kept for the call only, and no draw depends on them, so
+    the draws and the failing triples are those of one `normal_form` per
+    drawn word and `RingElement` products per triple.
 
     Raises ValueError when `count` or `max_len` is negative.
     """

@@ -187,12 +187,6 @@ class Presentation:
 
     # -- structural checks --------------------------------------------
 
-    def check_indices(self, word: Word) -> None:
-        """Raise ValueError on the first letter that is no generator index."""
-        for gi in word:
-            if type(gi) is not int or not 0 <= gi < len(self.generators):
-                raise ValueError(f"generator index {gi!r} is not in range({len(self.generators)})")
-
     def word_endpoints(self, word: Word, source: int | None = None) -> tuple[int, int]:
         """(source, target) of a word; empty words need the source hint.
         Raises ValueError on a letter that is no generator index."""
@@ -204,7 +198,7 @@ class Presentation:
         cur = None
         for gi in word:
             if type(gi) is not int or not 0 <= gi < count:
-                self.check_indices(word)  # raises: gi is the first bad letter
+                raise ValueError(f"generator index {gi!r} is not in range({count})")
             ends = arrow_ends[gi]
             if ends is None:
                 raise ValueError("identity generators may not appear inside paths")

@@ -96,13 +96,12 @@ def test_ring_verify_fails_an_empty_relation_side(ring2, tmp_path, capsys):
 
 
 def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
-    # a work-count guard on one k=4 `ring verify` at the default seed, so
-    # that a returning triple loop or a probe run on a certified ring shows
-    # up as more work: the certificate makes one `normal_form` call per
-    # basis word, 22, and no `compose` call, and the request steps letters
-    # 557 times (522 in `verify_ring`).  The probe, run directly, steps each
-    # distinct drawn (source, word) from its prefix, 1 049 times, and
-    # calls neither.
+    # a work-count guard on one k=4 `ring verify`, so that a returning
+    # triple loop or probe shows up as more work: the certificate makes one
+    # `normal_form` call per basis word, 22, and no `compose` call, and the
+    # request steps letters 557 times (522 in `verify_ring`).  The probe,
+    # run directly, steps each distinct drawn (source, word) from its
+    # prefix, 1 049 times, and calls neither.
     from catring import completion
 
     calls = []
@@ -137,24 +136,6 @@ def test_ring_verify_work_counts(workdir, monkeypatch, capsys):
     assert (len(calls), steps[0], composes[0]) == (0, 1049, 0)
 
 
-def always_probing(argv, capsys, monkeypatch):
-    """`run_cli` with `ring verify` running the probe whatever the
-    certificate found, as it did before the certificate proved its
-    answer: the report it reads is never `ok`, but lists the same
-    failures and warnings."""
-
-    class Unproved(completion.VerificationReport):
-        ok = False
-
-    def verify_unproved(ring):
-        report = completion.verify_ring(ring)
-        return Unproved(report.failures, report.warnings)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "verify_ring", verify_unproved)
-        return run_cli(argv, capsys)
-
-
 def test_module_check_work_counts(ring6, tmp_path, monkeypatch, capsys):
     # a work-count guard on `module check` over the k=6 ring: `validate`
     # checks functoriality on letters one row at a time and multiplies no
@@ -185,27 +166,32 @@ def test_module_check_work_counts(ring6, tmp_path, monkeypatch, capsys):
     assert calls == {"yoneda": 0, "quotient": 48}
 
 
-def test_ring_verify_prints_what_always_probing_prints(
+def test_ring_verify_prints_the_certificate_then_the_oracle(
     ring1, ring2, ring3, ring4, ring6, ring_c4_hand, tmp_path, capsys, monkeypatch
 ):
-    # skipping a probe whose answer is proved changes no byte of stdout and
-    # no exit code.  On a file the certificate rejects, `always_probing`
-    # runs the same code as `run_cli`, so one such file stands for them:
-    # there the seed still picks the failure lines.
+    # `ring verify` prints the certificate's failures, then, at order 4,
+    # those of the oracle comparison; the probe runs in neither namespace
+    def no_probe(*args, **kwargs):
+        raise AssertionError("ring verify ran the probe")
+
+    for namespace in (completion, cli):
+        monkeypatch.setattr(namespace, "random_associativity_probe", no_probe)
+    oracle_prefixes = ("left-in-right: ", "right-in-left: ", "hand-transcribed oracle comparison failed: ")
     cases = verify_cases(ring1, ring2, ring3, ring4, ring_c4_hand) + [("valid k=6", ring6)]
-    proved = [(label, ring) for label, ring in cases if completion.verify_ring(ring).ok]
-    unproved = next((label, ring) for label, ring in cases if (label, ring) not in proved)
-    assert [label for label, _ in proved] == [label for label, _ in cases if label.startswith("valid")]
-    for n, (label, ring) in enumerate([*proved, unproved]):
+    for n, (label, ring) in enumerate(cases):
         path = tmp_path / f"ring{n}.json"
         save_json(path, ring_to_dict(ring))
-        outputs = []
-        for seed in ("0", "7"):
-            for json_flag in ([], ["--json"]):
-                argv = ["ring", "verify", str(path), "--seed", seed, *json_flag]
-                outputs.append(run_cli(argv, capsys))
-                assert outputs[-1] == always_probing(argv, capsys, monkeypatch), (label, argv)
-        assert (outputs[0] == outputs[2]) is (label != unproved[0]), label
+        certificate = completion.verify_ring(ring).failures
+        code, out, _ = run_cli(["ring", "verify", str(path)], capsys)
+        failures = [line.removeprefix("  failure: ") for line in out.splitlines() if line.startswith("  failure: ")]
+        assert failures[: len(certificate)] == certificate, label
+        oracle = failures[len(certificate):]
+        assert all(line.startswith(oracle_prefixes) for line in oracle), label
+        assert not oracle or ring.presentation.group_order == 4, label
+        assert code == (1 if failures else 0), label
+        assert (code == 0) is label.startswith("valid"), label
+        code_json, out_json, _ = run_cli(["ring", "verify", str(path), "--json"], capsys)
+        assert (code_json, json.loads(out_json)["failures"]) == (code, failures), label
 
 
 def test_ring_verify_rejects_basis_words_out_of_normal_form(workdir, tmp_path, capsys):
@@ -258,23 +244,52 @@ def test_ring_verify_k2_skips_oracle(tmp_path, capsys):
     assert "hand-transcribed" not in out
 
 
-def test_ring_verify_reports_unstabilized_oracle(workdir, capsys):
+def with_bounds(workdir, path, **bounds):
+    """The k=4 ring file of `workdir` with its completion bounds, and
+    `stabilized_at` among them, replaced by `bounds`, saved at `path`."""
+    data = load_json(workdir / "ring4.json")
+    data.update(bounds)
+    data["ring_hash"] = content_hash(data)
+    save_json(path, data)
+    return path
+
+
+def test_ring_verify_completes_within_the_file_bounds(workdir, tmp_path, capsys):
+    # the certificate's last check and the oracle comparison both complete
+    # within the file's max_len, and below bound 4 neither is certified
+    path = with_bounds(workdir, tmp_path / "capped.json", max_len=3, stabilized_at=3)
+    stalled = "no stabilization for k=4 within max_len=3; rank trajectory [11, 20, 22]"
+    failures = [
+        f"the presentation does not certify the table: {stalled}",
+        f"hand-transcribed oracle comparison failed: {stalled}",
+    ]
+    code, out, _ = run_cli(["ring", "verify", str(path)], capsys)
+    assert code == 1
+    assert out == "verify: FAILED\n" + "".join(f"  failure: {f}\n" for f in failures)
+    code, out, _ = run_cli(["ring", "verify", str(path), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "failures": failures, "warnings": [], "oracle_checked": False}
+
+
+def test_ring_verify_reports_unstabilized_oracle(workdir, tmp_path, capsys):
     # below bound 4 the oracle's relations are not certified, and its
     # completion cannot stabilize: a named failure, not a traceback
-    code, out, err = run_cli(["ring", "verify", str(workdir / "ring4.json"), "--max-len", "3"], capsys)
+    path = with_bounds(workdir, tmp_path / "capped.json", max_len=3, stabilized_at=3)
+    code, out, err = run_cli(["ring", "verify", str(path)], capsys)
     assert code == 1
-    assert out.splitlines()[:2] == [
-        "verify: FAILED",
+    assert out.splitlines()[0] == "verify: FAILED"
+    assert (
         "  failure: hand-transcribed oracle comparison failed: "
-        "no stabilization for k=4 within max_len=3; rank trajectory [11, 20, 22]",
-    ]
+        "no stabilization for k=4 within max_len=3; rank trajectory [11, 20, 22]"
+    ) in out.splitlines()
     assert "hand-transcribed order-4 presentation" not in out
     assert err == ""
 
 
-def test_ring_verify_oracle_needs_no_stabilization_window(workdir, capsys):
+def test_ring_verify_oracle_needs_no_stabilization_window(workdir, tmp_path, capsys):
     # the certificate settles the comparison without completing the oracle
-    code, out, _ = run_cli(["ring", "verify", str(workdir / "ring4.json"), "--window", "9"], capsys)
+    path = with_bounds(workdir, tmp_path / "window9.json", window=9)
+    code, out, _ = run_cli(["ring", "verify", str(path)], capsys)
     assert code == 0
     assert out == "verify: ok\n  checked against the hand-transcribed order-4 presentation\n"
 
@@ -1132,7 +1147,7 @@ def test_parser_is_built_once_without_leaking_state(workdir, capsys):
 # before the shared declarations moved into parent parsers
 SUBCOMMAND_OPTIONS = {
     ("ring", "build"): [["-h", "--help"], ["--json"], ["--max-len"], ["--window"], ["--order"], ["-o", "--output"]],
-    ("ring", "verify"): [["-h", "--help"], ["--json"], ["--max-len"], ["--window"], ["ring"], ["--seed"]],
+    ("ring", "verify"): [["-h", "--help"], ["--json"], ["ring"]],
     ("ring", "info"): [["-h", "--help"], ["--json"], ["ring"]],
     ("group", "cosets"): [["-h", "--help"], ["--json"], ["--order"], ["--left"], ["--middle"], ["--right"]],
     ("group", "induce"): [["-h", "--help"], ["--json"], ["--order"], ["--from"], ["--to"], ["--char"]],
