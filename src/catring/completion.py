@@ -6,14 +6,20 @@ the quotient of the free Z-module they span, by every relation instance
 bound), off an integer echelon whose pivots are the largest words of
 their rows.  The echelon is not fed every instance: each bound adds the
 rows the previous bound changed, times each letter, and the instances
-padded on the left only, which span the same lattice (`_echelons`).
-Words are ordered by length, then lexicographically by the fixed
-generator enumeration; this order is compatible with composition, so
-pivot rows are rewrite rules replacing a word by strictly smaller ones.  The echelon of each object pair is an `intlin.Lattice`, whose
-pivots are leftmost columns; word columns are numbered downward, word
-number i on column -i, so the leftmost pivot of a row is its largest
-word.  After each bound the lattices are canonicalized, and
-`Lattice.reduce` gives the normal form of a word.
+padded on the left only, by *live* words only (no proper prefix was
+already rewritten by a unit pivot), which span the same lattice
+(`_echelons`).  Words are ordered by length, then lexicographically by
+the fixed generator enumeration; this order is compatible with
+composition, so pivot rows are rewrite rules replacing a word by
+strictly smaller ones.  The echelon keys words by integer codes
+(`_encode`), which follow this order within a length, and builds no
+word tuple; the readers of a bound translate through
+`_PairSpace.column` and `_PairSpace.word`.  The echelon of each object
+pair is an `intlin.Lattice`, whose pivots are leftmost columns; word
+columns are numbered downward, word number i on column -i, so the
+leftmost pivot of a row is its largest word.  After each bound the
+lattices are canonicalized, and `Lattice.reduce` gives the normal form
+of a word.
 
 A bound B is *certified* when the echelon data fits the monomial model
 (every pivot either has unit coefficient, and is thereby eliminated, or
@@ -62,50 +68,76 @@ class InconsistentPresentationError(CompletionError):
     """A unit collapsed to zero: the presented ring is degenerate."""
 
 
+def _encode(word: tuple, base: int) -> int:
+    """The code of a word: each letter a is the digit a + 1 in base
+    `base`, the first letter most significant, so code(()) = 0 and
+    code(w + (a,)) = code(w)*base + a + 1.  `base` exceeds every letter
+    by at least one, so distinct words have distinct codes."""
+    code = 0
+    for a in word:
+        code = code * base + a + 1
+    return code
+
+
+def _decode(code: int, base: int) -> tuple:
+    """The word of a code: the inverse of `_encode`."""
+    word = []
+    while code:
+        code, digit = divmod(code, base)
+        word.append(digit - 1)
+    return tuple(reversed(word))
+
+
 class _PairSpace:
     """Free Z-module on the words of one object pair, with its echelon.
 
     Word number i is column -i of `lattice`, so the leftmost pivot of a
-    row is its largest word; `ids` maps each word to its column.  Words
-    are added in length order, and `starts[L]` is the number of words
-    shorter than L.  The lattice tracks the rows it changes
-    (`Lattice.changed`).
+    row is its largest word.  Words are held by their codes (`_encode`):
+    `codes[i]` is the code of word number i and `ids` maps each code to
+    its column.  `column` and `word` translate tuples for the readers of
+    a bound; the echelon builds no tuple.  The lattice tracks the rows it
+    changes (`Lattice.changed`).
     """
 
-    __slots__ = ["words", "ids", "starts", "lattice"]
+    __slots__ = ["base", "codes", "ids", "lattice"]
 
-    def __init__(self):
-        self.words: list[tuple] = []
-        self.ids: dict[tuple, int] = {}
-        self.starts: list[int] = []
+    def __init__(self, base: int):
+        self.base = base
+        self.codes: list[int] = []
+        self.ids: dict[int, int] = {}
         self.lattice = Lattice()
         self.lattice.changed = set()
 
-    def add_word(self, path: tuple) -> None:
-        while len(self.starts) <= len(path):
-            self.starts.append(len(self.words))
-        self.ids[path] = -len(self.words)
-        self.words.append(path)
+    def __len__(self) -> int:
+        return len(self.codes)
 
-    def words_of_length(self, length: int) -> list[tuple]:
-        starts = self.starts
-        if length >= len(starts):
-            return []
-        return self.words[starts[length]:starts[length + 1] if length + 1 < len(starts) else None]
+    def extend(self, codes: list[int]) -> None:
+        """Add words, as their codes in word order, after the others."""
+        n = len(self.codes)
+        self.ids.update(zip(codes, range(-n, -n - len(codes), -1)))
+        self.codes += codes
 
-    def classify(self):
-        """(eliminated columns, {column: modulus}, mixed row count)."""
-        eliminated = set()
-        moduli: dict[int, int] = {}
-        mixed = 0
-        for m, row in self.lattice.pivots.items():
-            if row[m] == 1:
-                eliminated.add(m)
-            elif len(row) == 1:
-                moduli[m] = row[m]
-            else:
-                mixed += 1
-        return eliminated, moduli, mixed
+    def column(self, word: tuple) -> int:
+        return self.ids[_encode(word, self.base)]
+
+    def word(self, column: int) -> tuple:
+        return _decode(self.codes[-column], self.base)
+
+
+def _classify(lattice: Lattice):
+    """(eliminated columns, {column: modulus}, mixed row count) of a
+    canonical pair-space echelon."""
+    eliminated = set()
+    moduli: dict[int, int] = {}
+    mixed = 0
+    for m, row in lattice.pivots.items():
+        if row[m] == 1:
+            eliminated.add(m)
+        elif len(row) == 1:
+            moduli[m] = row[m]
+        else:
+            mixed += 1
+    return eliminated, moduli, mixed
 
 
 @dataclass(frozen=True)
@@ -266,8 +298,9 @@ def _echelons(pres: Presentation, max_len: int):
     (a) each row of bound B-1's canonical echelon that bound B-1 created
         or rewrote, times every arrow a leaving its target (the column of
         word w goes to the column of w + (a,));
-    (b) the relation instances of padded length B with an empty right
-        pad.
+    (b) the relation instances v*d of padded length B with an empty right
+        pad whose left pad v is *live*: no proper prefix p of v has a
+        unit pivot in E_{|p|}.
 
     These span every instance.  Let J_B be the span of the instances of
     padded length at most B (J_{-1} = 0), E_B its canonical rows, and D_B
@@ -281,36 +314,78 @@ def _echelons(pres: Presentation, max_len: int):
 
         J_B = J_{B-1} + span(D_{B-1}*L) + span(instances with an empty right pad),
 
-    L the arrows.  Appending a letter is injective on words and keeps the
-    length-lex order, so a product row cancels nothing and keeps its
-    leading word.  The HNF of a lattice is unique, so E_B equals the
-    canonical echelon of every instance fed at once.
-    """
-    gens = pres.generators
-    objects = pres.objects
-    spaces = {(x, y): _PairSpace() for x in objects for y in objects}
-    outgoing = {x: [a for a in pres.arrows if gens[a].source == x] for x in objects}
+    L the arrows.  A skipped instance adds nothing to this span: let
+    v = p*s with p a proper prefix whose row of E_{|p|} is
+    r_p = p - sum c_w*w, every w < p.  Then
 
-    # layer[x]: the words of the top length from x, in lexicographic order
-    # across all targets; each path is built once and shared with `spaces`
-    layer: dict[int, list[tuple]] = {x: [()] for x in objects}
+        v*d = r_p*s*d + sum c_w*(w*s)*d.
+
+    r_p lies in J_{|p|} and s is not empty, so r_p*s*d is a combination
+    of instances with a nonempty right pad and padded length at most B,
+    which lie in J_{B-1} + span(D_{B-1}*L) as above.  Each (w*s)*d is
+    shorter than B, so in J_{B-1}, or has the left pad w*s < v, which is
+    fed or skipped in turn; induction on the left pad closes the argument.
+    Appending a letter is injective on words and keeps the length-lex
+    order, so a product row cancels nothing and keeps its leading word.
+    The HNF of a lattice is unique, so E_B equals the canonical echelon
+    of every instance fed at once.
+
+    Words are keyed by their codes (`_encode`), and a word's code is
+    built from its prefix's by one multiply-add: w*a has the code
+    code(w)*base + a + 1, and v*w the code code(v)*base**len(w) + code(w).
+    Codes of one length follow the lexicographic order, so sorting the
+    new codes of a pair space gives its words in word order.
+    """
+    objects = pres.objects
+    base = len(pres.generators) + 1
+    spaces = {(x, y): _PairSpace(base) for x in objects for y in objects}
+    # steps[y]: (digit, target) of each arrow a leaving y, digit = a + 1
+    steps: dict[int, list[tuple[int, int]]] = {x: [] for x in objects}
+    for a in pres.arrows:
+        source, target = pres.arrow_ends[a]
+        steps[source].append((a + 1, target))
+
+    # top[(x, y)]: where the words of the top length start in the codes of
+    # (x, y); pads[(x, y)][n]: the codes of the live words x -> y of length
+    # n, the left pads of (b)
+    top = dict.fromkeys(spaces, 0)
+    pads = {(x, y): [[0] if x == y else []] for x, y in spaces}
     for x in objects:
-        spaces[(x, x)].add_word(())
+        spaces[(x, x)].extend([0])
 
     def extend_words() -> None:
         for x in objects:
-            top = []
-            for path in layer[x]:
-                for a in outgoing[gens[path[-1]].target if path else x]:
-                    word = path + (a,)
-                    spaces[(x, gens[a].target)].add_word(word)
-                    top.append(word)
-            layer[x] = top
+            words: dict[int, list[int]] = {z: [] for z in objects}
+            live: dict[int, list[int]] = {z: [] for z in objects}
+            for y in objects:
+                space = spaces[(x, y)]
+                ids, pivots = space.ids, space.lattice.pivots
+                # a live word has live extensions unless it has a unit pivot
+                # in the echelon of its own length, the previous bound's
+                kept = []
+                for code in pads[(x, y)][-1]:
+                    col = ids[code]
+                    row = pivots.get(col)
+                    if row is None or row[col] != 1:
+                        kept.append(code * base)
+                shifted = [code * base for code in space.codes[top[(x, y)]:]]
+                for digit, z in steps[y]:
+                    words[z] += [code + digit for code in shifted]
+                    live[z] += [code + digit for code in kept]
+            for z in objects:
+                top[(x, z)] = len(spaces[(x, z)])
+                spaces[(x, z)].extend(sorted(words[z]))
+                pads[(x, z)].append(sorted(live[z]))
 
-    differences = [(rel, rel.max_word_len(), rel.differences()) for rel in pres.relations]
+    # each difference term (c, w) as (c, base**len(w), code(w))
+    differences = [
+        (rel, rel.max_word_len(), [[(c, base ** len(w), _encode(w, base)) for c, w in terms] for terms in rel.differences()])
+        for rel in pres.relations
+    ]
 
     def add_instances(bound: int) -> None:
-        # the relation instances of padded length `bound` with an empty right pad
+        # the relation instances of padded length `bound` with an empty
+        # right pad and a live left pad
         for rel, longest, diffs in differences:
             pad = bound - longest
             if pad < 0:
@@ -318,24 +393,24 @@ def _echelons(pres: Presentation, max_len: int):
             for x in objects:
                 space = spaces[(x, rel.target)]
                 ids, add = space.ids, space.lattice.add
-                for v in spaces[(x, rel.source)].words_of_length(pad):
+                for v in pads[(x, rel.source)][pad]:
                     for terms in diffs:
                         # cancelled terms leave zeros, which `add` drops
                         row: dict[int, int] = {}
-                        for c, w in terms:
-                            col = ids[v + w]
+                        for c, scale, w in terms:
+                            col = ids[v * scale + w]
                             row[col] = row.get(col, 0) + c
                         add(row)
 
     def add_products(changed) -> None:
         # each changed row of the previous bound, times each arrow leaving its target
         for (x, y), rows in changed:
-            words = spaces[(x, y)].words
-            for a in outgoing[y]:
-                space = spaces[(x, gens[a].target)]
+            codes = spaces[(x, y)].codes
+            for digit, z in steps[y]:
+                space = spaces[(x, z)]
                 ids, add = space.ids, space.lattice.add
                 for row in rows:
-                    add({ids[words[-j] + (a,)]: c for j, c in row.items()})
+                    add({ids[codes[-j] * base + digit]: c for j, c in row.items()})
 
     changed = []
     for bound in range(max_len + 1):
@@ -384,9 +459,9 @@ class _Stabilization:
         for a in pres.arrows:
             g = pres.generators[a]
             space = spaces[(g.source, g.target)]
-            red = space.lattice.reduce({space.ids[(a,)]: 1})
+            red = space.lattice.reduce({space.column((a,)): 1})
             pos = {w: n for n, w in enumerate(basis[(g.source, g.target)])}
-            arrow_forms[a] = {pos[space.words[-col]]: c for col, c in red.items()}
+            arrow_forms[a] = {pos[space.word(col)]: c for col, c in red.items()}
         return CategoryRing(pres, basis, torsion, table, arrow_forms, bound, self.max_len, self.window)
 
     def exhausted(self) -> NotStabilizedError:
@@ -412,15 +487,15 @@ def _snapshot(objects, spaces, bound: int, trajectory: list[int]):
     for x in objects:
         for y in objects:
             space = spaces[(x, y)]
-            eliminated, moduli, mixed = space.classify()
+            eliminated, moduli, mixed = _classify(space.lattice)
             if mixed:
                 all_monomial = False
-            if x == y and (space.ids[()] in eliminated or space.ids[()] in moduli):
+            if x == y and (space.column(()) in eliminated or space.column(()) in moduli):
                 raise InconsistentPresentationError(
                     f"the identity of object {x} collapses; the presentation is inconsistent"
                 )
-            kept = [-i for i in range(len(space.words)) if -i not in eliminated]
-            basis[(x, y)] = [space.words[-col] for col in kept]
+            kept = [-i for i in range(len(space)) if -i not in eliminated]
+            basis[(x, y)] = [space.word(col) for col in kept]
             torsion[(x, y)] = [moduli.get(col) for col in kept]
             position[(x, y)] = {col: n for n, col in enumerate(kept)}
     trajectory.append(sum(map(len, basis.values())))
@@ -439,7 +514,7 @@ def _snapshot(objects, spaces, bound: int, trajectory: list[int]):
                 if len(prod) > bound:
                     return None
                 row = []
-                for col, c in space.lattice.reduce({space.ids[prod]: 1}).items():
+                for col, c in space.lattice.reduce({space.column(prod): 1}).items():
                     if col not in pos:
                         return None
                     row.append((pos[col], c))
@@ -494,7 +569,7 @@ def certify_or_complete(
         for pair, vec, longest in pending:
             if longest <= bound:
                 space = spaces[pair]
-                if {space.ids[w]: c for w, c in vec.items()} in space.lattice:
+                if {space.column(w): c for w, c in vec.items()} in space.lattice:
                     continue
             left.append((pair, vec, longest))
         pending = left

@@ -11,7 +11,7 @@ its sparse left kernel and solve with an identity column on every row,
 the dense Smith form and the dense matrix product it replaced with
 `Lattice` echelons and sparse rows, the completion's own max-pivot
 echelon that `intlin.Lattice` replaced, the completion's echelon fed
-every padded relation instance, the quadratic prune of
+every padded relation instance on tuple-keyed words, the quadratic prune of
 `catring.modules.free_cover`, Hom by the all-basis map system,
 projectivity by the full section system and the projective dimension
 without a syzygy chain, the syzygy chain that covers kernel modules with
@@ -646,8 +646,37 @@ class MaxPivotEchelon:
 #
 # `catring.completion._echelons` fed every relation instance, padded on
 # both sides, to the pair-space echelons before it built each bound from
-# the rows the previous bound changed.  It must yield the same words and
-# the same canonical rows at every bound.
+# the rows the previous bound changed and fed only live left pads.  It
+# must yield the same words and the same canonical rows at every bound.
+# Its pair spaces keep words as tuples, not as the completion's integer
+# codes.
+
+
+class OracleSpace:
+    """A pair space of `oracle_echelons`: its words as tuples in the order
+    they were added, word number i on column -i of `lattice`, and `ids`
+    mapping each word to its column.  `len`, `column` and `word` are what
+    the completion's readers of a bound ask of a pair space."""
+
+    def __init__(self):
+        from catring.intlin import Lattice
+
+        self.words: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.lattice = Lattice()
+
+    def add_word(self, word):
+        self.ids[word] = -len(self.words)
+        self.words.append(word)
+
+    def __len__(self):
+        return len(self.words)
+
+    def column(self, word):
+        return self.ids[word]
+
+    def word(self, column):
+        return self.words[-column]
 
 
 def oracle_echelons(pres, max_len):
@@ -655,15 +684,11 @@ def oracle_echelons(pres, max_len):
     `(bound, spaces)` for bound = 1, ..., max_len, each pair space holding
     every word of length at most `bound` and the canonical echelon of
     every relation instance of padded length at most `bound`."""
-    from catring.completion import _PairSpace
-
     pres.validate()
     gens = pres.generators
     arrows = pres.arrows
     objects = pres.objects
-    spaces = {(x, y): _PairSpace() for x in objects for y in objects}
-    for space in spaces.values():
-        space.lattice.changed = None  # no change tracking here
+    spaces = {(x, y): OracleSpace() for x in objects for y in objects}
 
     # words_at[len] = list of (source, target, path) in lexicographic order
     words_at = [[(x, x, ()) for x in objects]]

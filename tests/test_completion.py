@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -143,8 +144,8 @@ def test_echelons_match_max_pivot_oracle(ring2, ring3, ring4, monkeypatch):
                 oracle.canonicalize()
                 rows = {-m: {-j: c for j, c in row.items()} for m, row in space.lattice.pivots.items()}
                 assert rows == oracle.rows, (k, bound, pair)
-                for _ in range(4 if space.words else 0):
-                    vec = {rng.randrange(len(space.words)): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+                for _ in range(4 if len(space) else 0):
+                    vec = {rng.randrange(len(space)): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
                     nf = space.lattice.reduce({-i: c for i, c in vec.items()})
                     assert {-j: c for j, c in nf.items()} == oracle.reduce(vec), (k, bound, pair, vec)
         assert not fed
@@ -161,15 +162,17 @@ def shuffled_relations(pres, seed):
     [
         *((lambda k=k: build_presentation(k), None) for k in (1, 2, 3, 4, 6)),
         (lambda: build_presentation(5), 8),
+        (lambda: build_presentation(7), 11),
         (presentation_c4, None),
         *((lambda seed=seed: shuffled_relations(build_presentation(4), seed), None) for seed in (21, 22)),
     ],
-    ids=["k1", "k2", "k3", "k4", "k6", "k5", "c4", "k4-shuffle21", "k4-shuffle22"],
+    ids=["k1", "k2", "k3", "k4", "k6", "k5", "k7", "c4", "k4-shuffle21", "k4-shuffle22"],
 )
 def test_echelons_match_exhaustive_instance_oracle(make, last):
     """Bound by bound, the echelon built from the previous bound's changed
-    rows holds the same words and the same canonical rows as the one fed
-    every padded relation instance (to the stabilized bound + 1)."""
+    rows and live left pads holds the same words, decoded from their
+    codes, and the same canonical rows as the one fed every padded
+    relation instance (to the stabilized bound + 1)."""
     pres = make()
     if last is None:
         last = complete(pres).stabilized_at + 1
@@ -181,7 +184,7 @@ def test_echelons_match_exhaustive_instance_oracle(make, last):
         assert spaces.keys() == oracle_spaces.keys()
         for pair, space in spaces.items():
             oracle = oracle_spaces[pair]
-            assert space.words == oracle.words, (bound, pair)
+            assert [space.word(-i) for i in range(len(space))] == oracle.words, (bound, pair)
             assert space.lattice.pivots == oracle.lattice.pivots, (bound, pair)
         bounds.append(bound)
     assert bounds == list(range(1, last + 1))
@@ -223,8 +226,9 @@ def test_certify_or_complete_matches_exhaustive_instance_oracle(make, certified,
 
 def test_lattice_add_count_of_a_k4_completion(monkeypatch):
     # the exhaustive instance feed made 34 781 `Lattice.add` calls here;
-    # building each bound from the previous bound's changed rows makes
-    # 14 911, so a slide back to the exhaustive feed fails
+    # building each bound from the previous bound's changed rows made
+    # 14 911, and feeding only live left pads makes 9 167, so a slide
+    # back to either earlier feed fails
     calls = []
     add = Lattice.add
 
@@ -234,7 +238,38 @@ def test_lattice_add_count_of_a_k4_completion(monkeypatch):
 
     monkeypatch.setattr(Lattice, "add", counting_add)
     complete(build_presentation(4))
-    assert len(calls) == 14911
+    assert len(calls) == 9167
+
+
+def test_word_codes_round_trip_over_a_k6_run(ring6):
+    """`_decode` inverts `_encode` on every word of a k=6 run at its
+    stabilized bound, and a pair space's codes increase with its word
+    order: by length, then lexicographically."""
+    pres = build_presentation(6)
+    base = len(pres.generators) + 1
+    for _, spaces in completion._echelons(pres, ring6.stabilized_at):
+        pass
+    count = 0
+    for space in spaces.values():
+        words = [completion._decode(code, base) for code in space.codes]
+        assert [completion._encode(w, base) for w in words] == space.codes
+        assert words == sorted(words, key=lambda w: (len(w), w))
+        assert space.codes == sorted(space.codes)
+        count += len(words)
+    assert count == 39822
+
+
+def test_k6_completion_memory_peak():
+    # the tracemalloc peak of a k=6 completion was 19.7 MB with tuple-keyed
+    # words and 17.6 MB with integer word codes (CPython 3.11); the build
+    # workload's RSS budget rests on it, so a slide back to tuples fails
+    tracemalloc.start()
+    try:
+        complete(build_presentation(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.5e6, peak
 
 
 def test_oracle_rerun_small():
